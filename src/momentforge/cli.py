@@ -3,10 +3,8 @@
 Subcommands: monomials, moment, sqlength, grad, orbits, diagonal, critical,
 verify, reproduce-paper, emit-points.  Polynomials travel as JSON files (see
 the package README for the schema).  Exit codes: 0 success, 1 usage error,
-2 degenerate input, 3 fixture mismatch in reproduce-paper.
-
-``MOMENTFORGE_THREADS`` caps worker threads; output is deterministic
-regardless of parallelism, and JSON output uses sorted keys.
+2 degenerate input, 3 fixture mismatch in reproduce-paper.  JSON output
+uses sorted keys.
 """
 
 from __future__ import annotations

@@ -23,16 +23,13 @@ from itertools import combinations, permutations, product
 from . import univariate as uni
 from .moment import gradient, gradient_symbolic, moment_matrix
 from .orbits import ParamFamily, permute
-from .parallel import parallel_map
 from .polyring import (
     DegenerateInputError,
-    ExponentVector,
     ParamPoly,
     SparsePoly,
     canonical_key,
     substitute_params,
 )
-from .symd import enumerate_monomials
 
 RESIDUAL_TOL = 1e-9
 INTERVAL_WIDTH = Fraction(1, 10**12)
@@ -73,10 +70,6 @@ class AlgebraicNumber:
 
 
 ParamValue = object  # Fraction | AlgebraicNumber | float (multistart fallback only)
-
-
-def _value_float(v) -> float:
-    return float(v)
 
 
 def _value_is_zero(v) -> bool:
@@ -310,10 +303,6 @@ def polys_close(f: SparsePoly, g: SparsePoly, tol: float = RESIDUAL_TOL) -> bool
     return True
 
 
-def equivalent_modulo_torus(f: SparsePoly, g: SparsePoly, tol: float = RESIDUAL_TOL) -> bool:
-    return polys_close(torus_canonical(f), torus_canonical(g), tol)
-
-
 def orbit_torus_canonical(f: SparsePoly) -> SparsePoly:
     """Canonical form modulo coordinate permutation plus rescaling."""
     from .orbits import support_order_key
@@ -412,7 +401,7 @@ def _roots_of_upoly(p: uni.UPoly) -> list:
 
 def _residual_on_equations(eqs: list[ParamPoly], values) -> float:
     """Scale-relative float residual of a candidate point."""
-    floats = [_value_float(v) for v in values]
+    floats = [float(v) for v in values]
     worst = 0.0
     for eq in eqs:
         total = 0.0
@@ -551,7 +540,7 @@ def _solve_dense(a: list[list[float]], b: list[float]):
 
 def _prefer_representative(a: CriticalSolution, b: CriticalSolution) -> CriticalSolution:
     def score(sol: CriticalSolution):
-        all_pos = all(_value_float(v) > 0 for v in sol.values)
+        all_pos = all(float(v) > 0 for v in sol.values)
         poly = sol.polynomial()
         coeffs = tuple(
             float(poly.terms[al]) for al in sorted(poly.terms, key=canonical_key)
@@ -602,7 +591,7 @@ def solve_real(system: GradientSystem, tol: float = RESIDUAL_TOL) -> list[Critic
                 break
         if not merged:
             solutions.append(sol)
-    solutions.sort(key=lambda s: tuple(_value_float(v) for v in s.values))
+    solutions.sort(key=lambda s: tuple(float(v) for v in s.values))
     return solutions
 
 
@@ -615,5 +604,4 @@ def critical_points(n: int, d: int, m: int, tol: float = RESIDUAL_TOL):
     from .diagonal import diagonal_families
 
     families = diagonal_families(n, d, m)
-    results = parallel_map(lambda fam: solve_family(fam, tol), families)
-    return list(zip(families, results))
+    return [(family, solve_family(family, tol)) for family in families]

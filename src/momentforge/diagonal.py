@@ -14,12 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count
+from itertools import product
 
-from .moment import _as_parametric, _gram
+from .moment import _family_inner_products
 from .orbits import ParamFamily, build_family, orbit_classes, uses_all_variables
-from .parallel import parallel_map
-from .polyring import ParamPoly, scalar_is_zero
+from .polyring import ParamPoly
 
 
 @dataclass(frozen=True)
@@ -32,23 +31,15 @@ class DiagonalVerdict:
     witness: tuple[Fraction, ...] | None
 
 
-def _nonzero_witness(numerators: list[ParamPoly], nparams: int) -> tuple[Fraction, ...] | None:
-    # a nonzero polynomial cannot vanish on all of these small all-nonzero grids
-    candidates = [
-        tuple(Fraction(1) for _ in range(nparams)),
-        tuple(Fraction(k + 2) for k in range(nparams)),
-        tuple(Fraction(1, k + 2) for k in range(nparams)),
-        tuple(Fraction((-1) ** k * (k + 1)) for k in range(nparams)),
-    ]
-    for base in count(2):
-        if len(candidates) > 40:
-            break
-        candidates.append(tuple(Fraction(base**k) for k in range(1, nparams + 1)))
-    for point in candidates:
-        for numer in numerators:
-            if numer.subs(point) != 0:
-                return point
-    return None
+def _nonzero_witness(numerators: list[ParamPoly], nparams: int) -> tuple[Fraction, ...]:
+    # a nonzero polynomial of degree at most D in each parameter cannot vanish
+    # on all of {1, ..., D + 1}^k, so this lexicographic walk finds a witness
+    top = max((num.degree_in(i) for num in numerators for i in range(nparams)), default=0)
+    for point in product(range(1, top + 2), repeat=nparams):
+        point = tuple(Fraction(v) for v in point)
+        if any(num.subs(point) != 0 for num in numerators):
+            return point
+    raise ValueError("every numerator vanishes identically")
 
 
 def is_identically_diagonal(family: ParamFamily) -> DiagonalVerdict:
@@ -58,21 +49,18 @@ def is_identically_diagonal(family: ParamFamily) -> DiagonalVerdict:
     denominator ``d |f|^2``, so only the numerators ``2 <d_i f, d_j f>`` are
     tested for identical vanishing.
     """
-    lifted = _as_parametric(family.poly, family.nparams)
-    gram = _gram(lifted)
+    gram = _family_inner_products(family.poly)
     n = family.poly.n
-    offending = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            entry = gram[i][j]
-            if not scalar_is_zero(entry):
-                if not isinstance(entry, ParamPoly):
-                    entry = ParamPoly.const(family.nparams, entry)
-                offending.append(((i, j), entry))
+    offending = tuple(
+        ((i, j), gram[i][j])
+        for i in range(n)
+        for j in range(i + 1, n)
+        if not gram[i][j].is_zero()
+    )
     witness = None
     if offending:
         witness = _nonzero_witness([num for _, num in offending], family.nparams)
-    return DiagonalVerdict(family, not offending, tuple(offending), witness)
+    return DiagonalVerdict(family, not offending, offending, witness)
 
 
 def diagonal_families(n: int, d: int, m: int) -> list[ParamFamily]:
@@ -84,5 +72,5 @@ def diagonal_families(n: int, d: int, m: int) -> list[ParamFamily]:
         rep for rep in orbit_classes(n, d, m) if uses_all_variables(rep.support)
     ]
     families = [build_family(rep.support) for rep in reps]
-    verdicts = parallel_map(is_identically_diagonal, families)
+    verdicts = [is_identically_diagonal(family) for family in families]
     return [v.family for v in verdicts if v.is_diagonal]

@@ -6,19 +6,32 @@ matrix ``H(f)`` has entries ``<df/dx_j, df/dx_i> / (d * |f|^2)`` and the
 ``Re Tr(m . m)`` is the Morse function whose critical points this package
 hunts.
 
-Everything is exact: gradients with respect to all coefficient directions
-are obtained by a first-order expansion of the trace formula (quotient rule
-applied once at the very end), never by numeric differentiation.  The
-alternative flow construction differentiates the pulled-back norm along
-one-parameter subgroups exactly, and the complex-coefficient variant splits
-each coefficient into a real/imaginary symbol pair.
+One engine builds the trace formula: the Gram matrix of the partial
+derivatives (``_inner_products``), the squared norm (``_norm2``), the
+polynomial moment matrix (``_moment_numerators``) and the trace product
+(``_trace_product``).
+It is generic over a scalar ring with conjugation, and runs over three:
+
+* plain scalars (``Fraction``, float or ``ParamPoly``), for the hermitian,
+  symbolic moment and symbolic square-length matrices and the diagonal
+  filter;
+* first-order jets over a plain scalar, for the exact gradient in every
+  coefficient direction (quotient rule applied once at the very end, never
+  numeric differentiation);
+* complex jets, pairs of jets with conjugation flipping the imaginary part,
+  for the gradient along imaginary coefficient directions.
+
+The flow construction differentiates the pulled-back norm along
+one-parameter subgroups independently of the engine.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd
+from typing import Callable, NamedTuple
 
 from .polyring import (
     DegenerateInputError,
@@ -26,6 +39,7 @@ from .polyring import (
     RationalFunction,
     Scalar,
     SparsePoly,
+    parameter_symbols,
     scalar_is_zero,
 )
 from .symd import enumerate_monomials, inner_product, weight
@@ -104,23 +118,105 @@ def _require_nonzero(f: SparsePoly):
         raise DegenerateInputError("the zero polynomial has no moment matrix")
 
 
-def _derivatives(f: SparsePoly) -> list[SparsePoly]:
-    from .polyring import partial_derivative
+# ---------------------------------------------------------------------------
+# the trace-formula engine
+#
+# Coefficients arrive as (exponent, ring element) pairs.  With the
+# polynomial matrix M = 2 G - (2 d^2 / n) norm2 I, where
+# G[i][j] = <d_j f, d_i f>, the moment matrix is M / (d * norm2) and
+# |m|^2 = P / (d^2 * norm2^2) with P = sum_ij M[i][j] M[j][i], so no division
+# happens until a caller assembles its quotient.
 
-    return [partial_derivative(f, i + 1) for i in range(f.n)]
+
+class _Ring(NamedTuple):
+    zero: object
+    add: Callable
+    mul: Callable
+    scale: Callable  # element times a rational constant
+    conj: Callable
 
 
-def _gram(f: SparsePoly) -> list[list[Scalar]]:
-    # entry (i, j) = <df/dx_j, df/dx_i>; real inputs make this symmetric
-    derivs = _derivatives(f)
-    n = f.n
-    q: list[list[Scalar]] = [[Fraction(0)] * n for _ in range(n)]
+def _identity(a):
+    return a
+
+
+def _plain_ring(zero) -> _Ring:
+    return _Ring(zero, operator.add, operator.mul, operator.mul, _identity)
+
+
+def _norm2(ring: _Ring, coeffs):
+    total = ring.zero
+    for alpha, c in coeffs:
+        total = ring.add(total, ring.scale(ring.mul(c, ring.conj(c)), weight(alpha)))
+    return total
+
+
+def _inner_products(ring: _Ring, coeffs, n: int) -> list[list]:
+    add, mul, scale, conj = ring.add, ring.mul, ring.scale, ring.conj
+    # derivative polynomials as maps exponent -> coefficient
+    derivs: list[dict] = []
+    for i in range(n):
+        dmap: dict = {}
+        for alpha, c in coeffs:
+            k = alpha[i]
+            if k:
+                beta = alpha[:i] + (k - 1,) + alpha[i + 1:]
+                dmap[beta] = c if k == 1 else scale(c, Fraction(k))
+        derivs.append(dmap)
+
+    g = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            v = inner_product(derivs[j], derivs[i])
-            q[i][j] = v
-            q[j][i] = v
-    return q
+            small, large = derivs[i], derivs[j]
+            swapped = len(large) < len(small)
+            if swapped:
+                small, large = large, small
+            s = ring.zero
+            for beta, c in small.items():
+                other = large.get(beta)
+                if other is not None:
+                    s = add(s, scale(mul(conj(c), other), weight(beta)))
+            # s = <small, large>, which is G[j][i], or G[i][j] when swapped
+            g[i][j], g[j][i] = (s, conj(s)) if swapped else (conj(s), s)
+    return g
+
+
+def _moment_numerators(ring: _Ring, g, norm2, n: int, d: int) -> list[list]:
+    shifted = ring.scale(norm2, Fraction(-2 * d * d, n))
+    m = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            entry = ring.scale(g[i][j], 2)
+            if i == j:
+                entry = ring.add(entry, shifted)
+            m[i][j], m[j][i] = entry, ring.conj(entry)
+    return m
+
+
+def _trace_product(ring: _Ring, m, n: int):
+    p = ring.zero
+    for i in range(n):
+        for j in range(n):
+            p = ring.add(p, ring.mul(m[i][j], m[j][i]))
+    return p
+
+
+def _trace_parts(ring: _Ring, coeffs, n: int, d: int):
+    """``(P, norm2)``: numerator of ``|m|^2`` and the squared norm."""
+    norm2 = _norm2(ring, coeffs)
+    m = _moment_numerators(ring, _inner_products(ring, coeffs, n), norm2, n, d)
+    return _trace_product(ring, m, n), norm2
+
+
+def _parametric(f: SparsePoly) -> tuple[_Ring, list]:
+    """The parameter ring, and every coefficient lifted into it."""
+    nsyms = parameter_symbols(f)
+    coeffs = []
+    for alpha, c in f.terms.items():
+        if isinstance(c, float):
+            raise TypeError("cannot mix float coefficients with parameters")
+        coeffs.append((alpha, c if isinstance(c, ParamPoly) else ParamPoly.const(nsyms, c)))
+    return _plain_ring(ParamPoly(nsyms)), coeffs
 
 
 def hermitian_matrix(f: SparsePoly) -> MomentMatrix:
@@ -128,8 +224,10 @@ def hermitian_matrix(f: SparsePoly) -> MomentMatrix:
     _require_nonzero(f)
     if f.is_parametric():
         raise TypeError("parametric input: use symbolic_moment_matrix")
-    q = _gram(f)
-    scale = norm_squared(f) * f.d
+    ring = _plain_ring(Fraction(0))
+    coeffs = list(f.terms.items())
+    q = _inner_products(ring, coeffs, f.n)
+    scale = _norm2(ring, coeffs) * f.d
     entries = tuple(tuple(q[i][j] / scale for j in range(f.n)) for i in range(f.n))
     return MomentMatrix(f.n, entries)
 
@@ -158,34 +256,19 @@ def square_length(f: SparsePoly) -> Scalar:
     return total
 
 
-# ---------------------------------------------------------------------------
-# symbolic (parametric) route
-#
-# m[i][j] = M[i][j] / (d * norm2) with the polynomial matrix
-# M[i][j] = 2 Q[i][j] - (2 d^2 / n) delta_ij norm2, so no division happens
-# until a rational function is assembled at the very end.
-
-
-def _polynomial_matrix(f: SparsePoly):
-    q = _gram(f)
-    norm2 = norm_squared(f)
-    shift = Fraction(2 * f.d * f.d, f.n)
-    n = f.n
-    m = [
-        [
-            2 * q[i][j] - shift * norm2 if i == j else 2 * q[i][j]
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    return m, norm2
+def _family_inner_products(family: SparsePoly) -> list[list[ParamPoly]]:
+    """The Gram matrix ``<d_j f, d_i f>`` of a family over the parameter ring."""
+    ring, coeffs = _parametric(family)
+    return _inner_products(ring, coeffs, family.n)
 
 
 def symbolic_moment_matrix(family: SparsePoly) -> SymbolicMomentMatrix:
     """Moment matrix of a parametric family over one integral denominator."""
     _require_nonzero(family)
-    nsyms = _family_symbols(family)
-    m, norm2 = _polynomial_matrix(_as_parametric(family, nsyms))
+    ring, coeffs = _parametric(family)
+    norm2 = _norm2(ring, coeffs)
+    gram = _inner_products(ring, coeffs, family.n)
+    m = _moment_numerators(ring, gram, norm2, family.n, family.d)
     denom = norm2 * family.d
 
     lcm = 1
@@ -205,40 +288,16 @@ def symbolic_moment_matrix(family: SparsePoly) -> SymbolicMomentMatrix:
     )
 
 
-def _family_symbols(f: SparsePoly) -> int:
-    from .polyring import parameter_symbols
-
-    return parameter_symbols(f)
-
-
-def _as_parametric(f: SparsePoly, nsyms: int) -> SparsePoly:
-    """Lift every coefficient into the parameter ring so arithmetic is uniform."""
-    terms = {}
-    for exp, c in f.terms.items():
-        if isinstance(c, ParamPoly):
-            terms[exp] = c
-        elif isinstance(c, float):
-            raise TypeError("cannot mix float coefficients with parameters")
-        else:
-            terms[exp] = ParamPoly.const(nsyms, c)
-    return SparsePoly(f.n, f.d, terms)
-
-
 def square_length_symbolic(family: SparsePoly) -> RationalFunction:
     """``|m|^2`` of a parametric family as an exact rational function."""
     _require_nonzero(family)
-    nsyms = _family_symbols(family)
-    if nsyms == 0:
+    if parameter_symbols(family) == 0:
         value = square_length(family)
         return RationalFunction.make(
             ParamPoly.const(0, value), ParamPoly.const(0, 1)
         )
-    m, norm2 = _polynomial_matrix(_as_parametric(family, nsyms))
-    n = family.n
-    p = ParamPoly(nsyms)
-    for i in range(n):
-        for j in range(n):
-            p = p + m[i][j] * m[j][i]
+    ring, coeffs = _parametric(family)
+    p, norm2 = _trace_parts(ring, coeffs, family.n, family.d)
     r = norm2 * norm2 * (family.d * family.d)
     return RationalFunction.make(p, r)
 
@@ -293,69 +352,57 @@ def _jscale(a: Jet, c) -> Jet:
     return (av * c, {k: v * c for k, v in ad.items()})
 
 
-def _jet_trace_parts(coeff_jets, basis, n, d, zero):
-    """(P, norm2) jets of the trace formula for coefficient jets in basis order."""
-    weights = [weight(alpha) for alpha in basis.order]
-    norm2 = (zero, {})
-    for jet, w in zip(coeff_jets, weights):
-        norm2 = _jadd(norm2, _jscale(_jmul(jet, jet), w))
-
-    # derivative polynomials as maps exponent -> jet
-    derivs: list[dict] = []
-    for i in range(n):
-        dmap: dict = {}
-        for alpha, jet in zip(basis.order, coeff_jets):
-            if alpha[i] == 0:
-                continue
-            beta = list(alpha)
-            beta[i] -= 1
-            beta = tuple(beta)
-            contrib = _jscale(jet, Fraction(alpha[i]))
-            dmap[beta] = _jadd(dmap[beta], contrib) if beta in dmap else contrib
-        derivs.append(dmap)
-
-    shift = Fraction(2 * d * d, n)
-    mjets = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            q = (zero, {})
-            small, large = (derivs[i], derivs[j])
-            if len(large) < len(small):
-                small, large = large, small
-            for beta, jet in small.items():
-                other = large.get(beta)
-                if other is not None:
-                    q = _jadd(q, _jscale(_jmul(jet, other), weight(beta)))
-            entry = _jscale(q, Fraction(2))
-            if i == j:
-                entry = _jadd(entry, _jscale(norm2, -shift))
-            mjets[i][j] = entry
-            mjets[j][i] = entry
-
-    p = (zero, {})
-    for i in range(n):
-        for j in range(n):
-            p = _jadd(p, _jmul(mjets[i][j], mjets[j][i]))
-    return p, norm2
+def _jet_ring(zero) -> _Ring:
+    return _Ring((zero, {}), _jadd, _jmul, _jscale, _identity)
 
 
-def _gradient_jets(f: SparsePoly):
+def _complex_ring(base: _Ring) -> _Ring:
+    """Pairs (re, im) over ``base``; conjugation flips the imaginary part."""
+    add, mul, scale = base.add, base.mul, base.scale
+
+    def cmul(a, b):
+        (ar, ai), (br, bi) = a, b
+        return (add(mul(ar, br), scale(mul(ai, bi), -1)), add(mul(ar, bi), mul(ai, br)))
+
+    return _Ring(
+        (base.zero, base.zero),
+        lambda a, b: (add(a[0], b[0]), add(a[1], b[1])),
+        cmul,
+        lambda a, c: (scale(a[0], c), scale(a[1], c)),
+        lambda a: (a[0], scale(a[1], -1)),
+    )
+
+
+def _coefficient_jets(f: SparsePoly):
+    """One jet per basis monomial, seeded with its own direction, plus the zero."""
     basis = enumerate_monomials(f.n, f.d)
-    parametric = f.is_parametric()
-    if parametric:
-        nsyms = _family_symbols(f)
-        zero = ParamPoly(nsyms)
-        lifted = _as_parametric(f, nsyms)
-        values = [lifted.terms.get(alpha, zero) for alpha in basis.order]
+    if f.is_parametric():
+        ring, coeffs = _parametric(f)
+        zero = ring.zero
+        terms = dict(coeffs)
     elif f.is_exact():
         zero = Fraction(0)
-        values = [f.terms.get(alpha, zero) for alpha in basis.order]
+        terms = f.terms
     else:
         zero = 0.0
-        values = [float(f.terms[alpha]) if alpha in f.terms else 0.0 for alpha in basis.order]
-    jets = [(v, {k: zero + 1}) for k, v in enumerate(values)]
-    p, norm2 = _jet_trace_parts(jets, basis, f.n, f.d, zero)
-    return p, norm2, len(basis), zero
+        terms = {alpha: float(c) for alpha, c in f.terms.items()}
+    one = zero + 1
+    jets = [(alpha, (terms.get(alpha, zero), {k: one})) for k, alpha in enumerate(basis.order)]
+    return jets, zero
+
+
+def _gradient_numerators(p: Jet, norm2: Jet, directions, zero) -> list:
+    p0, p1 = p
+    n0, n1 = norm2
+    return [p1.get(k, zero) * n0 - 2 * p0 * n1.get(k, zero) for k in directions]
+
+
+def _gradient_values(p: Jet, norm2: Jet, d: int, directions, zero) -> list:
+    n0 = norm2[0]
+    if scalar_is_zero(n0):
+        raise DegenerateInputError("squared norm vanishes at the evaluation point")
+    denom = d * d * n0 * n0 * n0
+    return [numer / denom for numer in _gradient_numerators(p, norm2, directions, zero)]
 
 
 def gradient(f: SparsePoly) -> list:
@@ -364,17 +411,9 @@ def gradient(f: SparsePoly) -> list:
     _require_nonzero(f)
     if f.is_parametric():
         raise TypeError("parametric input: use gradient_symbolic")
-    p, norm2, size, _ = _gradient_jets(f)
-    p0, p1 = p
-    n0, n1 = norm2
-    if scalar_is_zero(n0):
-        raise DegenerateInputError("squared norm vanishes at the evaluation point")
-    denom = f.d * f.d * n0 * n0 * n0
-    out = []
-    for k in range(size):
-        numer = p1.get(k, Fraction(0)) * n0 - 2 * p0 * n1.get(k, Fraction(0))
-        out.append(numer / denom)
-    return out
+    jets, zero = _coefficient_jets(f)
+    p, norm2 = _trace_parts(_jet_ring(zero), jets, f.n, f.d)
+    return _gradient_values(p, norm2, f.d, range(len(jets)), zero)
 
 
 def gradient_symbolic(family: SparsePoly) -> tuple[list[ParamPoly], ParamPoly]:
@@ -384,16 +423,13 @@ def gradient_symbolic(family: SparsePoly) -> tuple[list[ParamPoly], ParamPoly]:
     as a rational function of the parameters.
     """
     _require_nonzero(family)
-    if _family_symbols(family) == 0:
+    if parameter_symbols(family) == 0:
         raise TypeError("numeric input: use gradient")
-    p, norm2, size, zero = _gradient_jets(family)
-    p0, p1 = p
-    n0, n1 = norm2
+    jets, zero = _coefficient_jets(family)
+    p, norm2 = _trace_parts(_jet_ring(zero), jets, family.n, family.d)
+    n0 = norm2[0]
     denom = n0 * n0 * n0 * (family.d * family.d)
-    numerators = []
-    for k in range(size):
-        numerators.append(p1.get(k, zero) * n0 - 2 * p0 * n1.get(k, zero))
-    return numerators, denom
+    return _gradient_numerators(p, norm2, range(len(jets)), zero), denom
 
 
 # ---------------------------------------------------------------------------
@@ -470,18 +506,6 @@ def flow_derivative(f: SparsePoly, i: int, j: int) -> Scalar:
 # complex-coefficient variant: coefficients a + i b, conjugation flips b
 
 
-def _cjmul(a, b):
-    (ar, ai), (br, bi) = a, b
-    re = _jadd(_jmul(ar, br), _jscale(_jmul(ai, bi), Fraction(-1)))
-    im = _jadd(_jmul(ar, bi), _jmul(ai, br))
-    return (re, im)
-
-
-def _cjconj(a):
-    re, im = a
-    return (re, _jscale(im, Fraction(-1)))
-
-
 def complex_gradient_imag_parts(f: SparsePoly) -> list:
     """Gradient of ``|m|^2`` along the imaginary-part directions, at a real point.
 
@@ -493,78 +517,10 @@ def complex_gradient_imag_parts(f: SparsePoly) -> list:
     _require_nonzero(f)
     if f.is_parametric():
         raise TypeError("complex variant expects a numeric polynomial")
-    basis = enumerate_monomials(f.n, f.d)
-    size = len(basis)
-    exact = f.is_exact()
-    zero = Fraction(0) if exact else 0.0
-    one = Fraction(1) if exact else 1.0
-    cjets = []
-    for k, alpha in enumerate(basis.order):
-        c = f.terms.get(alpha, zero)
-        if not exact:
-            c = float(c)
-        re = (c, {k: one})
-        im = (zero, {size + k: one})
-        cjets.append((re, im))
-
-    norm2 = (zero, {})
-    for jet, alpha in zip(cjets, basis.order):
-        re, im = jet
-        mag = _jadd(_jmul(re, re), _jmul(im, im))
-        norm2 = _jadd(norm2, _jscale(mag, weight(alpha)))
-
-    n, d = f.n, f.d
-    derivs = []
-    for i in range(n):
-        dmap: dict = {}
-        for alpha, jet in zip(basis.order, cjets):
-            if alpha[i] == 0:
-                continue
-            beta = list(alpha)
-            beta[i] -= 1
-            beta = tuple(beta)
-            scaled = (
-                _jscale(jet[0], Fraction(alpha[i])),
-                _jscale(jet[1], Fraction(alpha[i])),
-            )
-            if beta in dmap:
-                prev = dmap[beta]
-                dmap[beta] = (_jadd(prev[0], scaled[0]), _jadd(prev[1], scaled[1]))
-            else:
-                dmap[beta] = scaled
-        derivs.append(dmap)
-
-    shift = Fraction(2 * d * d, n)
-    czero = ((zero, {}), (zero, {}))
-    mjets = [[czero] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            # entry (i, j) = 2 <d_j f, d_i f> - shift * norm2 * delta_ij
-            q = czero
-            for beta, jet in derivs[j].items():
-                other = derivs[i].get(beta)
-                if other is not None:
-                    prod = _cjmul(_cjconj(jet), other)
-                    w = weight(beta)
-                    q = (_jadd(q[0], _jscale(prod[0], w)), _jadd(q[1], _jscale(prod[1], w)))
-            entry = (_jscale(q[0], Fraction(2)), _jscale(q[1], Fraction(2)))
-            if i == j:
-                entry = (_jadd(entry[0], _jscale(norm2, -shift)), entry[1])
-            mjets[i][j] = entry
-
-    p_re = (zero, {})
-    for i in range(n):
-        for j in range(n):
-            prod = _cjmul(mjets[i][j], mjets[j][i])
-            p_re = _jadd(p_re, prod[0])
-
-    p0, p1 = p_re
-    n0, n1 = norm2
-    if scalar_is_zero(n0):
-        raise DegenerateInputError("squared norm vanishes")
-    denom = d * d * n0 * n0 * n0
-    out = []
-    for k in range(size, 2 * size):
-        numer = p1.get(k, zero) * n0 - 2 * p0 * n1.get(k, zero)
-        out.append(numer / denom)
-    return out
+    jets, zero = _coefficient_jets(f)
+    size = len(jets)
+    # the imaginary symbol of coefficient k is direction size + k
+    cjets = [(alpha, (re, (zero, {size + k: zero + 1}))) for k, (alpha, re) in enumerate(jets)]
+    p, norm2 = _trace_parts(_complex_ring(_jet_ring(zero)), cjets, f.n, f.d)
+    # |m|^2 and the squared norm are real: their real parts carry everything
+    return _gradient_values(p[0], norm2[0], f.d, range(size, 2 * size), zero)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Callable, Mapping, Sequence, Union
 
 # Exponent vector: element i is the exponent of variable x_{i+1}.
 ExponentVector = tuple[int, ...]
@@ -202,6 +202,9 @@ class ParamPoly:
         return self.nsyms == other.nsyms and self.terms == other.terms
 
     def __hash__(self):
+        # a constant equals its value as a Fraction, so it must hash alike
+        if self.is_constant():
+            return hash(self.constant_value())
         return hash((self.nsyms, self.key()))
 
     def key(self) -> tuple:
@@ -640,6 +643,8 @@ def _coeff_to_json(c: Scalar):
 def _coeff_from_json(obj) -> Scalar:
     if isinstance(obj, str):
         return Fraction(obj)
+    if isinstance(obj, bool):  # JSON true/false; bool subclasses int
+        raise ValueError(f"boolean is not a coefficient: {obj!r}")
     if isinstance(obj, (int, float)):
         return Fraction(obj) if isinstance(obj, int) else float(obj)
     if isinstance(obj, dict) and "params" in obj:

@@ -19,8 +19,7 @@ from .critical import (
 from .diagonal import diagonal_families
 from .fixtures import critical_fixture_poly, mono, support
 from .moment import moment_matrix, symbolic_moment_matrix
-from .orbits import build_family, orbit_classes
-from .parallel import parallel_map
+from .orbits import orbit_classes
 from .polyring import ParamPoly, SparsePoly
 from .symd import enumerate_monomials
 
@@ -91,8 +90,7 @@ def cubic_solver_results():
     families = []
     for m in (2, 3):
         families.extend(diagonal_families(3, 3, m))
-    results = parallel_map(solve_family, families)
-    return list(zip(families, results))
+    return [(family, solve_family(family)) for family in families]
 
 
 def check_cubic_critical_set(results=None) -> CheckResult:
@@ -127,11 +125,6 @@ def check_quartic_diagonal_families() -> CheckResult:
     got = [fam.support for fam in diagonal_families(3, 4, 3)]
     want = [support(*names) for names in fixtures.DIAGONAL_QUARTIC_3TERM]
     return _check("quartic three-term diagonal families (31)", got == want, f"got {len(got)}")
-
-
-def quartic_two_term_diagonal_extras():
-    """Two-term diagonal quartic families (reported, with no published list)."""
-    return diagonal_families(3, 4, 2)
 
 
 def check_quartic_symbolic_matrix() -> CheckResult:
@@ -174,10 +167,9 @@ def check_quartic_monomial_criticality() -> CheckResult:
 def check_quartic_list_verifies(tol: float = 1e-9) -> CheckResult:
     worst = 0.0
     bad = []
-    residuals = parallel_map(
-        lambda entry: verify_critical(critical_fixture_poly(entry)),
-        fixtures.CRITICAL_QUARTICS,
-    )
+    residuals = [
+        verify_critical(critical_fixture_poly(entry)) for entry in fixtures.CRITICAL_QUARTICS
+    ]
     for k, res in enumerate(residuals):
         worst = max(worst, res)
         if res > tol:
@@ -193,8 +185,7 @@ def quartic_solver_results():
     families = []
     for m in (2, 3):
         families.extend(diagonal_families(3, 4, m))
-    results = parallel_map(solve_family, families)
-    return list(zip(families, results))
+    return [(family, solve_family(family)) for family in families]
 
 
 def check_quartic_rational_rediscovery(results=None) -> CheckResult:

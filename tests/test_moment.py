@@ -155,6 +155,17 @@ class TestSymbolicMomentMatrix:
         assert coeff(sym.numerators[0][1], (3, 1, 0), (4, 0, 0)) == 72
 
 
+    def test_family_with_vanishing_entries(self):
+        # b1*x^3 + y^3: every off-diagonal entry and the z-row vanish identically
+        fam = SparsePoly.make(3, 3, {mono("x3"): ParamPoly.symbol(1, 0), mono("y3"): 1})
+        sym = symbolic_moment_matrix(fam)
+        b1 = ParamPoly.symbol(1, 0)
+        assert sym.denominator == b1 * b1 + 1
+        assert sym.numerators[0][0] == b1 * b1 * 4 - 2
+        assert sym.numerators[2][2] == b1 * b1 * -2 - 2
+        assert all(sym.numerators[i][j].is_zero() for i in range(3) for j in range(3) if i != j)
+
+
 class TestGradient:
     def test_zero_at_fermat_cubic(self):
         grad = gradient(P(x3=1, y3=1, z3=1))

@@ -136,6 +136,13 @@ class TestParamPoly:
             y = rng.uniform(-2, 2)
             assert fn(x, y) == pytest.approx(float(p.subs([x, y])), rel=1e-12)
 
+    def test_constant_hashes_like_its_value(self):
+        for value in (Fraction(1), Fraction(-3, 7), Fraction(0)):
+            const = ParamPoly.const(1, value)
+            assert const == value
+            assert hash(const) == hash(value)
+            assert {value: "v"}[const] == "v"
+
     def test_float_mixing_rejected(self):
         with pytest.raises(TypeError):
             ParamPoly.symbol(1, 0) * 0.5
@@ -211,6 +218,11 @@ class TestJsonFormat:
         )
         again = poly_from_json(json.loads(json.dumps(poly_to_json(fam))))
         assert again == fam
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_boolean_coefficient_rejected(self, flag):
+        with pytest.raises(ValueError):
+            poly_from_json({"n": 3, "d": 3, "terms": [{"exp": [3, 0, 0], "coeff": flag}]})
 
     def test_rational_coefficients_as_strings(self):
         payload = poly_to_json(P(x3=1))
