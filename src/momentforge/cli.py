@@ -61,6 +61,13 @@ def _load_poly(path: str) -> SparsePoly:
         return poly_from_json(json.load(fh))
 
 
+def _load_numeric_poly(path: str) -> SparsePoly:
+    f = _load_poly(path)
+    if f.is_parametric():
+        raise ValueError("parametric input: substitute the parameters first")
+    return f
+
+
 def _scalar_out(value, as_float: bool):
     if as_float or isinstance(value, float):
         return _fmt_float(float(value))
@@ -240,7 +247,7 @@ def _cmd_critical(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    f = _load_poly(args.poly)
+    f = _load_numeric_poly(args.poly)
     residual = verify_critical(f)
     if args.json:
         _dump_json({"critical": residual <= args.tol, "residual": _fmt_float(residual)})
@@ -309,7 +316,7 @@ def emit_points(f: SparsePoly, box: float = 2.0, samples: int = 25):
 
 
 def _cmd_emit_points(args) -> int:
-    f = _load_poly(args.poly)
+    f = _load_numeric_poly(args.poly)
     pts = emit_points(f, box=args.box, samples=args.samples)
     lines = [[_fmt_float(c) for c in p] for p in pts]
     out = sys.stdout if args.out is None else open(args.out, "w", encoding="utf-8")

@@ -45,7 +45,7 @@ CLUSTER_DIST = 1e-6
 class AlgebraicNumber:
     """A real root pinned by a squarefree polynomial and an isolating interval."""
 
-    minimal_polynomial: tuple[Fraction, ...]
+    minimal_polynomial: tuple[int, ...]
     lo: Fraction
     hi: Fraction
     approx: float
@@ -384,7 +384,7 @@ def _prepared_equations(system: GradientSystem) -> list[ParamPoly]:
 
 def _roots_of_upoly(p: uni.UPoly) -> list:
     """Nonzero real roots as Fractions or AlgebraicNumbers."""
-    p = uni.content_primitive(uni.squarefree_part(p))
+    p = uni.squarefree_part(p)
     roots = []
     for lo, hi in uni.isolate_real_roots(p):
         lo, hi = uni.refine_interval(p, lo, hi, INTERVAL_WIDTH)
@@ -392,7 +392,7 @@ def _roots_of_upoly(p: uni.UPoly) -> list:
             value = lo
         else:
             value = uni.simplest_rational_in(lo, hi)
-            if uni.evaluate(p, value) != 0:
+            if uni.sign_at(p, value) != 0:
                 value = AlgebraicNumber.from_interval(p, lo, hi)
         if not _value_is_zero(value):
             roots.append(value)
@@ -431,7 +431,7 @@ def _candidate_passes(eqs: list[ParamPoly], values) -> bool:
 
 
 def _solve_one_unknown(eqs: list[ParamPoly]) -> list[tuple]:
-    polys = [uni.trim(list(e.univariate())) for e in eqs]
+    polys = [uni.trim(e.univariate()) for e in eqs]
     g = polys[0]
     for p in polys[1:]:
         g = uni.poly_gcd(g, p)
@@ -451,7 +451,7 @@ def _eliminate_direction(ranked: list[ParamPoly], eliminate: int):
     # an equation free of the eliminated symbol is already a projection
     for eq in ranked:
         if eq.degree_in(eliminate) == 0:
-            return uni.trim(list(eq.univariate()))
+            return uni.trim(eq.univariate())
     return None
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Mapping, Sequence, Union
 
 # Exponent vector: element i is the exponent of variable x_{i+1}.
@@ -295,14 +296,21 @@ class ParamPoly:
             out[new] = coeff
         return ParamPoly(self.nsyms, out)
 
-    def univariate(self) -> list[Fraction]:
-        """Dense coefficient list when at most one symbol occurs."""
+    def integer_terms(self) -> dict[tuple[int, ...], int]:
+        """Coefficients times their least common denominator (a positive
+        integer), so the polynomial's zeros stay where they are."""
+        den = lcm(*(c.denominator for c in self.terms.values()))
+        return {exp: c.numerator * (den // c.denominator) for exp, c in self.terms.items()}
+
+    def univariate(self) -> list[int]:
+        """Dense integer coefficient list (see ``integer_terms``) when at most
+        one symbol occurs."""
         active = [i for i in range(self.nsyms) if self.degree_in(i) > 0]
         if len(active) > 1:
             raise ValueError("polynomial is not univariate")
         i = active[0] if active else 0
-        coeffs = [ZERO] * (self.degree_in(i) + 1)
-        for exp, c in self.terms.items():
+        coeffs = [0] * (self.degree_in(i) + 1)
+        for exp, c in self.integer_terms().items():
             coeffs[exp[i]] = c
         return coeffs
 
@@ -668,4 +676,7 @@ def poly_from_json(obj: Mapping) -> SparsePoly:
     n = int(obj["n"])
     d = int(obj["d"])
     terms = {tuple(t["exp"]): _coeff_from_json(t["coeff"]) for t in obj["terms"]}
+    kinds = {type(c) for c in terms.values()}
+    if float in kinds and ParamPoly in kinds:
+        raise ValueError("cannot mix float coefficients with parameters")
     return SparsePoly.make(n, d, terms)

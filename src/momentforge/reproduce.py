@@ -10,12 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import fixtures
-from .critical import (
-    equivalent_modulo_torus_and_permutation,
-    solve_family,
-    verify_critical,
-)
+from . import critical, fixtures
+from .critical import polys_close, solve_family, verify_critical
 from .diagonal import diagonal_families
 from .fixtures import critical_fixture_poly, mono, support
 from .moment import moment_matrix, symbolic_moment_matrix
@@ -93,17 +89,27 @@ def cubic_solver_results():
     return [(family, solve_family(family)) for family in families]
 
 
+def _missing_targets(produced: list[SparsePoly], targets) -> list[int]:
+    """Numbers of the (number, polynomial) targets equivalent to no produced
+    polynomial modulo torus rescaling and coordinate permutation."""
+    # each polynomial is canonicalized once, not once per compared pair
+    canonical = [critical.orbit_torus_canonical(p) for p in produced]
+    missing = []
+    for number, target in targets:
+        key = critical.orbit_torus_canonical(target)
+        if not any(polys_close(c, key) for c in canonical):
+            missing.append(number)
+    return missing
+
+
 def check_cubic_critical_set(results=None) -> CheckResult:
     if results is None:
         results = cubic_solver_results()
     produced = [sol.polynomial() for _, sols in results for sol in sols]
-    missing = []
-    for k, entry in enumerate(fixtures.CRITICAL_CUBICS):
-        target = critical_fixture_poly(entry)
-        if not any(
-            equivalent_modulo_torus_and_permutation(p, target) for p in produced
-        ):
-            missing.append(k + 1)
+    missing = _missing_targets(
+        produced,
+        [(k + 1, critical_fixture_poly(entry)) for k, entry in enumerate(fixtures.CRITICAL_CUBICS)],
+    )
     return _check(
         "six published critical cubics recovered",
         not missing,
@@ -192,15 +198,15 @@ def check_quartic_rational_rediscovery(results=None) -> CheckResult:
     if results is None:
         results = quartic_solver_results()
     produced = [sol.polynomial() for _, sols in results for sol in sols]
-    missing = []
-    for k, entry in enumerate(fixtures.CRITICAL_QUARTICS):
-        if any(r != 1 for _, r, _ in entry):
-            continue  # irrational coefficients: verification-only entries
-        target = critical_fixture_poly(entry)
-        if not any(
-            equivalent_modulo_torus_and_permutation(p, target) for p in produced
-        ):
-            missing.append(k + 1)
+    missing = _missing_targets(
+        produced,
+        [
+            (k + 1, critical_fixture_poly(entry))
+            for k, entry in enumerate(fixtures.CRITICAL_QUARTICS)
+            # entries with irrational coefficients are verification-only
+            if all(r == 1 for _, r, _ in entry)
+        ],
+    )
     return _check(
         "rational critical quartics rediscovered by the solver",
         not missing,

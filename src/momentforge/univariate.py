@@ -1,22 +1,27 @@
 """Exact univariate polynomial tools for the solver.
 
-Dense polynomials over the rationals (index = degree), with Euclidean
-division, gcd, squarefree parts, Sturm chains, real-root isolation by
-bisection on sign-variation counts, interval refinement, and the Sylvester
-resultant of two bivariate polynomials (Bareiss fraction-free determinant,
-so intermediate entries stay polynomial).
+Polynomials are dense lists of Python ints (index = degree).  They enter as
+integers once, at the boundary (``ParamPoly.univariate`` and the resultant's
+input), where denominators are cleared by a positive factor, so no root
+moves.  The solver never needs the value of a polynomial, only its sign:
+``sign_at`` gives the sign of p(a/b) as that of the integer b^deg(p)·p(a/b),
+by Horner's rule.  Sturm chains, gcds and squarefree parts are primitive
+pseudo-remainder sequences (Brown and Traub) scaled only by positive factors,
+so every sign sequence is the one the Euclidean sequence over the rationals
+would give.  Real roots are isolated by bisection on Sturm sign-variation
+counts and refined by bisection, with ``Fraction`` interval endpoints.  The
+Sylvester resultant of two bivariate polynomials is a Bareiss fraction-free
+determinant over Z[x], with exact division at every step.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as int_gcd
+from math import gcd as int_gcd, lcm
 
 from .polyring import ParamPoly
 
-UPoly = list[Fraction]
-
-ZERO = Fraction(0)
+UPoly = list[int]
 
 
 def trim(p: UPoly) -> UPoly:
@@ -33,97 +38,127 @@ def is_zero(p: UPoly) -> bool:
     return not p
 
 
-def add(p: UPoly, q: UPoly) -> UPoly:
-    out = [ZERO] * max(len(p), len(q))
-    for i, c in enumerate(p):
-        out[i] += c
-    for i, c in enumerate(q):
-        out[i] += c
-    return trim(out)
-
-
 def neg(p: UPoly) -> UPoly:
     return [-c for c in p]
+
+
+def sub(p: UPoly, q: UPoly) -> UPoly:
+    out = list(p) + [0] * (len(q) - len(p))
+    for i, c in enumerate(q):
+        out[i] -= c
+    return trim(out)
 
 
 def mul(p: UPoly, q: UPoly) -> UPoly:
     if not p or not q:
         return []
-    out = [ZERO] * (len(p) + len(q) - 1)
+    out = [0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
-        if a == 0:
-            continue
-        for j, b in enumerate(q):
-            if b != 0:
-                out[i + j] += a * b
+        if a:
+            for j, b in enumerate(q, i):
+                out[j] += a * b
     return trim(out)
 
 
-def scale(p: UPoly, c: Fraction) -> UPoly:
-    if c == 0:
-        return []
-    return [a * c for a in p]
-
-
-def divmod_poly(p: UPoly, q: UPoly) -> tuple[UPoly, UPoly]:
-    if is_zero(q):
-        raise ZeroDivisionError("division by the zero polynomial")
-    r = list(p)
-    quo = [ZERO] * max(len(p) - len(q) + 1, 0)
-    lead = q[-1]
-    while len(r) >= len(q) and r:
-        c = r[-1] / lead
-        k = len(r) - len(q)
-        quo[k] = c
-        for i, b in enumerate(q):
-            r[i + k] -= c * b
-        trim(r)
-    return trim(quo), r
-
-
-def poly_gcd(p: UPoly, q: UPoly) -> UPoly:
-    a, b = list(p), list(q)
-    while not is_zero(b):
-        a, b = b, divmod_poly(a, b)[1]
-    if a:
-        a = scale(a, 1 / a[-1])  # monic
-    return a
-
-
 def derivative(p: UPoly) -> UPoly:
-    return trim([p[i] * i for i in range(1, len(p))])
+    return [p[i] * i for i in range(1, len(p))]
 
 
-def squarefree_part(p: UPoly) -> UPoly:
-    """p / gcd(p, p'): same real roots, all simple."""
-    if deg(p) <= 1:
-        return list(p)
-    g = poly_gcd(p, derivative(p))
-    if deg(g) == 0:
-        return list(p)
-    return divmod_poly(p, g)[0]
-
-
-def evaluate(p: UPoly, x) -> Fraction:
-    total = x * 0
-    for c in reversed(p):
-        total = total * x + c
-    return total
+def primitive(p: UPoly) -> UPoly:
+    """Divide out the (positive) content; the sign is kept."""
+    c = int_gcd(*p)
+    return [a // c for a in p] if c > 1 else list(p)
 
 
 def content_primitive(p: UPoly) -> UPoly:
     """Integer-primitive form with positive leading coefficient."""
+    p = primitive(p)
+    return neg(p) if p and p[-1] < 0 else p
+
+
+def exact_quotient(p: UPoly, q: UPoly) -> UPoly:
+    """p / q when q divides p in Z[x]; ArithmeticError when it does not."""
+    if is_zero(q):
+        raise ZeroDivisionError("division by the zero polynomial")
+    dq = len(q) - 1
+    lead = q[-1]
+    r = list(p)
+    quo = [0] * max(len(p) - dq, 0)
+    for k in range(len(quo) - 1, -1, -1):
+        c, rem = divmod(r[k + dq], lead)
+        if rem:
+            raise ArithmeticError("inexact polynomial division")
+        quo[k] = c
+        if c:
+            for i in range(dq):
+                r[i + k] -= c * q[i]
+    if any(r[:dq]):
+        raise ArithmeticError("inexact polynomial division")
+    return trim(quo)
+
+
+def pseudo_remainder(a: UPoly, b: UPoly) -> UPoly:
+    """A positive integer multiple of the remainder of a divided by b."""
+    if is_zero(b):
+        raise ZeroDivisionError("division by the zero polynomial")
+    db = len(b) - 1
+    lead = b[-1]
+    r = list(a)
+    while len(r) > db:
+        # r <- u*r - v*x^k*b with u > 0 chosen so the leading term cancels
+        c = r[-1]
+        g = int_gcd(c, lead)
+        u = abs(lead) // g
+        v = c // g if lead > 0 else -(c // g)
+        k = len(r) - 1 - db
+        if u != 1:
+            r = [u * x for x in r]
+        for i, y in enumerate(b, k):
+            r[i] -= v * y
+        r.pop()
+        trim(r)
+    return r
+
+
+def poly_gcd(p: UPoly, q: UPoly) -> UPoly:
+    """Greatest common divisor, primitive with positive leading coefficient."""
+    a, b = primitive(p), primitive(q)
+    while not is_zero(b):
+        a, b = b, primitive(pseudo_remainder(a, b))
+    return content_primitive(a)
+
+
+def squarefree_part(p: UPoly) -> UPoly:
+    """p / gcd(p, p'), primitive with positive leading coefficient: the same
+    real roots, all simple."""
+    p = content_primitive(p)
+    if deg(p) <= 1:
+        return p
+    g = poly_gcd(p, derivative(p))
+    if deg(g) == 0:
+        return p
+    return exact_quotient(p, g)
+
+
+def sign_at(p: UPoly, x: Fraction | int) -> int:
+    """Sign (-1, 0 or 1) of p at the rational x, in integer arithmetic."""
+    return _sign_at_ratio(p, x.numerator, x.denominator)
+
+
+def _sign_at_ratio(p: UPoly, a: int, b: int) -> int:
+    """Sign of p(a/b) for b > 0: the sign of the integer b^deg(p)·p(a/b)."""
     if not p:
-        return []
-    num = 0
-    den = 1
-    for c in p:
-        num = int_gcd(num, c.numerator)
-        den = den * c.denominator // int_gcd(den, c.denominator)
-    factor = Fraction(den, num)
-    if p[-1] < 0:
-        factor = -factor
-    return [c * factor for c in p]
+        return 0
+    total = p[-1]
+    if b == 1:
+        for i in range(len(p) - 2, -1, -1):
+            total = total * a + p[i]
+    else:
+        power = 1
+        for i in range(len(p) - 2, -1, -1):
+            power *= b
+            total = total * a + p[i] * power
+    return (total > 0) - (total < 0)
 
 
 # ---------------------------------------------------------------------------
@@ -131,21 +166,20 @@ def content_primitive(p: UPoly) -> UPoly:
 
 
 def sturm_chain(p: UPoly) -> list[UPoly]:
-    chain = [list(p), derivative(p)]
+    """Sturm sequence of p; each member is a positive multiple of the
+    classical one (p, p', -rem(p, p'), ...)."""
+    chain = [list(p), primitive(derivative(p))]
     while deg(chain[-1]) > 0:
-        rem = divmod_poly(chain[-2], chain[-1])[1]
+        rem = pseudo_remainder(chain[-2], chain[-1])
         if is_zero(rem):
             break
-        chain.append(neg(rem))
+        chain.append(neg(primitive(rem)))
     return [c for c in chain if not is_zero(c)]
 
 
 def _sign_variations(chain: list[UPoly], x: Fraction) -> int:
-    signs = []
-    for p in chain:
-        v = evaluate(p, x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
+    a, b = x.numerator, x.denominator
+    signs = [s for s in (_sign_at_ratio(p, a, b) for p in chain) if s]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
@@ -156,40 +190,41 @@ def count_roots(chain: list[UPoly], lo: Fraction, hi: Fraction) -> int:
 
 def root_bound(p: UPoly) -> Fraction:
     """Cauchy bound: all real roots lie in (-B, B)."""
-    lead = abs(p[-1])
-    b = max((abs(c) / lead for c in p[:-1]), default=ZERO)
-    return b + 1
+    return Fraction(max((abs(c) for c in p[:-1]), default=0), abs(p[-1])) + 1
 
 
 def isolate_real_roots(p: UPoly) -> list[tuple[Fraction, Fraction]]:
-    """Disjoint open intervals, one simple root of the squarefree input each.
+    """Disjoint open intervals, one for each distinct real root of p.
 
-    Interval endpoints are never roots.
+    Interval endpoints are never roots.  Refining an interval by
+    ``refine_interval`` needs a squarefree p (see ``squarefree_part``).
     """
-    p = squarefree_part(p)
     if deg(p) <= 0:
         return []
     chain = sturm_chain(p)
     bound = root_bound(p)
-    work = [(-bound, bound)]
+    # work items carry the sign variations at their endpoints, so each
+    # bisection point is evaluated once
+    work = [(-bound, bound, _sign_variations(chain, -bound), _sign_variations(chain, bound))]
     done: list[tuple[Fraction, Fraction]] = []
     while work:
-        lo, hi = work.pop()
-        k = count_roots(chain, lo, hi)
+        lo, hi, vlo, vhi = work.pop()
+        k = vlo - vhi
         if k == 0:
             continue
-        if k == 1 and evaluate(p, lo) != 0 and evaluate(p, hi) != 0:
+        if k == 1 and sign_at(p, lo) != 0 and sign_at(p, hi) != 0:
             done.append((lo, hi))
             continue
         mid = (lo + hi) / 2
-        if evaluate(p, mid) == 0:
+        if sign_at(p, mid) == 0:
             # nudge the split point off the root (roots are finite, so this ends)
             shift = (hi - lo) / 8
-            while evaluate(p, mid + shift) == 0:
+            while sign_at(p, mid + shift) == 0:
                 shift /= 3
             mid = mid + shift
-        work.append((lo, mid))
-        work.append((mid, hi))
+        vmid = _sign_variations(chain, mid)
+        work.append((lo, mid, vlo, vmid))
+        work.append((mid, hi, vmid, vhi))
     done.sort()
     return done
 
@@ -198,19 +233,25 @@ def refine_interval(
     p: UPoly, lo: Fraction, hi: Fraction, width: Fraction
 ) -> tuple[Fraction, Fraction]:
     """Shrink an isolating interval of a squarefree polynomial by bisection."""
-    flo = evaluate(p, lo)
-    if flo == 0:
+    slo = sign_at(p, lo)
+    if slo == 0:
         return lo, lo
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        fmid = evaluate(p, mid)
-        if fmid == 0:
-            return mid, mid
-        if (flo > 0) != (fmid > 0):
-            hi = mid
+    # the endpoints are a/den and b/den; every bisection doubles den
+    den = lcm(lo.denominator, hi.denominator)
+    a = lo.numerator * (den // lo.denominator)
+    b = hi.numerator * (den // hi.denominator)
+    wn, wd = width.numerator, width.denominator
+    while (b - a) * wd > wn * den:
+        mid = a + b
+        a, b, den = 2 * a, 2 * b, 2 * den
+        smid = _sign_at_ratio(p, mid, den)
+        if smid == 0:
+            return Fraction(mid, den), Fraction(mid, den)
+        if smid != slo:
+            b = mid
         else:
-            lo, flo = mid, fmid
-    return lo, hi
+            a = mid
+    return Fraction(a, den), Fraction(b, den)
 
 
 def simplest_rational_in(lo: Fraction, hi: Fraction) -> Fraction:
@@ -220,18 +261,20 @@ def simplest_rational_in(lo: Fraction, hi: Fraction) -> Fraction:
     if lo == hi:
         return lo
     if lo <= 0 <= hi:
-        return ZERO
+        return Fraction(0)
     if hi < 0:
         return -simplest_rational_in(-hi, -lo)
 
-    def rec(a: Fraction, b: Fraction) -> Fraction:
-        fl = a.numerator // a.denominator
-        if fl == b.numerator // b.denominator and a.numerator % a.denominator != 0:
-            frac = rec(1 / (b - fl), 1 / (a - fl))
-            return fl + 1 / frac
-        return Fraction(fl if a.numerator % a.denominator == 0 else fl + 1)
+    def rec(an: int, ad: int, bn: int, bd: int) -> tuple[int, int]:
+        # simplest rational in [an/ad, bn/bd], 0 < an/ad < bn/bd, as (num, den)
+        fl, ra = divmod(an, ad)
+        if ra and fl == bn // bd:
+            # fl + 1/t with t simplest in [1/(b - fl), 1/(a - fl)]
+            tn, td = rec(bd, bn - fl * bd, ad, ra)
+            return fl * tn + td, tn
+        return (fl + 1 if ra else fl), 1
 
-    return rec(lo, hi)
+    return Fraction(*rec(lo.numerator, lo.denominator, hi.numerator, hi.denominator))
 
 
 # ---------------------------------------------------------------------------
@@ -244,12 +287,12 @@ def simplest_rational_in(lo: Fraction, hi: Fraction) -> Fraction:
 
 
 def _as_poly_in(p: ParamPoly, var: int, other: int) -> list[UPoly]:
-    """Coefficients of ``p`` as a polynomial in symbol ``var``; each
-    coefficient is a dense UPoly in symbol ``other``."""
+    """Coefficients of ``p`` (denominators cleared) as a polynomial in symbol
+    ``var``; each coefficient is a dense UPoly in symbol ``other``."""
     dv = p.degree_in(var)
     douter = p.degree_in(other)
-    rows: list[UPoly] = [[ZERO] * (douter + 1) for _ in range(dv + 1)]
-    for exp, c in p.terms.items():
+    rows: list[UPoly] = [[0] * (douter + 1) for _ in range(dv + 1)]
+    for exp, c in p.integer_terms().items():
         rows[exp[var]][exp[other]] += c
     return [trim(r) for r in rows]
 
@@ -257,9 +300,9 @@ def _as_poly_in(p: ParamPoly, var: int, other: int) -> list[UPoly]:
 def _bareiss_det(mat: list[list[UPoly]]) -> UPoly:
     n = len(mat)
     if n == 0:
-        return [Fraction(1)]
+        return [1]
     m = [[list(e) for e in row] for row in mat]
-    prev = [Fraction(1)]
+    prev = [1]
     sign = 1
     for k in range(n - 1):
         if is_zero(m[k][k]):
@@ -270,21 +313,24 @@ def _bareiss_det(mat: list[list[UPoly]]) -> UPoly:
                 return []
             m[k], m[pivot_row] = m[pivot_row], m[k]
             sign = -sign
+        pivot, row_k = m[k][k], m[k]
         for i in range(k + 1, n):
+            row_i = m[i]
+            lead = row_i[k]
             for j in range(k + 1, n):
-                numer = add(mul(m[i][j], m[k][k]), neg(mul(m[i][k], m[k][j])))
-                quo, rem = divmod_poly(numer, prev) if not is_zero(numer) else ([], [])
-                assert is_zero(rem), "Bareiss division must be exact"
-                m[i][j] = quo
-            m[i][k] = []
-        prev = m[k][k]
+                numer = sub(mul(row_i[j], pivot), mul(lead, row_k[j]))
+                row_i[j] = exact_quotient(numer, prev)
+            row_i[k] = []
+        prev = pivot
     det = m[n - 1][n - 1]
     return neg(det) if sign < 0 else det
 
 
-def resultant(p: ParamPoly, q: ParamPoly, eliminate: int) -> list[Fraction]:
+def resultant(p: ParamPoly, q: ParamPoly, eliminate: int) -> UPoly:
     """Sylvester resultant of two bivariate polynomials, eliminating the
-    given symbol; returns a dense UPoly in the remaining symbol."""
+    given symbol; returns a dense UPoly in the remaining symbol.  Inputs with
+    denominators are first scaled to integer coefficients, which multiplies
+    the resultant by a positive integer."""
     if p.nsyms != q.nsyms:
         raise ValueError("parameter rings differ")
     if p.nsyms < 2:
@@ -309,5 +355,4 @@ def resultant(p: ParamPoly, q: ParamPoly, eliminate: int) -> list[Fraction]:
     for row in range(da):
         for i, coeff in enumerate(reversed(b)):
             mat[db + row][row + i] = list(coeff)
-    det = _bareiss_det(mat)
-    return det
+    return _bareiss_det(mat)
