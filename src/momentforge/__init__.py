@@ -7,7 +7,6 @@ from .critical import (
     CriticalSolution,
     GradientSystem,
     critical_points,
-    equivalent_modulo_torus_and_permutation,
     fixed_point_check,
     gradient_system,
     solve_family,

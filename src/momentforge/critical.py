@@ -319,12 +319,6 @@ def orbit_torus_canonical(f: SparsePoly) -> SparsePoly:
     return best[1]
 
 
-def equivalent_modulo_torus_and_permutation(
-    f: SparsePoly, g: SparsePoly, tol: float = RESIDUAL_TOL
-) -> bool:
-    return polys_close(orbit_torus_canonical(f), orbit_torus_canonical(g), tol)
-
-
 # ---------------------------------------------------------------------------
 # the solver
 

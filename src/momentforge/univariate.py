@@ -202,10 +202,11 @@ def isolate_real_roots(p: UPoly) -> list[tuple[Fraction, Fraction]]:
     if deg(p) <= 0:
         return []
     chain = sturm_chain(p)
-    bound = root_bound(p)
+    hi = root_bound(p)
+    lo = -hi
     # work items carry the sign variations at their endpoints, so each
     # bisection point is evaluated once
-    work = [(-bound, bound, _sign_variations(chain, -bound), _sign_variations(chain, bound))]
+    work = [(lo, hi, _sign_variations(chain, lo), _sign_variations(chain, hi))]
     done: list[tuple[Fraction, Fraction]] = []
     while work:
         lo, hi, vlo, vhi = work.pop()
