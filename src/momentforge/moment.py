@@ -13,13 +13,21 @@ polynomial moment matrix (``_moment_numerators``) and the trace product
 It is generic over a scalar ring with conjugation, and runs over three:
 
 * plain scalars (``Fraction``, float or ``ParamPoly``), for the hermitian,
-  symbolic moment and symbolic square-length matrices and the diagonal
-  filter;
-* first-order jets over a plain scalar, for the exact gradient in every
-  coefficient direction (quotient rule applied once at the very end, never
-  numeric differentiation);
+  symbolic moment and symbolic square-length matrices, the diagonal filter,
+  and the exact and parametric gradient;
+* first-order jets over a plain scalar, for the gradient of float input;
 * complex jets, pairs of jets with conjugation flipping the imaginary part,
   for the gradient along imaginary coefficient directions.
+
+The gradient of ``|m|^2`` in every coefficient direction is exact for exact
+and parametric input (the quotient rule is applied once at the very end,
+never numeric differentiation).  There it has a closed form
+(``_closed_form_gradient``): the trace product is quadratic in the Gram
+matrix and the moment matrix is exactly traceless, so each direction costs
+one product once the moment matrix is known, where jets carry every
+direction through every product.  Float and complex input keep the jets:
+the order of summation sets the last bits of a float gradient, and with
+them the residuals the solver reports.
 
 The flow construction differentiates the pulled-back norm along
 one-parameter subgroups independently of the engine.
@@ -303,13 +311,74 @@ def square_length_symbolic(family: SparsePoly) -> RationalFunction:
 
 
 # ---------------------------------------------------------------------------
-# exact coefficient gradients (first-order expansion in every direction)
+# coefficient gradients
+#
+# With primes for the derivative along the coefficient c_a of x^a, the
+# quotient rule applied once gives
+#
+#   grad_a |m|^2 = (P' * norm2 - 2 P * norm2') / (d^2 * norm2^3).
+#
+# Exact and parametric input take the closed form of that numerator.  M is
+# symmetric and exactly traceless (Tr G = d^2 norm2), so P' = 4 sum_ij M_ij G'_ij;
+# G_ij = sum_b w(b) (d_i f)_b (d_j f)_b with (d_i f)_b = (b_i + 1) c_(b+e_i),
+# so c_a enters (d_i f)_(a-e_i) alone, with factor a_i; norm2' = 2 w(a) c_a,
+# whence
+#
+#   N_a = 8 norm2 sum_i a_i w(a-e_i) sum_j M_ij (d_j f)_(a-e_i) - 4 w(a) c_a P.
+
+
+def _closed_form_gradient(ring: _Ring, coeffs, n: int, d: int):
+    """``(numerators, norm2)`` of the gradient, canonical basis order."""
+    add, mul, scale = ring.add, ring.mul, ring.scale
+    norm2 = _norm2(ring, coeffs)
+    m = _moment_numerators(ring, _inner_products(ring, coeffs, n), norm2, n, d)
+    p = _trace_product(ring, m, n)
+
+    # rows[i][b] = sum_j M_ij (d_j f)_b, accumulated term by term of f
+    rows: list[dict] = [{} for _ in range(n)]
+    for alpha, c in coeffs:
+        for j in range(n):
+            k = alpha[j]
+            if not k:
+                continue
+            beta = alpha[:j] + (k - 1,) + alpha[j + 1:]
+            term = c if k == 1 else scale(c, Fraction(k))
+            for i in range(n):
+                if scalar_is_zero(m[i][j]):
+                    continue
+                value = mul(m[i][j], term)
+                row = rows[i]
+                row[beta] = add(row[beta], value) if beta in row else value
+
+    eight_norm2 = scale(norm2, 8)
+    minus_four_p = scale(p, -4)
+    terms = dict(coeffs)
+    numerators = []
+    for a in enumerate_monomials(n, d).order:
+        s = ring.zero
+        for i in range(n):
+            k = a[i]
+            if not k:
+                continue
+            beta = a[:i] + (k - 1,) + a[i + 1:]
+            value = rows[i].get(beta)
+            if value is not None:
+                s = add(s, scale(value, k * weight(beta)))
+        numer = mul(eight_norm2, s)
+        c = terms.get(a)
+        if c is not None:
+            numer = add(numer, scale(mul(c, minus_four_p), weight(a)))
+        numerators.append(numer)
+    return numerators, norm2
+
+
+# ---------------------------------------------------------------------------
+# forward jets, for float and complex input
 #
 # A jet is a pair (value, {direction: derivative}); products keep only the
-# first-order part, so the whole trace formula stays polynomial and the
-# quotient rule is applied once:
-#
-#   grad_a |m|^2 = (P_1^a * norm2 - 2 P_0 * norm2_1^a) / (d^2 * norm2^3)
+# first-order part, so the whole trace formula stays polynomial.  Float input
+# keeps this path because the order of summation sets the last bits of a
+# float gradient, and with them the residuals the solver reports.
 
 Jet = tuple
 
@@ -376,11 +445,7 @@ def _complex_ring(base: _Ring) -> _Ring:
 def _coefficient_jets(f: SparsePoly):
     """One jet per basis monomial, seeded with its own direction, plus the zero."""
     basis = enumerate_monomials(f.n, f.d)
-    if f.is_parametric():
-        ring, coeffs = _parametric(f)
-        zero = ring.zero
-        terms = dict(coeffs)
-    elif f.is_exact():
+    if f.is_exact():
         zero = Fraction(0)
         terms = f.terms
     else:
@@ -391,18 +456,12 @@ def _coefficient_jets(f: SparsePoly):
     return jets, zero
 
 
-def _gradient_numerators(p: Jet, norm2: Jet, directions, zero) -> list:
-    p0, p1 = p
-    n0, n1 = norm2
-    return [p1.get(k, zero) * n0 - 2 * p0 * n1.get(k, zero) for k in directions]
-
-
 def _gradient_values(p: Jet, norm2: Jet, d: int, directions, zero) -> list:
-    n0 = norm2[0]
+    (p0, p1), (n0, n1) = p, norm2
     if scalar_is_zero(n0):
         raise DegenerateInputError("squared norm vanishes at the evaluation point")
     denom = d * d * n0 * n0 * n0
-    return [numer / denom for numer in _gradient_numerators(p, norm2, directions, zero)]
+    return [(p1.get(k, zero) * n0 - 2 * p0 * n1.get(k, zero)) / denom for k in directions]
 
 
 def gradient(f: SparsePoly) -> list:
@@ -411,6 +470,11 @@ def gradient(f: SparsePoly) -> list:
     _require_nonzero(f)
     if f.is_parametric():
         raise TypeError("parametric input: use gradient_symbolic")
+    if f.is_exact():
+        ring = _plain_ring(Fraction(0))
+        numerators, norm2 = _closed_form_gradient(ring, list(f.terms.items()), f.n, f.d)
+        denom = f.d * f.d * norm2 * norm2 * norm2
+        return [numer / denom for numer in numerators]
     jets, zero = _coefficient_jets(f)
     p, norm2 = _trace_parts(_jet_ring(zero), jets, f.n, f.d)
     return _gradient_values(p, norm2, f.d, range(len(jets)), zero)
@@ -425,11 +489,10 @@ def gradient_symbolic(family: SparsePoly) -> tuple[list[ParamPoly], ParamPoly]:
     _require_nonzero(family)
     if parameter_symbols(family) == 0:
         raise TypeError("numeric input: use gradient")
-    jets, zero = _coefficient_jets(family)
-    p, norm2 = _trace_parts(_jet_ring(zero), jets, family.n, family.d)
-    n0 = norm2[0]
-    denom = n0 * n0 * n0 * (family.d * family.d)
-    return _gradient_numerators(p, norm2, range(len(jets)), zero), denom
+    ring, coeffs = _parametric(family)
+    numerators, norm2 = _closed_form_gradient(ring, coeffs, family.n, family.d)
+    denom = norm2 * norm2 * norm2 * (family.d * family.d)
+    return numerators, denom
 
 
 # ---------------------------------------------------------------------------

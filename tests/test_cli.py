@@ -1,9 +1,12 @@
+import contextlib
 import hashlib
+import io
 import json
 
 import pytest
 
 from momentforge import cli
+from momentforge.critical import fixed_point_check
 
 # sha256 of the stdout of `critical --n N --d D --terms T... --json`
 CRITICAL_JSON_SHA256 = {
@@ -13,23 +16,68 @@ CRITICAL_JSON_SHA256 = {
     (4, 3, "3"): "034255ff756c961754bce0d0223ff7501f7a127e1fbac89e2d13ac8049a1a778",
 }
 
+# sha256 of the stdout of the orbit enumeration and the diagonal filter
+ENUMERATION_JSON_SHA256 = {
+    "orbits --n 3 --d 5 --terms 3 --json": "cbdfc5b8911623992b245c923a20dc919ba71099e9ffc1ed4fd33e86066a8907",
+    "diagonal --n 4 --d 3 --terms 3 --json": "60113d483d6f0e8733cb6a1dc5b9b5b4e20e985ed99a736e9ad2dc0e150c9f4b",
+}
 
-def check_critical_json(n, d, terms, capsys):
+
+def sha256_of(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def run_critical(n, d, terms):
+    """Stdout of `critical --json` and every solution the solver returned."""
+    solve_real = cli.solve_real
+    solutions = []
+
+    def recording_solve_real(*args):
+        found = solve_real(*args)
+        solutions.extend(found)
+        return found
+
     argv = ["critical", "--n", str(n), "--d", str(d), "--terms", *terms.split(), "--json"]
-    assert cli.main(argv) == 0
-    out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == CRITICAL_JSON_SHA256[n, d, terms]
+    out = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out):
+        mp.setattr(cli, "solve_real", recording_solve_real)
+        assert cli.main(argv) == 0
+    return out.getvalue(), solutions
+
+
+@pytest.fixture(scope="module")
+def critical_runs():
+    # one solver run per case, shared by the byte gates and the certificate
+    return {case: run_critical(*case) for case in CRITICAL_JSON_SHA256}
+
+
+def check_critical_json(critical_runs, n, d, terms):
+    out, _ = critical_runs[n, d, terms]
+    assert sha256_of(out) == CRITICAL_JSON_SHA256[n, d, terms]
 
 
 @pytest.mark.parametrize("d", [3, 4])
-def test_critical_json_bytes_are_stable(d, capsys):
-    check_critical_json(3, d, "2 3", capsys)
+def test_critical_json_bytes_are_stable(d, critical_runs):
+    check_critical_json(critical_runs, 3, d, "2 3")
 
 
 # these reach the resultant, Sturm and refinement path with algebraic roots
 @pytest.mark.parametrize("n, d", [(3, 5), (4, 3)])
-def test_critical_json_bytes_are_stable_three_terms(n, d, capsys):
-    check_critical_json(n, d, "3", capsys)
+def test_critical_json_bytes_are_stable_three_terms(n, d, critical_runs):
+    check_critical_json(critical_runs, n, d, "3")
+
+
+def test_every_solver_output_is_a_fixed_point(critical_runs):
+    # independent certificate: exp(m(f)) fixes each output projectively
+    outputs = [sol for _, solutions in critical_runs.values() for sol in solutions]
+    assert len(outputs) == 181
+    assert [str(sol) for sol in outputs if not fixed_point_check(sol.polynomial())] == []
+
+
+@pytest.mark.parametrize("command", sorted(ENUMERATION_JSON_SHA256))
+def test_enumeration_json_bytes_are_stable(command, capsys):
+    assert cli.main(command.split()) == 0
+    assert sha256_of(capsys.readouterr().out) == ENUMERATION_JSON_SHA256[command]
 
 
 def write_poly(tmp_path, coeff):

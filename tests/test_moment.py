@@ -6,6 +6,13 @@ import pytest
 from conftest import random_rational_poly
 from momentforge.fixtures import mono
 from momentforge.moment import (
+    _inner_products,
+    _jet_ring,
+    _moment_numerators,
+    _norm2,
+    _parametric,
+    _plain_ring,
+    _trace_parts,
     complex_gradient_imag_parts,
     flow_derivative,
     gradient,
@@ -16,6 +23,7 @@ from momentforge.moment import (
     square_length_symbolic,
     symbolic_moment_matrix,
 )
+from momentforge.orbits import build_family, orbit_classes
 from momentforge.polyring import (
     DegenerateInputError,
     ParamPoly,
@@ -227,6 +235,62 @@ class TestGradientSymbolic:
             point = gradient(numeric)
             for num, g in zip(numerators, point):
                 assert num.subs([value]) == g * dvalue
+
+
+def jet_gradient(zero, coeffs, n, d):
+    """Reference: forward jets in every basis direction, quotient rule once."""
+    basis = enumerate_monomials(n, d).order
+    terms = dict(coeffs)
+    jets = [(a, (terms.get(a, zero), {k: zero + 1})) for k, a in enumerate(basis)]
+    (p0, p1), (n0, n1) = _trace_parts(_jet_ring(zero), jets, n, d)
+    numerators = [p1.get(k, zero) * n0 - 2 * p0 * n1.get(k, zero) for k in range(len(basis))]
+    return numerators, n0 * n0 * n0 * (d * d)
+
+
+ORACLE_SHAPES = [(2, 3), (3, 3), (3, 4), (3, 5), (4, 3)]
+
+
+def oracle_families(n, d):
+    # seeded draws over the term counts 2..4; 28 of the 42 are not diagonal
+    rng = random.Random(1000 * n + d)
+    for m in (2, 3, 4):
+        reps = orbit_classes(n, d, m)
+        for rep in rng.sample(reps, min(3, len(reps))):
+            yield build_family(rep.support).poly
+
+
+class TestClosedFormGradient:
+    """The closed form against the forward-jet engine, exactly."""
+
+    @pytest.mark.parametrize("n, d", ORACLE_SHAPES)
+    def test_symbolic_matches_jets(self, n, d):
+        for family in oracle_families(n, d):
+            ring, coeffs = _parametric(family)
+            assert gradient_symbolic(family) == jet_gradient(ring.zero, coeffs, n, d)
+
+    @pytest.mark.parametrize("n, d", ORACLE_SHAPES)
+    def test_exact_matches_jets(self, n, d):
+        rng = random.Random(100 * n + d)
+        for density in (0.3, 0.6, 1.0):
+            for _ in range(4):
+                f = random_rational_poly(rng, n, d, density=density)
+                numerators, denom = jet_gradient(Fraction(0), list(f.terms.items()), n, d)
+                assert gradient(f) == [numer / denom for numer in numerators]
+
+    @pytest.mark.parametrize("n, d", ORACLE_SHAPES)
+    def test_moment_numerators_are_traceless(self, n, d):
+        # the closed form drops a Tr M term, so Tr M must vanish identically
+        def trace(ring, coeffs):
+            norm2 = _norm2(ring, coeffs)
+            m = _moment_numerators(ring, _inner_products(ring, coeffs, n), norm2, n, d)
+            return sum((m[i][i] for i in range(n)), ring.zero)
+
+        for family in oracle_families(n, d):
+            assert trace(*_parametric(family)).is_zero()
+        rng = random.Random(7 * n + d)
+        for _ in range(5):
+            f = random_rational_poly(rng, n, d, density=0.5)
+            assert trace(_plain_ring(Fraction(0)), list(f.terms.items())) == 0
 
 
 class TestFlowDerivative:
