@@ -5,8 +5,20 @@ restricted to a parametric family, is an overdetermined polynomial system in
 the parameters.  Systems in one unknown are solved through the gcd of the
 equations plus Sturm isolation; two unknowns go through Sylvester resultants
 in both directions with full-system filtering of the candidate grid; three
-unknowns fall back to multistart Newton.  Every reported solution is
-re-verified against the exact gradient (solvers lie, residuals do not).
+unknowns, and two-unknown pencils whose resultants vanish identically, fall
+back to multistart Gauss-Newton.  Every reported solution is re-verified
+against the exact gradient (solvers lie, residuals do not).
+
+Gauss-Newton runs one generated function per system (``_gauss_newton_kernel``),
+built once from the exact equations: residuals, Jacobian entries, the normal
+equations and the partial-pivot elimination are unrolled into straight-line
+code over local floats.  Its float operations are exactly those of a loop
+over lists, in the same order: terms in sorted order with the coefficient
+first, sums from 0 in plain left-to-right order (as ``sum`` of floats
+before CPython 3.12), the first maximal pivot, the same zero-skip and
+singularity test.  Float points are printed by ``critical --json`` with
+their residuals, so a reordered sum would change the output bytes; the tests
+compare the kernel with the list loop it replaced.
 
 Results are canonicalized modulo rescaling of the individual coordinates
 and an overall scalar ("obvious isomorphism"), which is also the equivalence
@@ -463,34 +475,12 @@ def _solve_two_unknowns(eqs: list[ParamPoly]) -> list[tuple]:
 
 def _newton_candidates(eqs: list[ParamPoly], unknowns: int) -> list[tuple]:
     """Multistart Gauss-Newton on a grid of 11 points per axis in [-3, 3]."""
-    funcs = [eq.compile() for eq in eqs]
-    jacs = [[eq.diff(i).compile() for i in range(eq.nsyms)] for eq in eqs]
+    run_start = _gauss_newton_kernel(eqs, unknowns)
     axis = [(-3.0 + 0.6 * k) for k in range(11)]
     points: list[list[float]] = []
     for start in product(axis, repeat=unknowns):
-        x = list(start)
-        converged = False
-        for _ in range(80):
-            fv = [fn(*x) for fn in funcs]
-            jm = [[jacs[r][c](*x) for c in range(unknowns)] for r in range(len(eqs))]
-            # normal equations J^T J step = -J^T f
-            ata = [
-                [sum(jm[r][i] * jm[r][j] for r in range(len(eqs))) for j in range(unknowns)]
-                for i in range(unknowns)
-            ]
-            atb = [
-                -sum(jm[r][i] * fv[r] for r in range(len(eqs))) for i in range(unknowns)
-            ]
-            step = _solve_dense(ata, atb)
-            if step is None:
-                break
-            x = [a + s for a, s in zip(x, step)]
-            if max(abs(v) for v in x) > 1e6:
-                break
-            if max(abs(s) for s in step) < NEWTON_STEP_TOL:
-                converged = True
-                break
-        if not converged:
+        x = run_start(*start)
+        if x is None:
             continue
         if any(abs(v) < 1e-7 for v in x):
             continue  # zero-parameter solutions belong to smaller supports
@@ -515,21 +505,87 @@ def _newton_candidates(eqs: list[ParamPoly], unknowns: int) -> list[tuple]:
     return candidates
 
 
-def _solve_dense(a: list[list[float]], b: list[float]):
-    n = len(b)
-    m = [row[:] + [b[i]] for i, row in enumerate(a)]
-    for col in range(n):
-        pivot = max(range(col, n), key=lambda r: abs(m[r][col]))
-        if abs(m[pivot][col]) < 1e-300:
-            return None
-        m[col], m[pivot] = m[pivot], m[col]
-        prow = m[col]
-        for r in range(n):
-            if r != col and m[r][col] != 0.0:
-                factor = m[r][col] / prow[col]
-                for c in range(col, n + 1):
-                    m[r][c] -= factor * prow[c]
-    return [m[i][n] / m[i][i] for i in range(n)]
+def _float_expression(poly: ParamPoly) -> str:
+    """``poly`` as a float expression in ``b0, b1, ...``: terms in sorted
+    order, each the coefficient's ``repr`` times ``b{i}`` or the power
+    ``b{i}_{e}``, which stands for ``b{i}**e`` computed once beforehand."""
+    if not poly.terms:
+        return "0.0"
+    pieces = []
+    for exp, coeff in sorted(poly.terms.items()):
+        factors = [repr(float(coeff))]
+        for i, e in enumerate(exp):
+            if e == 1:
+                factors.append(f"b{i}")
+            elif e > 1:
+                factors.append(f"b{i}_{e}")
+        pieces.append("*".join(factors))
+    return "+".join(pieces)
+
+
+def _first_max_lines(names: list[str], pivot: int | None = None) -> list[str]:
+    """Source setting ``t`` to ``max(abs(v) for v in names)``: a later value
+    replaces ``t`` only when strictly greater, as in ``max``.  With ``pivot``,
+    ``p`` is set to ``pivot`` plus the index of the winner."""
+    lines = [f"t = abs({names[0]})"] + ([f"p = {pivot}"] if pivot is not None and names[1:] else [])
+    for offset, name in enumerate(names[1:], 1):
+        lines += [f"u = abs({name})", "if u > t:", "    t = u"]
+        if pivot is not None:
+            lines.append(f"    p = {pivot + offset}")
+    return lines
+
+
+def _gauss_newton_kernel(eqs: list[ParamPoly], unknowns: int):
+    """One start's whole Gauss-Newton iteration, generated for this system.
+
+    The function takes the start coordinates and returns the converged point
+    as a list, or None when the start diverges, meets a singular normal
+    matrix or runs out of iterations (see the module docstring for why each
+    float operation keeps its place).  J^T J is symmetric, so its lower half
+    is copied, and entries never read again are not computed.
+    """
+    k = unknowns
+    jac = [[eq.diff(c) for c in range(k)] for eq in eqs]
+    polys = eqs + [d for row in jac for d in row]
+    powers = sorted({(i, e) for q in polys for exp in q.terms for i, e in enumerate(exp) if e > 1})
+    body = [f"b{i}_{e} = b{i}**{e}" for i, e in powers]
+    body += [f"f{r} = {_float_expression(eq)}" for r, eq in enumerate(eqs)]
+    body += [f"j{r}_{c} = {_float_expression(d)}" for r, row in enumerate(jac) for c, d in enumerate(row)]
+    # normal equations J^T J s = -J^T f in m{row}_{col}, right side in column k
+    rows = range(len(eqs))
+    for i in range(k):
+        for j in range(i, k):
+            body.append(f"m{i}_{j} = 0.0" + "".join(f"+j{r}_{i}*j{r}_{j}" for r in rows))
+        body += [f"m{j}_{i} = m{i}_{j}" for j in range(i + 1, k)]
+        body.append(f"m{i}_{k} = -(0.0" + "".join(f"+j{r}_{i}*f{r}" for r in rows) + ")")
+    # Gauss-Jordan: pivot rows are swapped over the columns still read, and
+    # column ``col`` of the other rows is never read after its own step
+    for col in range(k):
+        body += _first_max_lines([f"m{r}_{col}" for r in range(col, k)], pivot=col)
+        body += ["if t < 1e-300:", "    return None"]
+        tail = range(col, k + 1)
+        for r in range(col + 1, k):
+            mine = ", ".join(f"m{col}_{c}" for c in tail)
+            theirs = ", ".join(f"m{r}_{c}" for c in tail)
+            body += [f"if p == {r}:", f"    {mine}, {theirs} = {theirs}, {mine}"]
+        for r in range(k):
+            if r != col:
+                body += [f"if m{r}_{col} != 0.0:", f"    q = m{r}_{col} / m{col}_{col}"]
+                body += [f"    m{r}_{c} = m{r}_{c} - q*m{col}_{c}" for c in tail[1:]]
+    body += [f"s{i} = m{i}_{k} / m{i}_{i}" for i in range(k)]
+    body += [f"b{i} = b{i} + s{i}" for i in range(k)]
+    body += _first_max_lines([f"b{i}" for i in range(k)]) + ["if t > 1e6:", "    return None"]
+    body += _first_max_lines([f"s{i}" for i in range(k)])
+    point = ", ".join(f"b{i}" for i in range(k))
+    body += [f"if t < {NEWTON_STEP_TOL!r}:", f"    return [{point}]"]
+    source = "\n".join(
+        [f"def run_start({point}):", "    for _ in range(80):"]
+        + [f"        {line}" for line in body]
+        + ["    return None"]
+    )
+    namespace: dict = {}
+    exec(source, namespace)  # noqa: S102 - float reprs and fixed names only
+    return namespace["run_start"]
 
 
 def _prefer_representative(a: CriticalSolution, b: CriticalSolution) -> CriticalSolution:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 # Exponent vector: element i is the exponent of variable x_{i+1}.
 ExponentVector = tuple[int, ...]
@@ -238,22 +238,6 @@ class ParamPoly:
                     term *= v**e
             total += term
         return total
-
-    def compile(self) -> Callable[..., float]:
-        """Compiled float evaluator (used by the numeric solver)."""
-        if not self.terms:
-            return lambda *args: 0.0
-        pieces = []
-        for exp, coeff in sorted(self.terms.items()):
-            factors = [repr(float(coeff))]
-            for i, e in enumerate(exp):
-                if e == 1:
-                    factors.append(f"b{i}")
-                elif e > 1:
-                    factors.append(f"b{i}**{e}")
-            pieces.append("*".join(factors))
-        args = ",".join(f"b{i}" for i in range(self.nsyms))
-        return eval(f"lambda {args}: " + "+".join(pieces))  # noqa: S307 - generated from exact terms
 
     # -- normal forms
 

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from momentforge import cli
+from momentforge import cli, reproduce
 from momentforge.critical import fixed_point_check
 
 # sha256 of the stdout of `critical --n N --d D --terms T... --json`
@@ -14,6 +14,7 @@ CRITICAL_JSON_SHA256 = {
     (3, 4, "2 3"): "68a6dc84a5faf90ffa53a1d7e16ffea5cf5bef396d9811a85355a5df47f9cfb1",
     (3, 5, "3"): "2b49956bcbd12e3fa7f4554456afdb55f956c406bf62305cf2c7d81d85d9fa35",
     (4, 3, "3"): "034255ff756c961754bce0d0223ff7501f7a127e1fbac89e2d13ac8049a1a778",
+    (3, 3, "4"): "f0557ef60cd3c8ce7f1a8d0f08677971b55ba87bb52519ccc632784afb0040ee",
 }
 
 # sha256 of the stdout of the orbit enumeration and the diagonal filter
@@ -67,10 +68,15 @@ def test_critical_json_bytes_are_stable_three_terms(n, d, critical_runs):
     check_critical_json(critical_runs, n, d, "3")
 
 
+# the Hesse pencil, solved by multistart Gauss-Newton in three unknowns
+def test_critical_json_bytes_are_stable_three_unknowns(critical_runs):
+    check_critical_json(critical_runs, 3, 3, "4")
+
+
 def test_every_solver_output_is_a_fixed_point(critical_runs):
     # independent certificate: exp(m(f)) fixes each output projectively
     outputs = [sol for _, solutions in critical_runs.values() for sol in solutions]
-    assert len(outputs) == 181
+    assert len(outputs) == 201
     assert [str(sol) for sol in outputs if not fixed_point_check(sol.polynomial())] == []
 
 
@@ -118,3 +124,18 @@ def test_unusable_parametric_input_is_a_usage_error(tmp_path, capsys, command, f
     path.write_text(json.dumps({"n": 3, "d": 3, "terms": terms}))
     assert cli.main([command, "--poly", str(path)]) == cli.USAGE_ERROR
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_zero_polynomial_is_degenerate_input(tmp_path, capsys):
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({"n": 3, "d": 3, "terms": []}))
+    assert cli.main(["verify", "--poly", str(path)]) == cli.DEGENERATE_INPUT
+    assert capsys.readouterr().err.startswith("degenerate input: ")
+
+
+def test_failed_check_is_a_fixture_mismatch(monkeypatch, capsys):
+    monkeypatch.setattr(reproduce, "check_bases", lambda: reproduce.CheckResult("bases", False))
+    assert cli.main(["reproduce-paper", "--case", "cubics"]) == cli.FIXTURE_MISMATCH
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "MISMATCH: bases"
+    assert all(line.startswith("ok: ") for line in out[1:]) and len(out) == 6

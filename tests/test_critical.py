@@ -1,0 +1,243 @@
+"""The generated Gauss-Newton kernel against the list loop it replaced.
+
+Float Newton points and their residuals are printed by `critical --json`, so
+the kernel must repeat the loop's float operations exactly; candidate lists
+are compared by ``repr``, which shows every bit.
+"""
+
+import random
+import sys
+from fractions import Fraction
+from itertools import product
+
+import pytest
+
+from momentforge import critical
+from momentforge.critical import (
+    CLUSTER_DIST,
+    NEWTON_STEP_TOL,
+    _exact_zero_on_equations,
+    _residual_on_equations,
+)
+from momentforge.diagonal import diagonal_families
+from momentforge.polyring import ParamPoly
+
+# The reference sums with sum(), which adds floats left to right up to
+# CPython 3.11; from 3.12 on it compensates, and the kernel keeps the old order.
+plain_float_sum = pytest.mark.skipif(
+    sys.version_info >= (3, 12), reason="sum() of floats is compensated from CPython 3.12 on"
+)
+
+
+# ---------------------------------------------------------------------------
+# reference: the per-polynomial compiler and the loop, as they were
+
+
+def reference_compile(poly):
+    """Compiled float evaluator (used by the numeric solver)."""
+    if not poly.terms:
+        return lambda *args: 0.0
+    pieces = []
+    for exp, coeff in sorted(poly.terms.items()):
+        factors = [repr(float(coeff))]
+        for i, e in enumerate(exp):
+            if e == 1:
+                factors.append(f"b{i}")
+            elif e > 1:
+                factors.append(f"b{i}**{e}")
+        pieces.append("*".join(factors))
+    args = ",".join(f"b{i}" for i in range(poly.nsyms))
+    return eval(f"lambda {args}: " + "+".join(pieces))  # noqa: S307 - generated from exact terms
+
+
+def reference_newton_candidates(eqs, unknowns):
+    """Multistart Gauss-Newton on a grid of 11 points per axis in [-3, 3]."""
+    funcs = [reference_compile(eq) for eq in eqs]
+    jacs = [[reference_compile(eq.diff(i)) for i in range(eq.nsyms)] for eq in eqs]
+    axis = [(-3.0 + 0.6 * k) for k in range(11)]
+    points = []
+    for start in product(axis, repeat=unknowns):
+        x = list(start)
+        converged = False
+        for _ in range(80):
+            fv = [fn(*x) for fn in funcs]
+            jm = [[jacs[r][c](*x) for c in range(unknowns)] for r in range(len(eqs))]
+            # normal equations J^T J step = -J^T f
+            ata = [
+                [sum(jm[r][i] * jm[r][j] for r in range(len(eqs))) for j in range(unknowns)]
+                for i in range(unknowns)
+            ]
+            atb = [
+                -sum(jm[r][i] * fv[r] for r in range(len(eqs))) for i in range(unknowns)
+            ]
+            step = reference_solve_dense(ata, atb)
+            if step is None:
+                break
+            x = [a + s for a, s in zip(x, step)]
+            if max(abs(v) for v in x) > 1e6:
+                break
+            if max(abs(s) for s in step) < NEWTON_STEP_TOL:
+                converged = True
+                break
+        if not converged:
+            continue
+        if any(abs(v) < 1e-7 for v in x):
+            continue  # zero-parameter solutions belong to smaller supports
+        if _residual_on_equations(eqs, x) > 1e-10:
+            continue
+        if any(
+            max(abs(a - b) for a, b in zip(x, p)) < CLUSTER_DIST for p in points
+        ):
+            continue
+        points.append(x)
+
+    candidates = []
+    for x in points:
+        snapped = []
+        for v in x:
+            frac = Fraction(v).limit_denominator(10**6)
+            snapped.append(frac if abs(float(frac) - v) < 1e-7 else None)
+        if all(s is not None for s in snapped) and _exact_zero_on_equations(eqs, snapped):
+            candidates.append(tuple(snapped))
+        else:
+            candidates.append(tuple(x))
+    return candidates
+
+
+def reference_solve_dense(a, b):
+    n = len(b)
+    m = [row[:] + [b[i]] for i, row in enumerate(a)]
+    for col in range(n):
+        pivot = max(range(col, n), key=lambda r: abs(m[r][col]))
+        if abs(m[pivot][col]) < 1e-300:
+            return None
+        m[col], m[pivot] = m[pivot], m[col]
+        prow = m[col]
+        for r in range(n):
+            if r != col and m[r][col] != 0.0:
+                factor = m[r][col] / prow[col]
+                for c in range(col, n + 1):
+                    m[r][c] -= factor * prow[c]
+    return [m[i][n] / m[i][i] for i in range(n)]
+
+
+# ---------------------------------------------------------------------------
+# systems
+
+
+def poly(nsyms, terms):
+    return ParamPoly(nsyms, {exp: Fraction(c) for exp, c in terms.items()})
+
+
+def random_system(rng, planted):
+    """Three equations in two unknowns sharing a rational root (``planted``),
+    or two whose common roots are irrational, so floats reach the output."""
+    b1, b2 = ParamPoly.symbol(2, 0), ParamPoly.symbol(2, 1)
+    root = (Fraction(rng.choice([-5, -2, -1, 1, 3, 7]), rng.choice([1, 2, 3])),
+            Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.choice([1, 3, 7])))
+
+    def small():
+        exps = {(rng.randint(0, 2), rng.randint(0, 2)) for _ in range(3)}
+        return poly(2, {e: Fraction(rng.randint(-9, 9), rng.randint(1, 4)) or 1 for e in exps})
+
+    eqs = []
+    for _ in range(3 if planted else 2):
+        if planted:
+            eq = (b1 - root[0]) * small() + (b2 - root[1]) * small()
+        else:
+            eq = small() * small() + rng.randint(-3, 3)
+        if not eq.is_zero():
+            eqs.append(eq)
+    return eqs
+
+
+def hesse_equations():
+    (family,) = diagonal_families(3, 3, 4)  # b1*z^3 + b2*xyz + b3*y^3 + x^3
+    return critical._prepared_equations(critical.gradient_system(family)), 3
+
+
+def same_candidates(eqs, unknowns):
+    got = critical._newton_candidates(eqs, unknowns)
+    assert repr(got) == repr(reference_newton_candidates(eqs, unknowns))
+    return got
+
+
+# ---------------------------------------------------------------------------
+# tests
+
+
+@plain_float_sum
+def test_hesse_family_matches_reference():
+    eqs, unknowns = hesse_equations()
+    assert len(same_candidates(eqs, unknowns)) == 22  # 20 after the torus merge
+
+
+@plain_float_sum
+@pytest.mark.parametrize("seed", range(8))
+def test_random_two_unknown_systems_match_reference(seed):
+    rng = random.Random(seed)
+    assert same_candidates(random_system(rng, planted=seed % 2 == 0), 2)
+
+
+@plain_float_sum
+@pytest.mark.parametrize("scale", ["3e-151", "1e-149"])
+def test_pivot_below_1e_300_ends_the_start(scale):
+    # J = diag(1, scale): the pivot scale^2 is 9e-302 (singular) or 1e-298 (not)
+    c = Fraction(float(scale))
+    eqs = [poly(2, {(1, 0): 1, (0, 0): -1}), poly(2, {(0, 1): c, (0, 0): -2 * c})]
+    got = same_candidates(eqs, 2)
+    assert got == ([] if scale == "3e-151" else [(Fraction(1), Fraction(2))])
+
+
+@plain_float_sum
+def test_equal_pivots_pick_the_first_row():
+    # J = [[g', g'], [0, h']] makes |(J^T J)_00| == |(J^T J)_10| at every step
+    b1, b2 = ParamPoly.symbol(2, 0), ParamPoly.symbol(2, 1)
+    s = b1 + b2
+    eqs = [
+        s * s * Fraction(7, 10) - Fraction(13, 10),
+        b2 * b2 * Fraction(3, 10) + b2 * Fraction(1, 7) - Fraction(11, 10),
+        s * b2 * Fraction(1, 9) - Fraction(2, 3),
+    ]
+    same_candidates(eqs, 2)
+    same_candidates([eqs[0], eqs[1]], 2)
+
+
+@plain_float_sum
+def test_negative_zero_entries():
+    # on the start row b2 = 0.0, the entry -2*b1*b2 of the Jacobian is -0.0, and
+    # so is the right side -J^T f where J^T f sums to 0.0
+    b1, b2 = ParamPoly.symbol(2, 0), ParamPoly.symbol(2, 1)
+    eqs = [
+        b1 * b2 * -3 + b1 * b1 * b2 - b2 + b1 * Fraction(1, 3) - 1,
+        b1 * b2 * b2 * -1 + b1 * 2 - 4,
+    ]
+    assert same_candidates(eqs, 2)
+
+
+@plain_float_sum
+def test_slow_convergence_at_a_triple_root():
+    # near the triple roots b1 = ±sqrt(2) steps shrink only linearly and end in
+    # rounding noise, leaving many distinct float points after the clustering
+    b1, b2 = ParamPoly.symbol(2, 0), ParamPoly.symbol(2, 1)
+    assert len(same_candidates([(b1 * b1 - 2) ** 3, (b2 - b1) * (b2 + 1)], 2)) == 9
+
+
+def test_float_expression_matches_subs():
+    rng = random.Random(5)
+    b1 = ParamPoly.symbol(2, 0)
+    b2 = ParamPoly.symbol(2, 1)
+    p = b1**3 * 2 - b2 * b1 * 5 + 9 + b2**4 * Fraction(-1, 3)
+    expr = critical._float_expression(p)
+    for _ in range(10):
+        point = [rng.uniform(-2, 2), rng.uniform(-2, 2)]
+        names = {f"b{i}": v for i, v in enumerate(point)}
+        names.update({f"b{i}_{e}": v**e for i, v in enumerate(point) for e in range(2, 5)})
+        value = eval(expr, names)  # noqa: S307 - generated from exact terms
+        assert value == pytest.approx(float(p.subs(point)), rel=1e-12)
+        # terms in sorted order, coefficient first
+        ordered = 0.0
+        for exp, coeff in sorted(p.terms.items()):
+            ordered += ParamPoly(2, {exp: coeff}).subs(point)
+        assert value == ordered
+    assert critical._float_expression(ParamPoly(2)) == "0.0"

@@ -125,17 +125,6 @@ class TestParamPoly:
         assert p.diff(0) == b1 * 6 + b2
         assert p.subs([Fraction(2), Fraction(5)]) == 12 + 10 - 7
 
-    def test_compile_matches_subs(self):
-        rng = random.Random(5)
-        b1 = ParamPoly.symbol(2, 0)
-        b2 = ParamPoly.symbol(2, 1)
-        p = b1**3 * 2 - b2 * b1 * 5 + 9
-        fn = p.compile()
-        for _ in range(10):
-            x = rng.uniform(-2, 2)
-            y = rng.uniform(-2, 2)
-            assert fn(x, y) == pytest.approx(float(p.subs([x, y])), rel=1e-12)
-
     def test_constant_hashes_like_its_value(self):
         for value in (Fraction(1), Fraction(-3, 7), Fraction(0)):
             const = ParamPoly.const(1, value)

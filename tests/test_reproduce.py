@@ -2,7 +2,9 @@
 
 import pytest
 
-from momentforge.reproduce import run_case
+from momentforge import fixtures
+from momentforge.fixtures import critical_fixture_poly
+from momentforge.reproduce import _missing_targets, quartic_solver_results, run_case
 
 
 @pytest.mark.parametrize("case", ["cubics", "quartics"])
@@ -10,3 +12,13 @@ def test_run_case_all_checks_ok(case):
     checks = run_case(case)
     assert len(checks) == 6
     assert [c.name for c in checks if not c.ok] == []
+
+
+def test_all_published_quartics_are_rediscovered():
+    # the harness checks only the 9 rational entries; the solver finds all 26
+    produced = [sol.polynomial() for _, sols in quartic_solver_results() for sol in sols]
+    targets = [
+        (k + 1, critical_fixture_poly(entry)) for k, entry in enumerate(fixtures.CRITICAL_QUARTICS)
+    ]
+    assert len(targets) == 26
+    assert _missing_targets(produced, targets) == []
