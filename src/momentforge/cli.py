@@ -2,9 +2,9 @@
 
 Subcommands: monomials, moment, sqlength, grad, orbits, diagonal, critical,
 verify, reproduce-paper, emit-points.  Polynomials travel as JSON files (see
-the package README for the schema).  Exit codes: 0 success, 1 usage error,
-2 degenerate input, 3 fixture mismatch in reproduce-paper.  JSON output
-uses sorted keys.
+the wire-format comment in ``polyring.py`` for the schema).  Exit codes:
+0 success, 1 usage error, 2 degenerate input, 3 fixture mismatch in
+reproduce-paper.  JSON output uses sorted keys.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from .critical import AlgebraicNumber, gradient_system, solve_real, verify_critical
-from .diagonal import diagonal_families, is_identically_diagonal
+from .diagonal import diagonal_families, diagonal_verdicts
 from .moment import (
     gradient,
     gradient_symbolic,
@@ -24,7 +24,7 @@ from .moment import (
     square_length_symbolic,
     symbolic_moment_matrix,
 )
-from .orbits import build_family, orbit_classes, uses_all_variables
+from .orbits import orbit_classes, uses_all_variables
 from .polyring import (
     DegenerateInputError,
     SparsePoly,
@@ -169,23 +169,16 @@ def _cmd_orbits(args) -> int:
 
 
 def _cmd_diagonal(args) -> int:
-    reps = [
-        r for r in orbit_classes(args.n, args.d, args.terms) if uses_all_variables(r.support)
+    payload = [
+        {
+            "diagonal": verdict.is_diagonal,
+            "family": str(verdict.family),
+            "offending": [[i + 1, j + 1] for i, j in verdict.offending_entries],
+            "support": [list(a) for a in verdict.family.display_terms()],
+            "witness": None if verdict.witness is None else [str(v) for v in verdict.witness],
+        }
+        for verdict in diagonal_verdicts(args.n, args.d, args.terms)
     ]
-    payload = []
-    for rep in reps:
-        verdict = is_identically_diagonal(build_family(rep.support))
-        payload.append(
-            {
-                "diagonal": verdict.is_diagonal,
-                "family": str(verdict.family),
-                "offending": [[i + 1, j + 1] for (i, j), _ in verdict.offending_entries],
-                "support": [list(a) for a in verdict.family.display_terms()],
-                "witness": None
-                if verdict.witness is None
-                else [str(v) for v in verdict.witness],
-            }
-        )
     if args.json:
         _dump_json(payload)
     else:
@@ -274,6 +267,8 @@ def emit_points(f: SparsePoly, box: float = 2.0, samples: int = 25):
     """
     if f.n != 3:
         raise ValueError("point emission supports three variables")
+    if samples < 2:
+        raise ValueError(f"need at least 2 samples per axis, got {samples}")
     pts: list[tuple[float, float, float]] = []
     grid = [(-box + 2 * box * k / (samples - 1)) for k in range(samples)]
     for axis in range(3):

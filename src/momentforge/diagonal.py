@@ -2,75 +2,67 @@
 
 A critical point of the square length necessarily has a diagonal moment
 matrix, so families failing this filter can be dropped before any solving.
-"Diagonal" here means diagonal as polynomials in the parameters: each
-off-diagonal entry of the moment matrix has a numerator that is a quadratic
-form in the parameters, and that form must vanish identically.
+"Diagonal" here means diagonal as polynomials in the parameters, and that is
+decided from the support alone.
 
-For families that fail, a rational witness with all parameters nonzero is
-recorded (an assignment making some off-diagonal entry nonzero).
+The numerator of off-diagonal entry (i, j) is ``2 <d_j f, d_i f>``, a sum of
+``c_a c_b`` times a positive weight over the pairs of support exponents with
+``a - b = e_i - e_j``.  Distinct pairs give distinct monomials in the
+parameters (the pinned coefficient is 1, so a pair holding it gives a
+monomial of degree one, every other pair one of degree two), so nothing
+cancels: the family is identically diagonal iff no two of its exponents
+differ by a root ``e_i - e_j``.  Where an entry is not identically zero,
+every term of its numerator is positive at the parameters (1, ..., 1), so
+that point witnesses it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import product
+from itertools import combinations
 
-from .moment import _family_inner_products
 from .orbits import ParamFamily, build_family, orbit_classes, uses_all_variables
-from .polyring import ParamPoly
 
 
 @dataclass(frozen=True)
 class DiagonalVerdict:
     family: ParamFamily
     is_diagonal: bool
-    # ((i, j), numerator) for each off-diagonal entry that is not identically 0
-    offending_entries: tuple[tuple[tuple[int, int], ParamPoly], ...]
-    # parameter assignment (all nonzero) exhibiting a nonzero off-diagonal entry
-    witness: tuple[Fraction, ...] | None
+    # (i, j) with i < j for each off-diagonal entry that is not identically 0
+    offending_entries: tuple[tuple[int, int], ...]
+    # all ones when some entry is nonzero: every such entry is positive there
+    witness: tuple[int, ...] | None
 
 
-def _nonzero_witness(numerators: list[ParamPoly], nparams: int) -> tuple[Fraction, ...]:
-    # a nonzero polynomial of degree at most D in each parameter cannot vanish
-    # on all of {1, ..., D + 1}^k, so this lexicographic walk finds a witness
-    top = max((num.degree_in(i) for num in numerators for i in range(nparams)), default=0)
-    for point in product(range(1, top + 2), repeat=nparams):
-        point = tuple(Fraction(v) for v in point)
-        if any(num.subs(point) != 0 for num in numerators):
-            return point
-    raise ValueError("every numerator vanishes identically")
+def _root_pair(a, b) -> tuple[int, int] | None:
+    # (i, j) if a - b = +-(e_i - e_j) with i < j, else None
+    moved = [k for k in range(len(a)) if a[k] != b[k]]
+    if len(moved) == 2 and sorted(a[k] - b[k] for k in moved) == [-1, 1]:
+        return moved[0], moved[1]
+    return None
 
 
 def is_identically_diagonal(family: ParamFamily) -> DiagonalVerdict:
-    """Decide diagonality exactly over the parameter ring.
-
-    Off-diagonal entries of the moment matrix share the generically nonzero
-    denominator ``d |f|^2``, so only the numerators ``2 <d_i f, d_j f>`` are
-    tested for identical vanishing.
-    """
-    gram = _family_inner_products(family.poly)
-    n = family.poly.n
-    offending = tuple(
-        ((i, j), gram[i][j])
-        for i in range(n)
-        for j in range(i + 1, n)
-        if not gram[i][j].is_zero()
-    )
-    witness = None
-    if offending:
-        witness = _nonzero_witness([num for _, num in offending], family.nparams)
+    """Decide diagonality exactly: no two support exponents differ by a root."""
+    pairs = (_root_pair(a, b) for a, b in combinations(family.support, 2))
+    offending = tuple(sorted({p for p in pairs if p is not None}))
+    witness = (1,) * family.nparams if offending else None
     return DiagonalVerdict(family, not offending, offending, witness)
+
+
+def diagonal_verdicts(n: int, d: int, m: int) -> list[DiagonalVerdict]:
+    """Verdicts for the all-variables orbit representatives with ``m`` terms,
+    in orbit order."""
+    if m < 2:
+        raise ValueError("parametric families need at least two terms")
+    return [
+        is_identically_diagonal(build_family(rep.support))
+        for rep in orbit_classes(n, d, m)
+        if uses_all_variables(rep.support)
+    ]
 
 
 def diagonal_families(n: int, d: int, m: int) -> list[ParamFamily]:
     """All-variables orbit representatives with ``m`` terms whose moment
     matrix is identically diagonal."""
-    if m < 2:
-        raise ValueError("parametric families need at least two terms")
-    reps = [
-        rep for rep in orbit_classes(n, d, m) if uses_all_variables(rep.support)
-    ]
-    families = [build_family(rep.support) for rep in reps]
-    verdicts = [is_identically_diagonal(family) for family in families]
-    return [v.family for v in verdicts if v.is_diagonal]
+    return [v.family for v in diagonal_verdicts(n, d, m) if v.is_diagonal]

@@ -13,8 +13,8 @@ polynomial moment matrix (``_moment_numerators``) and the trace product
 It is generic over a scalar ring with conjugation, and runs over three:
 
 * plain scalars (``Fraction``, float or ``ParamPoly``), for the hermitian,
-  symbolic moment and symbolic square-length matrices, the diagonal filter,
-  and the exact and parametric gradient;
+  symbolic moment and symbolic square-length matrices, and the exact and
+  parametric gradient;
 * first-order jets over a plain scalar, for the gradient of float input;
 * complex jets, pairs of jets with conjugation flipping the imaginary part,
   for the gradient along imaginary coefficient directions.
@@ -111,9 +111,6 @@ class SymbolicMomentMatrix:
     n: int
     numerators: tuple[tuple[ParamPoly, ...], ...]
     denominator: ParamPoly
-
-    def entry(self, i: int, j: int) -> RationalFunction:
-        return RationalFunction.make(self.numerators[i][j], self.denominator)
 
 
 def norm_squared(f: SparsePoly) -> Scalar:
@@ -262,12 +259,6 @@ def square_length(f: SparsePoly) -> Scalar:
         for j in range(f.n):
             total = total + m.entries[i][j] * m.entries[j][i]
     return total
-
-
-def _family_inner_products(family: SparsePoly) -> list[list[ParamPoly]]:
-    """The Gram matrix ``<d_j f, d_i f>`` of a family over the parameter ring."""
-    ring, coeffs = _parametric(family)
-    return _inner_products(ring, coeffs, family.n)
 
 
 def symbolic_moment_matrix(family: SparsePoly) -> SymbolicMomentMatrix:

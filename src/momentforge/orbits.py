@@ -129,11 +129,6 @@ class ParamFamily:
     def display_terms(self) -> list[ExponentVector]:
         return sorted(self.support, key=display_key)
 
-    def substitute(self, values) -> SparsePoly:
-        from .polyring import substitute_params
-
-        return substitute_params(self.poly, values)
-
     def __str__(self):
         from .polyring import format_monomial
 

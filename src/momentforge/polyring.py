@@ -657,10 +657,14 @@ def poly_to_json(f: SparsePoly) -> dict:
 
 
 def poly_from_json(obj: Mapping) -> SparsePoly:
-    n = int(obj["n"])
-    d = int(obj["d"])
-    terms = {tuple(t["exp"]): _coeff_from_json(t["coeff"]) for t in obj["terms"]}
-    kinds = {type(c) for c in terms.values()}
-    if float in kinds and ParamPoly in kinds:
-        raise ValueError("cannot mix float coefficients with parameters")
-    return SparsePoly.make(n, d, terms)
+    """Parse the wire format; input of the wrong structure raises ``ValueError``."""
+    try:
+        n = int(obj["n"])
+        d = int(obj["d"])
+        terms = {tuple(t["exp"]): _coeff_from_json(t["coeff"]) for t in obj["terms"]}
+        kinds = {type(c) for c in terms.values()}
+        if float in kinds and ParamPoly in kinds:
+            raise ValueError("cannot mix float coefficients with parameters")
+        return SparsePoly.make(n, d, terms)
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed polynomial JSON ({type(exc).__name__}: {exc})") from None

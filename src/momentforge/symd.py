@@ -43,9 +43,6 @@ class MonomialBasis:
     def index(self, alpha: ExponentVector) -> int:
         return _basis_index(self.n, self.d)[tuple(alpha)]
 
-    def weights(self) -> tuple[Fraction, ...]:
-        return tuple(weight(alpha) for alpha in self.order)
-
 
 def _compositions(n: int, d: int):
     # all length-n tuples of non-negative integers summing to d

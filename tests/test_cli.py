@@ -21,6 +21,8 @@ CRITICAL_JSON_SHA256 = {
 ENUMERATION_JSON_SHA256 = {
     "orbits --n 3 --d 5 --terms 3 --json": "cbdfc5b8911623992b245c923a20dc919ba71099e9ffc1ed4fd33e86066a8907",
     "diagonal --n 4 --d 3 --terms 3 --json": "60113d483d6f0e8733cb6a1dc5b9b5b4e20e985ed99a736e9ad2dc0e150c9f4b",
+    "diagonal --n 3 --d 4 --terms 4 --json": "4bf09f8a5fa6253d2c2332260064cb403b5d83538e8f0480a0ba8c24e53c5ff1",
+    "diagonal --n 3 --d 5 --terms 4 --json": "dafa24a6adc8bfeb47e654603e34bf873b33bcdf0d6e4bc50447f49423673878",
 }
 
 
@@ -123,6 +125,36 @@ def test_unusable_parametric_input_is_a_usage_error(tmp_path, capsys, command, f
     terms = [{"exp": [3, 0, 0], "coeff": first_coeff}, {"exp": [0, 3, 0], "coeff": PARAM_COEFF}]
     path.write_text(json.dumps({"n": 3, "d": 3, "terms": terms}))
     assert cli.main([command, "--poly", str(path)]) == cli.USAGE_ERROR
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        {"n": 3},
+        [1, 2],
+        {"n": 3, "d": 3, "terms": [{"exp": [3, 0, 0]}]},
+        {"n": 3, "d": 3, "terms": 5},
+        {"n": 3, "d": 3, "terms": [{"exp": ["x", 0, 0], "coeff": "1"}]},
+    ],
+)
+def test_malformed_polynomial_json_is_a_usage_error(tmp_path, capsys, body):
+    path = tmp_path / "poly.json"
+    path.write_text(json.dumps(body))
+    assert cli.main(["verify", "--poly", str(path)]) == cli.USAGE_ERROR
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("samples", [0, 1])
+def test_emit_points_needs_two_samples(tmp_path, capsys, samples):
+    argv = ["emit-points", "--poly", write_poly(tmp_path, 1), "--samples", str(samples)]
+    assert cli.main(argv) == cli.USAGE_ERROR
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_one_term_diagonal_is_a_usage_error(capsys):
+    # no one-term support in (4, 3) uses every variable; refused all the same
+    assert cli.main(["diagonal", "--n", "4", "--d", "3", "--terms", "1"]) == cli.USAGE_ERROR
     assert capsys.readouterr().err.startswith("error: ")
 
 

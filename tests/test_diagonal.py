@@ -1,49 +1,62 @@
-from fractions import Fraction
+import pytest
 
-from momentforge.diagonal import _nonzero_witness, is_identically_diagonal
+from momentforge.diagonal import is_identically_diagonal
+from momentforge.moment import symbolic_moment_matrix
 from momentforge.orbits import build_family, orbit_classes, uses_all_variables
-from momentforge.polyring import ParamPoly
+
+# (n, d, m) whose all-variables families are checked against the symbolic filter
+ORACLE_CASES = [
+    (3, 3, 2), (3, 3, 3), (3, 3, 4),
+    (3, 4, 2), (3, 4, 3), (3, 4, 4),
+    (3, 5, 3),
+    (4, 3, 3), (4, 3, 4),
+]
 
 
-def cubic_families():
-    for m in (2, 3, 4):
-        for rep in orbit_classes(3, 3, m):
+def symbolic_offending(family):
+    """The symbolic filter: {(i, j): numerator} for each off-diagonal entry,
+    i < j, of the moment matrix over the parameter ring that is not 0."""
+    numerators = symbolic_moment_matrix(family.poly).numerators
+    n = family.poly.n
+    return {
+        (i, j): numerators[i][j]
+        for i in range(n)
+        for j in range(i + 1, n)
+        if not numerators[i][j].is_zero()
+    }
+
+
+@pytest.fixture(scope="module")
+def oracle_runs():
+    """(case, verdict, symbolic filter) for every family of ORACLE_CASES."""
+    runs = []
+    for n, d, m in ORACLE_CASES:
+        for rep in orbit_classes(n, d, m):
             if uses_all_variables(rep.support):
-                yield build_family(rep.support)
-
-
-class TestNonzeroWitness:
-    def test_root_rich_numerator_gets_a_witness(self):
-        # vanishes at 1/2 and at 1, ..., 38: the first grid point off the roots is 39
-        b1 = ParamPoly.symbol(1, 0)
-        numer = ParamPoly.const(1, 1)
-        for v in [Fraction(1, 2)] + [Fraction(k) for k in range(1, 39)]:
-            numer = numer * (b1 - v)
-        assert _nonzero_witness([numer], 1) == (Fraction(39),)
-
-    def test_grid_starts_at_all_ones(self):
-        b1, b2 = ParamPoly.symbol(2, 0), ParamPoly.symbol(2, 1)
-        assert _nonzero_witness([b1 * b2], 2) == (Fraction(1), Fraction(1))
-        # b1 - b2 vanishes on the diagonal; the lexicographic walk next tries (1, 2)
-        assert _nonzero_witness([b1 - b2], 2) == (Fraction(1), Fraction(2))
+                family = build_family(rep.support)
+                runs.append(((n, d, m), is_identically_diagonal(family), symbolic_offending(family)))
+    return runs
 
 
 class TestIsIdenticallyDiagonal:
-    def test_every_cubic_witness_is_nonzero_and_exhibits_an_entry(self):
+    def test_offending_entries_match_the_symbolic_oracle(self, oracle_runs):
+        assert len(oracle_runs) == 882
+        for _, verdict, oracle in oracle_runs:
+            assert verdict.offending_entries == tuple(sorted(oracle))
+            assert verdict.is_diagonal == (not oracle)
+            # no cancellation: every term of an offending numerator is positive
+            assert all(num.subs(verdict.witness) > 0 for num in oracle.values())
+
+    def test_every_cubic_witness_is_nonzero_and_exhibits_an_entry(self, oracle_runs):
         seen = 0
-        for family in cubic_families():
-            verdict = is_identically_diagonal(family)
+        for case, verdict, oracle in oracle_runs:
+            if case[:2] != (3, 3):
+                continue
             if verdict.is_diagonal:
                 assert verdict.witness is None and not verdict.offending_entries
                 continue
             seen += 1
-            point = verdict.witness
-            assert len(point) == family.nparams
-            assert all(v != 0 for v in point)
-            assert any(num.subs(point) != 0 for _, num in verdict.offending_entries)
+            assert verdict.witness == (1,) * verdict.family.nparams
+            assert any(oracle[entry].subs(verdict.witness) != 0 for entry in verdict.offending_entries)
         assert seen > 0
 
-    def test_offending_entries_are_parametric(self):
-        for family in cubic_families():
-            for _, num in is_identically_diagonal(family).offending_entries:
-                assert isinstance(num, ParamPoly) and num.nsyms == family.nparams
