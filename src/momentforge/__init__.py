@@ -48,7 +48,6 @@ from .polyring import (
     poly_add,
     poly_from_json,
     poly_scale,
-    poly_times_variable,
     poly_to_json,
     substitute_params,
 )
@@ -58,8 +57,6 @@ from .symd import (
     coefficient_vector,
     enumerate_monomials,
     inner_product,
-    multidegree,
-    poly_from_coefficients,
     projective_normalize,
     weight,
 )

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -201,7 +202,14 @@ def _value_payload(v):
     return _fmt_float(float(v))
 
 
+def _check_tol(tol: float) -> None:
+    # a NaN tolerance accepts every residual, a negative one rejects them all
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"--tol must be finite and non-negative, got {tol}")
+
+
 def _cmd_critical(args) -> int:
+    _check_tol(args.tol)
     payload = []
     for m in args.terms:
         for family in diagonal_families(args.n, args.d, m):
@@ -240,6 +248,7 @@ def _cmd_critical(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    _check_tol(args.tol)
     f = _load_numeric_poly(args.poly)
     residual = verify_critical(f)
     if args.json:

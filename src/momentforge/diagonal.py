@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .orbits import ParamFamily, build_family, orbit_classes, uses_all_variables
+from .symd import root_pair
 
 
 @dataclass(frozen=True)
@@ -34,17 +35,9 @@ class DiagonalVerdict:
     witness: tuple[int, ...] | None
 
 
-def _root_pair(a, b) -> tuple[int, int] | None:
-    # (i, j) if a - b = +-(e_i - e_j) with i < j, else None
-    moved = [k for k in range(len(a)) if a[k] != b[k]]
-    if len(moved) == 2 and sorted(a[k] - b[k] for k in moved) == [-1, 1]:
-        return moved[0], moved[1]
-    return None
-
-
 def is_identically_diagonal(family: ParamFamily) -> DiagonalVerdict:
     """Decide diagonality exactly: no two support exponents differ by a root."""
-    pairs = (_root_pair(a, b) for a, b in combinations(family.support, 2))
+    pairs = (root_pair(a, b) for a, b in combinations(family.support, 2))
     offending = tuple(sorted({p for p in pairs if p is not None}))
     witness = (1,) * family.nparams if offending else None
     return DiagonalVerdict(family, not offending, offending, witness)

@@ -29,6 +29,22 @@ direction through every product.  Float and complex input keep the jets:
 the order of summation sets the last bits of a float gradient, and with
 them the residuals the solver reports.
 
+Supports in which no two exponents differ by a root ``e_i - e_j`` (every
+identically diagonal family, hence every solver output) take a shorter
+road.  There G is diagonal; with ``u_a = w(a) c_a^2`` and
+``s = sum_a u_a a``, the squared norm is ``sum_a u_a``, ``G_ii = d s_i``,
+``m(f) = 2 diag(s / norm2 - (d/n) 1)``, and the gradient numerator is
+``N_a = 16 d^2 w(a) c_a (norm2 <a, s> - <s, s>)``
+``= 16 d^2 w(a) c_a sum_{b,c} <a - b, c> u_b u_c`` on the support and 0 off
+it, in ring operations shared by ``Fraction`` and ``ParamPoly``.  Float
+input there gets jets for the support terms only, and the result is
+bit-identical to jets in every basis direction, signed zeros included: a
+direction off the support reaches the trace product only through an
+off-diagonal ``M_ij``, whose value is structurally 0.0, and ``_jmul`` drops
+derivative parts multiplied by a zero value; each direction on the support
+sees the same operations in the same order; and the zero-valued jets that
+are left out only ever added 0.0 to sums that are never -0.0.
+
 The flow construction differentiates the pulled-back norm along
 one-parameter subgroups independently of the engine.
 """
@@ -38,6 +54,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import comb, gcd
 from typing import Callable, NamedTuple
 
@@ -50,7 +67,7 @@ from .polyring import (
     parameter_symbols,
     scalar_is_zero,
 )
-from .symd import enumerate_monomials, inner_product, weight
+from .symd import enumerate_monomials, inner_product, root_pair, weight
 
 __all__ = [
     "MomentMatrix",
@@ -320,6 +337,17 @@ def square_length_symbolic(family: SparsePoly) -> RationalFunction:
 
 def _closed_form_gradient(ring: _Ring, coeffs, n: int, d: int):
     """``(numerators, norm2)`` of the gradient, canonical basis order."""
+    if _root_difference_free([alpha for alpha, _ in coeffs]):
+        return _diagonal_gradient(ring, coeffs, n, d)
+    return _general_gradient(ring, coeffs, n, d)
+
+
+def _root_difference_free(support) -> bool:
+    """No two exponents differ by a root ``e_i - e_j``, so G and M are diagonal."""
+    return all(root_pair(a, b) is None for a, b in combinations(support, 2))
+
+
+def _general_gradient(ring: _Ring, coeffs, n: int, d: int):
     add, mul, scale = ring.add, ring.mul, ring.scale
     norm2 = _norm2(ring, coeffs)
     m = _moment_numerators(ring, _inner_products(ring, coeffs, n), norm2, n, d)
@@ -360,6 +388,40 @@ def _closed_form_gradient(ring: _Ring, coeffs, n: int, d: int):
         if c is not None:
             numer = add(numer, scale(mul(c, minus_four_p), weight(a)))
         numerators.append(numer)
+    return numerators, norm2
+
+
+def _diagonal_gradient(ring: _Ring, coeffs, n: int, d: int):
+    # u_a = w(a) c_a^2, norm2 = sum_a u_a, and on the support
+    # N_a = 16 d^2 w(a) c_a sum_{b,c} <a - b, c> u_b u_c, 0 off it
+    add, mul, scale = ring.add, ring.mul, ring.scale
+    support = [alpha for alpha, _ in coeffs]
+    u = [scale(mul(c, c), weight(alpha)) for alpha, c in coeffs]
+    norm2 = ring.zero
+    for u_b in u:
+        norm2 = add(norm2, u_b)
+    # u_b u_c once per unordered pair, with the integer products <b, c>
+    pairs = [
+        (j, k, sum(x * y for x, y in zip(support[j], support[k])), mul(u[j], u[k]))
+        for j in range(len(u))
+        for k in range(j, len(u))
+    ]
+
+    terms = dict(coeffs)
+    numerators = []
+    for a in enumerate_monomials(n, d).order:
+        c = terms.get(a)
+        if c is None:
+            numerators.append(ring.zero)
+            continue
+        a_dot = [sum(x * y for x, y in zip(a, b)) for b in support]
+        inner = ring.zero
+        for j, k, b_dot_c, product in pairs:
+            # the ordered pairs (b, c) and (c, b) together, or (b, b) alone
+            coeff = a_dot[j] - b_dot_c if j == k else a_dot[j] + a_dot[k] - 2 * b_dot_c
+            if coeff:
+                inner = add(inner, scale(product, coeff))
+        numerators.append(mul(scale(c, 16 * d * d * weight(a)), inner))
     return numerators, norm2
 
 
@@ -433,8 +495,9 @@ def _complex_ring(base: _Ring) -> _Ring:
     )
 
 
-def _coefficient_jets(f: SparsePoly):
-    """One jet per basis monomial, seeded with its own direction, plus the zero."""
+def _coefficient_jets(f: SparsePoly, support_only: bool = False):
+    """One jet per basis monomial (or per support monomial), seeded with the
+    direction of its basis index, plus the zero."""
     basis = enumerate_monomials(f.n, f.d)
     if f.is_exact():
         zero = Fraction(0)
@@ -443,7 +506,11 @@ def _coefficient_jets(f: SparsePoly):
         zero = 0.0
         terms = {alpha: float(c) for alpha, c in f.terms.items()}
     one = zero + 1
-    jets = [(alpha, (terms.get(alpha, zero), {k: one})) for k, alpha in enumerate(basis.order)]
+    jets = [
+        (alpha, (terms.get(alpha, zero), {k: one}))
+        for k, alpha in enumerate(basis.order)
+        if not support_only or alpha in terms
+    ]
     return jets, zero
 
 
@@ -466,9 +533,9 @@ def gradient(f: SparsePoly) -> list:
         numerators, norm2 = _closed_form_gradient(ring, list(f.terms.items()), f.n, f.d)
         denom = f.d * f.d * norm2 * norm2 * norm2
         return [numer / denom for numer in numerators]
-    jets, zero = _coefficient_jets(f)
+    jets, zero = _coefficient_jets(f, support_only=_root_difference_free(f.terms))
     p, norm2 = _trace_parts(_jet_ring(zero), jets, f.n, f.d)
-    return _gradient_values(p, norm2, f.d, range(len(jets)), zero)
+    return _gradient_values(p, norm2, f.d, range(len(enumerate_monomials(f.n, f.d))), zero)
 
 
 def gradient_symbolic(family: SparsePoly) -> tuple[list[ParamPoly], ParamPoly]:

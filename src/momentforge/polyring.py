@@ -547,19 +547,6 @@ def partial_derivative(f: SparsePoly, i: int) -> SparsePoly:
     return SparsePoly(f.n, max(f.d - 1, 0), out)
 
 
-def poly_times_variable(f: SparsePoly, i: int) -> SparsePoly:
-    """Multiply by ``x_i`` (1-based); raises the degree by one."""
-    if not 1 <= i <= f.n:
-        raise ValueError(f"variable index {i} out of range 1..{f.n}")
-    k = i - 1
-    out = {}
-    for exp, coeff in f.terms.items():
-        new = list(exp)
-        new[k] += 1
-        out[tuple(new)] = coeff
-    return SparsePoly(f.n, f.d + 1, out)
-
-
 def parameter_symbols(f: SparsePoly) -> int:
     """Number of parameter symbols occurring in ``f`` (0 when numeric)."""
     for c in f.terms.values():

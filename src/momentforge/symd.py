@@ -114,16 +114,6 @@ def coefficient_vector(f: SparsePoly) -> CoefficientVector:
     return CoefficientVector(basis, entries)
 
 
-def poly_from_coefficients(basis: MonomialBasis, entries) -> SparsePoly:
-    """Inverse of :func:`coefficient_vector`."""
-    if len(entries) != len(basis):
-        raise ValueError("entry count does not match basis size")
-    terms = {
-        alpha: c for alpha, c in zip(basis.order, entries) if not scalar_is_zero(c)
-    }
-    return SparsePoly(basis.n, basis.d, terms)
-
-
 def _divide(entry, pivot):
     if isinstance(pivot, ParamPoly):
         if not isinstance(entry, ParamPoly):
@@ -156,8 +146,13 @@ def projective_normalize(v: CoefficientVector) -> CoefficientVector:
     return CoefficientVector(v.basis, entries)
 
 
-def multidegree(f: SparsePoly) -> ExponentVector:
-    """Exponent vector of a single-monomial polynomial."""
-    if len(f.terms) != 1:
-        raise ValueError("multidegree is defined for single monomials only")
-    return next(iter(f.terms))
+def root_pair(a: ExponentVector, b: ExponentVector) -> tuple[int, int] | None:
+    """``(i, j)`` with ``i < j`` if ``a - b = +-(e_i - e_j)``, else None.
+
+    Off-diagonal entry (i, j) of the Gram and moment matrices sums over the
+    pairs of support exponents related this way, and over nothing else.
+    """
+    moved = [k for k in range(len(a)) if a[k] != b[k]]
+    if len(moved) == 2 and sorted(a[k] - b[k] for k in moved) == [-1, 1]:
+        return moved[0], moved[1]
+    return None

@@ -152,6 +152,23 @@ def test_emit_points_needs_two_samples(tmp_path, capsys, samples):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-inf"])
+def test_bad_tolerance_is_a_usage_error(tmp_path, capsys, tol):
+    # nan would accept every candidate, a negative bound would reject them all
+    for argv in (
+        ["critical", "--n", "3", "--d", "3", "--terms", "2", f"--tol={tol}"],
+        ["verify", "--poly", write_poly(tmp_path, 1), "--json", f"--tol={tol}"],
+    ):
+        assert cli.main(argv) == cli.USAGE_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+
+
+def test_zero_tolerance_is_accepted(tmp_path, capsys):
+    assert cli.main(["verify", "--poly", write_poly(tmp_path, 1), "--json", "--tol", "0"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"critical": True, "residual": 0.0}
+
+
 def test_one_term_diagonal_is_a_usage_error(capsys):
     # no one-term support in (4, 3) uses every variable; refused all the same
     assert cli.main(["diagonal", "--n", "4", "--d", "3", "--terms", "1"]) == cli.USAGE_ERROR

@@ -4,14 +4,19 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_rational_poly
-from momentforge.fixtures import mono
+from momentforge.critical import solve_family
+from momentforge.diagonal import diagonal_families
+from momentforge.fixtures import CRITICAL_CUBICS, CRITICAL_QUARTICS, critical_fixture_poly, mono
 from momentforge.moment import (
+    _general_gradient,
+    _gradient_values,
     _inner_products,
     _jet_ring,
     _moment_numerators,
     _norm2,
     _parametric,
     _plain_ring,
+    _root_difference_free,
     _trace_parts,
     complex_gradient_imag_parts,
     flow_derivative,
@@ -31,7 +36,7 @@ from momentforge.polyring import (
     poly_scale,
     substitute_params,
 )
-from momentforge.symd import enumerate_monomials
+from momentforge.symd import enumerate_monomials, root_pair
 
 
 def P(**kw):
@@ -291,6 +296,120 @@ class TestClosedFormGradient:
         for _ in range(5):
             f = random_rational_poly(rng, n, d, density=0.5)
             assert trace(_plain_ring(Fraction(0)), list(f.terms.items())) == 0
+
+
+# every identically diagonal family of these shapes and term counts
+DIAGONAL_CASES = [(3, 3, 2), (3, 3, 3), (3, 3, 4), (3, 4, 2), (3, 4, 3), (3, 4, 4),
+                  (3, 5, 3), (3, 5, 4), (4, 3, 3), (4, 3, 4)]
+
+
+@pytest.fixture(scope="module")
+def diagonal_polys():
+    return [fam.poly for n, d, m in DIAGONAL_CASES for fam in diagonal_families(n, d, m)]
+
+
+def general_gradient(ring, coeffs, n, d):
+    """``(numerators, denominator)`` from the closed form for any support."""
+    numerators, norm2 = _general_gradient(ring, coeffs, n, d)
+    return numerators, norm2 * norm2 * norm2 * (d * d)
+
+
+class TestDiagonalSupportGradient:
+    """The root-difference-free fast path against the general forms."""
+
+    def test_symbolic_matches_general_form(self, diagonal_polys):
+        assert len(diagonal_polys) == 427
+        for family in diagonal_polys:
+            ring, coeffs = _parametric(family)
+            assert _root_difference_free(family.terms)
+            expected = general_gradient(ring, coeffs, family.n, family.d)
+            assert gradient_symbolic(family) == expected, family
+
+    def test_exact_matches_general_form_at_rational_points(self, diagonal_polys):
+        rng = random.Random(83)
+        for family in diagonal_polys:
+            nsyms = family.terms[next(iter(family.terms))].nsyms
+            values = [Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 5))
+                      for _ in range(nsyms)]
+            f = substitute_params(family, values)
+            numerators, denom = general_gradient(
+                _plain_ring(Fraction(0)), list(f.terms.items()), f.n, f.d
+            )
+            assert gradient(f) == [numer / denom for numer in numerators], f
+
+
+def all_directions_gradient(f):
+    """Float reference: jets in every basis direction through the engine."""
+    basis = enumerate_monomials(f.n, f.d).order
+    jets = [(a, (float(f.terms.get(a, 0.0)), {k: 1.0})) for k, a in enumerate(basis)]
+    p, norm2 = _trace_parts(_jet_ring(0.0), jets, f.n, f.d)
+    return _gradient_values(p, norm2, f.d, range(len(basis)), 0.0)
+
+
+def assert_bit_identical(f):
+    assert [g.hex() for g in gradient(f)] == [g.hex() for g in all_directions_gradient(f)], f
+
+
+def random_root_difference_free(rng, n, d):
+    basis = enumerate_monomials(n, d).order
+    size = rng.randint(1, 6)
+    support = []
+    for a in rng.sample(basis, len(basis)):
+        if all(root_pair(a, b) is None for b in support):
+            support.append(a)
+            if len(support) == size:
+                break
+    draws = (lambda: rng.uniform(-3, 3), lambda: rng.uniform(-1e-3, 1e-3),
+             lambda: float(rng.choice([-3, -2, -1, 1, 2, 3])))
+    return SparsePoly(n, d, {a: rng.choice(draws)() for a in support})
+
+
+class TestSupportOnlyJets:
+    """Float gradients on root-difference-free supports are bit-identical to
+    jets carrying every basis direction, signed zeros included."""
+
+    def test_float_solver_outputs(self):
+        outputs = []
+        for n, d in ((3, 5), (4, 3)):
+            for family in diagonal_families(n, d, 3):
+                outputs += [sol.polynomial() for sol in solve_family(family)]
+        floats = [f for f in outputs if not f.is_exact()]
+        assert len(floats) == 97
+        for f in floats:
+            assert _root_difference_free(f.terms)
+            assert_bit_identical(f)
+
+    def test_float_fixtures(self):
+        polys = [critical_fixture_poly(e) for e in CRITICAL_CUBICS + CRITICAL_QUARTICS]
+        floats = [f for f in polys if not f.is_exact()]
+        assert len(floats) == 19
+        for f in floats:
+            assert _root_difference_free(f.terms)
+            assert_bit_identical(f)
+
+    def test_random_supports(self):
+        rng = random.Random(89)
+        for _ in range(300):
+            f = random_root_difference_free(rng, rng.choice([2, 3, 4]), rng.choice([2, 3, 4, 5]))
+            assert _root_difference_free(f.terms)
+            assert_bit_identical(f)
+
+    @pytest.mark.parametrize("signs", [(1, 1, 1), (-1, 1, 1), (1, -1, 1), (-3, 3, -3)])
+    def test_minimal_points(self, signs):
+        # |m|^2 = 0 on the Fermat cubic and on x^4 - y^4 + z^4, up to signs
+        a, b, c = (float(s) for s in signs)
+        assert_bit_identical(SparsePoly.make(3, 3, {mono("x3"): a, mono("y3"): b, mono("z3"): c}))
+        quartic = {(4, 0, 0): a, (0, 4, 0): -b, (0, 0, 4): c}
+        assert_bit_identical(SparsePoly.make(3, 4, quartic))
+
+    def test_root_difference_keeps_off_support_directions(self):
+        # x^2*y - x*y^2 = e_1 - e_2 couples x^3 + x^2*y to the direction x*y^2
+        f = SparsePoly.make(3, 3, {mono("x3"): 1.5, mono("x2y"): -0.75})
+        assert not _root_difference_free(f.terms)
+        grad = gradient(f)
+        off_support = enumerate_monomials(3, 3).index(mono("xy2"))
+        assert grad[off_support] != 0.0
+        assert_bit_identical(f)
 
 
 class TestFlowDerivative:
