@@ -15,7 +15,7 @@ import math
 import sys
 from fractions import Fraction
 
-from .critical import AlgebraicNumber, gradient_system, solve_real, verify_critical
+from .critical import AlgebraicNumber, solve_family, verify_critical
 from .diagonal import diagonal_families, diagonal_verdicts
 from .moment import (
     gradient,
@@ -213,7 +213,7 @@ def _cmd_critical(args) -> int:
     payload = []
     for m in args.terms:
         for family in diagonal_families(args.n, args.d, m):
-            solutions = solve_real(gradient_system(family), args.tol)
+            solutions = solve_family(family, args.tol)
             payload.append(
                 {
                     "family": str(family),

@@ -23,6 +23,21 @@ compare the kernel with the list loop it replaced.
 Results are canonicalized modulo rescaling of the individual coordinates
 and an overall scalar ("obvious isomorphism"), which is also the equivalence
 used when comparing against published lists.
+
+Before any of that, ``solve_family`` asks ``critical_set`` for the family's
+real critical set in closed form, when no two support exponents differ by a
+root e_i - e_j (every identically diagonal family).  In the u-form of
+``moment`` the set is the open polytope {u > 0, sum u = 1,
+sum u_a a = p_S}, decided in exact rationals; where it is empty the family
+gets ``[]`` and no gradient system is built.  This does not change the
+output.  An empty set means no real point with every parameter nonzero has
+a zero gradient, and every solution the solver reports has nonzero
+parameters and a zero gradient: exactly for rational points, and for
+algebraic and float points up to the residual check, which is why it was
+also measured.  On all 457 diagonal families of (3,3), (3,4), (3,5) and
+(4,3) with 2 to 4 terms, the unfiltered solver returned ``[]`` on each of
+the 128 empty sets (the tests repeat this on 84 of them).  Other supports
+take the solver as before.
 """
 
 from __future__ import annotations
@@ -30,13 +45,24 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, permutations, product
+from math import prod
+from typing import NamedTuple
 
 from . import univariate as uni
-from .moment import gradient, gradient_symbolic, moment_matrix
+from .moment import (
+    _centroid_sums,
+    _plain_ring,
+    _root_difference_free,
+    gradient,
+    gradient_symbolic,
+    moment_matrix,
+)
 from .orbits import ParamFamily, permute
 from .polyring import (
     DegenerateInputError,
+    ExponentVector,
     ParamPoly,
     SparsePoly,
     canonical_key,
@@ -218,6 +244,35 @@ def _factor_positive(value: Fraction) -> dict[int, int]:
     return {k: v for k, v in out.items() if v}
 
 
+def _greedy_basis(vectors) -> tuple[tuple[int, ...], tuple]:
+    """Indices of a maximal independent subset, taken greedily in order, and
+    for each vector None if it was taken, else its combination of the taken
+    vectors before it."""
+    chosen: list[int] = []
+    combos: list = []
+    for j, v in enumerate(vectors):
+        combo = _solve_combination([vectors[t] for t in chosen], v)
+        if combo is None:
+            chosen.append(j)
+        combos.append(None if combo is None else tuple(combo))
+    return tuple(chosen), tuple(combos)
+
+
+@lru_cache(maxsize=256)
+def _torus_plan(support: tuple[ExponentVector, ...]):
+    """What ``torus_canonical`` needs of a sorted support alone: the greedy
+    independent terms (rescaled to |c'| = 1), each other term's exponent
+    combination of them, and the sign every coordinate and overall sign flip
+    gives each term."""
+    chosen, combos = _greedy_basis([tuple(Fraction(e) for e in a) + (Fraction(1),) for a in support])
+    n = len(support[0])
+    flips = tuple(
+        tuple(s[n] * prod(s[i] for i, e in enumerate(a) if e % 2) for a in support)
+        for s in product((1, -1), repeat=n + 1)
+    )
+    return chosen, combos, flips
+
+
 def torus_canonical(f: SparsePoly) -> SparsePoly:
     """Deterministic representative of ``f`` modulo coordinate and overall scaling.
 
@@ -232,19 +287,9 @@ def torus_canonical(f: SparsePoly) -> SparsePoly:
         raise DegenerateInputError("zero polynomial")
     if f.is_parametric():
         raise TypeError("torus canonicalization expects a numeric polynomial")
-    support = sorted(f.terms, key=canonical_key)
+    support = tuple(sorted(f.terms, key=canonical_key))
     coeffs = [f.terms[a] for a in support]
-    aug = [tuple(Fraction(e) for e in a) + (Fraction(1),) for a in support]
-
-    chosen: list[int] = []
-    combos: list = []
-    for j, v in enumerate(aug):
-        combo = _solve_combination([aug[t] for t in chosen], v)
-        if combo is None:
-            chosen.append(j)
-            combos.append(None)  # independent: |c'| = 1 by construction
-        else:
-            combos.append(combo)
+    chosen, combos, flips = _torus_plan(support)
 
     exact_in = all(isinstance(c, Fraction) for c in coeffs)
     magnitudes: list = [None] * len(support)
@@ -279,21 +324,10 @@ def torus_canonical(f: SparsePoly) -> SparsePoly:
                 )
                 magnitudes[j] = math.exp(value)
 
-    n = f.n
     in_signs = [1 if float(c) > 0 else -1 for c in coeffs]
-    best_pattern = None
-    for s in product((1, -1), repeat=n + 1):
-        pattern = []
-        for a, sig in zip(support, in_signs):
-            val = sig * s[n]
-            for i, e in enumerate(a):
-                if e % 2 and s[i] < 0:
-                    val = -val
-            pattern.append(val)
-        key = tuple(0 if p > 0 else 1 for p in pattern)
-        if best_pattern is None or key < best_pattern[0]:
-            best_pattern = (key, pattern)
-    pattern = best_pattern[1]
+    # the first flip whose signs are lexicographically most positive
+    best = min(flips, key=lambda flip: tuple(0 if i * s > 0 else 1 for i, s in zip(in_signs, flip)))
+    pattern = [i * s for i, s in zip(in_signs, best)]
 
     terms = {}
     for a, mag, sgn in zip(support, magnitudes, pattern):
@@ -329,6 +363,119 @@ def orbit_torus_canonical(f: SparsePoly) -> SparsePoly:
         if best is None or key < best[0]:
             best = (key, cand)
     return best[1]
+
+
+# ---------------------------------------------------------------------------
+# closed-form critical sets of supports with no root difference
+
+
+class CriticalSet(NamedTuple):
+    """The real critical set of a family with no root difference.
+
+    In the u-form of ``moment`` (u_a = w(a) c_a^2, here normalised to sum 1,
+    with the signs of the coefficients free) it is the open polytope
+    {u > 0, sum u = 1, sum u_a a = p_S}, where p_S is the orthogonal
+    projection of t = (d/n) 1 onto the affine hull of the support S.
+    (A NamedTuple: a frozen dataclass took 0.4 ms more to import.)
+    """
+
+    family: ParamFamily
+    rank: int  # affine rank r of the support
+    projection: tuple[Fraction, ...]  # p_S
+    dimension: int  # |S| - 1 - r, the dimension of every nonempty set
+    square_length: Fraction  # |m|^2 = 4 |p_S - t|^2, constant on the set
+    # a point u of the set, support in display order; None iff it is empty
+    point: tuple[Fraction, ...] | None
+
+    @property
+    def is_empty(self) -> bool:
+        return self.point is None
+
+
+def _dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+def _strictly_feasible(rows: list, k: int) -> list[Fraction] | None:
+    """A rational ``z`` with ``c + <a, z> > 0`` for every row ``(c, a)`` over
+    ``k`` unknowns, or None: Fourier-Motzkin elimination (exact for strict
+    inequalities), last unknown first, then back-substitution."""
+    levels = []
+    for v in reversed(range(k)):
+        lower = [row for row in rows if row[1][v] > 0]
+        upper = [row for row in rows if row[1][v] < 0]
+        rows = [row for row in rows if row[1][v] == 0]
+        # z_v lies above each lower bound and below each upper one: both
+        # rows scaled positively so that z_v cancels, their sum is positive
+        for cp, ap in lower:
+            for cq, aq in upper:
+                p, q = -aq[v], ap[v]
+                rows.append((p * cp + q * cq, tuple(p * x + q * y for x, y in zip(ap, aq))))
+        levels.append((v, lower, upper))
+    if any(c <= 0 for c, _ in rows):
+        return None
+    z = [Fraction(0)] * k
+    for v, lower, upper in reversed(levels):
+        # z_v and the unknowns after it are still 0 here
+        lo = max((-(c + _dot(a, z)) / a[v] for c, a in lower), default=None)
+        hi = min((-(c + _dot(a, z)) / a[v] for c, a in upper), default=None)
+        if lo is not None and hi is not None:
+            z[v] = (lo + hi) / 2
+        elif lo is not None:
+            z[v] = lo + 1
+        elif hi is not None:
+            z[v] = hi - 1
+    return z
+
+
+def critical_set(family: ParamFamily) -> CriticalSet:
+    """The family's real critical set in closed form (see ``CriticalSet``).
+
+    Defined when no two support exponents differ by a root e_i - e_j.  With
+    the support's first point a_0 as origin, the other points' differences
+    are taken greedily into an independent set B; p_S solves the normal
+    equations over B.  A u with sum 1 and centroid p_S then has one free
+    coordinate per dependent difference, and each coordinate of B is affine
+    in them, so strict positivity is decided, and a point found, by
+    Fourier-Motzkin over the |S| - 1 - r free coordinates (none when S is
+    affinely independent: the barycentric coordinates of p_S).  The point is
+    checked exactly against the gradient's own u-form sums.
+    """
+    points = family.display_terms()
+    if not _root_difference_free(points):
+        raise ValueError(f"{family}: two support exponents differ by a root")
+    n, d = family.poly.n, family.poly.d
+    base = points[0]
+    diffs = [tuple(Fraction(x - y) for x, y in zip(a, base)) for a in points[1:]]
+    chosen, combos = _greedy_basis(diffs)
+    basis = [diffs[j] for j in chosen]
+    rank = len(basis)
+    t = Fraction(d, n)
+    gram = [tuple(_dot(b, c) for c in basis) for b in basis]
+    y = _solve_combination(gram, tuple(_dot(b, [t - x for x in base]) for b in basis))
+    projection = tuple(
+        x + sum(y_j * b[i] for y_j, b in zip(y, basis)) for i, x in enumerate(base)
+    )
+    square_length = 4 * sum((p - t) ** 2 for p in projection)
+
+    # sum_k u_k (a_k - a_0) = p_S - a_0 = sum_j y_j B_j, with u_k the free
+    # unknown z_v for the v-th dependent difference, so that the coordinate of
+    # B_j is y_j - sum_v gamma_vj z_v and u_0 is 1 minus all the others
+    free = [k for k, combo in enumerate(combos) if combo is not None]
+    rows = [None] * len(diffs)
+    for j, k in enumerate(chosen):
+        rows[k] = (y[j], tuple(-combos[f][j] if j < len(combos[f]) else 0 for f in free))
+    for v, k in enumerate(free):
+        rows[k] = (0, tuple(int(v == w) for w in range(len(free))))
+    first = (1 - sum(c for c, _ in rows), tuple(-sum(col) for col in zip(*(a for _, a in rows))))
+    rows.insert(0, first)
+    z = _strictly_feasible(rows, len(free))
+    point = None
+    if z is not None:
+        point = tuple(c + _dot(a, z) for c, a in rows)
+        if any(_centroid_sums(_plain_ring(Fraction(0)), points, point)):
+            raise ArithmeticError(f"{family}: the closed-form point is not critical")
+    return CriticalSet(family, rank, projection, len(free), square_length, point)
 
 
 # ---------------------------------------------------------------------------
@@ -646,6 +793,10 @@ def solve_real(system: GradientSystem, tol: float = RESIDUAL_TOL) -> list[Critic
 
 
 def solve_family(family: ParamFamily, tol: float = RESIDUAL_TOL) -> list[CriticalSolution]:
+    """``solve_real`` of the family's gradient system, or ``[]`` without
+    building it when the closed-form critical set is empty."""
+    if _root_difference_free(family.support) and critical_set(family).is_empty:
+        return []
     return solve_real(gradient_system(family), tol)
 
 

@@ -36,7 +36,9 @@ road.  There G is diagonal; with ``u_a = w(a) c_a^2`` and
 ``m(f) = 2 diag(s / norm2 - (d/n) 1)``, and the gradient numerator is
 ``N_a = 16 d^2 w(a) c_a (norm2 <a, s> - <s, s>)``
 ``= 16 d^2 w(a) c_a sum_{b,c} <a - b, c> u_b u_c`` on the support and 0 off
-it, in ring operations shared by ``Fraction`` and ``ParamPoly``.  Float
+it, in ring operations shared by ``Fraction`` and ``ParamPoly``.  The sums
+(``_centroid_sums``) vanish exactly on the family's real critical set, which
+``critical.critical_set`` gives in closed form and checks with them.  Float
 input there gets jets for the support terms only, and the result is
 bit-identical to jets in every basis direction, signed zeros included: a
 direction off the support reaches the trace product only through an
@@ -400,12 +402,7 @@ def _diagonal_gradient(ring: _Ring, coeffs, n: int, d: int):
     norm2 = ring.zero
     for u_b in u:
         norm2 = add(norm2, u_b)
-    # u_b u_c once per unordered pair, with the integer products <b, c>
-    pairs = [
-        (j, k, sum(x * y for x, y in zip(support[j], support[k])), mul(u[j], u[k]))
-        for j in range(len(u))
-        for k in range(j, len(u))
-    ]
+    sums = dict(zip(support, _centroid_sums(ring, support, u)))
 
     terms = dict(coeffs)
     numerators = []
@@ -413,7 +410,25 @@ def _diagonal_gradient(ring: _Ring, coeffs, n: int, d: int):
         c = terms.get(a)
         if c is None:
             numerators.append(ring.zero)
-            continue
+        else:
+            numerators.append(mul(scale(c, 16 * d * d * weight(a)), sums[a]))
+    return numerators, norm2
+
+
+def _centroid_sums(ring: _Ring, support, u) -> list:
+    """``sum_{b,c} <a - b, c> u_b u_c = norm2 <a, s> - <s, s>`` for each
+    ``a`` of the support, with ``s = sum_b u_b b``: the gradient numerator
+    without its factor ``16 d^2 w(a) c_a``, so all vanish exactly at the
+    critical points of a support with no root difference."""
+    add, mul, scale = ring.add, ring.mul, ring.scale
+    # u_b u_c once per unordered pair, with the integer products <b, c>
+    pairs = [
+        (j, k, sum(x * y for x, y in zip(support[j], support[k])), mul(u[j], u[k]))
+        for j in range(len(u))
+        for k in range(j, len(u))
+    ]
+    sums = []
+    for a in support:
         a_dot = [sum(x * y for x, y in zip(a, b)) for b in support]
         inner = ring.zero
         for j, k, b_dot_c, product in pairs:
@@ -421,8 +436,8 @@ def _diagonal_gradient(ring: _Ring, coeffs, n: int, d: int):
             coeff = a_dot[j] - b_dot_c if j == k else a_dot[j] + a_dot[k] - 2 * b_dot_c
             if coeff:
                 inner = add(inner, scale(product, coeff))
-        numerators.append(mul(scale(c, 16 * d * d * weight(a)), inner))
-    return numerators, norm2
+        sums.append(inner)
+    return sums
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +490,10 @@ def _jscale(a: Jet, c) -> Jet:
 
 
 def _jet_ring(zero) -> _Ring:
-    return _Ring((zero, {}), _jadd, _jmul, _jscale, _identity)
+    # a float times a Fraction weight goes through Fraction.__rmul__, which
+    # returns float(v) * float(c): converting the weight once gives the same bits
+    scale = (lambda a, c: _jscale(a, float(c))) if isinstance(zero, float) else _jscale
+    return _Ring((zero, {}), _jadd, _jmul, scale, _identity)
 
 
 def _complex_ring(base: _Ring) -> _Ring:

@@ -85,6 +85,15 @@ class ParamPoly:
                     clean[tuple(exp)] = coeff
         self.terms = clean
 
+    @classmethod
+    def _trusted(cls, nsyms: int, terms: dict[tuple[int, ...], Fraction]) -> "ParamPoly":
+        """``terms`` taken as they are: exponent tuples of length ``nsyms`` and
+        nonzero Fractions, which the ring operations' results already are."""
+        poly = object.__new__(cls)
+        poly.nsyms = nsyms
+        poly.terms = terms
+        return poly
+
     # -- constructors
 
     @classmethod
@@ -146,12 +155,12 @@ class ParamPoly:
                 out.pop(exp, None)
             else:
                 out[exp] = s
-        return ParamPoly(self.nsyms, out)
+        return ParamPoly._trusted(self.nsyms, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ParamPoly(self.nsyms, {exp: -c for exp, c in self.terms.items()})
+        return ParamPoly._trusted(self.nsyms, {exp: -c for exp, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -170,7 +179,7 @@ class ParamPoly:
             c = Fraction(other)
             if c == 0:
                 return ParamPoly(self.nsyms)
-            return ParamPoly(self.nsyms, {exp: v * c for exp, v in self.terms.items()})
+            return ParamPoly._trusted(self.nsyms, {exp: v * c for exp, v in self.terms.items()})
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -183,7 +192,7 @@ class ParamPoly:
                     out.pop(exp, None)
                 else:
                     out[exp] = s
-        return ParamPoly(self.nsyms, out)
+        return ParamPoly._trusted(self.nsyms, out)
 
     __rmul__ = __mul__
 

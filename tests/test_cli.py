@@ -32,18 +32,18 @@ def sha256_of(text):
 
 def run_critical(n, d, terms):
     """Stdout of `critical --json` and every solution the solver returned."""
-    solve_real = cli.solve_real
+    solve_family = cli.solve_family
     solutions = []
 
-    def recording_solve_real(*args):
-        found = solve_real(*args)
+    def recording_solve_family(*args):
+        found = solve_family(*args)
         solutions.extend(found)
         return found
 
     argv = ["critical", "--n", str(n), "--d", str(d), "--terms", *terms.split(), "--json"]
     out = io.StringIO()
     with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out):
-        mp.setattr(cli, "solve_real", recording_solve_real)
+        mp.setattr(cli, "solve_family", recording_solve_family)
         assert cli.main(argv) == 0
     return out.getvalue(), solutions
 

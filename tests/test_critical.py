@@ -1,14 +1,17 @@
-"""The generated Gauss-Newton kernel against the list loop it replaced.
+"""The generated Gauss-Newton kernel against the list loop it replaced, and
+torus canonicalisation against its per-call form.
 
 Float Newton points and their residuals are printed by `critical --json`, so
 the kernel must repeat the loop's float operations exactly; candidate lists
-are compared by ``repr``, which shows every bit.
+are compared by ``repr``, which shows every bit.  So are canonical forms,
+which a cached plan per support must leave unchanged.
 """
 
+import math
 import random
 import sys
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -20,7 +23,9 @@ from momentforge.critical import (
     _residual_on_equations,
 )
 from momentforge.diagonal import diagonal_families
-from momentforge.polyring import ParamPoly
+from momentforge.orbits import permute
+from momentforge.polyring import ParamPoly, SparsePoly, canonical_key
+from momentforge.symd import enumerate_monomials
 
 # The reference sums with sum(), which adds floats left to right up to
 # CPython 3.11; from 3.12 on it compensates, and the kernel keeps the old order.
@@ -241,3 +246,82 @@ def test_float_expression_matches_subs():
             ordered += ParamPoly(2, {exp: coeff}).subs(point)
         assert value == ordered
     assert critical._float_expression(ParamPoly(2)) == "0.0"
+
+
+# ---------------------------------------------------------------------------
+# torus canonicalisation, with the independent terms and the sign flips
+# worked out on every call as before the plan was cached per support
+
+
+def reference_torus_canonical(f):
+    support = sorted(f.terms, key=canonical_key)
+    coeffs = [f.terms[a] for a in support]
+    aug = [tuple(Fraction(e) for e in a) + (Fraction(1),) for a in support]
+    chosen, combos = [], []
+    for j, v in enumerate(aug):
+        combo = critical._solve_combination([aug[t] for t in chosen], v)
+        if combo is None:
+            chosen.append(j)
+        combos.append(combo)
+    exact_in = all(isinstance(c, Fraction) for c in coeffs)
+    magnitudes = [None] * len(support)
+    if exact_in:
+        factored = {t: critical._factor_positive(abs(coeffs[t])) for t in chosen}
+        for j, combo in enumerate(combos):
+            if combo is None:
+                magnitudes[j] = Fraction(1)
+                continue
+            exps = {}
+            for p, e in critical._factor_positive(abs(coeffs[j])).items():
+                exps[p] = exps.get(p, Fraction(0)) + e
+            for t, gamma in zip(chosen, combo):
+                for p, e in factored[t].items():
+                    exps[p] = exps.get(p, Fraction(0)) - gamma * e
+            if all(e.denominator == 1 for e in exps.values()):
+                mag = Fraction(1)
+                for p, e in exps.items():
+                    mag *= Fraction(p) ** int(e)
+                magnitudes[j] = mag
+            else:
+                exact_in = False
+                break
+    if not exact_in or any(m is None for m in magnitudes):
+        logs = [math.log(abs(float(c))) for c in coeffs]
+        for j, combo in enumerate(combos):
+            if combo is None:
+                magnitudes[j] = 1.0
+            else:
+                value = logs[j] - sum(float(g) * logs[t] for t, g in zip(chosen, combo))
+                magnitudes[j] = math.exp(value)
+    n = f.n
+    in_signs = [1 if float(c) > 0 else -1 for c in coeffs]
+    best_pattern = None
+    for s in product((1, -1), repeat=n + 1):
+        pattern = []
+        for a, sig in zip(support, in_signs):
+            val = sig * s[n]
+            for i, e in enumerate(a):
+                if e % 2 and s[i] < 0:
+                    val = -val
+            pattern.append(val)
+        key = tuple(0 if p > 0 else 1 for p in pattern)
+        if best_pattern is None or key < best_pattern[0]:
+            best_pattern = (key, pattern)
+    return {a: mag if sgn > 0 else -mag for a, mag, sgn in zip(support, magnitudes, best_pattern[1])}
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_torus_canonical_matches_the_per_call_plan(seed):
+    rng = random.Random(seed)
+    for _ in range(25):
+        n, d = rng.choice([2, 3, 4]), rng.choice([2, 3, 4])
+        basis = enumerate_monomials(n, d).order
+        support = rng.sample(basis, rng.randint(1, min(5, len(basis))))
+        draws = (lambda: Fraction(rng.randint(-12, 12) or 1, rng.randint(1, 6)),
+                 lambda: rng.choice([-1, 1]) * rng.uniform(0.1, 5))
+        draw = rng.choice(draws)
+        f = SparsePoly(n, d, {a: draw() for a in support})
+        # every permutation, as the reproduction harness canonicalises
+        for sigma in permutations(range(n)):
+            g = permute(sigma, f)
+            assert repr(critical.torus_canonical(g).terms) == repr(reference_torus_canonical(g))

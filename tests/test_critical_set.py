@@ -1,0 +1,234 @@
+"""The closed-form critical set of root-difference-free families, tested
+against the solver, against sampled points of every positive-dimensional
+component, and against an exact LP (sympy) that knows nothing of p_S."""
+
+import math
+import random
+from fractions import Fraction
+
+import pytest
+import sympy
+from sympy.solvers.simplex import InfeasibleLPError, linprog
+
+from momentforge import critical
+from momentforge.critical import (
+    AlgebraicNumber,
+    _strictly_feasible,
+    critical_set,
+    gradient_system,
+    solve_family,
+    solve_real,
+    verify_critical,
+)
+from momentforge.diagonal import diagonal_families
+from momentforge.moment import square_length
+from momentforge.orbits import build_family
+from momentforge.polyring import SparsePoly
+from momentforge.symd import weight
+
+# every identically diagonal family of these shapes and term counts
+CASES = [(3, 3, 2), (3, 3, 3), (3, 3, 4), (3, 4, 2), (3, 4, 3), (3, 4, 4),
+         (3, 5, 2), (3, 5, 3), (4, 3, 2), (4, 3, 3)]
+# the support of each of these is affinely independent but for one family
+INDEPENDENT_CASES = [(3, 3, 2), (3, 3, 3), (3, 4, 2), (3, 4, 3), (3, 5, 3), (4, 3, 3)]
+
+
+@pytest.fixture(scope="module")
+def closed_forms():
+    return {
+        (n, d, m): [(f, critical_set(f)) for f in diagonal_families(n, d, m)]
+        for n, d, m in CASES
+    }
+
+
+def unfiltered(family):
+    """The solver without the closed-form pre-filter."""
+    return solve_real(gradient_system(family))
+
+
+def pinned_squares(cs):
+    """b_k^2 at the closed-form point: (u_k / w(a_k)) / (u_pin / w(pin))."""
+    terms = cs.family.display_terms()
+    c2 = [u / weight(a) for u, a in zip(cs.point, terms)]
+    return [c / c2[-1] for c in c2[:-1]]
+
+
+def square_matches(value, q):
+    if isinstance(value, Fraction):
+        return value * value == q
+    if isinstance(value, AlgebraicNumber):
+        lo, hi = sorted((value.lo * value.lo, value.hi * value.hi))
+        return 0 not in (value.lo, value.hi) and lo <= q <= hi
+    return math.isclose(value * value, float(q), rel_tol=1e-9)
+
+
+def test_independent_supports_match_the_solver(closed_forms):
+    independent = [
+        (f, cs) for case in INDEPENDENT_CASES for f, cs in closed_forms[case] if cs.dimension == 0
+    ]
+    assert len(independent) == 175
+    nonempty = 0
+    for family, cs in independent:
+        solutions = unfiltered(family)
+        assert bool(solutions) == (not cs.is_empty), family
+        if cs.is_empty:
+            continue
+        nonempty += 1
+        squares = pinned_squares(cs)
+        for sol in solutions:
+            assert all(square_matches(v, q) for v, q in zip(sol.values, squares)), sol
+    assert nonempty == 98
+
+
+def component_directions(cs):
+    """A basis of the directions of u that keep sum u and sum u_a a fixed."""
+    terms = cs.family.display_terms()
+    rows = [[a[i] for a in terms] for i in range(len(terms[0]))] + [[1] * len(terms)]
+    return [[Fraction(int(x.p), int(x.q)) for x in v] for v in sympy.Matrix(rows).nullspace()]
+
+
+def sampled_polynomials(cs, rng, count):
+    """Float forms at random points of the component, with random signs."""
+    terms = cs.family.display_terms()
+    directions = component_directions(cs)
+    assert len(directions) == cs.dimension
+    for _ in range(count):
+        mix = [rng.uniform(-1, 1) for _ in directions]
+        step = [sum(w * float(v[k]) for w, v in zip(mix, directions)) for k in range(len(terms))]
+        # stay inside u > 0: at most 0.9 of the way to the nearest face
+        limit = min((float(u) / -s for u, s in zip(cs.point, step) if s < 0), default=1.0)
+        theta = rng.uniform(0, 0.9) * limit
+        u = [float(u) + theta * s for u, s in zip(cs.point, step)]
+        yield SparsePoly(cs.family.poly.n, cs.family.poly.d, {
+            a: rng.choice((-1, 1)) * math.sqrt(x / float(weight(a))) for a, x in zip(terms, u)
+        })
+
+
+@pytest.mark.parametrize("n, d, m", [(3, 3, 4), (3, 4, 3), (3, 4, 4), (3, 5, 3), (3, 4, 5), (4, 3, 5)])
+def test_sampled_points_of_every_component_are_critical(n, d, m, closed_forms):
+    rng = random.Random(1000 * n + 10 * d + m)
+    sets = closed_forms.get((n, d, m)) or [(f, critical_set(f)) for f in diagonal_families(n, d, m)]
+    components = [cs for _, cs in sets if cs.dimension > 0 and not cs.is_empty]
+    assert components
+    for cs in components:
+        for f in sampled_polynomials(cs, rng, 5):
+            assert verify_critical(f) <= 1e-12, f
+            assert math.isclose(square_length(f), float(cs.square_length), abs_tol=1e-12), f
+
+
+def positive_margin(a_ub, b_ub, a_eq=None, b_eq=None):
+    """Whether the largest eps <= 1 of an exact LP over x >= 0 is positive:
+    the variable eps comes last in every row, and ``-eps`` is minimised."""
+    cost = sympy.Matrix([0] * (a_ub.cols - 1) + [-1])
+    a_ub = a_ub.col_join(sympy.Matrix([[0] * (a_ub.cols - 1) + [1]]))
+    b_ub = b_ub.col_join(sympy.Matrix([1]))
+    try:
+        value, _ = linprog(cost, a_ub, b_ub, a_eq, b_eq)
+    except InfeasibleLPError:
+        return False
+    return -value > 0
+
+
+def strictly_feasible_lp(family):
+    """sympy's exact simplex on the critical equations in u, without p_S: the
+    set is nonempty iff some u >= eps > 0 has sum 1 and a centroid
+    s = sum u_b b with <a - a_0, s> = 0 on the support."""
+    terms = family.display_terms()
+    m = len(terms)
+    rows = [[1] * m] + [
+        [sum((x - y) * b[i] for i, (x, y) in enumerate(zip(a, terms[0]))) for b in terms]
+        for a in terms[1:]
+    ]
+    # independent rows only: given the redundant ones as well, sympy's simplex
+    # (1.14) returned points that break one of them
+    reduced, pivots = sympy.Matrix(rows).row_join(sympy.Matrix([1] + [0] * (m - 1))).rref()
+    a_eq = reduced[: len(pivots), :m].row_join(sympy.zeros(len(pivots), 1))
+    b_eq = reduced[: len(pivots), m]
+    # eps - u_k <= 0
+    a_ub = (-sympy.eye(m)).row_join(sympy.ones(m, 1))
+    return positive_margin(a_ub, sympy.zeros(m, 1), a_eq, b_eq)
+
+
+@pytest.mark.parametrize("n, d, m", [(3, 4, 4), (3, 4, 5), (3, 5, 5), (4, 3, 5)])
+def test_emptiness_agrees_with_an_exact_lp(n, d, m, closed_forms):
+    sets = closed_forms.get((n, d, m)) or [(f, critical_set(f)) for f in diagonal_families(n, d, m)]
+    if (n, d, m) == (3, 4, 4):
+        assert sum(cs.is_empty for _, cs in sets) == 3
+    for family, cs in sets:
+        assert strictly_feasible_lp(family) == (not cs.is_empty), family
+
+
+def test_projection_and_square_length_agree_with_sympy(closed_forms):
+    for (n, d, m), sets in closed_forms.items():
+        for family, cs in sets:
+            points = [sympy.Matrix(a) for a in family.display_terms()]
+            basis = sympy.Matrix.hstack(*[a - points[0] for a in points[1:]])
+            t = sympy.Matrix([sympy.Rational(d, n)] * n)
+            # least squares over the differences: rank-deficient bases are fine
+            y = (basis.T * basis).pinv() * basis.T * (t - points[0])
+            p = points[0] + basis * y
+            assert [Fraction(int(x.p), int(x.q)) for x in p] == list(cs.projection), family
+            assert cs.rank == basis.rank()
+            assert cs.dimension == m - 1 - cs.rank
+            assert cs.square_length == 4 * sum((x - Fraction(d, n)) ** 2 for x in cs.projection)
+
+
+def test_empty_sets_are_empty_for_the_solver(closed_forms):
+    empty = [f for sets in closed_forms.values() for f, cs in sets if cs.is_empty]
+    assert len(empty) == 84
+    assert [str(f) for f in empty if unfiltered(f)] == []
+
+
+@pytest.mark.parametrize("family, dimension, value", [
+    # the Hesse pencil
+    ("b1*z^3 + b2*x*y*z + b3*y^3 + x^3", 1, 0),
+    # curves of critical points that the solver does not report
+    ("b1*x^2*z^2 + b2*x*y^2*z + y^4", 1, 0),
+    ("b1*x^3*z^2 + b2*x^2*y^2*z + x*y^4", 1, 2),
+    ("b1*x^2*y*z^2 + b2*x*y^3*z + y^5", 1, 0),
+    ("b1*y^4*z + b2*x^2*y^2*z + x^4*z", 1, Fraction(8, 3)),
+])
+def test_known_components(family, dimension, value, closed_forms):
+    by_name = {str(f): cs for sets in closed_forms.values() for f, cs in sets}
+    cs = by_name[family]
+    assert not cs.is_empty
+    assert (cs.dimension, cs.square_length) == (dimension, value)
+
+
+def test_root_difference_reaches_the_solver(monkeypatch):
+    # x^3 - x^2*y = e_1 - e_2: no closed form, so the gradient system is built
+    family = build_family({(3, 0, 0), (2, 1, 0)})
+    with pytest.raises(ValueError):
+        critical_set(family)
+    built = []
+
+    def recording_gradient_system(f):
+        built.append(f)
+        return gradient_system(f)
+
+    monkeypatch.setattr(critical, "gradient_system", recording_gradient_system)
+    assert solve_family(family) == unfiltered(family)
+    assert built == [family]
+
+
+def test_empty_set_skips_the_gradient_system(monkeypatch, closed_forms):
+    family = next(f for f, cs in closed_forms[3, 5, 3] if cs.is_empty)
+    monkeypatch.setattr(critical, "gradient_system", None)
+    assert solve_family(family) == []
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_fourier_motzkin_against_an_exact_lp(seed):
+    rng = random.Random(seed)
+    k = rng.choice([1, 2, 3])
+    rows = [
+        (Fraction(rng.randint(-4, 4)), tuple(Fraction(rng.randint(-3, 3)) for _ in range(k)))
+        for _ in range(rng.randint(2, 6))
+    ]
+    # c + <a, z> >= eps with z = z+ - z-, as -<a, z+> + <a, z-> + eps <= c
+    a_ub = sympy.Matrix([[-x for x in a] + list(a) + [1] for _, a in rows])
+    expected = positive_margin(a_ub, sympy.Matrix([c for c, _ in rows]))
+    point = _strictly_feasible(rows, k)
+    assert (point is not None) == expected, rows
+    if point is not None:
+        assert all(c + sum(x * zi for x, zi in zip(a, point)) > 0 for c, a in rows), rows

@@ -8,14 +8,19 @@ from momentforge.critical import solve_family
 from momentforge.diagonal import diagonal_families
 from momentforge.fixtures import CRITICAL_CUBICS, CRITICAL_QUARTICS, critical_fixture_poly, mono
 from momentforge.moment import (
+    _complex_ring,
     _general_gradient,
     _gradient_values,
     _inner_products,
+    _jadd,
     _jet_ring,
+    _jmul,
+    _jscale,
     _moment_numerators,
     _norm2,
     _parametric,
     _plain_ring,
+    _Ring,
     _root_difference_free,
     _trace_parts,
     complex_gradient_imag_parts,
@@ -410,6 +415,45 @@ class TestSupportOnlyJets:
         off_support = enumerate_monomials(3, 3).index(mono("xy2"))
         assert grad[off_support] != 0.0
         assert_bit_identical(f)
+
+
+def fraction_weight_ring():
+    """The float jet ring with the weights left as Fractions, so that every
+    product goes through ``Fraction.__rmul__``."""
+    return _Ring((0.0, {}), _jadd, _jmul, _jscale, lambda a: a)
+
+
+class TestFloatWeights:
+    """Float jets convert each rational weight to float once; the products
+    are bit-identical to multiplying by the Fraction."""
+
+    def float_polys(self):
+        rng = random.Random(97)
+        for _ in range(60):
+            n, d = rng.choice([2, 3, 4]), rng.choice([2, 3, 4, 5])
+            yield random_root_difference_free(rng, n, d)
+            f = random_rational_poly(rng, n, d, density=0.5)
+            yield SparsePoly(n, d, {a: float(c) * rng.uniform(0.5, 2) for a, c in f.terms.items()})
+
+    def test_gradient(self):
+        for f in self.float_polys():
+            basis = enumerate_monomials(f.n, f.d).order
+            jets = [(a, (float(f.terms.get(a, 0.0)), {k: 1.0})) for k, a in enumerate(basis)]
+            p, norm2 = _trace_parts(fraction_weight_ring(), jets, f.n, f.d)
+            expected = _gradient_values(p, norm2, f.d, range(len(basis)), 0.0)
+            assert [g.hex() for g in gradient(f)] == [g.hex() for g in expected], f
+            assert [g.hex() for g in all_directions_gradient(f)] == [g.hex() for g in expected], f
+
+    def test_complex_imaginary_parts(self):
+        for f in self.float_polys():
+            jets = [(a, (float(f.terms.get(a, 0.0)), {k: 1.0}))
+                    for k, a in enumerate(enumerate_monomials(f.n, f.d).order)]
+            size = len(jets)
+            cjets = [(a, (re, (0.0, {size + k: 1.0}))) for k, (a, re) in enumerate(jets)]
+            p, norm2 = _trace_parts(_complex_ring(fraction_weight_ring()), cjets, f.n, f.d)
+            expected = _gradient_values(p[0], norm2[0], f.d, range(size, 2 * size), 0.0)
+            actual = complex_gradient_imag_parts(f)
+            assert [g.hex() for g in actual] == [g.hex() for g in expected], f
 
 
 class TestFlowDerivative:
