@@ -18,15 +18,14 @@ that point witnesses it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .orbits import ParamFamily, build_family, orbit_classes, uses_all_variables
 from .symd import root_pair
 
 
-@dataclass(frozen=True)
-class DiagonalVerdict:
+class DiagonalVerdict(NamedTuple):
     family: ParamFamily
     is_diagonal: bool
     # (i, j) with i < j for each off-diagonal entry that is not identically 0

@@ -117,8 +117,7 @@ class MomentMatrix:
         )
 
 
-@dataclass(frozen=True)
-class SymbolicMomentMatrix:
+class SymbolicMomentMatrix(NamedTuple):
     """Moment matrix of a parametric family over a common denominator.
 
     ``numerators[i][j] / denominator`` is the (i, j) entry.  All entries and

@@ -16,9 +16,9 @@ every orbit is built and minimised exactly once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
+from typing import NamedTuple
 
 from .polyring import (
     ExponentVector,
@@ -71,8 +71,7 @@ def canonical_representative(support) -> SupportSet:
     return min(orbit_of(support), key=support_order_key)
 
 
-@dataclass(frozen=True)
-class OrbitRepresentative:
+class OrbitRepresentative(NamedTuple):
     """Canonical support set of one orbit, tagged with its term count."""
 
     support: SupportSet
@@ -112,8 +111,7 @@ def uses_all_variables(support) -> bool:
     return all(any(a[i] > 0 for a in support) for i in range(n))
 
 
-@dataclass(frozen=True)
-class ParamFamily:
+class ParamFamily(NamedTuple):
     """Parametric form over a support set.
 
     Terms are taken in display order (descending canonical); the first

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Mapping, Sequence, Union
+from typing import Mapping, NamedTuple, Sequence, Union
 
 # Exponent vector: element i is the exponent of variable x_{i+1}.
 ExponentVector = tuple[int, ...]
@@ -346,8 +346,7 @@ def multiply_scalars(a: Scalar, b: Scalar) -> Scalar:
 # rational functions of the parameters
 
 
-@dataclass(frozen=True)
-class RationalFunction:
+class RationalFunction(NamedTuple):
     """Quotient of two parameter polynomials, content-reduced.
 
     Normal form: common parameter-monomial factors are cancelled and the
@@ -389,6 +388,11 @@ class RationalFunction:
         if not isinstance(other, RationalFunction):
             return NotImplemented
         return self.numer * other.denom == other.numer * self.denom
+
+    def __ne__(self, other):
+        # a NamedTuple would otherwise compare as a tuple here
+        eq = self.__eq__(other)
+        return eq if eq is NotImplemented else not eq
 
     def __str__(self):
         if self.denom.is_constant() and self.denom.constant_value() == 1:

@@ -7,8 +7,8 @@ of each other, so the harness may run them in any order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import critical, fixtures
 from .critical import polys_close, solve_family, verify_critical
@@ -20,8 +20,7 @@ from .polyring import ParamPoly, SparsePoly
 from .symd import enumerate_monomials
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     ok: bool
     detail: str = ""

@@ -1,10 +1,12 @@
-"""The generated Gauss-Newton kernel against the list loop it replaced, and
-torus canonicalisation against its per-call form.
+"""The generated Gauss-Newton kernel against the list loop it replaced, the
+reuse of sign-mirrored starts against a run from every start, and torus
+canonicalisation against its per-call form.
 
 Float Newton points and their residuals are printed by `critical --json`, so
-the kernel must repeat the loop's float operations exactly; candidate lists
-are compared by ``repr``, which shows every bit.  So are canonical forms,
-which a cached plan per support must leave unchanged.
+the kernel must repeat the loop's float operations exactly, and a reused start
+must give what its own run gives; candidate lists are compared by ``repr``,
+which shows every bit.  So are canonical forms, which a cached plan per
+support must leave unchanged.
 """
 
 import math
@@ -55,15 +57,16 @@ def reference_compile(poly):
     return eval(f"lambda {args}: " + "+".join(pieces))  # noqa: S307 - generated from exact terms
 
 
+AXIS = [(-3.0 + 0.6 * k) for k in range(11)]
+
+
 def reference_newton_candidates(eqs, unknowns):
     """Multistart Gauss-Newton on a grid of 11 points per axis in [-3, 3]."""
     funcs = [reference_compile(eq) for eq in eqs]
     jacs = [[reference_compile(eq.diff(i)) for i in range(eq.nsyms)] for eq in eqs]
-    axis = [(-3.0 + 0.6 * k) for k in range(11)]
-    points = []
-    for start in product(axis, repeat=unknowns):
+
+    def run(start):
         x = list(start)
-        converged = False
         for _ in range(80):
             fv = [fn(*x) for fn in funcs]
             jm = [[jacs[r][c](*x) for c in range(unknowns)] for r in range(len(eqs))]
@@ -77,14 +80,28 @@ def reference_newton_candidates(eqs, unknowns):
             ]
             step = reference_solve_dense(ata, atb)
             if step is None:
-                break
+                return None
             x = [a + s for a, s in zip(x, step)]
             if max(abs(v) for v in x) > 1e6:
-                break
+                return None
             if max(abs(s) for s in step) < NEWTON_STEP_TOL:
-                converged = True
-                break
-        if not converged:
+                return x
+        return None
+
+    return candidates_from_runs(eqs, (run(start) for start in product(AXIS, repeat=unknowns)))
+
+
+def full_loop_candidates(eqs, unknowns):
+    """The generated kernel run from every start, none reused."""
+    run_start = critical._gauss_newton_kernel(eqs, unknowns)
+    return candidates_from_runs(eqs, (run_start(*start) for start in product(AXIS, repeat=unknowns)))
+
+
+def candidates_from_runs(eqs, runs):
+    """The filters, clustering and snapping applied to each start's result."""
+    points = []
+    for x in runs:
+        if x is None:
             continue
         if any(abs(v) < 1e-7 for v in x):
             continue  # zero-parameter solutions belong to smaller supports
@@ -161,6 +178,32 @@ def hesse_equations():
     return critical._prepared_equations(critical.gradient_system(family)), 3
 
 
+def family_equations(n, d, m, name):
+    (family,) = [f for f in diagonal_families(n, d, m) if str(f) == name]
+    return critical._prepared_equations(critical.gradient_system(family)), family.nparams
+
+
+# the systems of diagonal families that reach Newton, by kind: the pencils in
+# two unknowns whose resultants vanish, the (3, 4, 4) family where Newton finds
+# 3 float points, and two Newton-empty ones, where each start with no zero
+# coordinate runs all 80 steps
+NEWTON_FAMILIES = [
+    (3, 4, 3, "b1*x^2*z^2 + b2*x*y^2*z + y^4"),
+    (3, 5, 3, "b1*y^4*z + b2*x^2*y^2*z + x^4*z"),
+    (3, 5, 3, "b1*x^3*z^2 + b2*x^2*y^2*z + x*y^4"),
+    (3, 5, 3, "b1*x^2*y*z^2 + b2*x*y^3*z + y^5"),
+    (3, 4, 4, "b1*y^2*z^2 + b2*x^2*z^2 + b3*y^4 + x^4"),
+    (3, 4, 4, "b1*x*y*z^2 + b2*x^3*z + b3*y^4 + x^2*y^2"),
+    (3, 4, 4, "b1*z^4 + b2*y^4 + b3*x^2*y^2 + x^4"),
+]
+
+
+def mixed_parity_equations():
+    # b1^2 + b1 - 2 has both parities in b1, so starts at -b1 must run
+    b1, b2 = ParamPoly.symbol(2, 0), ParamPoly.symbol(2, 1)
+    return [b1 * b1 + b1 - 2, b2 * b2 - 3]
+
+
 def same_candidates(eqs, unknowns):
     got = critical._newton_candidates(eqs, unknowns)
     assert repr(got) == repr(reference_newton_candidates(eqs, unknowns))
@@ -226,6 +269,37 @@ def test_slow_convergence_at_a_triple_root():
     # rounding noise, leaving many distinct float points after the clustering
     b1, b2 = ParamPoly.symbol(2, 0), ParamPoly.symbol(2, 1)
     assert len(same_candidates([(b1 * b1 - 2) ** 3, (b2 - b1) * (b2 + 1)], 2)) == 9
+
+
+@pytest.mark.parametrize("case", [None] + NEWTON_FAMILIES, ids=lambda c: "hesse" if c is None else c[3])
+def test_mirrored_starts_match_the_full_loop(case):
+    eqs, unknowns = hesse_equations() if case is None else family_equations(*case)
+    # each gradient numerator of a diagonal family is c_a P_a(u), u_a = w(a) c_a^2
+    assert critical._sign_mirrored(eqs, unknowns) == (True,) * unknowns
+    run_start = critical._gauss_newton_kernel(eqs, unknowns)
+    runs = {index: run_start(*(AXIS[k] for k in index)) for index in product(range(11), repeat=unknowns)}
+    # start by start: index 10 and 7 give the runs of 0 and 3, negated (float
+    # == is exact but for the sign of a zero, which the kernel may flip)
+    for index, x in runs.items():
+        source = tuple({10: 0, 7: 3}.get(k, k) for k in index)
+        y = runs[source]
+        assert x == (None if y is None else [v if k == s else -v for v, k, s in zip(y, index, source)])
+    got = critical._newton_candidates(eqs, unknowns)
+    assert repr(got) == repr(candidates_from_runs(eqs, runs.values()))
+
+
+def test_mixed_parity_unknown_is_not_mirrored():
+    eqs = mixed_parity_equations()
+    assert critical._sign_mirrored(eqs, 2) == (False, True)
+    got = critical._newton_candidates(eqs, 2)
+    assert repr(got) == repr(full_loop_candidates(eqs, 2))
+    # b1 = 1 or -2, no pair of negatives, with b2 = +-sqrt(3)
+    assert sorted((v[0], float(v[1]) > 0) for v in got) == [(-2, False), (-2, True), (1, False), (1, True)]
+
+
+@plain_float_sum
+def test_mixed_parity_matches_reference():
+    same_candidates(mixed_parity_equations(), 2)
 
 
 def test_float_expression_matches_subs():

@@ -197,6 +197,17 @@ class TestRationalFunction:
         with pytest.raises(ZeroDivisionError):
             RationalFunction.make(ParamPoly.const(1, 1), ParamPoly(1))
 
+    def test_inequality_negates_the_cross_multiplied_equality(self):
+        b = ParamPoly.symbol(1, 0)
+        # b (b + 1) / ((b + 1) (b + 2)) keeps its common factor b + 1
+        rf = RationalFunction.make(b * (b + 1), (b + 1) * (b + 2))
+        other = RationalFunction.make(b, b + 2)
+        assert tuple(rf) != tuple(other)
+        assert rf == other and not rf != other
+        half = RationalFunction.make(ParamPoly.const(1, 1), ParamPoly.const(1, 2))
+        assert half == Fraction(1, 2) and not half != Fraction(1, 2)
+        assert half != Fraction(1, 3) and other != 1
+
 
 class TestJsonFormat:
     def test_round_trip_exact(self):
