@@ -94,21 +94,16 @@ CLUSTER_DIST = 1e-6
 
 
 class AlgebraicNumber(NamedTuple):
-    """A real root pinned by a squarefree polynomial and an isolating interval."""
+    """A real root pinned by a squarefree polynomial and an isolating interval.
+
+    The interval is at most ``INTERVAL_WIDTH`` wide and ``approx`` is its
+    midpoint, so the float residual of a candidate needs no refinement.
+    """
 
     minimal_polynomial: tuple[int, ...]
     lo: Fraction
     hi: Fraction
     approx: float
-
-    @staticmethod
-    def from_interval(poly: uni.UPoly, lo: Fraction, hi: Fraction) -> "AlgebraicNumber":
-        lo, hi = uni.refine_interval(poly, lo, hi, INTERVAL_WIDTH)
-        return AlgebraicNumber(tuple(poly), lo, hi, float((lo + hi) / 2))
-
-    def refined(self, width: Fraction) -> "AlgebraicNumber":
-        lo, hi = uni.refine_interval(list(self.minimal_polynomial), self.lo, self.hi, width)
-        return AlgebraicNumber(self.minimal_polynomial, lo, hi, float((lo + hi) / 2))
 
     def contains(self, value: Fraction) -> bool:
         return self.lo <= value <= self.hi
@@ -388,7 +383,8 @@ class CriticalSet(NamedTuple):
     with the signs of the coefficients free) it is the open polytope
     {u > 0, sum u = 1, sum u_a a = p_S}, where p_S is the orthogonal
     projection of t = (d/n) 1 onto the affine hull of the support S.
-    (A NamedTuple: a frozen dataclass took 0.4 ms more to import.)
+    (A NamedTuple: the package does not import ``dataclasses``, which with
+    ``inspect`` cost about as much import time as the package itself.)
     """
 
     family: ParamFamily
@@ -557,7 +553,7 @@ def _roots_of_upoly(p: uni.UPoly) -> list:
         else:
             value = uni.simplest_rational_in(lo, hi)
             if uni.sign_at(p, value) != 0:
-                value = AlgebraicNumber.from_interval(p, lo, hi)
+                value = AlgebraicNumber(tuple(p), lo, hi, float((lo + hi) / 2))
         if not _value_is_zero(value):
             roots.append(value)
     return roots
@@ -588,10 +584,7 @@ def _exact_zero_on_equations(eqs: list[ParamPoly], values) -> bool:
 def _candidate_passes(eqs: list[ParamPoly], values) -> bool:
     if all(isinstance(v, Fraction) for v in values):
         return _exact_zero_on_equations(eqs, values)
-    refined = [
-        v.refined(INTERVAL_WIDTH) if isinstance(v, AlgebraicNumber) else v for v in values
-    ]
-    return _residual_on_equations(eqs, refined) < 1e-8
+    return _residual_on_equations(eqs, values) < 1e-8
 
 
 def _solve_one_unknown(eqs: list[ParamPoly]) -> list[tuple]:

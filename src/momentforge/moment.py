@@ -54,7 +54,6 @@ one-parameter subgroups independently of the engine.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd
@@ -88,12 +87,25 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class MomentMatrix:
     """An ``n`` x ``n`` symmetric matrix of scalars (0-based indexing)."""
 
-    n: int
-    entries: tuple[tuple[Scalar, ...], ...]
+    __slots__ = ("n", "entries")
+
+    def __init__(self, n: int, entries: tuple[tuple[Scalar, ...], ...]):
+        self.n = n
+        self.entries = entries
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.entries) == (other.n, other.entries)
+
+    def __hash__(self):
+        return hash((self.n, self.entries))
+
+    def __repr__(self):
+        return f"MomentMatrix(n={self.n!r}, entries={self.entries!r})"
 
     def __getitem__(self, ij):
         i, j = ij

@@ -18,7 +18,6 @@ construction and all functions are pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Mapping, NamedTuple, Sequence, Union
@@ -408,7 +407,6 @@ def degree(alpha: ExponentVector) -> int:
     return sum(alpha)
 
 
-@dataclass(frozen=True, eq=False)
 class SparsePoly:
     """Homogeneous polynomial of degree ``d`` in ``n`` variables.
 
@@ -416,9 +414,12 @@ class SparsePoly:
     scalars.  The zero polynomial is the empty map with (n, d) retained.
     """
 
-    n: int
-    d: int
-    terms: dict[ExponentVector, Scalar]
+    __slots__ = ("n", "d", "terms")
+
+    def __init__(self, n: int, d: int, terms: dict[ExponentVector, Scalar]):
+        self.n = n
+        self.d = d
+        self.terms = terms
 
     @staticmethod
     def make(n: int, d: int, terms: Mapping[ExponentVector, Scalar]) -> "SparsePoly":

@@ -11,7 +11,6 @@ directly and stays rational.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
@@ -29,13 +28,26 @@ from .polyring import (
 )
 
 
-@dataclass(frozen=True)
 class MonomialBasis:
     """All degree-``d`` exponent vectors in ``n`` variables, canonically ordered."""
 
-    n: int
-    d: int
-    order: tuple[ExponentVector, ...]
+    __slots__ = ("n", "d", "order")
+
+    def __init__(self, n: int, d: int, order: tuple[ExponentVector, ...]):
+        self.n = n
+        self.d = d
+        self.order = order
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.d, self.order) == (other.n, other.d, other.order)
+
+    def __hash__(self):
+        return hash((self.n, self.d, self.order))
+
+    def __repr__(self):
+        return f"MonomialBasis(n={self.n!r}, d={self.d!r}, order={self.order!r})"
 
     def __len__(self) -> int:
         return len(self.order)
@@ -96,12 +108,25 @@ def inner_product(f: SparsePoly, g: SparsePoly) -> Scalar:
     return total
 
 
-@dataclass(frozen=True)
 class CoefficientVector:
     """Coefficients of a form aligned to the canonical basis order."""
 
-    basis: MonomialBasis
-    entries: tuple
+    __slots__ = ("basis", "entries")
+
+    def __init__(self, basis: MonomialBasis, entries: tuple):
+        self.basis = basis
+        self.entries = entries
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.basis, self.entries) == (other.basis, other.entries)
+
+    def __hash__(self):
+        return hash((self.basis, self.entries))
+
+    def __repr__(self):
+        return f"CoefficientVector(basis={self.basis!r}, entries={self.entries!r})"
 
     def __len__(self) -> int:
         return len(self.entries)

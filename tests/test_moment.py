@@ -8,6 +8,7 @@ from momentforge.critical import solve_family
 from momentforge.diagonal import diagonal_families
 from momentforge.fixtures import CRITICAL_CUBICS, CRITICAL_QUARTICS, critical_fixture_poly, mono
 from momentforge.moment import (
+    MomentMatrix,
     _complex_ring,
     _general_gradient,
     _gradient_values,
@@ -82,6 +83,15 @@ class TestMomentMatrix:
         m = moment_matrix(X3Y3)
         assert m.is_diagonal()
         assert m.diagonal() == (1, 1, -2)
+
+    def test_value_semantics(self):
+        m = moment_matrix(X3Y3)
+        again = moment_matrix(P(x3=1, y3=1))
+        assert again is not m
+        assert again == m and hash(again) == hash(m)
+        assert m != moment_matrix(P(x3=1))
+        assert m != (m.n, m.entries)
+        assert repr(MomentMatrix(1, ((0,),))) == "MomentMatrix(n=1, entries=((0,),))"
 
     def test_xyz_is_minimal(self):
         m = moment_matrix(SparsePoly.monomial(3, (1, 1, 1)))

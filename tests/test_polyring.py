@@ -11,6 +11,7 @@ from momentforge.polyring import (
     RationalFunction,
     SparsePoly,
     canonical_key,
+    format_poly,
     partial_derivative,
     poly_add,
     poly_from_json,
@@ -44,6 +45,24 @@ class TestPolyAdd:
             poly_add(P(x3=1), SparsePoly.monomial(3, (4, 0, 0)))
         with pytest.raises(ValueError):
             poly_add(P(x3=1), SparsePoly.monomial(2, (3, 0)))
+
+
+class TestSparsePolyValue:
+    def test_equality_is_on_shape_and_terms(self):
+        f = P(x3=1, x2y=-2)
+        assert f == SparsePoly(3, 3, {mono("x3"): Fraction(1), mono("x2y"): Fraction(-2)})
+        assert f != P(x3=1)
+        assert SparsePoly.zero(3, 3) != SparsePoly.zero(3, 4)
+        assert SparsePoly.zero(3, 3) != SparsePoly.zero(2, 3)
+        assert f != (f.n, f.d, f.terms)
+
+    def test_unhashable(self):
+        with pytest.raises(TypeError):
+            hash(P(x3=1))
+
+    def test_repr_is_the_printed_form(self):
+        f = P(x3=1, xyz=Fraction(-1, 2))
+        assert repr(f) == str(f) == format_poly(f)
 
 
 class TestPolyScale:

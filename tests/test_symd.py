@@ -8,6 +8,7 @@ from conftest import random_rational_poly
 from momentforge.fixtures import M2_BASIS, M3_BASIS, mono
 from momentforge.polyring import ParamPoly, RationalFunction, SparsePoly, poly_scale
 from momentforge.symd import (
+    MonomialBasis,
     coefficient_vector,
     enumerate_monomials,
     inner_product,
@@ -31,6 +32,18 @@ class TestEnumerateMonomials:
                 assert len(basis) == comb(n + d - 1, d)
                 assert len(set(basis.order)) == len(basis)
                 assert all(sum(a) == d for a in basis.order)
+
+    def test_cached(self):
+        assert enumerate_monomials(3, 4) is enumerate_monomials(3, 4)
+
+    def test_value_semantics(self):
+        basis = enumerate_monomials(3, 2)
+        copy = MonomialBasis(3, 2, tuple(basis.order))
+        assert copy is not basis
+        assert copy == basis and hash(copy) == hash(basis)
+        assert basis != enumerate_monomials(3, 3)
+        assert basis != (basis.n, basis.d, basis.order)
+        assert repr(enumerate_monomials(1, 2)) == "MonomialBasis(n=1, d=2, order=((2,),))"
 
     def test_rejects_degenerate_shapes(self):
         with pytest.raises(ValueError):
