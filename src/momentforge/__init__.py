@@ -6,7 +6,6 @@ from .critical import (
     AlgebraicNumber,
     CriticalSolution,
     GradientSystem,
-    critical_points,
     fixed_point_check,
     gradient_system,
     solve_family,
@@ -18,13 +17,11 @@ from .diagonal import DiagonalVerdict, diagonal_families, is_identically_diagona
 from .moment import (
     MomentMatrix,
     SymbolicMomentMatrix,
-    complex_gradient_imag_parts,
     flow_derivative,
     gradient,
     gradient_symbolic,
     hermitian_matrix,
     moment_matrix,
-    norm_squared,
     square_length,
     square_length_symbolic,
     symbolic_moment_matrix,
@@ -44,20 +41,15 @@ from .polyring import (
     ParamPoly,
     RationalFunction,
     SparsePoly,
-    partial_derivative,
     poly_add,
     poly_from_json,
-    poly_scale,
     poly_to_json,
     substitute_params,
 )
 from .symd import (
-    CoefficientVector,
     MonomialBasis,
-    coefficient_vector,
     enumerate_monomials,
     inner_product,
-    projective_normalize,
     weight,
 )
 

@@ -208,6 +208,13 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"--tol must be finite and non-negative, got {tol}")
 
 
+def _check_box(box: float) -> None:
+    # a NaN or infinite box, or one whose grid width 2 * box overflows, finds
+    # no points; a zero box repeats the origin and a negative one mirrors the grid
+    if not (math.isfinite(2 * box) and box > 0):
+        raise ValueError(f"--box must be positive with 2 * box finite, got {box}")
+
+
 def _cmd_critical(args) -> int:
     _check_tol(args.tol)
     payload = []
@@ -320,6 +327,7 @@ def emit_points(f: SparsePoly, box: float = 2.0, samples: int = 25):
 
 
 def _cmd_emit_points(args) -> int:
+    _check_box(args.box)
     f = _load_numeric_poly(args.poly)
     pts = emit_points(f, box=args.box, samples=args.samples)
     lines = [[_fmt_float(c) for c in p] for p in pts]

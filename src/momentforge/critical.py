@@ -830,11 +830,3 @@ def solve_family(family: ParamFamily, tol: float = RESIDUAL_TOL) -> list[Critica
     if _root_difference_free(family.support) and critical_set(family).is_empty:
         return []
     return solve_real(gradient_system(family), tol)
-
-
-def critical_points(n: int, d: int, m: int, tol: float = RESIDUAL_TOL):
-    """Diagonal families with ``m`` terms and their verified critical points."""
-    from .diagonal import diagonal_families
-
-    families = diagonal_families(n, d, m)
-    return [(family, solve_family(family, tol)) for family in families]

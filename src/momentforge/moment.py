@@ -6,46 +6,49 @@ matrix ``H(f)`` has entries ``<df/dx_j, df/dx_i> / (d * |f|^2)`` and the
 ``Re Tr(m . m)`` is the Morse function whose critical points this package
 hunts.
 
+Coefficients are real, so ``H(f)`` and ``m(f)`` are real symmetric.
+
 One engine builds the trace formula: the Gram matrix of the partial
 derivatives (``_inner_products``), the squared norm (``_norm2``), the
 polynomial moment matrix (``_moment_numerators``) and the trace product
 (``_trace_product``).
-It is generic over a scalar ring with conjugation, and runs over three:
+It is generic over a scalar ring, and runs over two:
 
 * plain scalars (``Fraction``, float or ``ParamPoly``), for the hermitian,
-  symbolic moment and symbolic square-length matrices, and the exact and
-  parametric gradient;
-* first-order jets over a plain scalar, for the gradient of float input;
-* complex jets, pairs of jets with conjugation flipping the imaginary part,
-  for the gradient along imaginary coefficient directions.
+  symbolic moment and symbolic square-length matrices;
+* first-order jets over a plain scalar, for the coefficient gradient.
 
-The gradient of ``|m|^2`` in every coefficient direction is exact for exact
-and parametric input (the quotient rule is applied once at the very end,
-never numeric differentiation).  There it has a closed form
-(``_closed_form_gradient``): the trace product is quadratic in the Gram
-matrix and the moment matrix is exactly traceless, so each direction costs
-one product once the moment matrix is known, where jets carry every
-direction through every product.  Float and complex input keep the jets:
-the order of summation sets the last bits of a float gradient, and with
-them the residuals the solver reports.
+The gradient of ``|m|^2`` in every coefficient direction has two engines,
+which share ``_gradient_numerators``.  Both apply the quotient rule once at
+the very end, never numeric differentiation, and give exact results for
+exact and parametric input.
 
-Supports in which no two exponents differ by a root ``e_i - e_j`` (every
-identically diagonal family, hence every solver output) take a shorter
-road.  There G is diagonal; with ``u_a = w(a) c_a^2`` and
-``s = sum_a u_a a``, the squared norm is ``sum_a u_a``, ``G_ii = d s_i``,
-``m(f) = 2 diag(s / norm2 - (d/n) 1)``, and the gradient numerator is
-``N_a = 16 d^2 w(a) c_a (norm2 <a, s> - <s, s>)``
-``= 16 d^2 w(a) c_a sum_{b,c} <a - b, c> u_b u_c`` on the support and 0 off
-it, in ring operations shared by ``Fraction`` and ``ParamPoly``.  The sums
-(``_centroid_sums``) vanish exactly on the family's real critical set, which
-``critical.critical_set`` gives in closed form and checks with them.  Float
-input there gets jets for the support terms only, and the result is
-bit-identical to jets in every basis direction, signed zeros included: a
-direction off the support reaches the trace product only through an
-off-diagonal ``M_ij``, whose value is structurally 0.0, and ``_jmul`` drops
-derivative parts multiplied by a zero value; each direction on the support
-sees the same operations in the same order; and the zero-valued jets that
-are left out only ever added 0.0 to sums that are never -0.0.
+* The u-form takes exact and parametric input whose support has no two
+  exponents differing by a root ``e_i - e_j``: every identically diagonal
+  family, hence every family the solver sees.  There G is diagonal; with
+  ``u_a = w(a) c_a^2`` and ``s = sum_a u_a a``, the squared norm is
+  ``sum_a u_a``, ``G_ii = d s_i``, ``m(f) = 2 diag(s / norm2 - (d/n) 1)``,
+  and the gradient numerator is
+  ``N_a = 16 d^2 w(a) c_a (norm2 <a, s> - <s, s>)``
+  ``= 16 d^2 w(a) c_a sum_{b,c} <a - b, c> u_b u_c`` on the support and 0
+  off it, in ring operations shared by ``Fraction`` and ``ParamPoly``.  The
+  sums (``_centroid_sums``) vanish exactly on the family's real critical
+  set, which ``critical.critical_set`` gives in closed form and checks with
+  them.
+* Forward jets take everything else: float input, and exact or parametric
+  input with a root difference.  Only ``grad`` and ``verify`` on arbitrary
+  input reach the latter.  A closed form for it took 40-80% of the jets'
+  time (CHANGES.md), but no solver path ran it, so it did not pay for its
+  code.  Float input keeps the jets even without a root difference: the
+  order of summation sets the last bits of a float gradient, and with them
+  the residuals the solver reports.  There the jets are seeded in the
+  support directions only, and the result is bit-identical to jets in every
+  basis direction, signed zeros included: a direction off the support
+  reaches the trace product only through an off-diagonal ``M_ij``, whose
+  value is structurally 0.0, and ``_jmul`` drops derivative parts
+  multiplied by a zero value; each direction on the support sees the same
+  operations in the same order; and the zero-valued jets that are left out
+  only ever added 0.0 to sums that are never -0.0.
 
 The flow construction differentiates the pulled-back norm along
 one-parameter subgroups independently of the engine.
@@ -74,7 +77,6 @@ __all__ = [
     "MomentMatrix",
     "SymbolicMomentMatrix",
     "RationalFunction",
-    "norm_squared",
     "hermitian_matrix",
     "moment_matrix",
     "square_length",
@@ -83,7 +85,6 @@ __all__ = [
     "gradient",
     "gradient_symbolic",
     "flow_derivative",
-    "complex_gradient_imag_parts",
 ]
 
 
@@ -143,11 +144,6 @@ class SymbolicMomentMatrix(NamedTuple):
     denominator: ParamPoly
 
 
-def norm_squared(f: SparsePoly) -> Scalar:
-    """The invariant squared norm ``<f, f>``."""
-    return inner_product(f, f)
-
-
 def _require_nonzero(f: SparsePoly):
     if f.is_zero():
         raise DegenerateInputError("the zero polynomial has no moment matrix")
@@ -168,26 +164,21 @@ class _Ring(NamedTuple):
     add: Callable
     mul: Callable
     scale: Callable  # element times a rational constant
-    conj: Callable
-
-
-def _identity(a):
-    return a
 
 
 def _plain_ring(zero) -> _Ring:
-    return _Ring(zero, operator.add, operator.mul, operator.mul, _identity)
+    return _Ring(zero, operator.add, operator.mul, operator.mul)
 
 
 def _norm2(ring: _Ring, coeffs):
     total = ring.zero
     for alpha, c in coeffs:
-        total = ring.add(total, ring.scale(ring.mul(c, ring.conj(c)), weight(alpha)))
+        total = ring.add(total, ring.scale(ring.mul(c, c), weight(alpha)))
     return total
 
 
 def _inner_products(ring: _Ring, coeffs, n: int) -> list[list]:
-    add, mul, scale, conj = ring.add, ring.mul, ring.scale, ring.conj
+    add, mul, scale = ring.add, ring.mul, ring.scale
     # derivative polynomials as maps exponent -> coefficient
     derivs: list[dict] = []
     for i in range(n):
@@ -203,16 +194,14 @@ def _inner_products(ring: _Ring, coeffs, n: int) -> list[list]:
     for i in range(n):
         for j in range(i, n):
             small, large = derivs[i], derivs[j]
-            swapped = len(large) < len(small)
-            if swapped:
+            if len(large) < len(small):
                 small, large = large, small
             s = ring.zero
             for beta, c in small.items():
                 other = large.get(beta)
                 if other is not None:
-                    s = add(s, scale(mul(conj(c), other), weight(beta)))
-            # s = <small, large>, which is G[j][i], or G[i][j] when swapped
-            g[i][j], g[j][i] = (s, conj(s)) if swapped else (conj(s), s)
+                    s = add(s, scale(mul(c, other), weight(beta)))
+            g[i][j] = g[j][i] = s
     return g
 
 
@@ -224,7 +213,7 @@ def _moment_numerators(ring: _Ring, g, norm2, n: int, d: int) -> list[list]:
             entry = ring.scale(g[i][j], 2)
             if i == j:
                 entry = ring.add(entry, shifted)
-            m[i][j], m[j][i] = entry, ring.conj(entry)
+            m[i][j] = m[j][i] = entry
     return m
 
 
@@ -338,21 +327,6 @@ def square_length_symbolic(family: SparsePoly) -> RationalFunction:
 # quotient rule applied once gives
 #
 #   grad_a |m|^2 = (P' * norm2 - 2 P * norm2') / (d^2 * norm2^3).
-#
-# Exact and parametric input take the closed form of that numerator.  M is
-# symmetric and exactly traceless (Tr G = d^2 norm2), so P' = 4 sum_ij M_ij G'_ij;
-# G_ij = sum_b w(b) (d_i f)_b (d_j f)_b with (d_i f)_b = (b_i + 1) c_(b+e_i),
-# so c_a enters (d_i f)_(a-e_i) alone, with factor a_i; norm2' = 2 w(a) c_a,
-# whence
-#
-#   N_a = 8 norm2 sum_i a_i w(a-e_i) sum_j M_ij (d_j f)_(a-e_i) - 4 w(a) c_a P.
-
-
-def _closed_form_gradient(ring: _Ring, coeffs, n: int, d: int):
-    """``(numerators, norm2)`` of the gradient, canonical basis order."""
-    if _root_difference_free([alpha for alpha, _ in coeffs]):
-        return _diagonal_gradient(ring, coeffs, n, d)
-    return _general_gradient(ring, coeffs, n, d)
 
 
 def _root_difference_free(support) -> bool:
@@ -360,48 +334,26 @@ def _root_difference_free(support) -> bool:
     return all(root_pair(a, b) is None for a, b in combinations(support, 2))
 
 
-def _general_gradient(ring: _Ring, coeffs, n: int, d: int):
-    add, mul, scale = ring.add, ring.mul, ring.scale
-    norm2 = _norm2(ring, coeffs)
-    m = _moment_numerators(ring, _inner_products(ring, coeffs, n), norm2, n, d)
-    p = _trace_product(ring, m, n)
-
-    # rows[i][b] = sum_j M_ij (d_j f)_b, accumulated term by term of f
-    rows: list[dict] = [{} for _ in range(n)]
-    for alpha, c in coeffs:
-        for j in range(n):
-            k = alpha[j]
-            if not k:
-                continue
-            beta = alpha[:j] + (k - 1,) + alpha[j + 1:]
-            term = c if k == 1 else scale(c, Fraction(k))
-            for i in range(n):
-                if scalar_is_zero(m[i][j]):
-                    continue
-                value = mul(m[i][j], term)
-                row = rows[i]
-                row[beta] = add(row[beta], value) if beta in row else value
-
-    eight_norm2 = scale(norm2, 8)
-    minus_four_p = scale(p, -4)
+def _gradient_numerators(zero, coeffs, n: int, d: int):
+    """``(numerators, norm2)`` in canonical basis order: entry ``k`` of the
+    gradient is ``numerators[k] / (d^2 norm2^3)``.  The u-form for exact and
+    parametric coefficients without a root difference, jets otherwise."""
+    diagonal = _root_difference_free([alpha for alpha, _ in coeffs])
+    if diagonal and not isinstance(zero, float):
+        return _diagonal_gradient(_plain_ring(zero), coeffs, n, d)
+    # one jet per basis monomial, seeded with the direction of its basis
+    # index; without a root difference the support directions suffice
+    basis = enumerate_monomials(n, d).order
     terms = dict(coeffs)
-    numerators = []
-    for a in enumerate_monomials(n, d).order:
-        s = ring.zero
-        for i in range(n):
-            k = a[i]
-            if not k:
-                continue
-            beta = a[:i] + (k - 1,) + a[i + 1:]
-            value = rows[i].get(beta)
-            if value is not None:
-                s = add(s, scale(value, k * weight(beta)))
-        numer = mul(eight_norm2, s)
-        c = terms.get(a)
-        if c is not None:
-            numer = add(numer, scale(mul(c, minus_four_p), weight(a)))
-        numerators.append(numer)
-    return numerators, norm2
+    one = zero + 1
+    jets = [
+        (alpha, (terms.get(alpha, zero), {k: one}))
+        for k, alpha in enumerate(basis)
+        if not diagonal or alpha in terms
+    ]
+    (p0, p1), (n0, n1) = _trace_parts(_jet_ring(zero), jets, n, d)
+    numerators = [p1.get(k, zero) * n0 - 2 * p0 * n1.get(k, zero) for k in range(len(basis))]
+    return numerators, n0
 
 
 def _diagonal_gradient(ring: _Ring, coeffs, n: int, d: int):
@@ -452,12 +404,10 @@ def _centroid_sums(ring: _Ring, support, u) -> list:
 
 
 # ---------------------------------------------------------------------------
-# forward jets, for float and complex input
+# forward jets
 #
 # A jet is a pair (value, {direction: derivative}); products keep only the
-# first-order part, so the whole trace formula stays polynomial.  Float input
-# keeps this path because the order of summation sets the last bits of a
-# float gradient, and with them the residuals the solver reports.
+# first-order part, so the whole trace formula stays polynomial.
 
 Jet = tuple
 
@@ -504,51 +454,7 @@ def _jet_ring(zero) -> _Ring:
     # a float times a Fraction weight goes through Fraction.__rmul__, which
     # returns float(v) * float(c): converting the weight once gives the same bits
     scale = (lambda a, c: _jscale(a, float(c))) if isinstance(zero, float) else _jscale
-    return _Ring((zero, {}), _jadd, _jmul, scale, _identity)
-
-
-def _complex_ring(base: _Ring) -> _Ring:
-    """Pairs (re, im) over ``base``; conjugation flips the imaginary part."""
-    add, mul, scale = base.add, base.mul, base.scale
-
-    def cmul(a, b):
-        (ar, ai), (br, bi) = a, b
-        return (add(mul(ar, br), scale(mul(ai, bi), -1)), add(mul(ar, bi), mul(ai, br)))
-
-    return _Ring(
-        (base.zero, base.zero),
-        lambda a, b: (add(a[0], b[0]), add(a[1], b[1])),
-        cmul,
-        lambda a, c: (scale(a[0], c), scale(a[1], c)),
-        lambda a: (a[0], scale(a[1], -1)),
-    )
-
-
-def _coefficient_jets(f: SparsePoly, support_only: bool = False):
-    """One jet per basis monomial (or per support monomial), seeded with the
-    direction of its basis index, plus the zero."""
-    basis = enumerate_monomials(f.n, f.d)
-    if f.is_exact():
-        zero = Fraction(0)
-        terms = f.terms
-    else:
-        zero = 0.0
-        terms = {alpha: float(c) for alpha, c in f.terms.items()}
-    one = zero + 1
-    jets = [
-        (alpha, (terms.get(alpha, zero), {k: one}))
-        for k, alpha in enumerate(basis.order)
-        if not support_only or alpha in terms
-    ]
-    return jets, zero
-
-
-def _gradient_values(p: Jet, norm2: Jet, d: int, directions, zero) -> list:
-    (p0, p1), (n0, n1) = p, norm2
-    if scalar_is_zero(n0):
-        raise DegenerateInputError("squared norm vanishes at the evaluation point")
-    denom = d * d * n0 * n0 * n0
-    return [(p1.get(k, zero) * n0 - 2 * p0 * n1.get(k, zero)) / denom for k in directions]
+    return _Ring((zero, {}), _jadd, _jmul, scale)
 
 
 def gradient(f: SparsePoly) -> list:
@@ -558,13 +464,14 @@ def gradient(f: SparsePoly) -> list:
     if f.is_parametric():
         raise TypeError("parametric input: use gradient_symbolic")
     if f.is_exact():
-        ring = _plain_ring(Fraction(0))
-        numerators, norm2 = _closed_form_gradient(ring, list(f.terms.items()), f.n, f.d)
-        denom = f.d * f.d * norm2 * norm2 * norm2
-        return [numer / denom for numer in numerators]
-    jets, zero = _coefficient_jets(f, support_only=_root_difference_free(f.terms))
-    p, norm2 = _trace_parts(_jet_ring(zero), jets, f.n, f.d)
-    return _gradient_values(p, norm2, f.d, range(len(enumerate_monomials(f.n, f.d))), zero)
+        zero, coeffs = Fraction(0), list(f.terms.items())
+    else:
+        zero, coeffs = 0.0, [(alpha, float(c)) for alpha, c in f.terms.items()]
+    numerators, norm2 = _gradient_numerators(zero, coeffs, f.n, f.d)
+    if scalar_is_zero(norm2):
+        raise DegenerateInputError("squared norm vanishes at the evaluation point")
+    denom = f.d * f.d * norm2 * norm2 * norm2
+    return [numer / denom for numer in numerators]
 
 
 def gradient_symbolic(family: SparsePoly) -> tuple[list[ParamPoly], ParamPoly]:
@@ -577,9 +484,8 @@ def gradient_symbolic(family: SparsePoly) -> tuple[list[ParamPoly], ParamPoly]:
     if parameter_symbols(family) == 0:
         raise TypeError("numeric input: use gradient")
     ring, coeffs = _parametric(family)
-    numerators, norm2 = _closed_form_gradient(ring, coeffs, family.n, family.d)
-    denom = norm2 * norm2 * norm2 * (family.d * family.d)
-    return numerators, denom
+    numerators, norm2 = _gradient_numerators(ring.zero, coeffs, family.n, family.d)
+    return numerators, norm2 * norm2 * norm2 * (family.d * family.d)
 
 
 # ---------------------------------------------------------------------------
@@ -611,7 +517,7 @@ def flow_derivative(f: SparsePoly, i: int, j: int) -> Scalar:
         raise TypeError("flow_derivative expects a numeric polynomial")
     if not (1 <= i <= f.n and 1 <= j <= f.n):
         raise ValueError(f"indices ({i}, {j}) out of range 1..{f.n}")
-    norm2 = norm_squared(f)
+    norm2 = inner_product(f, f)
     if i == j:
         # |f_t|^2 = sum_a w_a c_a^2 e^{2 a_i t}: an exact e^t-monomial sum
         gamma: dict[int, Scalar] = {}
@@ -650,27 +556,3 @@ def flow_derivative(f: SparsePoly, i: int, j: int) -> Scalar:
         for k in range(min(2, len(sq))):
             norm_t[k] += w * sq[k]
     return norm_t[1] / norm2
-
-
-# ---------------------------------------------------------------------------
-# complex-coefficient variant: coefficients a + i b, conjugation flips b
-
-
-def complex_gradient_imag_parts(f: SparsePoly) -> list:
-    """Gradient of ``|m|^2`` along the imaginary-part directions, at a real point.
-
-    Each coefficient is modelled as an ordered pair of real symbols; the
-    returned list holds the partial derivatives with respect to the imaginary
-    symbols, evaluated with all of them zero.  These vanish identically for
-    real input (criticality over the complexes reduces to real criticality).
-    """
-    _require_nonzero(f)
-    if f.is_parametric():
-        raise TypeError("complex variant expects a numeric polynomial")
-    jets, zero = _coefficient_jets(f)
-    size = len(jets)
-    # the imaginary symbol of coefficient k is direction size + k
-    cjets = [(alpha, (re, (zero, {size + k: zero + 1}))) for k, (alpha, re) in enumerate(jets)]
-    p, norm2 = _trace_parts(_complex_ring(_jet_ring(zero)), cjets, f.n, f.d)
-    # |m|^2 and the squared norm are real: their real parts carry everything
-    return _gradient_values(p[0], norm2[0], f.d, range(size, 2 * size), zero)

@@ -534,33 +534,6 @@ def poly_add(f: SparsePoly, g: SparsePoly) -> SparsePoly:
     return SparsePoly(f.n, f.d, out)
 
 
-def poly_scale(f: SparsePoly, scalar: Scalar) -> SparsePoly:
-    """Multiply every coefficient by ``scalar``; scaling by 0 gives the zero polynomial."""
-    if scalar_is_zero(scalar):
-        return SparsePoly.zero(f.n, f.d)
-    out = {}
-    for exp, coeff in f.terms.items():
-        c = multiply_scalars(coeff, scalar)
-        if not scalar_is_zero(c):
-            out[exp] = c
-    return SparsePoly(f.n, f.d, out)
-
-
-def partial_derivative(f: SparsePoly, i: int) -> SparsePoly:
-    """Formal partial derivative with respect to variable ``x_i`` (1-based)."""
-    if not 1 <= i <= f.n:
-        raise ValueError(f"variable index {i} out of range 1..{f.n}")
-    k = i - 1
-    out: dict[ExponentVector, Scalar] = {}
-    for exp, coeff in f.terms.items():
-        if exp[k] == 0:
-            continue
-        new = list(exp)
-        new[k] -= 1
-        out[tuple(new)] = multiply_scalars(coeff, Fraction(exp[k]))
-    return SparsePoly(f.n, max(f.d - 1, 0), out)
-
-
 def parameter_symbols(f: SparsePoly) -> int:
     """Number of parameter symbols occurring in ``f`` (0 when numeric)."""
     for c in f.terms.values():

@@ -2,7 +2,7 @@
 
 Monomial basis enumeration in the canonical order, the permutation-invariant
 weights ``w(a) = a_1! ... a_n! / d!``, the unitarily invariant inner product
-built from them, coefficient vectors, and projective normalization.
+built from them, and the root relation between exponents.
 
 Square roots are never materialized: every downstream use of the weighted
 coefficient vector is quadratic, so the inner product folds the weight in
@@ -17,14 +17,11 @@ from math import comb, factorial
 
 from .polyring import (
     ExponentVector,
-    ParamPoly,
-    RationalFunction,
     Scalar,
     SparsePoly,
     canonical_key,
     degree,
     multiply_scalars,
-    scalar_is_zero,
 )
 
 
@@ -106,69 +103,6 @@ def inner_product(f: SparsePoly, g: SparsePoly) -> Scalar:
             continue
         total = total + multiply_scalars(multiply_scalars(c, other), weight(exp))
     return total
-
-
-class CoefficientVector:
-    """Coefficients of a form aligned to the canonical basis order."""
-
-    __slots__ = ("basis", "entries")
-
-    def __init__(self, basis: MonomialBasis, entries: tuple):
-        self.basis = basis
-        self.entries = entries
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.basis, self.entries) == (other.basis, other.entries)
-
-    def __hash__(self):
-        return hash((self.basis, self.entries))
-
-    def __repr__(self):
-        return f"CoefficientVector(basis={self.basis!r}, entries={self.entries!r})"
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
-def coefficient_vector(f: SparsePoly) -> CoefficientVector:
-    """Read off coefficients in canonical basis order, zeros filled in."""
-    basis = enumerate_monomials(f.n, f.d)
-    entries = tuple(f.terms.get(alpha, Fraction(0)) for alpha in basis.order)
-    return CoefficientVector(basis, entries)
-
-
-def _divide(entry, pivot):
-    if isinstance(pivot, ParamPoly):
-        if not isinstance(entry, ParamPoly):
-            entry = ParamPoly.const(pivot.nsyms, entry)
-        return RationalFunction.make(entry, pivot)
-    if isinstance(entry, ParamPoly):
-        return entry * (Fraction(1) / Fraction(pivot))
-    return entry / pivot
-
-
-def projective_normalize(v: CoefficientVector) -> CoefficientVector:
-    """Divide by the first nonzero entry (canonical order); idempotent.
-
-    Parametric vectors get rational-function entries, e.g. the family
-    ``b3*z^3 + x*y*z + b2*y^3 + b1*x^3`` normalizes to
-    ``[1, 0, 0, b2/b1, 0, 1/b1, 0, 0, 0, b3/b1]``.
-    """
-    pivot = None
-    for entry in v.entries:
-        if not scalar_is_zero(entry):
-            pivot = entry
-            break
-    if pivot is None:
-        raise ValueError("cannot projectively normalize the zero vector")
-    if not isinstance(pivot, ParamPoly) and pivot == 1:
-        return v
-    entries = tuple(
-        entry if scalar_is_zero(entry) else _divide(entry, pivot) for entry in v.entries
-    )
-    return CoefficientVector(v.basis, entries)
 
 
 def root_pair(a: ExponentVector, b: ExponentVector) -> tuple[int, int] | None:

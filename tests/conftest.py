@@ -31,3 +31,8 @@ def random_rational_poly(
 
 def random_sparse_poly(rng: random.Random, n: int = 3, d: int = 3) -> SparsePoly:
     return random_rational_poly(rng, n, d, density=0.5)
+
+
+def scale_poly(f: SparsePoly, lam) -> SparsePoly:
+    """``lam * f``; the zero polynomial when ``lam`` is 0."""
+    return SparsePoly(f.n, f.d, {a: c * lam for a, c in f.terms.items() if lam != 0})

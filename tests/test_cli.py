@@ -2,11 +2,14 @@ import contextlib
 import hashlib
 import io
 import json
+import random
 
 import pytest
 
+from conftest import random_rational_poly
 from momentforge import cli, reproduce
 from momentforge.critical import fixed_point_check
+from momentforge.polyring import poly_to_json
 
 # sha256 of the stdout of `critical --n N --d D --terms T... --json`
 CRITICAL_JSON_SHA256 = {
@@ -88,6 +91,56 @@ def test_enumeration_json_bytes_are_stable(command, capsys):
     assert sha256_of(capsys.readouterr().out) == ENUMERATION_JSON_SHA256[command]
 
 
+def symbol(nsyms, k):
+    """The parameter ``b(k+1)`` as a wire-format coefficient."""
+    exp = [int(i == k) for i in range(nsyms)]
+    return {"nsyms": nsyms, "params": [{"exp": exp, "coeff": "1"}]}
+
+
+def cubic(*terms):
+    return {"n": 3, "d": 3, "terms": [{"exp": e, "coeff": c} for e, c in terms]}
+
+
+FERMAT = [([3, 0, 0], "1"), ([0, 3, 0], "1"), ([0, 0, 3], "1")]
+
+# inputs whose supports have a root difference e_i - e_j (x^2*y - x^3 = e_2 - e_1),
+# so the gradient cannot take the u-form; and the sha256 of the stdout of
+# `COMMAND --poly FILE --json`
+ROOT_DIFFERENCE_INPUTS = {
+    # b1*x^2*y + b2*x*y*z + x^3 + y^3 + z^3
+    "grad-parametric-cubic": (
+        "grad",
+        cubic(([2, 1, 0], symbol(2, 0)), ([1, 1, 1], symbol(2, 1)), *FERMAT),
+        "c7fe8958d6768ffcf3feb1445eebd979b556fe47f723aca40132592583c4600d",
+    ),
+    "grad-dense-exact-quartic": (
+        "grad",
+        poly_to_json(random_rational_poly(random.Random(113), 3, 4)),
+        "122cd89de7714b499b80c92fb9d2126ef71a98d64dcfe30e8916ef442023a2a3",
+    ),
+    # x^3 + 0.5*x^2*y + y^3 + z^3
+    "grad-float-cubic": (
+        "grad",
+        cubic(([2, 1, 0], 0.5), *FERMAT),
+        "f1662167e12fbccdc52bdc6ced59d23ae008ad852edef9e43b1dc19eae5458dc",
+    ),
+    "verify-float-cubic": (
+        "verify",
+        cubic(([2, 1, 0], 0.5), *FERMAT),
+        "d6a3fc3b4baceb045be17e9daa2b35f3d66dbdb40d6012a8237b43507b474287",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ROOT_DIFFERENCE_INPUTS))
+def test_root_difference_json_bytes_are_stable(case, tmp_path, capsys):
+    command, body, digest = ROOT_DIFFERENCE_INPUTS[case]
+    path = tmp_path / "poly.json"
+    path.write_text(json.dumps(body))
+    assert cli.main([command, "--poly", str(path), "--json"]) == 0
+    assert sha256_of(capsys.readouterr().out) == digest
+
+
 def write_poly(tmp_path, coeff):
     path = tmp_path / "poly.json"
     path.write_text(json.dumps({"n": 3, "d": 3, "terms": [{"exp": [3, 0, 0], "coeff": coeff}]}))
@@ -150,6 +203,16 @@ def test_emit_points_needs_two_samples(tmp_path, capsys, samples):
     argv = ["emit-points", "--poly", write_poly(tmp_path, 1), "--samples", str(samples)]
     assert cli.main(argv) == cli.USAGE_ERROR
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("box", ["nan", "inf", "-inf", "1e308", "0", "-2"])
+def test_bad_box_is_a_usage_error(tmp_path, capsys, box):
+    # unchecked, nan, inf and 1e308 would print no points, 0 the origin again
+    # and again, and -2 the mirrored grid, each with exit code 0
+    argv = ["emit-points", "--poly", write_poly(tmp_path, 1), "--json", f"--box={box}"]
+    assert cli.main(argv) == cli.USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
 
 
 @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-inf"])

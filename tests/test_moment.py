@@ -3,15 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_rational_poly
+from conftest import random_rational_poly, scale_poly
 from momentforge.critical import solve_family
 from momentforge.diagonal import diagonal_families
 from momentforge.fixtures import CRITICAL_CUBICS, CRITICAL_QUARTICS, critical_fixture_poly, mono
 from momentforge.moment import (
     MomentMatrix,
-    _complex_ring,
-    _general_gradient,
-    _gradient_values,
     _inner_products,
     _jadd,
     _jet_ring,
@@ -24,7 +21,6 @@ from momentforge.moment import (
     _Ring,
     _root_difference_free,
     _trace_parts,
-    complex_gradient_imag_parts,
     flow_derivative,
     gradient,
     gradient_symbolic,
@@ -39,7 +35,6 @@ from momentforge.polyring import (
     DegenerateInputError,
     ParamPoly,
     SparsePoly,
-    poly_scale,
     substitute_params,
 )
 from momentforge.symd import enumerate_monomials, root_pair
@@ -112,8 +107,8 @@ class TestMomentMatrix:
         for _ in range(50):
             f = random_rational_poly(rng, 3, 3, density=0.5)
             lam = Fraction(rng.randint(1, 12), rng.randint(1, 12)) * rng.choice((1, -1))
-            assert moment_matrix(poly_scale(f, lam)).entries == moment_matrix(f).entries
-            assert square_length(poly_scale(f, lam)) == square_length(f)
+            assert moment_matrix(scale_poly(f, lam)).entries == moment_matrix(f).entries
+            assert square_length(scale_poly(f, lam)) == square_length(f)
 
 
 class TestSquareLength:
@@ -280,7 +275,9 @@ def oracle_families(n, d):
 
 
 class TestClosedFormGradient:
-    """The closed form against the forward-jet engine, exactly."""
+    """``gradient`` and ``gradient_symbolic`` against the full-basis jet
+    reference, exactly: the u-form on diagonal supports, the engine's own
+    jets on the others."""
 
     @pytest.mark.parametrize("n, d", ORACLE_SHAPES)
     def test_symbolic_matches_jets(self, n, d):
@@ -299,7 +296,7 @@ class TestClosedFormGradient:
 
     @pytest.mark.parametrize("n, d", ORACLE_SHAPES)
     def test_moment_numerators_are_traceless(self, n, d):
-        # the closed form drops a Tr M term, so Tr M must vanish identically
+        # the u-form rests on M being traceless, so Tr M must vanish identically
         def trace(ring, coeffs):
             norm2 = _norm2(ring, coeffs)
             m = _moment_numerators(ring, _inner_products(ring, coeffs, n), norm2, n, d)
@@ -323,21 +320,16 @@ def diagonal_polys():
     return [fam.poly for n, d, m in DIAGONAL_CASES for fam in diagonal_families(n, d, m)]
 
 
-def general_gradient(ring, coeffs, n, d):
-    """``(numerators, denominator)`` from the closed form for any support."""
-    numerators, norm2 = _general_gradient(ring, coeffs, n, d)
-    return numerators, norm2 * norm2 * norm2 * (d * d)
-
-
 class TestDiagonalSupportGradient:
-    """The root-difference-free fast path against the general forms."""
+    """The u-form on every diagonal family against the full-basis jet
+    reference, which holds for any support."""
 
     def test_symbolic_matches_general_form(self, diagonal_polys):
         assert len(diagonal_polys) == 427
         for family in diagonal_polys:
             ring, coeffs = _parametric(family)
             assert _root_difference_free(family.terms)
-            expected = general_gradient(ring, coeffs, family.n, family.d)
+            expected = jet_gradient(ring.zero, coeffs, family.n, family.d)
             assert gradient_symbolic(family) == expected, family
 
     def test_exact_matches_general_form_at_rational_points(self, diagonal_polys):
@@ -347,10 +339,16 @@ class TestDiagonalSupportGradient:
             values = [Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 5))
                       for _ in range(nsyms)]
             f = substitute_params(family, values)
-            numerators, denom = general_gradient(
-                _plain_ring(Fraction(0)), list(f.terms.items()), f.n, f.d
-            )
+            numerators, denom = jet_gradient(Fraction(0), list(f.terms.items()), f.n, f.d)
             assert gradient(f) == [numer / denom for numer in numerators], f
+
+
+def float_quotients(p, norm2, d, size):
+    """The float gradient from the jets of ``P`` and ``norm2``, in the
+    order of operations of ``gradient``."""
+    (p0, p1), (n0, n1) = p, norm2
+    denom = d * d * n0 * n0 * n0
+    return [(p1.get(k, 0.0) * n0 - 2 * p0 * n1.get(k, 0.0)) / denom for k in range(size)]
 
 
 def all_directions_gradient(f):
@@ -358,7 +356,7 @@ def all_directions_gradient(f):
     basis = enumerate_monomials(f.n, f.d).order
     jets = [(a, (float(f.terms.get(a, 0.0)), {k: 1.0})) for k, a in enumerate(basis)]
     p, norm2 = _trace_parts(_jet_ring(0.0), jets, f.n, f.d)
-    return _gradient_values(p, norm2, f.d, range(len(basis)), 0.0)
+    return float_quotients(p, norm2, f.d, len(basis))
 
 
 def assert_bit_identical(f):
@@ -430,7 +428,7 @@ class TestSupportOnlyJets:
 def fraction_weight_ring():
     """The float jet ring with the weights left as Fractions, so that every
     product goes through ``Fraction.__rmul__``."""
-    return _Ring((0.0, {}), _jadd, _jmul, _jscale, lambda a: a)
+    return _Ring((0.0, {}), _jadd, _jmul, _jscale)
 
 
 class TestFloatWeights:
@@ -450,20 +448,9 @@ class TestFloatWeights:
             basis = enumerate_monomials(f.n, f.d).order
             jets = [(a, (float(f.terms.get(a, 0.0)), {k: 1.0})) for k, a in enumerate(basis)]
             p, norm2 = _trace_parts(fraction_weight_ring(), jets, f.n, f.d)
-            expected = _gradient_values(p, norm2, f.d, range(len(basis)), 0.0)
+            expected = float_quotients(p, norm2, f.d, len(basis))
             assert [g.hex() for g in gradient(f)] == [g.hex() for g in expected], f
             assert [g.hex() for g in all_directions_gradient(f)] == [g.hex() for g in expected], f
-
-    def test_complex_imaginary_parts(self):
-        for f in self.float_polys():
-            jets = [(a, (float(f.terms.get(a, 0.0)), {k: 1.0}))
-                    for k, a in enumerate(enumerate_monomials(f.n, f.d).order)]
-            size = len(jets)
-            cjets = [(a, (re, (0.0, {size + k: 1.0}))) for k, (a, re) in enumerate(jets)]
-            p, norm2 = _trace_parts(_complex_ring(fraction_weight_ring()), cjets, f.n, f.d)
-            expected = _gradient_values(p[0], norm2[0], f.d, range(size, 2 * size), 0.0)
-            actual = complex_gradient_imag_parts(f)
-            assert [g.hex() for g in actual] == [g.hex() for g in expected], f
 
 
 class TestFlowDerivative:
@@ -491,19 +478,3 @@ class TestFlowDerivative:
             flow_derivative(P(x3=1), 0, 1)
         with pytest.raises(DegenerateInputError):
             flow_derivative(SparsePoly.zero(3, 3), 1, 1)
-
-
-class TestComplexGradientImagParts:
-    def test_cubic_examples(self):
-        for f in (P(x3=1, xyz=2), X3Y3):
-            parts = complex_gradient_imag_parts(f)
-            assert len(parts) == 10
-            assert all(p == 0 for p in parts)
-
-    def test_random_quartic_exact_zero(self):
-        rng = random.Random(73)
-        for _ in range(10):
-            f = random_rational_poly(rng, 3, 4, density=0.5)
-            parts = complex_gradient_imag_parts(f)
-            assert len(parts) == 15
-            assert all(p == 0 for p in parts)

@@ -12,10 +12,8 @@ from momentforge.polyring import (
     SparsePoly,
     canonical_key,
     format_poly,
-    partial_derivative,
     poly_add,
     poly_from_json,
-    poly_scale,
     poly_to_json,
     substitute_params,
 )
@@ -63,62 +61,6 @@ class TestSparsePolyValue:
     def test_repr_is_the_printed_form(self):
         f = P(x3=1, xyz=Fraction(-1, 2))
         assert repr(f) == str(f) == format_poly(f)
-
-
-class TestPolyScale:
-    def test_scale(self):
-        assert poly_scale(P(x3=1, y3=1), Fraction(3)) == P(x3=3, y3=3)
-
-    def test_scale_by_zero(self):
-        assert poly_scale(P(x3=1), Fraction(0)).is_zero()
-
-    def test_fractional(self):
-        assert poly_scale(P(xyz=2), Fraction(1, 2)) == P(xyz=1)
-
-
-class TestPartialDerivative:
-    def test_single_power(self):
-        out = partial_derivative(P(x3=1), 1)
-        assert out == SparsePoly.make(3, 2, {(2, 0, 0): Fraction(3)})
-
-    def test_vanishing(self):
-        assert partial_derivative(P(x3=1, y3=1), 3).is_zero()
-
-    def test_mixed(self):
-        out = partial_derivative(P(x2y=1, xyz=1), 2)
-        assert out == SparsePoly.make(3, 2, {(2, 0, 0): Fraction(1), (1, 0, 1): Fraction(1)})
-
-    def test_index_out_of_range(self):
-        with pytest.raises(ValueError):
-            partial_derivative(P(x3=1), 4)
-        with pytest.raises(ValueError):
-            partial_derivative(P(x3=1), 0)
-
-    def test_degree_drops_by_one_on_every_term(self):
-        rng = random.Random(7)
-        for _ in range(25):
-            f = random_rational_poly(rng, 3, 4)
-            for i in (1, 2, 3):
-                g = partial_derivative(f, i)
-                assert all(sum(a) == 3 for a in g.terms)
-
-
-def test_euler_identity():
-    # sum_i x_i df/dx_i = d f, exactly, for random homogeneous polynomials
-    rng = random.Random(11)
-    for d in (3, 4):
-        for _ in range(20):
-            f = random_rational_poly(rng, 3, d)
-            total = SparsePoly.zero(3, d)
-            for i in (1, 2, 3):
-                total = poly_add(total, times_variable(partial_derivative(f, i), i))
-            assert total == poly_scale(f, Fraction(d))
-
-
-def times_variable(f, i):
-    """``x_i * f`` (1-based ``i``)."""
-    terms = {a[: i - 1] + (a[i - 1] + 1,) + a[i:]: c for a, c in f.terms.items()}
-    return SparsePoly(f.n, f.d + 1, terms)
 
 
 class TestParamPoly:
