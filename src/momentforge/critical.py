@@ -67,7 +67,6 @@ from typing import NamedTuple
 from . import univariate as uni
 from .moment import (
     _centroid_sums,
-    _plain_ring,
     _root_difference_free,
     gradient,
     gradient_symbolic,
@@ -113,9 +112,6 @@ class AlgebraicNumber(NamedTuple):
 
     def __str__(self):
         return format(self.approx, ".12g")
-
-
-ParamValue = object  # Fraction | AlgebraicNumber | float (multistart fallback only)
 
 
 def _value_is_zero(v) -> bool:
@@ -481,7 +477,7 @@ def critical_set(family: ParamFamily) -> CriticalSet:
     point = None
     if z is not None:
         point = tuple(c + _dot(a, z) for c, a in rows)
-        if any(_centroid_sums(_plain_ring(Fraction(0)), points, point)):
+        if any(_centroid_sums(Fraction(0), points, point)):
             raise ArithmeticError(f"{family}: the closed-form point is not critical")
     return CriticalSet(family, rank, projection, len(free), square_length, point)
 

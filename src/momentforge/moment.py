@@ -11,12 +11,18 @@ Coefficients are real, so ``H(f)`` and ``m(f)`` are real symmetric.
 One engine builds the trace formula: the Gram matrix of the partial
 derivatives (``_inner_products``), the squared norm (``_norm2``), the
 polynomial moment matrix (``_moment_numerators``) and the trace product
-(``_trace_product``).
-It is generic over a scalar ring, and runs over two:
+(``_trace_product``).  It is written with ``+`` and ``*`` alone, and relies
+on this contract of its coefficient type:
 
-* plain scalars (``Fraction``, float or ``ParamPoly``), for the hermitian,
-  symbolic moment and symbolic square-length matrices;
-* first-order jets over a plain scalar, for the coefficient gradient.
+* every coefficient type supports ``+`` and ``*`` with itself, and ``*``
+  with a rational constant (an ``int`` or a ``Fraction``);
+* the types are the plain scalars (``Fraction``, float or ``ParamPoly``),
+  for the hermitian, symbolic moment and symbolic square-length matrices,
+  and first-order jets over a plain scalar (``_Jet``), for the coefficient
+  gradient;
+* a jet times a rational constant scales the jet, and a float jet converts
+  that constant to float once, which gives the bits of multiplying every
+  part by the ``Fraction``.
 
 The gradient of ``|m|^2`` in every coefficient direction has two engines,
 which share ``_gradient_numerators``.  Both apply the quotient rule once at
@@ -31,7 +37,7 @@ exact and parametric input.
   and the gradient numerator is
   ``N_a = 16 d^2 w(a) c_a (norm2 <a, s> - <s, s>)``
   ``= 16 d^2 w(a) c_a sum_{b,c} <a - b, c> u_b u_c`` on the support and 0
-  off it, in ring operations shared by ``Fraction`` and ``ParamPoly``.  The
+  off it, in operations shared by ``Fraction`` and ``ParamPoly``.  The
   sums (``_centroid_sums``) vanish exactly on the family's real critical
   set, which ``critical.critical_set`` gives in closed form and checks with
   them.
@@ -45,7 +51,7 @@ exact and parametric input.
   support directions only, and the result is bit-identical to jets in every
   basis direction, signed zeros included: a direction off the support
   reaches the trace product only through an off-diagonal ``M_ij``, whose
-  value is structurally 0.0, and ``_jmul`` drops derivative parts
+  value is structurally 0.0, and a jet product drops derivative parts
   multiplied by a zero value; each direction on the support sees the same
   operations in the same order; and the zero-valued jets that are left out
   only ever added 0.0 to sums that are never -0.0.
@@ -56,11 +62,10 @@ one-parameter subgroups independently of the engine.
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .polyring import (
     DegenerateInputError,
@@ -152,33 +157,22 @@ def _require_nonzero(f: SparsePoly):
 # ---------------------------------------------------------------------------
 # the trace-formula engine
 #
-# Coefficients arrive as (exponent, ring element) pairs.  With the
-# polynomial matrix M = 2 G - (2 d^2 / n) norm2 I, where
-# G[i][j] = <d_j f, d_i f>, the moment matrix is M / (d * norm2) and
-# |m|^2 = P / (d^2 * norm2^2) with P = sum_ij M[i][j] M[j][i], so no division
-# happens until a caller assembles its quotient.
+# Coefficients arrive as (exponent, scalar) pairs, and ``zero`` is the
+# scalar every sum starts from.  With the polynomial matrix
+# M = 2 G - (2 d^2 / n) norm2 I, where G[i][j] = <d_j f, d_i f>, the moment
+# matrix is M / (d * norm2) and |m|^2 = P / (d^2 * norm2^2) with
+# P = sum_ij M[i][j] M[j][i], so no division happens until a caller
+# assembles its quotient.
 
 
-class _Ring(NamedTuple):
-    zero: object
-    add: Callable
-    mul: Callable
-    scale: Callable  # element times a rational constant
-
-
-def _plain_ring(zero) -> _Ring:
-    return _Ring(zero, operator.add, operator.mul, operator.mul)
-
-
-def _norm2(ring: _Ring, coeffs):
-    total = ring.zero
+def _norm2(zero, coeffs):
+    total = zero
     for alpha, c in coeffs:
-        total = ring.add(total, ring.scale(ring.mul(c, c), weight(alpha)))
+        total = total + c * c * weight(alpha)
     return total
 
 
-def _inner_products(ring: _Ring, coeffs, n: int) -> list[list]:
-    add, mul, scale = ring.add, ring.mul, ring.scale
+def _inner_products(zero, coeffs, n: int) -> list[list]:
     # derivative polynomials as maps exponent -> coefficient
     derivs: list[dict] = []
     for i in range(n):
@@ -187,7 +181,7 @@ def _inner_products(ring: _Ring, coeffs, n: int) -> list[list]:
             k = alpha[i]
             if k:
                 beta = alpha[:i] + (k - 1,) + alpha[i + 1:]
-                dmap[beta] = c if k == 1 else scale(c, Fraction(k))
+                dmap[beta] = c if k == 1 else c * Fraction(k)
         derivs.append(dmap)
 
     g = [[None] * n for _ in range(n)]
@@ -196,51 +190,51 @@ def _inner_products(ring: _Ring, coeffs, n: int) -> list[list]:
             small, large = derivs[i], derivs[j]
             if len(large) < len(small):
                 small, large = large, small
-            s = ring.zero
+            s = zero
             for beta, c in small.items():
                 other = large.get(beta)
                 if other is not None:
-                    s = add(s, scale(mul(c, other), weight(beta)))
+                    s = s + c * other * weight(beta)
             g[i][j] = g[j][i] = s
     return g
 
 
-def _moment_numerators(ring: _Ring, g, norm2, n: int, d: int) -> list[list]:
-    shifted = ring.scale(norm2, Fraction(-2 * d * d, n))
+def _moment_numerators(g, norm2, n: int, d: int) -> list[list]:
+    shifted = norm2 * Fraction(-2 * d * d, n)
     m = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            entry = ring.scale(g[i][j], 2)
+            entry = g[i][j] * 2
             if i == j:
-                entry = ring.add(entry, shifted)
+                entry = entry + shifted
             m[i][j] = m[j][i] = entry
     return m
 
 
-def _trace_product(ring: _Ring, m, n: int):
-    p = ring.zero
+def _trace_product(zero, m, n: int):
+    p = zero
     for i in range(n):
         for j in range(n):
-            p = ring.add(p, ring.mul(m[i][j], m[j][i]))
+            p = p + m[i][j] * m[j][i]
     return p
 
 
-def _trace_parts(ring: _Ring, coeffs, n: int, d: int):
+def _trace_parts(zero, coeffs, n: int, d: int):
     """``(P, norm2)``: numerator of ``|m|^2`` and the squared norm."""
-    norm2 = _norm2(ring, coeffs)
-    m = _moment_numerators(ring, _inner_products(ring, coeffs, n), norm2, n, d)
-    return _trace_product(ring, m, n), norm2
+    norm2 = _norm2(zero, coeffs)
+    m = _moment_numerators(_inner_products(zero, coeffs, n), norm2, n, d)
+    return _trace_product(zero, m, n), norm2
 
 
-def _parametric(f: SparsePoly) -> tuple[_Ring, list]:
-    """The parameter ring, and every coefficient lifted into it."""
+def _parametric(f: SparsePoly) -> tuple[ParamPoly, list]:
+    """The zero of the parameter ring, and every coefficient lifted into it."""
     nsyms = parameter_symbols(f)
     coeffs = []
     for alpha, c in f.terms.items():
         if isinstance(c, float):
             raise TypeError("cannot mix float coefficients with parameters")
         coeffs.append((alpha, c if isinstance(c, ParamPoly) else ParamPoly.const(nsyms, c)))
-    return _plain_ring(ParamPoly(nsyms)), coeffs
+    return ParamPoly(nsyms), coeffs
 
 
 def hermitian_matrix(f: SparsePoly) -> MomentMatrix:
@@ -248,10 +242,9 @@ def hermitian_matrix(f: SparsePoly) -> MomentMatrix:
     _require_nonzero(f)
     if f.is_parametric():
         raise TypeError("parametric input: use symbolic_moment_matrix")
-    ring = _plain_ring(Fraction(0))
     coeffs = list(f.terms.items())
-    q = _inner_products(ring, coeffs, f.n)
-    scale = _norm2(ring, coeffs) * f.d
+    q = _inner_products(Fraction(0), coeffs, f.n)
+    scale = _norm2(Fraction(0), coeffs) * f.d
     entries = tuple(tuple(q[i][j] / scale for j in range(f.n)) for i in range(f.n))
     return MomentMatrix(f.n, entries)
 
@@ -283,10 +276,10 @@ def square_length(f: SparsePoly) -> Scalar:
 def symbolic_moment_matrix(family: SparsePoly) -> SymbolicMomentMatrix:
     """Moment matrix of a parametric family over one integral denominator."""
     _require_nonzero(family)
-    ring, coeffs = _parametric(family)
-    norm2 = _norm2(ring, coeffs)
-    gram = _inner_products(ring, coeffs, family.n)
-    m = _moment_numerators(ring, gram, norm2, family.n, family.d)
+    zero, coeffs = _parametric(family)
+    norm2 = _norm2(zero, coeffs)
+    gram = _inner_products(zero, coeffs, family.n)
+    m = _moment_numerators(gram, norm2, family.n, family.d)
     denom = norm2 * family.d
 
     lcm = 1
@@ -314,8 +307,8 @@ def square_length_symbolic(family: SparsePoly) -> RationalFunction:
         return RationalFunction.make(
             ParamPoly.const(0, value), ParamPoly.const(0, 1)
         )
-    ring, coeffs = _parametric(family)
-    p, norm2 = _trace_parts(ring, coeffs, family.n, family.d)
+    zero, coeffs = _parametric(family)
+    p, norm2 = _trace_parts(zero, coeffs, family.n, family.d)
     r = norm2 * norm2 * (family.d * family.d)
     return RationalFunction.make(p, r)
 
@@ -340,121 +333,119 @@ def _gradient_numerators(zero, coeffs, n: int, d: int):
     parametric coefficients without a root difference, jets otherwise."""
     diagonal = _root_difference_free([alpha for alpha, _ in coeffs])
     if diagonal and not isinstance(zero, float):
-        return _diagonal_gradient(_plain_ring(zero), coeffs, n, d)
+        return _diagonal_gradient(zero, coeffs, n, d)
     # one jet per basis monomial, seeded with the direction of its basis
     # index; without a root difference the support directions suffice
     basis = enumerate_monomials(n, d).order
     terms = dict(coeffs)
     one = zero + 1
     jets = [
-        (alpha, (terms.get(alpha, zero), {k: one}))
+        (alpha, _Jet(terms.get(alpha, zero), {k: one}))
         for k, alpha in enumerate(basis)
         if not diagonal or alpha in terms
     ]
-    (p0, p1), (n0, n1) = _trace_parts(_jet_ring(zero), jets, n, d)
-    numerators = [p1.get(k, zero) * n0 - 2 * p0 * n1.get(k, zero) for k in range(len(basis))]
-    return numerators, n0
+    p, norm2 = _trace_parts(_Jet(zero, {}), jets, n, d)
+    numerators = [
+        p.parts.get(k, zero) * norm2.value - 2 * p.value * norm2.parts.get(k, zero)
+        for k in range(len(basis))
+    ]
+    return numerators, norm2.value
 
 
-def _diagonal_gradient(ring: _Ring, coeffs, n: int, d: int):
+def _diagonal_gradient(zero, coeffs, n: int, d: int):
     # u_a = w(a) c_a^2, norm2 = sum_a u_a, and on the support
     # N_a = 16 d^2 w(a) c_a sum_{b,c} <a - b, c> u_b u_c, 0 off it
-    add, mul, scale = ring.add, ring.mul, ring.scale
     support = [alpha for alpha, _ in coeffs]
-    u = [scale(mul(c, c), weight(alpha)) for alpha, c in coeffs]
-    norm2 = ring.zero
+    u = [c * c * weight(alpha) for alpha, c in coeffs]
+    norm2 = zero
     for u_b in u:
-        norm2 = add(norm2, u_b)
-    sums = dict(zip(support, _centroid_sums(ring, support, u)))
+        norm2 = norm2 + u_b
+    sums = dict(zip(support, _centroid_sums(zero, support, u)))
 
     terms = dict(coeffs)
     numerators = []
     for a in enumerate_monomials(n, d).order:
         c = terms.get(a)
         if c is None:
-            numerators.append(ring.zero)
+            numerators.append(zero)
         else:
-            numerators.append(mul(scale(c, 16 * d * d * weight(a)), sums[a]))
+            numerators.append(c * (16 * d * d * weight(a)) * sums[a])
     return numerators, norm2
 
 
-def _centroid_sums(ring: _Ring, support, u) -> list:
+def _centroid_sums(zero, support, u) -> list:
     """``sum_{b,c} <a - b, c> u_b u_c = norm2 <a, s> - <s, s>`` for each
     ``a`` of the support, with ``s = sum_b u_b b``: the gradient numerator
     without its factor ``16 d^2 w(a) c_a``, so all vanish exactly at the
     critical points of a support with no root difference."""
-    add, mul, scale = ring.add, ring.mul, ring.scale
     # u_b u_c once per unordered pair, with the integer products <b, c>
     pairs = [
-        (j, k, sum(x * y for x, y in zip(support[j], support[k])), mul(u[j], u[k]))
+        (j, k, sum(x * y for x, y in zip(support[j], support[k])), u[j] * u[k])
         for j in range(len(u))
         for k in range(j, len(u))
     ]
     sums = []
     for a in support:
         a_dot = [sum(x * y for x, y in zip(a, b)) for b in support]
-        inner = ring.zero
+        inner = zero
         for j, k, b_dot_c, product in pairs:
             # the ordered pairs (b, c) and (c, b) together, or (b, b) alone
             coeff = a_dot[j] - b_dot_c if j == k else a_dot[j] + a_dot[k] - 2 * b_dot_c
             if coeff:
-                inner = add(inner, scale(product, coeff))
+                inner = inner + product * coeff
         sums.append(inner)
     return sums
 
 
 # ---------------------------------------------------------------------------
 # forward jets
-#
-# A jet is a pair (value, {direction: derivative}); products keep only the
-# first-order part, so the whole trace formula stays polynomial.
-
-Jet = tuple
 
 
-def _jadd(a: Jet, b: Jet) -> Jet:
-    av, ad = a
-    bv, bd = b
-    if not ad:
-        d = bd
-    elif not bd:
-        d = ad
-    else:
-        d = dict(ad)
-        for k, v in bd.items():
-            if k in d:
-                d[k] = d[k] + v
-            else:
-                d[k] = v
-    return (av + bv, d)
+class _Jet:
+    """A value and its first-order parts ``{direction: derivative}``.
 
+    Products keep only the first-order part, so the whole trace formula
+    stays polynomial.  A jet times a jet follows the product rule; a jet
+    times a rational constant scales value and parts.
+    """
 
-def _jmul(a: Jet, b: Jet) -> Jet:
-    av, ad = a
-    bv, bd = b
-    d: dict = {}
-    if ad and bv != 0:
-        for k, v in ad.items():
-            d[k] = v * bv
-    if bd and av != 0:
-        for k, v in bd.items():
-            if k in d:
-                d[k] = d[k] + av * v
-            else:
-                d[k] = av * v
-    return (av * bv, d)
+    __slots__ = ("value", "parts")
 
+    def __init__(self, value, parts: dict):
+        self.value = value
+        self.parts = parts
 
-def _jscale(a: Jet, c) -> Jet:
-    av, ad = a
-    return (av * c, {k: v * c for k, v in ad.items()})
+    def __add__(self, other: _Jet) -> _Jet:
+        ad, bd = self.parts, other.parts
+        if not ad:
+            parts = bd
+        elif not bd:
+            parts = ad
+        else:
+            parts = dict(ad)
+            for k, v in bd.items():
+                parts[k] = parts[k] + v if k in parts else v
+        return _Jet(self.value + other.value, parts)
 
-
-def _jet_ring(zero) -> _Ring:
-    # a float times a Fraction weight goes through Fraction.__rmul__, which
-    # returns float(v) * float(c): converting the weight once gives the same bits
-    scale = (lambda a, c: _jscale(a, float(c))) if isinstance(zero, float) else _jscale
-    return _Ring((zero, {}), _jadd, _jmul, scale)
+    def __mul__(self, other) -> _Jet:
+        av, ad = self.value, self.parts
+        if not isinstance(other, _Jet):
+            # a float times a Fraction goes through Fraction.__rmul__, which
+            # returns float(v) * float(c): converting the constant once gives
+            # the same bits
+            if isinstance(av, float):
+                other = float(other)
+            return _Jet(av * other, {k: v * other for k, v in ad.items()})
+        bv, bd = other.value, other.parts
+        # parts multiplied by a zero value are dropped, not kept as zeros
+        parts: dict = {}
+        if ad and bv != 0:
+            for k, v in ad.items():
+                parts[k] = v * bv
+        if bd and av != 0:
+            for k, v in bd.items():
+                parts[k] = parts[k] + av * v if k in parts else av * v
+        return _Jet(av * bv, parts)
 
 
 def gradient(f: SparsePoly) -> list:
@@ -483,8 +474,8 @@ def gradient_symbolic(family: SparsePoly) -> tuple[list[ParamPoly], ParamPoly]:
     _require_nonzero(family)
     if parameter_symbols(family) == 0:
         raise TypeError("numeric input: use gradient")
-    ring, coeffs = _parametric(family)
-    numerators, norm2 = _gradient_numerators(ring.zero, coeffs, family.n, family.d)
+    zero, coeffs = _parametric(family)
+    numerators, norm2 = _gradient_numerators(zero, coeffs, family.n, family.d)
     return numerators, norm2 * norm2 * norm2 * (family.d * family.d)
 
 

@@ -44,12 +44,6 @@ def scalar_is_zero(c) -> bool:
     return c == 0
 
 
-def scalar_to_float(c) -> float:
-    if isinstance(c, ParamPoly):
-        raise TypeError("parametric scalar has no float value; substitute first")
-    return float(c)
-
-
 def format_scalar(c) -> str:
     """Exact scalars as 'p/q', floats at 12 significant digits."""
     if isinstance(c, Fraction):
@@ -195,14 +189,6 @@ class ParamPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative power")
-        out = ParamPoly.const(self.nsyms, 1)
-        for _ in range(k):
-            out = out * self
-        return out
-
     def __eq__(self, other):
         if _is_exact(other):
             other = ParamPoly.const(self.nsyms, other)
@@ -328,17 +314,6 @@ class ParamPoly:
 
 
 Scalar = Union[Fraction, float, ParamPoly]
-
-
-def multiply_scalars(a: Scalar, b: Scalar) -> Scalar:
-    """Product with the promotion rules of the scalar tower."""
-    if isinstance(a, ParamPoly) or isinstance(b, ParamPoly):
-        if isinstance(a, float) or isinstance(b, float):
-            raise TypeError("cannot mix parametric and float scalars")
-        return a * b
-    if isinstance(a, float) or isinstance(b, float):
-        return float(a) * float(b)
-    return a * b
 
 
 # ---------------------------------------------------------------------------
@@ -578,7 +553,7 @@ def evaluate_poly(f: SparsePoly, point: Sequence[float]) -> float:
         raise ValueError("point dimension mismatch")
     total = 0.0
     for exp, coeff in f.terms.items():
-        term = scalar_to_float(coeff)
+        term = float(coeff)
         for e, v in zip(exp, point):
             if e:
                 term *= v**e
@@ -590,7 +565,7 @@ def evaluate_poly(f: SparsePoly, point: Sequence[float]) -> float:
 # JSON wire format
 #
 # {"n": int, "d": int, "terms": [{"exp": [..], "coeff": "p/q" | float |
-#  {"params": [{"exp": [..], "coeff": "p/q"}, ...], "nsyms": k}}]}
+#  {"params": [{"exp": [..], "coeff": "p/q"}, ...], "nsyms": k >= 1}}]}
 
 
 def _coeff_to_json(c: Scalar):
@@ -615,6 +590,8 @@ def _coeff_from_json(obj) -> Scalar:
         return Fraction(obj) if isinstance(obj, int) else float(obj)
     if isinstance(obj, dict) and "params" in obj:
         nsyms = int(obj["nsyms"])
+        if nsyms < 1:
+            raise ValueError(f"parametric coefficient needs nsyms >= 1, got {nsyms}")
         terms = {
             tuple(t["exp"]): Fraction(t["coeff"]) for t in obj["params"]
         }

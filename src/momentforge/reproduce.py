@@ -26,10 +26,6 @@ class CheckResult(NamedTuple):
     detail: str = ""
 
 
-def _check(name: str, ok: bool, detail: str = "") -> CheckResult:
-    return CheckResult(name, ok, detail)
-
-
 # ---------------------------------------------------------------------------
 # cubic checks
 
@@ -40,7 +36,7 @@ def check_bases() -> CheckResult:
     want2 = [mono(s) for s in fixtures.M2_BASIS]
     want3 = [mono(s) for s in fixtures.M3_BASIS]
     ok = got2 == want2 and got3 == want3
-    return _check("monomial bases M(2), M(3)", ok)
+    return CheckResult("monomial bases M(2), M(3)", ok)
 
 
 def check_orbit_tables() -> CheckResult:
@@ -50,13 +46,13 @@ def check_orbit_tables() -> CheckResult:
         want = [support(*names) for names in table]
         if got != want:
             details.append(f"m={m}")
-    return _check("cubic orbit representatives T1/T2/T3", not details, ", ".join(details))
+    return CheckResult("cubic orbit representatives T1/T2/T3", not details, ", ".join(details))
 
 
 def check_cubic_moment_example() -> CheckResult:
     m = moment_matrix(fixtures.cubic_x3_plus_y3())
     ok = m.is_diagonal() and m.diagonal() == fixtures.X3Y3_MOMENT_DIAGONAL
-    return _check("moment matrix of x^3 + y^3", ok)
+    return CheckResult("moment matrix of x^3 + y^3", ok)
 
 
 def check_cubic_diagonal_families() -> CheckResult:
@@ -65,7 +61,7 @@ def check_cubic_diagonal_families() -> CheckResult:
         got.extend(fam.support for fam in diagonal_families(3, 3, m))
     want = [support(*names) for names in fixtures.DIAGONAL_CUBIC]
     ok = got == want
-    return _check(
+    return CheckResult(
         "cubic diagonal families (11)",
         ok,
         f"got {len(got)}",
@@ -78,7 +74,7 @@ def check_cubic_monomial_criticality() -> CheckResult:
         for alpha in enumerate_monomials(3, 3).order
         if verify_critical(SparsePoly.monomial(3, alpha)) != 0.0
     ]
-    return _check("all 10 cubic monomials critical", not bad, str(bad) if bad else "")
+    return CheckResult("all 10 cubic monomials critical", not bad, str(bad) if bad else "")
 
 
 def cubic_solver_results():
@@ -101,15 +97,13 @@ def _missing_targets(produced: list[SparsePoly], targets) -> list[int]:
     return missing
 
 
-def check_cubic_critical_set(results=None) -> CheckResult:
-    if results is None:
-        results = cubic_solver_results()
-    produced = [sol.polynomial() for _, sols in results for sol in sols]
+def check_cubic_critical_set() -> CheckResult:
+    produced = [sol.polynomial() for _, sols in cubic_solver_results() for sol in sols]
     missing = _missing_targets(
         produced,
         [(k + 1, critical_fixture_poly(entry)) for k, entry in enumerate(fixtures.CRITICAL_CUBICS)],
     )
-    return _check(
+    return CheckResult(
         "six published critical cubics recovered",
         not missing,
         f"missing entries {missing}" if missing else f"{len(produced)} solutions",
@@ -123,13 +117,13 @@ def check_cubic_critical_set(results=None) -> CheckResult:
 def check_quartic_orbit_pairs() -> CheckResult:
     got = [rep.support for rep in orbit_classes(3, 4, 2)]
     want = [support(*names) for names in fixtures.T2_QUARTIC]
-    return _check("quartic two-term representatives (22)", got == want, f"got {len(got)}")
+    return CheckResult("quartic two-term representatives (22)", got == want, f"got {len(got)}")
 
 
 def check_quartic_diagonal_families() -> CheckResult:
     got = [fam.support for fam in diagonal_families(3, 4, 3)]
     want = [support(*names) for names in fixtures.DIAGONAL_QUARTIC_3TERM]
-    return _check("quartic three-term diagonal families (31)", got == want, f"got {len(got)}")
+    return CheckResult("quartic three-term diagonal families (31)", got == want, f"got {len(got)}")
 
 
 def check_quartic_symbolic_matrix() -> CheckResult:
@@ -157,7 +151,7 @@ def check_quartic_symbolic_matrix() -> CheckResult:
     for (i, j), entries in fixtures.QUARTIC_R_ENTRIES.items():
         if sym.numerators[i][j] != expand(entries):
             bad.append(f"entry ({i + 1},{j + 1})")
-    return _check("symbolic quartic moment matrix", not bad, ", ".join(bad))
+    return CheckResult("symbolic quartic moment matrix", not bad, ", ".join(bad))
 
 
 def check_quartic_monomial_criticality() -> CheckResult:
@@ -166,10 +160,10 @@ def check_quartic_monomial_criticality() -> CheckResult:
         for alpha in enumerate_monomials(3, 4).order
         if verify_critical(SparsePoly.monomial(3, alpha)) != 0.0
     ]
-    return _check("all 15 quartic monomials critical", not bad, str(bad) if bad else "")
+    return CheckResult("all 15 quartic monomials critical", not bad, str(bad) if bad else "")
 
 
-def check_quartic_list_verifies(tol: float = 1e-9) -> CheckResult:
+def check_quartic_list_verifies() -> CheckResult:
     worst = 0.0
     bad = []
     residuals = [
@@ -177,10 +171,10 @@ def check_quartic_list_verifies(tol: float = 1e-9) -> CheckResult:
     ]
     for k, res in enumerate(residuals):
         worst = max(worst, res)
-        if res > tol:
+        if res > critical.RESIDUAL_TOL:
             bad.append(k + 1)
-    return _check(
-        f"published critical quartics verify (residual <= {tol:g})",
+    return CheckResult(
+        f"published critical quartics verify (residual <= {critical.RESIDUAL_TOL:g})",
         not bad,
         f"worst residual {worst:.3g}" + (f", failing {bad}" if bad else ""),
     )
@@ -193,10 +187,8 @@ def quartic_solver_results():
     return [(family, solve_family(family)) for family in families]
 
 
-def check_quartic_rational_rediscovery(results=None) -> CheckResult:
-    if results is None:
-        results = quartic_solver_results()
-    produced = [sol.polynomial() for _, sols in results for sol in sols]
+def check_quartic_rational_rediscovery() -> CheckResult:
+    produced = [sol.polynomial() for _, sols in quartic_solver_results() for sol in sols]
     missing = _missing_targets(
         produced,
         [
@@ -206,7 +198,7 @@ def check_quartic_rational_rediscovery(results=None) -> CheckResult:
             if all(r == 1 for _, r, _ in entry)
         ],
     )
-    return _check(
+    return CheckResult(
         "rational critical quartics rediscovered by the solver",
         not missing,
         f"missing entries {missing}" if missing else f"{len(produced)} solutions",

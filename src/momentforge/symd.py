@@ -21,7 +21,6 @@ from .polyring import (
     SparsePoly,
     canonical_key,
     degree,
-    multiply_scalars,
 )
 
 
@@ -101,7 +100,7 @@ def inner_product(f: SparsePoly, g: SparsePoly) -> Scalar:
         other = large.terms.get(exp)
         if other is None:
             continue
-        total = total + multiply_scalars(multiply_scalars(c, other), weight(exp))
+        total = total + c * other * weight(exp)
     return total
 
 

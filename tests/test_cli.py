@@ -18,6 +18,8 @@ CRITICAL_JSON_SHA256 = {
     (3, 5, "3"): "2b49956bcbd12e3fa7f4554456afdb55f956c406bf62305cf2c7d81d85d9fa35",
     (4, 3, "3"): "034255ff756c961754bce0d0223ff7501f7a127e1fbac89e2d13ac8049a1a778",
     (3, 3, "4"): "f0557ef60cd3c8ce7f1a8d0f08677971b55ba87bb52519ccc632784afb0040ee",
+    (3, 4, "4"): "c95af68671aef514301ea2e961c8e8723f0fe049529c16797bb731a527374e5e",
+    (4, 3, "4"): "ab40ca209172d8e0aeb745ab6486bb9687ccb1603a856b9d332bad755188e29f",
 }
 
 # sha256 of the stdout of the orbit enumeration and the diagonal filter
@@ -78,10 +80,17 @@ def test_critical_json_bytes_are_stable_three_unknowns(critical_runs):
     check_critical_json(critical_runs, 3, 3, "4")
 
 
+# all four-term families of the production shapes: 3 float points of (3, 4)
+# and 22 of (4, 3), whose residuals come from the float gradient jets
+@pytest.mark.parametrize("n, d", [(3, 4), (4, 3)])
+def test_critical_json_bytes_are_stable_four_terms(n, d, critical_runs):
+    check_critical_json(critical_runs, n, d, "4")
+
+
 def test_every_solver_output_is_a_fixed_point(critical_runs):
     # independent certificate: exp(m(f)) fixes each output projectively
     outputs = [sol for _, solutions in critical_runs.values() for sol in solutions]
-    assert len(outputs) == 201
+    assert len(outputs) == 232
     assert [str(sol) for sol in outputs if not fixed_point_check(sol.polynomial())] == []
 
 
@@ -179,6 +188,20 @@ def test_unusable_parametric_input_is_a_usage_error(tmp_path, capsys, command, f
     path.write_text(json.dumps({"n": 3, "d": 3, "terms": terms}))
     assert cli.main([command, "--poly", str(path)]) == cli.USAGE_ERROR
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["moment", "sqlength", "grad"])
+@pytest.mark.parametrize("nsyms", [0, -1])
+def test_parametric_coefficient_without_symbols_is_a_usage_error(tmp_path, capsys, command, nsyms):
+    # nsyms 0 used to pass as parametric: moment printed a matrix, and
+    # sqlength and grad raised TypeError
+    coeff = {"nsyms": nsyms, "params": [{"exp": [0] * max(nsyms, 0), "coeff": "2"}]}
+    path = tmp_path / "poly.json"
+    terms = [{"exp": [3, 0, 0], "coeff": coeff}, {"exp": [0, 3, 0], "coeff": "1"}]
+    path.write_text(json.dumps({"n": 3, "d": 3, "terms": terms}))
+    assert cli.main([command, "--poly", str(path)]) == cli.USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
 
 
 @pytest.mark.parametrize(

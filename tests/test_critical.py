@@ -268,7 +268,8 @@ def test_slow_convergence_at_a_triple_root():
     # near the triple roots b1 = ±sqrt(2) steps shrink only linearly and end in
     # rounding noise, leaving many distinct float points after the clustering
     b1, b2 = ParamPoly.symbol(2, 0), ParamPoly.symbol(2, 1)
-    assert len(same_candidates([(b1 * b1 - 2) ** 3, (b2 - b1) * (b2 + 1)], 2)) == 9
+    q = b1 * b1 - 2
+    assert len(same_candidates([q * q * q, (b2 - b1) * (b2 + 1)], 2)) == 9
 
 
 @pytest.mark.parametrize("case", [None] + NEWTON_FAMILIES, ids=lambda c: "hesse" if c is None else c[3])
@@ -306,7 +307,7 @@ def test_float_expression_matches_subs():
     rng = random.Random(5)
     b1 = ParamPoly.symbol(2, 0)
     b2 = ParamPoly.symbol(2, 1)
-    p = b1**3 * 2 - b2 * b1 * 5 + 9 + b2**4 * Fraction(-1, 3)
+    p = b1 * b1 * b1 * 2 - b2 * b1 * 5 + 9 + b2 * b2 * b2 * b2 * Fraction(-1, 3)
     expr = critical._float_expression(p)
     for _ in range(10):
         point = [rng.uniform(-2, 2), rng.uniform(-2, 2)]

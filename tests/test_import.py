@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import momentforge
+from momentforge import critical, diagonal, reproduce, univariate
 
 # modules already loaded at start-up (``site`` may import many) are left out
 PROBE = """
@@ -55,3 +56,29 @@ def test_every_export_has_a_caller_or_a_reason():
                     used.add(node.attr)
     assert sorted(exported - used - UNCALLED_EXPORTS.keys()) == []
     assert sorted(UNCALLED_EXPORTS.keys() - exported) == []
+
+
+BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def test_every_name_the_benchmark_binds_exists(monkeypatch):
+    # the benchmark replaces these bindings while tracing and reads these
+    # attributes; a deleted name would otherwise surface only in its own
+    # slow test job
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leaves perfbench/ as it is
+    monkeypatch.syspath_prepend(str(BENCH))
+    import spans
+    import workloads
+
+    assert [f"{module.__name__}.{attr}" for module, attr, _ in spans.BINDINGS
+            if not hasattr(module, attr)] == []
+    modules = {"critical": critical, "diagonal": diagonal, "reproduce": reproduce,
+               "univariate": univariate}
+    read = {(node.value.id, node.attr)
+            for source in (spans, workloads)
+            for node in ast.walk(ast.parse(Path(source.__file__).read_text()))
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in modules}
+    assert ("critical", "AlgebraicNumber") in read
+    assert sorted(f"{name}.{attr}" for name, attr in read
+                  if not hasattr(modules[name], attr)) == []

@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction
+from math import factorial, prod
 
 import pytest
+import sympy
 
 from conftest import random_rational_poly, scale_poly
 from momentforge.critical import solve_family
@@ -10,15 +12,10 @@ from momentforge.fixtures import CRITICAL_CUBICS, CRITICAL_QUARTICS, critical_fi
 from momentforge.moment import (
     MomentMatrix,
     _inner_products,
-    _jadd,
-    _jet_ring,
-    _jmul,
-    _jscale,
+    _Jet,
     _moment_numerators,
     _norm2,
     _parametric,
-    _plain_ring,
-    _Ring,
     _root_difference_free,
     _trace_parts,
     flow_derivative,
@@ -35,6 +32,7 @@ from momentforge.polyring import (
     DegenerateInputError,
     ParamPoly,
     SparsePoly,
+    parameter_symbols,
     substitute_params,
 )
 from momentforge.symd import enumerate_monomials, root_pair
@@ -256,8 +254,9 @@ def jet_gradient(zero, coeffs, n, d):
     """Reference: forward jets in every basis direction, quotient rule once."""
     basis = enumerate_monomials(n, d).order
     terms = dict(coeffs)
-    jets = [(a, (terms.get(a, zero), {k: zero + 1})) for k, a in enumerate(basis)]
-    (p0, p1), (n0, n1) = _trace_parts(_jet_ring(zero), jets, n, d)
+    jets = [(a, _Jet(terms.get(a, zero), {k: zero + 1})) for k, a in enumerate(basis)]
+    p, norm2 = _trace_parts(_Jet(zero, {}), jets, n, d)
+    (p0, p1), (n0, n1) = (p.value, p.parts), (norm2.value, norm2.parts)
     numerators = [p1.get(k, zero) * n0 - 2 * p0 * n1.get(k, zero) for k in range(len(basis))]
     return numerators, n0 * n0 * n0 * (d * d)
 
@@ -282,8 +281,8 @@ class TestClosedFormGradient:
     @pytest.mark.parametrize("n, d", ORACLE_SHAPES)
     def test_symbolic_matches_jets(self, n, d):
         for family in oracle_families(n, d):
-            ring, coeffs = _parametric(family)
-            assert gradient_symbolic(family) == jet_gradient(ring.zero, coeffs, n, d)
+            zero, coeffs = _parametric(family)
+            assert gradient_symbolic(family) == jet_gradient(zero, coeffs, n, d)
 
     @pytest.mark.parametrize("n, d", ORACLE_SHAPES)
     def test_exact_matches_jets(self, n, d):
@@ -297,17 +296,85 @@ class TestClosedFormGradient:
     @pytest.mark.parametrize("n, d", ORACLE_SHAPES)
     def test_moment_numerators_are_traceless(self, n, d):
         # the u-form rests on M being traceless, so Tr M must vanish identically
-        def trace(ring, coeffs):
-            norm2 = _norm2(ring, coeffs)
-            m = _moment_numerators(ring, _inner_products(ring, coeffs, n), norm2, n, d)
-            return sum((m[i][i] for i in range(n)), ring.zero)
+        def trace(zero, coeffs):
+            norm2 = _norm2(zero, coeffs)
+            m = _moment_numerators(_inner_products(zero, coeffs, n), norm2, n, d)
+            return sum((m[i][i] for i in range(n)), zero)
 
         for family in oracle_families(n, d):
             assert trace(*_parametric(family)).is_zero()
         rng = random.Random(7 * n + d)
         for _ in range(5):
             f = random_rational_poly(rng, n, d, density=0.5)
-            assert trace(_plain_ring(Fraction(0)), list(f.terms.items())) == 0
+            assert trace(Fraction(0), list(f.terms.items())) == 0
+
+
+def to_sympy(c, symbols):
+    """A ``Fraction`` or ``ParamPoly`` as a sympy expression in ``symbols``."""
+    if not isinstance(c, ParamPoly):
+        return sympy.Rational(c.numerator, c.denominator)
+    return sum((to_sympy(v, symbols) * prod(b**e for b, e in zip(symbols, exp))
+                for exp, v in c.terms.items()), sympy.Integer(0))
+
+
+def sympy_gradient(family, symbols):
+    """Every ``d |m|^2 / d c_a`` of a family, built in sympy from the
+    definitions alone: ``H_ij = <d_j f, d_i f> / (d |f|^2)`` with
+    ``|x^a|^2 = a_1! ... a_n! / deg!``, ``m = 2 (H - (d/n) I)`` and
+    ``|m|^2 = tr(m^2)``, differentiated in one symbol per basis coefficient
+    and then evaluated at the family's coefficients."""
+    n, d = family.n, family.d
+    basis = enumerate_monomials(n, d).order
+    xs = sympy.symbols(f"x1:{n + 1}")
+    cs = sympy.symbols(f"c1:{len(basis) + 1}")
+    f = sum(c * prod(x**e for x, e in zip(xs, a)) for c, a in zip(cs, basis))
+
+    def inner(p, q, deg):
+        p, q = sympy.Poly(p, *xs), sympy.Poly(q, *xs)
+        return sum(coeff * q.coeff_monomial(mono) * sympy.Rational(prod(map(factorial, mono)),
+                                                                  factorial(deg))
+                   for mono, coeff in p.terms())
+
+    norm2 = inner(f, f, d)
+    partials = [sympy.diff(f, x) for x in xs]
+    m = [[2 * inner(partials[j], partials[i], d - 1) / (d * norm2)
+          - (2 * sympy.Rational(d, n) if i == j else 0) for j in range(n)] for i in range(n)]
+    square = sum(m[i][j] * m[j][i] for i in range(n) for j in range(n))
+    at = {c: to_sympy(family.terms[a], symbols) if a in family.terms else 0
+          for c, a in zip(cs, basis)}
+    return [sympy.diff(square, c).subs(at) for c in cs]
+
+
+def sympy_oracle_families():
+    # the cubic of the `grad` byte gate, and two families with a root
+    # difference from each of three shapes
+    b1, b2 = ParamPoly.symbol(2, 0), ParamPoly.symbol(2, 1)
+    yield SparsePoly.make(3, 3, {mono("x2y"): b1, mono("xyz"): b2,
+                                 mono("x3"): 1, mono("y3"): 1, mono("z3"): 1})
+    for n, d in ((2, 3), (3, 3), (3, 4)):
+        families = [f for f in oracle_families(n, d) if not _root_difference_free(f.terms)]
+        yield from families[:2]
+
+
+class TestSympyOracle:
+    """``gradient_symbolic`` and ``gradient`` on supports with a root
+    difference against a sympy derivation that shares no code with the
+    trace-formula engine."""
+
+    @pytest.mark.parametrize("family", list(sympy_oracle_families()), ids=str)
+    def test_gradient_matches_definition(self, family):
+        symbols = sympy.symbols(f"b1:{parameter_symbols(family) + 1}")
+        expected = sympy_gradient(family, symbols)
+        numerators, denominator = gradient_symbolic(family)
+        denominator = to_sympy(denominator, symbols)
+        assert len(numerators) == len(expected)
+        for numer, want in zip(numerators, expected):
+            assert sympy.cancel(want - to_sympy(numer, symbols) / denominator) == 0
+
+        values = [Fraction(3, 2), Fraction(-2, 5), Fraction(7, 3)][:len(symbols)]
+        point = dict(zip(symbols, (sympy.Rational(v.numerator, v.denominator) for v in values)))
+        got = gradient(substitute_params(family, values))
+        assert [to_sympy(g, symbols) for g in got] == [want.subs(point) for want in expected]
 
 
 # every identically diagonal family of these shapes and term counts
@@ -327,9 +394,9 @@ class TestDiagonalSupportGradient:
     def test_symbolic_matches_general_form(self, diagonal_polys):
         assert len(diagonal_polys) == 427
         for family in diagonal_polys:
-            ring, coeffs = _parametric(family)
+            zero, coeffs = _parametric(family)
             assert _root_difference_free(family.terms)
-            expected = jet_gradient(ring.zero, coeffs, family.n, family.d)
+            expected = jet_gradient(zero, coeffs, family.n, family.d)
             assert gradient_symbolic(family) == expected, family
 
     def test_exact_matches_general_form_at_rational_points(self, diagonal_polys):
@@ -346,7 +413,7 @@ class TestDiagonalSupportGradient:
 def float_quotients(p, norm2, d, size):
     """The float gradient from the jets of ``P`` and ``norm2``, in the
     order of operations of ``gradient``."""
-    (p0, p1), (n0, n1) = p, norm2
+    (p0, p1), (n0, n1) = (p.value, p.parts), (norm2.value, norm2.parts)
     denom = d * d * n0 * n0 * n0
     return [(p1.get(k, 0.0) * n0 - 2 * p0 * n1.get(k, 0.0)) / denom for k in range(size)]
 
@@ -354,8 +421,8 @@ def float_quotients(p, norm2, d, size):
 def all_directions_gradient(f):
     """Float reference: jets in every basis direction through the engine."""
     basis = enumerate_monomials(f.n, f.d).order
-    jets = [(a, (float(f.terms.get(a, 0.0)), {k: 1.0})) for k, a in enumerate(basis)]
-    p, norm2 = _trace_parts(_jet_ring(0.0), jets, f.n, f.d)
+    jets = [(a, _Jet(float(f.terms.get(a, 0.0)), {k: 1.0})) for k, a in enumerate(basis)]
+    p, norm2 = _trace_parts(_Jet(0.0, {}), jets, f.n, f.d)
     return float_quotients(p, norm2, f.d, len(basis))
 
 
@@ -425,10 +492,22 @@ class TestSupportOnlyJets:
         assert_bit_identical(f)
 
 
-def fraction_weight_ring():
-    """The float jet ring with the weights left as Fractions, so that every
-    product goes through ``Fraction.__rmul__``."""
-    return _Ring((0.0, {}), _jadd, _jmul, _jscale)
+class FractionWeightJet(_Jet):
+    """A float jet that multiplies by rational constants as they are, so that
+    every such product goes through ``Fraction.__rmul__``; sums and jet
+    products are those of ``_Jet``."""
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        jet = _Jet.__add__(self, other)
+        return FractionWeightJet(jet.value, jet.parts)
+
+    def __mul__(self, other):
+        if isinstance(other, _Jet):
+            jet = _Jet.__mul__(self, other)
+            return FractionWeightJet(jet.value, jet.parts)
+        return FractionWeightJet(self.value * other, {k: v * other for k, v in self.parts.items()})
 
 
 class TestFloatWeights:
@@ -446,8 +525,9 @@ class TestFloatWeights:
     def test_gradient(self):
         for f in self.float_polys():
             basis = enumerate_monomials(f.n, f.d).order
-            jets = [(a, (float(f.terms.get(a, 0.0)), {k: 1.0})) for k, a in enumerate(basis)]
-            p, norm2 = _trace_parts(fraction_weight_ring(), jets, f.n, f.d)
+            jets = [(a, FractionWeightJet(float(f.terms.get(a, 0.0)), {k: 1.0}))
+                    for k, a in enumerate(basis)]
+            p, norm2 = _trace_parts(FractionWeightJet(0.0, {}), jets, f.n, f.d)
             expected = float_quotients(p, norm2, f.d, len(basis))
             assert [g.hex() for g in gradient(f)] == [g.hex() for g in expected], f
             assert [g.hex() for g in all_directions_gradient(f)] == [g.hex() for g in expected], f

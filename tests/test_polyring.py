@@ -144,13 +144,13 @@ class TestSubstituteParams:
 class TestRationalFunction:
     def test_monomial_and_content_reduction(self):
         b = ParamPoly.symbol(1, 0)
-        rf = RationalFunction.make(b**4 * 216, b**4 * 9)
+        rf = RationalFunction.make(b * b * b * b * 216, b * b * b * b * 9)
         assert rf.numer == ParamPoly.const(1, 24)
         assert rf.denom == ParamPoly.const(1, 1)
 
     def test_cross_multiplied_equality(self):
         b = ParamPoly.symbol(1, 0)
-        assert RationalFunction.make(b * 2, b**2 * 4) == RationalFunction.make(
+        assert RationalFunction.make(b * 2, b * b * 4) == RationalFunction.make(
             ParamPoly.const(1, 1), b * 2
         )
 
