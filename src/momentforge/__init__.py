@@ -27,7 +27,6 @@ from .moment import (
     symbolic_moment_matrix,
 )
 from .orbits import (
-    OrbitRepresentative,
     ParamFamily,
     build_family,
     canonical_representative,
@@ -39,7 +38,6 @@ from .polyring import (
     DegenerateInputError,
     ExponentVector,
     ParamPoly,
-    RationalFunction,
     SparsePoly,
     poly_add,
     poly_from_json,
@@ -47,7 +45,6 @@ from .polyring import (
     substitute_params,
 )
 from .symd import (
-    MonomialBasis,
     enumerate_monomials,
     inner_product,
     weight,

@@ -29,7 +29,9 @@ from .orbits import orbit_classes, uses_all_variables
 from .polyring import (
     DegenerateInputError,
     SparsePoly,
+    canonical_key,
     evaluate_poly,
+    format_monomial,
     format_scalar,
     poly_from_json,
     poly_to_json,
@@ -50,6 +52,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fmt_float(v: float) -> float:
+    """``v`` rounded to 12 significant digits.  Every float the commands print
+    passes through here, so a result that overflowed to inf or nan stops the
+    command before it prints anything."""
+    if not math.isfinite(v):
+        raise ValueError(f"the result is {v}: the input overflows floating point")
     return float(format(v, ".12g"))
 
 
@@ -88,11 +95,9 @@ def _print_matrix(rows) -> None:
 def _cmd_monomials(args) -> int:
     basis = enumerate_monomials(args.n, args.d)
     if args.json:
-        _dump_json([list(a) for a in basis.order])
+        _dump_json([list(a) for a in basis])
     else:
-        from .polyring import format_monomial
-
-        print(" ".join(format_monomial(args.n, a) for a in basis.order))
+        print(" ".join(format_monomial(args.n, a) for a in basis))
     return 0
 
 
@@ -123,7 +128,8 @@ def _cmd_moment(args) -> int:
 def _cmd_sqlength(args) -> int:
     f = _load_poly(args.poly)
     if f.is_parametric():
-        value = str(square_length_symbolic(f))
+        numer, denom = square_length_symbolic(f)
+        value = str(numer) if denom == 1 else f"({numer}) / ({denom})"
     else:
         value = _scalar_out(square_length(f), args.float)
     if args.json:
@@ -157,13 +163,11 @@ def _cmd_grad(args) -> int:
 def _cmd_orbits(args) -> int:
     reps = orbit_classes(args.n, args.d, args.terms)
     if args.all_vars:
-        reps = [r for r in reps if uses_all_variables(r.support)]
-    supports = [sorted(r.support, key=lambda a: tuple(reversed(a[1:]))) for r in reps]
+        reps = [r for r in reps if uses_all_variables(r)]
+    supports = [sorted(r, key=canonical_key) for r in reps]
     if args.json:
         _dump_json([[list(a) for a in s] for s in supports])
     else:
-        from .polyring import format_monomial
-
         for s in supports:
             print(" + ".join(format_monomial(args.n, a) for a in reversed(s)))
     return 0
@@ -261,7 +265,7 @@ def _cmd_verify(args) -> int:
     if args.json:
         _dump_json({"critical": residual <= args.tol, "residual": _fmt_float(residual)})
     else:
-        print(format(residual, ".12g"))
+        print(format(_fmt_float(residual), ".12g"))
     return 0
 
 

@@ -72,7 +72,7 @@ from .moment import (
     gradient_symbolic,
     moment_matrix,
 )
-from .orbits import ParamFamily, permute
+from .orbits import ParamFamily, permute, support_order_key
 from .polyring import (
     DegenerateInputError,
     ExponentVector,
@@ -354,8 +354,6 @@ def polys_close(f: SparsePoly, g: SparsePoly, tol: float = RESIDUAL_TOL) -> bool
 
 def orbit_torus_canonical(f: SparsePoly) -> SparsePoly:
     """Canonical form modulo coordinate permutation plus rescaling."""
-    from .orbits import support_order_key
-
     best = None
     for sigma in permutations(range(f.n)):
         cand = torus_canonical(permute(sigma, f))

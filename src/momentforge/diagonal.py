@@ -48,9 +48,9 @@ def diagonal_verdicts(n: int, d: int, m: int) -> list[DiagonalVerdict]:
     if m < 2:
         raise ValueError("parametric families need at least two terms")
     return [
-        is_identically_diagonal(build_family(rep.support))
-        for rep in orbit_classes(n, d, m)
-        if uses_all_variables(rep.support)
+        is_identically_diagonal(build_family(support))
+        for support in orbit_classes(n, d, m)
+        if uses_all_variables(support)
     ]
 
 

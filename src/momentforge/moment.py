@@ -70,7 +70,6 @@ from typing import NamedTuple
 from .polyring import (
     DegenerateInputError,
     ParamPoly,
-    RationalFunction,
     Scalar,
     SparsePoly,
     parameter_symbols,
@@ -81,7 +80,6 @@ from .symd import enumerate_monomials, inner_product, root_pair, weight
 __all__ = [
     "MomentMatrix",
     "SymbolicMomentMatrix",
-    "RationalFunction",
     "hermitian_matrix",
     "moment_matrix",
     "square_length",
@@ -112,10 +110,6 @@ class MomentMatrix:
 
     def __repr__(self):
         return f"MomentMatrix(n={self.n!r}, entries={self.entries!r})"
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
 
     def trace(self) -> Scalar:
         t = self.entries[0][0]
@@ -299,18 +293,27 @@ def symbolic_moment_matrix(family: SparsePoly) -> SymbolicMomentMatrix:
     )
 
 
-def square_length_symbolic(family: SparsePoly) -> RationalFunction:
-    """``|m|^2`` of a parametric family as an exact rational function."""
+def square_length_symbolic(family: SparsePoly) -> tuple[ParamPoly, ParamPoly]:
+    """``|m|^2`` of a parametric family as ``(numerator, denominator)``.
+
+    The pair is in normal form: the largest parameter monomial dividing both
+    is cancelled, and both are divided by the denominator's content, which
+    leaves the denominator's leading term positive.  A zero numerator comes
+    with the denominator 1.
+    """
     _require_nonzero(family)
     if parameter_symbols(family) == 0:
-        value = square_length(family)
-        return RationalFunction.make(
-            ParamPoly.const(0, value), ParamPoly.const(0, 1)
-        )
+        raise TypeError("numeric input: use square_length")
     zero, coeffs = _parametric(family)
     p, norm2 = _trace_parts(zero, coeffs, family.n, family.d)
+    if p.is_zero():
+        return p, zero + 1
+    # a square: its leading coefficient, and that of any monomial quotient of
+    # it, is positive, so dividing by the content fixes the sign as well
     r = norm2 * norm2 * (family.d * family.d)
-    return RationalFunction.make(p, r)
+    shift = tuple(min(a, b) for a, b in zip(p.monomial_gcd(), r.monomial_gcd()))
+    scale = 1 / r.content()
+    return p.shift_down(shift) * scale, r.shift_down(shift) * scale
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +339,7 @@ def _gradient_numerators(zero, coeffs, n: int, d: int):
         return _diagonal_gradient(zero, coeffs, n, d)
     # one jet per basis monomial, seeded with the direction of its basis
     # index; without a root difference the support directions suffice
-    basis = enumerate_monomials(n, d).order
+    basis = enumerate_monomials(n, d)
     terms = dict(coeffs)
     one = zero + 1
     jets = [
@@ -364,7 +367,7 @@ def _diagonal_gradient(zero, coeffs, n: int, d: int):
 
     terms = dict(coeffs)
     numerators = []
-    for a in enumerate_monomials(n, d).order:
+    for a in enumerate_monomials(n, d):
         c = terms.get(a)
         if c is None:
             numerators.append(zero)

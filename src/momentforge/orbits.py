@@ -26,6 +26,7 @@ from .polyring import (
     SparsePoly,
     canonical_key,
     display_key,
+    format_monomial,
 )
 from .symd import enumerate_monomials
 
@@ -71,15 +72,9 @@ def canonical_representative(support) -> SupportSet:
     return min(orbit_of(support), key=support_order_key)
 
 
-class OrbitRepresentative(NamedTuple):
-    """Canonical support set of one orbit, tagged with its term count."""
-
-    support: SupportSet
-    term_count: int
-
-
-def orbit_classes(n: int, d: int, m: int) -> list[OrbitRepresentative]:
-    """Representatives of all orbits of size-``m`` support sets, sorted."""
+def orbit_classes(n: int, d: int, m: int) -> list[SupportSet]:
+    """The canonical support set of every orbit of size-``m`` support sets,
+    sorted by ``support_order_key``."""
     basis = enumerate_monomials(n, d)
     if not 1 <= m <= len(basis):
         raise ValueError(f"term count {m} out of range 1..{len(basis)}")
@@ -88,10 +83,10 @@ def orbit_classes(n: int, d: int, m: int) -> list[OrbitRepresentative]:
     # wait at once for (4, 3, 3), so they are kept as bitmasks over the
     # basis: as frozensets they raised the peak memory of solving every
     # (3, 5, 3) and (4, 3, 3) family by 0.35 MB
-    bit = {alpha: 1 << k for k, alpha in enumerate(basis.order)}
+    bit = {alpha: 1 << k for k, alpha in enumerate(basis)}
     pending: set[int] = set()
     reps = []
-    for combo in combinations(basis.order, m):
+    for combo in combinations(basis, m):
         mask = sum(bit[a] for a in combo)
         if mask in pending:
             pending.remove(mask)
@@ -101,7 +96,7 @@ def orbit_classes(n: int, d: int, m: int) -> list[OrbitRepresentative]:
         pending.update(sum(bit[a] for a in image) for image in orbit)
         pending.remove(mask)
     reps.sort(key=support_order_key)
-    return [OrbitRepresentative(s, m) for s in reps]
+    return reps
 
 
 def uses_all_variables(support) -> bool:
@@ -128,8 +123,6 @@ class ParamFamily(NamedTuple):
         return sorted(self.support, key=display_key)
 
     def __str__(self):
-        from .polyring import format_monomial
-
         parts = []
         for k, alpha in enumerate(self.display_terms()):
             mono = format_monomial(self.poly.n, alpha)

@@ -10,17 +10,18 @@ over them:
 * :class:`ParamPoly` -- an exact multivariate polynomial in parameter
   symbols ``b1..bk`` with rational coefficients.
 
-On top of the scalars sit :class:`SparsePoly` (homogeneous polynomials as a
-map from exponent vectors to scalars) and :class:`RationalFunction`
-(quotients of two ``ParamPoly``).  All values are immutable after
-construction and all functions are pure.
+On top of the scalars sits :class:`SparsePoly`, a homogeneous polynomial as
+a map from exponent vectors to scalars.  A rational function of the
+parameters travels as a plain ``(numerator, denominator)`` pair of
+``ParamPoly``.  All values are immutable after construction and all
+functions are pure.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
-from typing import Mapping, NamedTuple, Sequence, Union
+from math import gcd, isfinite, lcm
+from typing import Mapping, Sequence, Union
 
 # Exponent vector: element i is the exponent of variable x_{i+1}.
 ExponentVector = tuple[int, ...]
@@ -239,8 +240,6 @@ class ParamPoly:
         """Positive gcd of all coefficients (0 for the zero polynomial)."""
         if not self.terms:
             return ZERO
-        from math import gcd
-
         num = 0
         den = 1
         for c in self.terms.values():
@@ -314,64 +313,6 @@ class ParamPoly:
 
 
 Scalar = Union[Fraction, float, ParamPoly]
-
-
-# ---------------------------------------------------------------------------
-# rational functions of the parameters
-
-
-class RationalFunction(NamedTuple):
-    """Quotient of two parameter polynomials, content-reduced.
-
-    Normal form: common parameter-monomial factors are cancelled and the
-    denominator is integer-primitive with positive leading coefficient.
-    """
-
-    numer: ParamPoly
-    denom: ParamPoly
-
-    @staticmethod
-    def make(numer: ParamPoly, denom: ParamPoly) -> "RationalFunction":
-        if denom.is_zero():
-            raise ZeroDivisionError("denominator is identically zero")
-        if numer.is_zero():
-            return RationalFunction(numer, ParamPoly.const(denom.nsyms, 1))
-        shift = tuple(
-            min(a, b) for a, b in zip(numer.monomial_gcd(), denom.monomial_gcd())
-        )
-        numer = numer.shift_down(shift)
-        denom = denom.shift_down(shift)
-        scale = denom.content()
-        lead = max(denom.terms)
-        if denom.terms[lead] < 0:
-            scale = -scale
-        return RationalFunction(numer * (1 / scale), denom * (1 / scale))
-
-    def evaluate(self, values: Sequence):
-        den = self.denom.subs(values)
-        if den == 0:
-            raise ZeroDivisionError("denominator vanishes at the given point")
-        return self.numer.subs(values) / den
-
-    def __eq__(self, other):
-        if isinstance(other, (Fraction, int)):
-            other = RationalFunction.make(
-                ParamPoly.const(self.numer.nsyms, other),
-                ParamPoly.const(self.numer.nsyms, 1),
-            )
-        if not isinstance(other, RationalFunction):
-            return NotImplemented
-        return self.numer * other.denom == other.numer * self.denom
-
-    def __ne__(self, other):
-        # a NamedTuple would otherwise compare as a tuple here
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
-    def __str__(self):
-        if self.denom.is_constant() and self.denom.constant_value() == 1:
-            return str(self.numer)
-        return f"({self.numer}) / ({self.denom})"
 
 
 # ---------------------------------------------------------------------------
@@ -566,6 +507,7 @@ def evaluate_poly(f: SparsePoly, point: Sequence[float]) -> float:
 #
 # {"n": int, "d": int, "terms": [{"exp": [..], "coeff": "p/q" | float |
 #  {"params": [{"exp": [..], "coeff": "p/q"}, ...], "nsyms": k >= 1}}]}
+# with every exponent listed once in its list, and float coefficients finite.
 
 
 def _coeff_to_json(c: Scalar):
@@ -581,21 +523,42 @@ def _coeff_to_json(c: Scalar):
     }
 
 
+def _terms_from_json(entries, coeff_from_json) -> dict:
+    """``{exp: coeff}`` from a list of ``{"exp": .., "coeff": ..}`` objects; an
+    exponent listed twice is refused, not summed or overwritten."""
+    terms = {}
+    for t in entries:
+        exp = tuple(t["exp"])
+        if exp in terms:
+            raise ValueError(f"exponent {list(exp)} is listed twice")
+        terms[exp] = coeff_from_json(t["coeff"])
+    return terms
+
+
+def _fraction_from_json(obj) -> Fraction:
+    try:
+        return Fraction(obj)
+    except (ZeroDivisionError, OverflowError):
+        raise ValueError(f"coefficient {obj!r} is not a finite rational") from None
+
+
 def _coeff_from_json(obj) -> Scalar:
     if isinstance(obj, str):
-        return Fraction(obj)
+        return _fraction_from_json(obj)
     if isinstance(obj, bool):  # JSON true/false; bool subclasses int
         raise ValueError(f"boolean is not a coefficient: {obj!r}")
-    if isinstance(obj, (int, float)):
-        return Fraction(obj) if isinstance(obj, int) else float(obj)
+    if isinstance(obj, int):
+        return Fraction(obj)
+    if isinstance(obj, float):
+        # Python's json reads NaN and Infinity
+        if not isfinite(obj):
+            raise ValueError(f"coefficient {obj!r} is not finite")
+        return obj
     if isinstance(obj, dict) and "params" in obj:
         nsyms = int(obj["nsyms"])
         if nsyms < 1:
             raise ValueError(f"parametric coefficient needs nsyms >= 1, got {nsyms}")
-        terms = {
-            tuple(t["exp"]): Fraction(t["coeff"]) for t in obj["params"]
-        }
-        return ParamPoly(nsyms, terms)
+        return ParamPoly(nsyms, _terms_from_json(obj["params"], _fraction_from_json))
     raise ValueError(f"unrecognized coefficient encoding: {obj!r}")
 
 
@@ -612,7 +575,7 @@ def poly_from_json(obj: Mapping) -> SparsePoly:
     try:
         n = int(obj["n"])
         d = int(obj["d"])
-        terms = {tuple(t["exp"]): _coeff_from_json(t["coeff"]) for t in obj["terms"]}
+        terms = _terms_from_json(obj["terms"], _coeff_from_json)
         kinds = {type(c) for c in terms.values()}
         if float in kinds and ParamPoly in kinds:
             raise ValueError("cannot mix float coefficients with parameters")

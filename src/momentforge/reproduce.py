@@ -31,8 +31,8 @@ class CheckResult(NamedTuple):
 
 
 def check_bases() -> CheckResult:
-    got2 = [a for a in enumerate_monomials(3, 2).order]
-    got3 = [a for a in enumerate_monomials(3, 3).order]
+    got2 = list(enumerate_monomials(3, 2))
+    got3 = list(enumerate_monomials(3, 3))
     want2 = [mono(s) for s in fixtures.M2_BASIS]
     want3 = [mono(s) for s in fixtures.M3_BASIS]
     ok = got2 == want2 and got3 == want3
@@ -42,7 +42,7 @@ def check_bases() -> CheckResult:
 def check_orbit_tables() -> CheckResult:
     details = []
     for m, table in ((1, fixtures.T1_CUBIC), (2, fixtures.T2_CUBIC), (3, fixtures.T3_CUBIC)):
-        got = [rep.support for rep in orbit_classes(3, 3, m)]
+        got = orbit_classes(3, 3, m)
         want = [support(*names) for names in table]
         if got != want:
             details.append(f"m={m}")
@@ -71,7 +71,7 @@ def check_cubic_diagonal_families() -> CheckResult:
 def check_cubic_monomial_criticality() -> CheckResult:
     bad = [
         alpha
-        for alpha in enumerate_monomials(3, 3).order
+        for alpha in enumerate_monomials(3, 3)
         if verify_critical(SparsePoly.monomial(3, alpha)) != 0.0
     ]
     return CheckResult("all 10 cubic monomials critical", not bad, str(bad) if bad else "")
@@ -115,7 +115,7 @@ def check_cubic_critical_set() -> CheckResult:
 
 
 def check_quartic_orbit_pairs() -> CheckResult:
-    got = [rep.support for rep in orbit_classes(3, 4, 2)]
+    got = orbit_classes(3, 4, 2)
     want = [support(*names) for names in fixtures.T2_QUARTIC]
     return CheckResult("quartic two-term representatives (22)", got == want, f"got {len(got)}")
 
@@ -130,7 +130,7 @@ def check_quartic_symbolic_matrix() -> CheckResult:
     basis = enumerate_monomials(3, 4)
     size = len(basis)
     terms = {
-        alpha: ParamPoly.symbol(size, k) for k, alpha in enumerate(basis.order)
+        alpha: ParamPoly.symbol(size, k) for k, alpha in enumerate(basis)
     }
     general = SparsePoly.make(3, 4, terms)
     sym = symbolic_moment_matrix(general)
@@ -157,7 +157,7 @@ def check_quartic_symbolic_matrix() -> CheckResult:
 def check_quartic_monomial_criticality() -> CheckResult:
     bad = [
         alpha
-        for alpha in enumerate_monomials(3, 4).order
+        for alpha in enumerate_monomials(3, 4)
         if verify_critical(SparsePoly.monomial(3, alpha)) != 0.0
     ]
     return CheckResult("all 15 quartic monomials critical", not bad, str(bad) if bad else "")

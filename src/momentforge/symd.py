@@ -1,8 +1,9 @@
 """Structure of the space of degree-d forms in n variables.
 
-Monomial basis enumeration in the canonical order, the permutation-invariant
-weights ``w(a) = a_1! ... a_n! / d!``, the unitarily invariant inner product
-built from them, and the root relation between exponents.
+The monomial basis (a tuple of exponent vectors in the canonical order,
+built once per ``(n, d)``), the permutation-invariant weights
+``w(a) = a_1! ... a_n! / d!``, the unitarily invariant inner product built
+from them, and the root relation between exponents.
 
 Square roots are never materialized: every downstream use of the weighted
 coefficient vector is quadratic, so the inner product folds the weight in
@@ -24,34 +25,6 @@ from .polyring import (
 )
 
 
-class MonomialBasis:
-    """All degree-``d`` exponent vectors in ``n`` variables, canonically ordered."""
-
-    __slots__ = ("n", "d", "order")
-
-    def __init__(self, n: int, d: int, order: tuple[ExponentVector, ...]):
-        self.n = n
-        self.d = d
-        self.order = order
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.n, self.d, self.order) == (other.n, other.d, other.order)
-
-    def __hash__(self):
-        return hash((self.n, self.d, self.order))
-
-    def __repr__(self):
-        return f"MonomialBasis(n={self.n!r}, d={self.d!r}, order={self.order!r})"
-
-    def __len__(self) -> int:
-        return len(self.order)
-
-    def index(self, alpha: ExponentVector) -> int:
-        return _basis_index(self.n, self.d)[tuple(alpha)]
-
-
 def _compositions(n: int, d: int):
     # all length-n tuples of non-negative integers summing to d
     if n == 1:
@@ -63,19 +36,14 @@ def _compositions(n: int, d: int):
 
 
 @lru_cache(maxsize=None)
-def enumerate_monomials(n: int, d: int) -> MonomialBasis:
-    """The ordered monomial basis; its length is binomial(n+d-1, d)."""
+def enumerate_monomials(n: int, d: int) -> tuple[ExponentVector, ...]:
+    """The degree-``d`` exponent vectors in ``n`` variables, canonically
+    ordered; there are binomial(n+d-1, d) of them."""
     if n < 1 or d < 1:
         raise ValueError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
-    order = tuple(sorted(_compositions(n, d), key=canonical_key))
-    assert len(order) == comb(n + d - 1, d)
-    return MonomialBasis(n, d, order)
-
-
-@lru_cache(maxsize=None)
-def _basis_index(n: int, d: int) -> dict[ExponentVector, int]:
-    basis = enumerate_monomials(n, d)
-    return {alpha: i for i, alpha in enumerate(basis.order)}
+    basis = tuple(sorted(_compositions(n, d), key=canonical_key))
+    assert len(basis) == comb(n + d - 1, d)
+    return basis
 
 
 @lru_cache(maxsize=None)

@@ -20,7 +20,7 @@ def random_rational_poly(
     basis = enumerate_monomials(n, d)
     while True:
         terms = {}
-        for alpha in basis.order:
+        for alpha in basis:
             if rng.random() <= density:
                 c = Fraction(rng.randint(-16, 16), 8)
                 if c != 0:

@@ -28,6 +28,7 @@ ENUMERATION_JSON_SHA256 = {
     "diagonal --n 4 --d 3 --terms 3 --json": "60113d483d6f0e8733cb6a1dc5b9b5b4e20e985ed99a736e9ad2dc0e150c9f4b",
     "diagonal --n 3 --d 4 --terms 4 --json": "4bf09f8a5fa6253d2c2332260064cb403b5d83538e8f0480a0ba8c24e53c5ff1",
     "diagonal --n 3 --d 5 --terms 4 --json": "dafa24a6adc8bfeb47e654603e34bf873b33bcdf0d6e4bc50447f49423673878",
+    "monomials --n 4 --d 3 --json": "1116cd27a7b652c8d8434e7d183af89d4e0bef1f9e397ec0433b7fe4aa305b42",
 }
 
 
@@ -150,6 +151,32 @@ def test_root_difference_json_bytes_are_stable(case, tmp_path, capsys):
     assert sha256_of(capsys.readouterr().out) == digest
 
 
+# sha256 of the stdout of `sqlength --poly FILE` and `sqlength --poly FILE --json`
+SQLENGTH_SHA256 = {
+    # b1*x^2*z + x*y^2: (8*b1^4 - 8*b1^2 + 8) / (b1^4 + 2*b1^2 + 1)
+    "b1*x^2*z + x*y^2": (
+        cubic(([2, 0, 1], symbol(1, 0)), ([1, 2, 0], "1")),
+        "e9d33d116fa24773f310905f481d815d14ca376578f945618e1b0f88f7f28345",
+        "b83e1fd418ad363fd3ae96dca6799a7f0ca3c18b943098f0bccdb5c1ad7fb3f1",
+    ),
+    "grad-parametric-cubic": (
+        ROOT_DIFFERENCE_INPUTS["grad-parametric-cubic"][1],
+        "f1a96fcc4641db4899fda2967a99fbf7eb7075e0c6c5569f1bbf8cc668c1e822",
+        "d956d6b7e7d60e30b962a611ce649191527ae3a891232ede45011cee83d79200",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SQLENGTH_SHA256))
+def test_symbolic_square_length_bytes_are_stable(case, tmp_path, capsys):
+    body, text_digest, json_digest = SQLENGTH_SHA256[case]
+    path = tmp_path / "poly.json"
+    path.write_text(json.dumps(body))
+    for extra, digest in (([], text_digest), (["--json"], json_digest)):
+        assert cli.main(["sqlength", "--poly", str(path), *extra]) == 0
+        assert sha256_of(capsys.readouterr().out) == digest
+
+
 def write_poly(tmp_path, coeff):
     path = tmp_path / "poly.json"
     path.write_text(json.dumps({"n": 3, "d": 3, "terms": [{"exp": [3, 0, 0], "coeff": coeff}]}))
@@ -219,6 +246,52 @@ def test_malformed_polynomial_json_is_a_usage_error(tmp_path, capsys, body):
     path.write_text(json.dumps(body))
     assert cli.main(["verify", "--poly", str(path)]) == cli.USAGE_ERROR
     assert capsys.readouterr().err.startswith("error: ")
+
+
+NUMERIC_COMMANDS = ["verify", "sqlength", "grad", "moment"]
+
+
+@pytest.mark.parametrize("command", NUMERIC_COMMANDS)
+@pytest.mark.parametrize(
+    "terms",
+    [
+        # a zero denominator, plain or inside a parametric coefficient
+        [([3, 0, 0], "1/0"), ([0, 3, 0], "1")],
+        [([3, 0, 0], {"nsyms": 1, "params": [{"exp": [1], "coeff": "1/0"}]}), ([0, 3, 0], "1")],
+        # an exponent listed twice: the second used to replace the first, so
+        # x^3 + x^3 + y^3 gave the square length of x^3 + y^3
+        [([3, 0, 0], "1"), ([3, 0, 0], "1"), ([0, 3, 0], "1")],
+        [([3, 0, 0], {"nsyms": 1, "params": [{"exp": [1], "coeff": "1"}] * 2}), ([0, 3, 0], "1")],
+    ],
+)
+def test_malformed_coefficients_are_a_usage_error(tmp_path, capsys, command, terms):
+    path = tmp_path / "poly.json"
+    path.write_text(json.dumps(cubic(*terms)))
+    assert cli.main([command, "--poly", str(path)]) == cli.USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", NUMERIC_COMMANDS)
+@pytest.mark.parametrize("flag", [[], ["--json"]])
+@pytest.mark.parametrize(
+    "text",
+    [
+        # non-finite coefficients, which Python's json reads
+        '{"exp": [3, 0, 0], "coeff": NaN}, {"exp": [0, 3, 0], "coeff": 1}',
+        '{"exp": [3, 0, 0], "coeff": Infinity}, {"exp": [0, 3, 0], "coeff": 1}',
+        '{"exp": [3, 0, 0], "coeff": -Infinity}, {"exp": [0, 3, 0], "coeff": 1}',
+        # finite, but the squared norm overflows to inf
+        '{"exp": [3, 0, 0], "coeff": 1e308}, {"exp": [0, 3, 0], "coeff": 1e308}',
+    ],
+)
+def test_non_finite_results_are_not_printed(tmp_path, capsys, command, flag, text):
+    # each used to print nan (moment a matrix with nan on its diagonal) with exit 0
+    path = tmp_path / "poly.json"
+    path.write_text('{"n": 3, "d": 3, "terms": [%s]}' % text)
+    assert cli.main([command, "--poly", str(path), *flag]) == cli.USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
 
 
 @pytest.mark.parametrize("samples", [0, 1])

@@ -31,9 +31,9 @@ def oracle_runs():
     """(case, verdict, symbolic filter) for every family of ORACLE_CASES."""
     runs = []
     for n, d, m in ORACLE_CASES:
-        for rep in orbit_classes(n, d, m):
-            if uses_all_variables(rep.support):
-                family = build_family(rep.support)
+        for support in orbit_classes(n, d, m):
+            if uses_all_variables(support):
+                family = build_family(support)
                 runs.append(((n, d, m), is_identically_diagonal(family), symbolic_offending(family)))
     return runs
 

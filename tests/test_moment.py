@@ -121,38 +121,67 @@ class TestSquareLength:
             assert square_length(random_rational_poly(rng, 3, 3, density=0.4)) >= 0
 
 
+def quotient_at(pair, point):
+    numer, denom = pair
+    return numer.subs(point) / denom.subs(point)
+
+
+def reduction_families():
+    b1, b2 = ParamPoly.symbol(2, 0), ParamPoly.symbol(2, 1)
+    # every coefficient a multiple of b1: the pair cancels b1^4
+    yield SparsePoly.make(3, 3, {mono("x3"): b1 * b2, mono("x2z"): b1 * 3, mono("y3"): b1})
+    for support in orbit_classes(3, 3, 3):
+        yield build_family(support).poly
+
+
 class TestSquareLengthSymbolic:
     def test_single_parameter_scale_family_is_constant(self):
+        # 216 b^4 / (9 b^4): the monomial b^4 and the content 9 cancel
         fam = SparsePoly.make(3, 3, {mono("x3"): ParamPoly.symbol(1, 0)})
-        rf = square_length_symbolic(fam)
-        assert rf.numer == ParamPoly.const(1, 24)
-        assert rf.denom == ParamPoly.const(1, 1)
+        assert square_length_symbolic(fam) == (ParamPoly.const(1, 24), ParamPoly.const(1, 1))
+
+    def test_zero_numerator_comes_with_denominator_one(self):
+        fam = SparsePoly.make(3, 3, {mono("xyz"): ParamPoly.symbol(1, 0)})
+        assert square_length_symbolic(fam) == (ParamPoly(1), ParamPoly.const(1, 1))
+
+    def test_monomial_and_content_reduction(self):
+        # the pair equals P / (d^2 norm2^2), shares no parameter monomial,
+        # and its denominator is primitive with a positive leading term
+        for fam in reduction_families():
+            numer, denom = square_length_symbolic(fam)
+            p, norm2 = _trace_parts(*_parametric(fam), fam.n, fam.d)
+            assert numer * norm2 * norm2 * (fam.d * fam.d) == p * denom
+            assert all(min(a, b) == 0 for a, b in zip(numer.monomial_gcd(), denom.monomial_gcd()))
+            assert denom.content() == 1 and denom.terms[max(denom.terms)] > 0
+
+    def test_numeric_input_is_refused(self):
+        with pytest.raises(TypeError, match="use square_length"):
+            square_length_symbolic(P(x3=1, y3=1))
 
     def test_substitution_consistency(self):
         b1 = ParamPoly.symbol(1, 0)
         fam = SparsePoly.make(
             3, 3, {mono("x2z"): b1, mono("xy2"): ParamPoly.const(1, 1)}
         )
-        rf = square_length_symbolic(fam)
         numeric = substitute_params(fam, [Fraction(1)])
-        assert rf.evaluate([Fraction(1)]) == square_length(numeric)
+        assert quotient_at(square_length_symbolic(fam), [Fraction(1)]) == square_length(numeric)
 
     def test_general_quartic_agrees_with_numeric(self):
         basis = enumerate_monomials(3, 4)
         size = len(basis)
         general = SparsePoly.make(
-            3, 4, {a: ParamPoly.symbol(size, k) for k, a in enumerate(basis.order)}
+            3, 4, {a: ParamPoly.symbol(size, k) for k, a in enumerate(basis)}
         )
-        rf = square_length_symbolic(general)
+        pair = square_length_symbolic(general)
         rng = random.Random(59)
         for _ in range(3):
             point = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(size)]
             while all(v == 0 for v in point):
                 point = [Fraction(rng.randint(-4, 4)) for _ in range(size)]
             numeric = SparsePoly.make(
-                3, 4, {a: c for a, c in zip(basis.order, point) if c}
+                3, 4, {a: c for a, c in zip(basis, point) if c}
             )
-            assert rf.evaluate(point) == square_length(numeric)
+            assert quotient_at(pair, point) == square_length(numeric)
 
 
 class TestSymbolicMomentMatrix:
@@ -160,7 +189,7 @@ class TestSymbolicMomentMatrix:
         basis = enumerate_monomials(3, 4)
         size = len(basis)
         general = SparsePoly.make(
-            3, 4, {a: ParamPoly.symbol(size, k) for k, a in enumerate(basis.order)}
+            3, 4, {a: ParamPoly.symbol(size, k) for k, a in enumerate(basis)}
         )
         sym = symbolic_moment_matrix(general)
 
@@ -204,10 +233,10 @@ class TestGradient:
         for _ in range(25):
             f = random_rational_poly(rng, 3, 3)
             grad = [float(g) for g in gradient(f)]
-            coeffs = [float(f.terms.get(a, 0)) for a in basis.order]
-            for k, alpha in enumerate(basis.order):
-                up = dict(zip(basis.order, coeffs))
-                dn = dict(zip(basis.order, coeffs))
+            coeffs = [float(f.terms.get(a, 0)) for a in basis]
+            for k, alpha in enumerate(basis):
+                up = dict(zip(basis, coeffs))
+                dn = dict(zip(basis, coeffs))
                 up[alpha] += h
                 dn[alpha] -= h
                 fd = (
@@ -224,7 +253,7 @@ class TestGradient:
             f = random_rational_poly(rng, 3, 3, density=0.6)
             grad = gradient(f)
             total = sum(
-                (f.terms.get(a, Fraction(0)) * g for a, g in zip(basis.order, grad)),
+                (f.terms.get(a, Fraction(0)) * g for a, g in zip(basis, grad)),
                 Fraction(0),
             )
             assert total == 0
@@ -252,7 +281,7 @@ class TestGradientSymbolic:
 
 def jet_gradient(zero, coeffs, n, d):
     """Reference: forward jets in every basis direction, quotient rule once."""
-    basis = enumerate_monomials(n, d).order
+    basis = enumerate_monomials(n, d)
     terms = dict(coeffs)
     jets = [(a, _Jet(terms.get(a, zero), {k: zero + 1})) for k, a in enumerate(basis)]
     p, norm2 = _trace_parts(_Jet(zero, {}), jets, n, d)
@@ -269,8 +298,8 @@ def oracle_families(n, d):
     rng = random.Random(1000 * n + d)
     for m in (2, 3, 4):
         reps = orbit_classes(n, d, m)
-        for rep in rng.sample(reps, min(3, len(reps))):
-            yield build_family(rep.support).poly
+        for support in rng.sample(reps, min(3, len(reps))):
+            yield build_family(support).poly
 
 
 class TestClosedFormGradient:
@@ -324,7 +353,7 @@ def sympy_gradient(family, symbols):
     ``|m|^2 = tr(m^2)``, differentiated in one symbol per basis coefficient
     and then evaluated at the family's coefficients."""
     n, d = family.n, family.d
-    basis = enumerate_monomials(n, d).order
+    basis = enumerate_monomials(n, d)
     xs = sympy.symbols(f"x1:{n + 1}")
     cs = sympy.symbols(f"c1:{len(basis) + 1}")
     f = sum(c * prod(x**e for x, e in zip(xs, a)) for c, a in zip(cs, basis))
@@ -420,7 +449,7 @@ def float_quotients(p, norm2, d, size):
 
 def all_directions_gradient(f):
     """Float reference: jets in every basis direction through the engine."""
-    basis = enumerate_monomials(f.n, f.d).order
+    basis = enumerate_monomials(f.n, f.d)
     jets = [(a, _Jet(float(f.terms.get(a, 0.0)), {k: 1.0})) for k, a in enumerate(basis)]
     p, norm2 = _trace_parts(_Jet(0.0, {}), jets, f.n, f.d)
     return float_quotients(p, norm2, f.d, len(basis))
@@ -431,7 +460,7 @@ def assert_bit_identical(f):
 
 
 def random_root_difference_free(rng, n, d):
-    basis = enumerate_monomials(n, d).order
+    basis = enumerate_monomials(n, d)
     size = rng.randint(1, 6)
     support = []
     for a in rng.sample(basis, len(basis)):
@@ -524,7 +553,7 @@ class TestFloatWeights:
 
     def test_gradient(self):
         for f in self.float_polys():
-            basis = enumerate_monomials(f.n, f.d).order
+            basis = enumerate_monomials(f.n, f.d)
             jets = [(a, FractionWeightJet(float(f.terms.get(a, 0.0)), {k: 1.0}))
                     for k, a in enumerate(basis)]
             p, norm2 = _trace_parts(FractionWeightJet(0.0, {}), jets, f.n, f.d)

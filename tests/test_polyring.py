@@ -8,7 +8,6 @@ from conftest import random_rational_poly
 from momentforge.fixtures import mono
 from momentforge.polyring import (
     ParamPoly,
-    RationalFunction,
     SparsePoly,
     canonical_key,
     format_poly,
@@ -139,35 +138,6 @@ class TestSubstituteParams:
         fam = SparsePoly.make(3, 3, {mono("x3"): b1})
         with pytest.raises(ValueError):
             substitute_params(fam, {"b1": Fraction(1)})
-
-
-class TestRationalFunction:
-    def test_monomial_and_content_reduction(self):
-        b = ParamPoly.symbol(1, 0)
-        rf = RationalFunction.make(b * b * b * b * 216, b * b * b * b * 9)
-        assert rf.numer == ParamPoly.const(1, 24)
-        assert rf.denom == ParamPoly.const(1, 1)
-
-    def test_cross_multiplied_equality(self):
-        b = ParamPoly.symbol(1, 0)
-        assert RationalFunction.make(b * 2, b * b * 4) == RationalFunction.make(
-            ParamPoly.const(1, 1), b * 2
-        )
-
-    def test_zero_denominator_rejected(self):
-        with pytest.raises(ZeroDivisionError):
-            RationalFunction.make(ParamPoly.const(1, 1), ParamPoly(1))
-
-    def test_inequality_negates_the_cross_multiplied_equality(self):
-        b = ParamPoly.symbol(1, 0)
-        # b (b + 1) / ((b + 1) (b + 2)) keeps its common factor b + 1
-        rf = RationalFunction.make(b * (b + 1), (b + 1) * (b + 2))
-        other = RationalFunction.make(b, b + 2)
-        assert tuple(rf) != tuple(other)
-        assert rf == other and not rf != other
-        half = RationalFunction.make(ParamPoly.const(1, 1), ParamPoly.const(1, 2))
-        assert half == Fraction(1, 2) and not half != Fraction(1, 2)
-        assert half != Fraction(1, 3) and other != 1
 
 
 class TestJsonFormat:
