@@ -15,12 +15,9 @@ from .critical import (
 )
 from .diagonal import DiagonalVerdict, diagonal_families, is_identically_diagonal
 from .moment import (
-    MomentMatrix,
-    SymbolicMomentMatrix,
     flow_derivative,
     gradient,
     gradient_symbolic,
-    hermitian_matrix,
     moment_matrix,
     square_length,
     square_length_symbolic,

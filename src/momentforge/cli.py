@@ -51,10 +51,15 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_ERROR)
 
 
-def _fmt_float(v: float) -> float:
-    """``v`` rounded to 12 significant digits.  Every float the commands print
-    passes through here, so a result that overflowed to inf or nan stops the
-    command before it prints anything."""
+def _fmt_float(v) -> float:
+    """``v`` as a float rounded to 12 significant digits.  Every float the
+    commands print passes through here, so a result beyond the float range,
+    or one that overflowed to inf or nan, stops the command before it prints
+    anything."""
+    try:
+        v = float(v)
+    except OverflowError:
+        raise ValueError("the result is beyond the floating-point range") from None
     if not math.isfinite(v):
         raise ValueError(f"the result is {v}: the input overflows floating point")
     return float(format(v, ".12g"))
@@ -78,7 +83,7 @@ def _load_numeric_poly(path: str) -> SparsePoly:
 
 def _scalar_out(value, as_float: bool):
     if as_float or isinstance(value, float):
-        return _fmt_float(float(value))
+        return _fmt_float(value)
     return format_scalar(value)
 
 
@@ -104,22 +109,17 @@ def _cmd_monomials(args) -> int:
 def _cmd_moment(args) -> int:
     f = _load_poly(args.poly)
     if f.is_parametric():
-        sym = symbolic_moment_matrix(f)
+        numerators, denom = symbolic_moment_matrix(f)
+        rows = [[str(e) for e in row] for row in numerators]
         if args.json:
-            _dump_json(
-                {
-                    "denominator": str(sym.denominator),
-                    "numerators": [[str(e) for e in row] for row in sym.numerators],
-                }
-            )
+            _dump_json({"denominator": str(denom), "numerators": rows})
         else:
-            print(f"denominator: {sym.denominator}")
-            _print_matrix([[str(e) for e in row] for row in sym.numerators])
+            print(f"denominator: {denom}")
+            _print_matrix(rows)
         return 0
-    m = moment_matrix(f)
-    rows = [[_scalar_out(v, args.float) for v in row] for row in m.entries]
+    rows = [[_scalar_out(v, args.float) for v in row] for row in moment_matrix(f)]
     if args.json:
-        _dump_json({"entries": rows, "n": m.n})
+        _dump_json({"entries": rows, "n": f.n})
     else:
         _print_matrix(rows)
     return 0
@@ -203,7 +203,7 @@ def _value_payload(v):
             "interval": [str(v.lo), str(v.hi)],
             "minpoly": [str(c) for c in v.minimal_polynomial],
         }
-    return _fmt_float(float(v))
+    return _fmt_float(v)
 
 
 def _check_tol(tol: float) -> None:

@@ -168,15 +168,13 @@ def fixed_point_check(f: SparsePoly, tol: float = RESIDUAL_TOL) -> bool:
         raise DegenerateInputError("zero polynomial")
     m = moment_matrix(f)
     exact = f.is_exact()
-    offdiag = [
-        m.entries[i][j] for i in range(f.n) for j in range(f.n) if i != j
-    ]
+    offdiag = [m[i][j] for i in range(f.n) for j in range(f.n) if i != j]
     if exact:
         if any(v != 0 for v in offdiag):
             raise ValueError("fixed-point criterion needs a diagonal moment matrix")
     elif any(abs(float(v)) > tol for v in offdiag):
         raise ValueError("fixed-point criterion needs a diagonal moment matrix")
-    lam = m.diagonal()
+    lam = [m[i][i] for i in range(f.n)]
     support = sorted(f.terms, key=canonical_key)
     base = support[0]
     mu0 = sum(e * l for e, l in zip(base, lam))

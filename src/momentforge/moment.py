@@ -11,15 +11,21 @@ Coefficients are real, so ``H(f)`` and ``m(f)`` are real symmetric.
 One engine builds the trace formula: the Gram matrix of the partial
 derivatives (``_inner_products``), the squared norm (``_norm2``), the
 polynomial moment matrix (``_moment_numerators``) and the trace product
-(``_trace_product``).  It is written with ``+`` and ``*`` alone, and relies
-on this contract of its coefficient type:
+(``_trace_product``).  The numeric and symbolic moment matrices, the square
+length (numeric and symbolic) and the gradient all come from it, as plain
+values: rows of scalars, and ``(numerators, denominator)`` pairs for
+families.  The numeric matrix divides each Gram entry by ``d |f|^2`` before
+it doubles and shifts it, ``2 (G_ij / scale - d/n)``, rather than dividing
+``_moment_numerators`` once: for float input that order sets the rounding
+noise of the printed entries (a zero entry can come out as ``4.44e-16``).
+The engine is written with ``+`` and ``*`` alone, and relies on this
+contract of its coefficient type:
 
 * every coefficient type supports ``+`` and ``*`` with itself, and ``*``
   with a rational constant (an ``int`` or a ``Fraction``);
 * the types are the plain scalars (``Fraction``, float or ``ParamPoly``),
-  for the hermitian, symbolic moment and symbolic square-length matrices,
-  and first-order jets over a plain scalar (``_Jet``), for the coefficient
-  gradient;
+  for the moment matrices and the square length, and first-order jets over
+  a plain scalar (``_Jet``), for the coefficient gradient;
 * a jet times a rational constant scales the jet, and a float jet converts
   that constant to float once, which gives the bits of multiplying every
   part by the ``Fraction``.
@@ -64,8 +70,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import comb, gcd
-from typing import NamedTuple
+from math import comb, gcd, lcm
 
 from .polyring import (
     DegenerateInputError,
@@ -78,9 +83,6 @@ from .polyring import (
 from .symd import enumerate_monomials, inner_product, root_pair, weight
 
 __all__ = [
-    "MomentMatrix",
-    "SymbolicMomentMatrix",
-    "hermitian_matrix",
     "moment_matrix",
     "square_length",
     "symbolic_moment_matrix",
@@ -89,58 +91,6 @@ __all__ = [
     "gradient_symbolic",
     "flow_derivative",
 ]
-
-
-class MomentMatrix:
-    """An ``n`` x ``n`` symmetric matrix of scalars (0-based indexing)."""
-
-    __slots__ = ("n", "entries")
-
-    def __init__(self, n: int, entries: tuple[tuple[Scalar, ...], ...]):
-        self.n = n
-        self.entries = entries
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.n, self.entries) == (other.n, other.entries)
-
-    def __hash__(self):
-        return hash((self.n, self.entries))
-
-    def __repr__(self):
-        return f"MomentMatrix(n={self.n!r}, entries={self.entries!r})"
-
-    def trace(self) -> Scalar:
-        t = self.entries[0][0]
-        for i in range(1, self.n):
-            t = t + self.entries[i][i]
-        return t
-
-    def diagonal(self) -> tuple:
-        return tuple(self.entries[i][i] for i in range(self.n))
-
-    def is_diagonal(self) -> bool:
-        return all(
-            scalar_is_zero(self.entries[i][j])
-            for i in range(self.n)
-            for j in range(self.n)
-            if i != j
-        )
-
-
-class SymbolicMomentMatrix(NamedTuple):
-    """Moment matrix of a parametric family over a common denominator.
-
-    ``numerators[i][j] / denominator`` is the (i, j) entry.  All entries and
-    the denominator are integer polynomials in the parameters with overall
-    content 1, which reproduces the printed normalization of the degree-4
-    general matrix (denominator ``36 |f|^2``).
-    """
-
-    n: int
-    numerators: tuple[tuple[ParamPoly, ...], ...]
-    denominator: ParamPoly
 
 
 def _require_nonzero(f: SparsePoly):
@@ -231,66 +181,55 @@ def _parametric(f: SparsePoly) -> tuple[ParamPoly, list]:
     return ParamPoly(nsyms), coeffs
 
 
-def hermitian_matrix(f: SparsePoly) -> MomentMatrix:
-    """The matrix ``H(f)``; exact for exact input."""
+def moment_matrix(f: SparsePoly) -> tuple[tuple[Scalar, ...], ...]:
+    """The traceless moment matrix ``2 (H(f) - (d/n) I)`` as ``n`` rows;
+    exact for exact input."""
     _require_nonzero(f)
     if f.is_parametric():
         raise TypeError("parametric input: use symbolic_moment_matrix")
     coeffs = list(f.terms.items())
-    q = _inner_products(Fraction(0), coeffs, f.n)
+    g = _inner_products(Fraction(0), coeffs, f.n)
     scale = _norm2(Fraction(0), coeffs) * f.d
-    entries = tuple(tuple(q[i][j] / scale for j in range(f.n)) for i in range(f.n))
-    return MomentMatrix(f.n, entries)
-
-
-def moment_matrix(f: SparsePoly) -> MomentMatrix:
-    """The traceless moment matrix ``2 (H(f) - (d/n) I)``."""
-    h = hermitian_matrix(f)
+    if scale == 0:
+        raise DegenerateInputError("the squared norm underflows to zero")
     shift = Fraction(f.d, f.n)
-    entries = tuple(
+    return tuple(
         tuple(
-            2 * (h.entries[i][j] - shift) if i == j else 2 * h.entries[i][j]
+            2 * (g[i][j] / scale - shift) if i == j else 2 * (g[i][j] / scale)
             for j in range(f.n)
         )
         for i in range(f.n)
     )
-    return MomentMatrix(f.n, entries)
 
 
 def square_length(f: SparsePoly) -> Scalar:
     """``Re Tr(m . m)``; non-negative, and zero exactly at the minimal orbits."""
-    m = moment_matrix(f)
-    total: Scalar = Fraction(0)
-    for i in range(f.n):
-        for j in range(f.n):
-            total = total + m.entries[i][j] * m.entries[j][i]
-    return total
+    return _trace_product(Fraction(0), moment_matrix(f), f.n)
 
 
-def symbolic_moment_matrix(family: SparsePoly) -> SymbolicMomentMatrix:
-    """Moment matrix of a parametric family over one integral denominator."""
+def symbolic_moment_matrix(
+    family: SparsePoly,
+) -> tuple[tuple[tuple[ParamPoly, ...], ...], ParamPoly]:
+    """Moment matrix of a parametric family as ``(numerators, denominator)``.
+
+    ``numerators[i][j] / denominator`` is the (i, j) entry.  All entries and
+    the denominator are integer polynomials in the parameters with overall
+    content 1, which reproduces the printed normalization of the degree-4
+    general matrix (denominator ``36 |f|^2``).
+    """
     _require_nonzero(family)
     zero, coeffs = _parametric(family)
     norm2 = _norm2(zero, coeffs)
     gram = _inner_products(zero, coeffs, family.n)
     m = _moment_numerators(gram, norm2, family.n, family.d)
     denom = norm2 * family.d
-
-    lcm = 1
-    for p in [denom] + [e for row in m for e in row]:
-        for c in p.terms.values():
-            lcm = lcm * c.denominator // gcd(lcm, c.denominator)
-    m = [[e * lcm for e in row] for row in m]
-    denom = denom * lcm
-    g = 0
-    for p in [denom] + [e for row in m for e in row]:
-        g = gcd(g, p.content().numerator)
-    if g > 1:
-        m = [[e * Fraction(1, g) for e in row] for row in m]
-        denom = denom * Fraction(1, g)
-    return SymbolicMomentMatrix(
-        family.n, tuple(tuple(row) for row in m), denom
+    # divide by the content of the whole collection: the gcd of the contents'
+    # numerators over the lcm of their denominators
+    contents = [p.content() for p in [denom] + [e for row in m for e in row]]
+    scale = Fraction(
+        lcm(*(c.denominator for c in contents)), gcd(*(c.numerator for c in contents))
     )
+    return tuple(tuple(e * scale for e in row) for row in m), denom * scale
 
 
 def square_length_symbolic(family: SparsePoly) -> tuple[ParamPoly, ParamPoly]:

@@ -9,6 +9,7 @@ import pytest
 from conftest import random_rational_poly
 from momentforge import cli, reproduce
 from momentforge.critical import fixed_point_check
+from momentforge.fixtures import CRITICAL_CUBICS, critical_fixture_poly
 from momentforge.polyring import poly_to_json
 
 # sha256 of the stdout of `critical --n N --d D --terms T... --json`
@@ -177,6 +178,46 @@ def test_symbolic_square_length_bytes_are_stable(case, tmp_path, capsys):
         assert sha256_of(capsys.readouterr().out) == digest
 
 
+# inputs of the moment matrix gates: float input; a published critical cubic
+# whose matrix holds the rounding noise -2.22e-16 and 4.44e-16 and whose |m|^2
+# is 2.47e-31, so its bytes pin the order of the float operations; a family;
+# a family with nonzero off-diagonal entries; and a dense exact quartic
+MOMENT_INPUTS = {
+    "x^3 + 0.5*x^2*y + y^3 + z^3": ROOT_DIFFERENCE_INPUTS["grad-float-cubic"][1],
+    "critical cubic 5": poly_to_json(critical_fixture_poly(CRITICAL_CUBICS[4])),
+    "b1*x^2*z + x*y^2": SQLENGTH_SHA256["b1*x^2*z + x*y^2"][0],
+    "grad-parametric-cubic": ROOT_DIFFERENCE_INPUTS["grad-parametric-cubic"][1],
+    "grad-dense-exact-quartic": ROOT_DIFFERENCE_INPUTS["grad-dense-exact-quartic"][1],
+}
+
+# sha256 of the stdout of `COMMAND --poly FILE FLAGS...`, keyed by the input
+# and `COMMAND FLAGS...`; the families' square lengths are gated above
+MOMENT_SHA256 = {
+    ("x^3 + 0.5*x^2*y + y^3 + z^3", "moment"): "2a355faaebadcbf608c04f79ec09909b0d4ff1f1ca6ca0cf5cc46cf050441a3f",
+    ("x^3 + 0.5*x^2*y + y^3 + z^3", "moment --json"): "c40ffca8cf7426394e3df160c689098b68f0bdc2105d5faa81e6a127db16f0f6",
+    ("x^3 + 0.5*x^2*y + y^3 + z^3", "sqlength"): "dffb92a561302aa3e13947da4f15b9916ac9c7ec0bfa2c8e3bf21ff35e874804",
+    ("x^3 + 0.5*x^2*y + y^3 + z^3", "sqlength --json"): "9fe7416ac0272d5057272303e43e101058fa5ce8471a13d5d5e6db6df5a292f9",
+    ("critical cubic 5", "moment"): "20a7cbf4a84cbdb557ba9b4415e026b224741305c5e07b357058e80511b1a2b7",
+    ("critical cubic 5", "moment --json"): "3f9b7a089219efabe330870a54e31b42b62cfac98f39a7e2e9213935450a1dd3",
+    ("critical cubic 5", "sqlength"): "58eef401661eae894d4e2b669867533231647f9c2fb9cff58f49aa23aa776fa5",
+    ("critical cubic 5", "sqlength --json"): "160c07f2ff879fdd38cfd0d4af0984e7797a0d8ca12f57b775b5ce97403e7973",
+    ("b1*x^2*z + x*y^2", "moment"): "918836703d477fabd2ab7e6d6e1d420137f28cb94db51c4d101c41c30ec345a1",
+    ("b1*x^2*z + x*y^2", "moment --json"): "1da11a5d8931c1ff9ee7b56680a62d43e98318f8b9ada6b2c4aee48a216ae190",
+    ("grad-parametric-cubic", "moment"): "0fe4b4db0fab32a9b4eee388594c862e693b0fcbdf673cfa7673ed358c9a5983",
+    ("grad-parametric-cubic", "moment --json"): "1dcb63f72916c39ebe20d86ea4be1a39e37952e7993618cf0174c32442a87b4d",
+    ("grad-dense-exact-quartic", "moment --float --json"): "4b843635fe78fd948c9c44ba4edafbbaab9e9e2b1686e716e9d0b1f55f82b2c2",
+}
+
+
+@pytest.mark.parametrize("case, command", sorted(MOMENT_SHA256))
+def test_moment_bytes_are_stable(case, command, tmp_path, capsys):
+    path = tmp_path / "poly.json"
+    path.write_text(json.dumps(MOMENT_INPUTS[case]))
+    name, *flags = command.split()
+    assert cli.main([name, "--poly", str(path), *flags]) == 0
+    assert sha256_of(capsys.readouterr().out) == MOMENT_SHA256[case, command]
+
+
 def write_poly(tmp_path, coeff):
     path = tmp_path / "poly.json"
     path.write_text(json.dumps({"n": 3, "d": 3, "terms": [{"exp": [3, 0, 0], "coeff": coeff}]}))
@@ -290,6 +331,29 @@ def test_non_finite_results_are_not_printed(tmp_path, capsys, command, flag, tex
     path = tmp_path / "poly.json"
     path.write_text('{"n": 3, "d": 3, "terms": [%s]}' % text)
     assert cli.main([command, "--poly", str(path), *flag]) == cli.USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["moment", "sqlength"])
+@pytest.mark.parametrize("flags", [[], ["--json"], ["--float"], ["--float", "--json"]])
+def test_underflowing_norm_is_degenerate_input(tmp_path, capsys, command, flags):
+    # with 1e-200 on x^3 and y^3 the squared norm is 0.0: grad and verify said
+    # so, but both of these ended in a ZeroDivisionError
+    path = tmp_path / "poly.json"
+    path.write_text(json.dumps(cubic(([3, 0, 0], 1e-200), ([0, 3, 0], 1e-200))))
+    assert cli.main([command, "--poly", str(path), *flags]) == cli.DEGENERATE_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("degenerate input: ")
+
+
+@pytest.mark.parametrize("flags", [["--float"], ["--float", "--json"]])
+def test_float_output_beyond_the_float_range_is_a_usage_error(tmp_path, capsys, flags):
+    # exact 1e-400 on x^3 and x^2*y: the gradient's entries exceed the float
+    # range, and converting them used to raise an uncaught OverflowError
+    path = tmp_path / "poly.json"
+    path.write_text(json.dumps(cubic(([3, 0, 0], "1e-400"), ([2, 1, 0], "1e-400"))))
+    assert cli.main(["grad", "--poly", str(path), *flags]) == cli.USAGE_ERROR
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: ")
 

@@ -16,7 +16,7 @@ ORACLE_CASES = [
 def symbolic_offending(family):
     """The symbolic filter: {(i, j): numerator} for each off-diagonal entry,
     i < j, of the moment matrix over the parameter ring that is not 0."""
-    numerators = symbolic_moment_matrix(family.poly).numerators
+    numerators, _ = symbolic_moment_matrix(family.poly)
     n = family.poly.n
     return {
         (i, j): numerators[i][j]

@@ -10,7 +10,6 @@ from momentforge.critical import solve_family
 from momentforge.diagonal import diagonal_families
 from momentforge.fixtures import CRITICAL_CUBICS, CRITICAL_QUARTICS, critical_fixture_poly, mono
 from momentforge.moment import (
-    MomentMatrix,
     _inner_products,
     _Jet,
     _moment_numerators,
@@ -21,7 +20,6 @@ from momentforge.moment import (
     flow_derivative,
     gradient,
     gradient_symbolic,
-    hermitian_matrix,
     moment_matrix,
     square_length,
     square_length_symbolic,
@@ -47,65 +45,66 @@ def P(**kw):
 X3Y3 = P(x3=1, y3=1)
 
 
+def diag(*values):
+    """The diagonal matrix with these entries, as rows."""
+    n = len(values)
+    return tuple(tuple(v if i == j else 0 for j in range(n)) for i, v in enumerate(values))
+
+
+def hermitian(f):
+    """The matrix ``H(f) = m/2 + (d/n) I``, from the moment matrix."""
+    m = moment_matrix(f)
+    shift = Fraction(f.d, f.n)
+    return tuple(
+        tuple(m[i][j] / 2 + (shift if i == j else 0) for j in range(f.n)) for i in range(f.n)
+    )
+
+
 class TestHermitianMatrix:
     def test_x3(self):
-        assert hermitian_matrix(P(x3=1)).diagonal() == (3, 0, 0)
+        assert hermitian(P(x3=1)) == diag(3, 0, 0)
 
     def test_fermat_cubic(self):
-        h = hermitian_matrix(P(x3=1, y3=1, z3=1))
-        assert h.is_diagonal() and h.diagonal() == (1, 1, 1)
+        assert hermitian(P(x3=1, y3=1, z3=1)) == diag(1, 1, 1)
 
     def test_x4(self):
-        assert hermitian_matrix(SparsePoly.monomial(3, (4, 0, 0))).diagonal() == (4, 0, 0)
+        assert hermitian(SparsePoly.monomial(3, (4, 0, 0))) == diag(4, 0, 0)
 
     def test_zero_rejected(self):
         with pytest.raises(DegenerateInputError):
-            hermitian_matrix(SparsePoly.zero(3, 3))
+            moment_matrix(SparsePoly.zero(3, 3))
 
     def test_real_symmetry(self):
         rng = random.Random(41)
         for _ in range(20):
-            h = hermitian_matrix(random_rational_poly(rng, 3, 3, density=0.6))
-            assert all(
-                h.entries[i][j] == h.entries[j][i] for i in range(3) for j in range(3)
-            )
+            h = hermitian(random_rational_poly(rng, 3, 3, density=0.6))
+            assert all(h[i][j] == h[j][i] for i in range(3) for j in range(3))
 
 
 class TestMomentMatrix:
     def test_published_example(self):
-        m = moment_matrix(X3Y3)
-        assert m.is_diagonal()
-        assert m.diagonal() == (1, 1, -2)
-
-    def test_value_semantics(self):
-        m = moment_matrix(X3Y3)
-        again = moment_matrix(P(x3=1, y3=1))
-        assert again is not m
-        assert again == m and hash(again) == hash(m)
-        assert m != moment_matrix(P(x3=1))
-        assert m != (m.n, m.entries)
-        assert repr(MomentMatrix(1, ((0,),))) == "MomentMatrix(n=1, entries=((0,),))"
+        assert moment_matrix(X3Y3) == diag(1, 1, -2)
 
     def test_xyz_is_minimal(self):
         m = moment_matrix(SparsePoly.monomial(3, (1, 1, 1)))
-        assert all(v == 0 for row in m.entries for v in row)
+        assert all(v == 0 for row in m for v in row)
 
     def test_x3(self):
-        assert moment_matrix(P(x3=1)).diagonal() == (4, -2, -2)
+        assert moment_matrix(P(x3=1)) == diag(4, -2, -2)
 
     def test_trace_zero_exactly(self):
         rng = random.Random(43)
         for d in (3, 4):
             for _ in range(50):
                 m = moment_matrix(random_rational_poly(rng, 3, d, density=0.5))
-                assert m.trace() == 0
+                assert sum(m[i][i] for i in range(3)) == 0
 
     def test_scale_invariance(self):
         rng = random.Random(47)
         for _ in range(50):
             f = random_rational_poly(rng, 3, 3, density=0.5)
             lam = Fraction(rng.randint(1, 12), rng.randint(1, 12)) * rng.choice((1, -1))
-            assert moment_matrix(scale_poly(f, lam)).entries == moment_matrix(f).entries
+            assert moment_matrix(scale_poly(f, lam)) == moment_matrix(f)
             assert square_length(scale_poly(f, lam)) == square_length(f)
 
 
@@ -191,7 +190,7 @@ class TestSymbolicMomentMatrix:
         general = SparsePoly.make(
             3, 4, {a: ParamPoly.symbol(size, k) for k, a in enumerate(basis)}
         )
-        sym = symbolic_moment_matrix(general)
+        numerators, denom = symbolic_moment_matrix(general)
 
         def coeff(poly, sub_a, sub_b):
             exp = [0] * size
@@ -199,21 +198,21 @@ class TestSymbolicMomentMatrix:
             exp[basis.index(sub_b)] += 1
             return poly.terms.get(tuple(exp), Fraction(0))
 
-        assert coeff(sym.denominator, (4, 0, 0), (4, 0, 0)) == 36
-        assert coeff(sym.numerators[0][0], (4, 0, 0), (4, 0, 0)) == 192
-        assert coeff(sym.numerators[1][1], (4, 0, 0), (4, 0, 0)) == -96
-        assert coeff(sym.numerators[0][1], (3, 1, 0), (4, 0, 0)) == 72
+        assert coeff(denom, (4, 0, 0), (4, 0, 0)) == 36
+        assert coeff(numerators[0][0], (4, 0, 0), (4, 0, 0)) == 192
+        assert coeff(numerators[1][1], (4, 0, 0), (4, 0, 0)) == -96
+        assert coeff(numerators[0][1], (3, 1, 0), (4, 0, 0)) == 72
 
 
     def test_family_with_vanishing_entries(self):
         # b1*x^3 + y^3: every off-diagonal entry and the z-row vanish identically
         fam = SparsePoly.make(3, 3, {mono("x3"): ParamPoly.symbol(1, 0), mono("y3"): 1})
-        sym = symbolic_moment_matrix(fam)
+        numerators, denom = symbolic_moment_matrix(fam)
         b1 = ParamPoly.symbol(1, 0)
-        assert sym.denominator == b1 * b1 + 1
-        assert sym.numerators[0][0] == b1 * b1 * 4 - 2
-        assert sym.numerators[2][2] == b1 * b1 * -2 - 2
-        assert all(sym.numerators[i][j].is_zero() for i in range(3) for j in range(3) if i != j)
+        assert denom == b1 * b1 + 1
+        assert numerators[0][0] == b1 * b1 * 4 - 2
+        assert numerators[2][2] == b1 * b1 * -2 - 2
+        assert all(numerators[i][j].is_zero() for i in range(3) for j in range(3) if i != j)
 
 
 class TestGradient:
@@ -573,14 +572,16 @@ class TestFlowDerivative:
         assert flow_derivative(P(x2y=1, x3=1), 1, 2) == Fraction(3, 2)
 
     def test_equals_twice_hermitian_entry(self):
+        # 2 H_ij = m_ij + (2d/n) delta_ij
         rng = random.Random(71)
         for d in (3, 4):
             for _ in range(25):
                 f = random_rational_poly(rng, 3, d, density=0.5)
-                h = hermitian_matrix(f)
+                m = moment_matrix(f)
                 for i in range(1, 4):
                     for j in range(1, 4):
-                        assert flow_derivative(f, i, j) == 2 * h.entries[i - 1][j - 1]
+                        shift = Fraction(2 * d, 3) if i == j else 0
+                        assert flow_derivative(f, i, j) == m[i - 1][j - 1] + shift
 
     def test_bad_indices(self):
         with pytest.raises(ValueError):
