@@ -36,7 +36,6 @@ from .polyring import (
     ExponentVector,
     ParamPoly,
     SparsePoly,
-    poly_add,
     poly_from_json,
     poly_to_json,
     substitute_params,

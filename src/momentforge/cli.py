@@ -289,6 +289,16 @@ def emit_points(f: SparsePoly, box: float = 2.0, samples: int = 25):
         raise ValueError("point emission supports three variables")
     if samples < 2:
         raise ValueError(f"need at least 2 samples per axis, got {samples}")
+    if f.is_zero():
+        raise DegenerateInputError("cannot sample the zero polynomial")
+    # converted once: a coefficient beyond the float range, or a nonzero one
+    # that rounds to 0.0, would sample another curve or none
+    try:
+        f = SparsePoly(f.n, f.d, {exp: float(c) for exp, c in f.terms.items()})
+    except OverflowError:
+        raise ValueError("a coefficient is beyond the floating-point range") from None
+    if 0.0 in f.terms.values():
+        raise ValueError("a nonzero coefficient rounds to 0.0 in floating point")
     pts: list[tuple[float, float, float]] = []
     grid = [(-box + 2 * box * k / (samples - 1)) for k in range(samples)]
     for axis in range(3):

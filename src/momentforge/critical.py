@@ -104,22 +104,8 @@ class AlgebraicNumber(NamedTuple):
     hi: Fraction
     approx: float
 
-    def contains(self, value: Fraction) -> bool:
-        return self.lo <= value <= self.hi
-
     def __float__(self) -> float:
         return self.approx
-
-    def __str__(self):
-        return format(self.approx, ".12g")
-
-
-def _value_is_zero(v) -> bool:
-    if isinstance(v, Fraction):
-        return v == 0
-    if isinstance(v, AlgebraicNumber):
-        return v.contains(Fraction(0))
-    return v == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -146,10 +132,13 @@ def verify_critical(f: SparsePoly) -> float:
     """Largest absolute gradient component; exactly 0.0 for rational critical points."""
     if f.is_zero():
         raise DegenerateInputError("cannot verify the zero polynomial")
-    grad = gradient(f)
-    if f.is_exact() and all(g == 0 for g in grad):
-        return 0.0
-    return max(abs(float(g)) for g in grad)
+    # one conversion of the exact maximum: rounding is monotone and symmetric,
+    # so it is the largest of the rounded components
+    largest = max(abs(g) for g in gradient(f))
+    try:
+        return float(largest)
+    except OverflowError:
+        raise ValueError("the gradient is beyond the floating-point range") from None
 
 
 # ---------------------------------------------------------------------------
@@ -493,18 +482,6 @@ class CriticalSolution(NamedTuple):
     def polynomial(self) -> SparsePoly:
         return _substitute_values(self.family, self.values)
 
-    def __str__(self):
-        vals = ", ".join(
-            f"b{i + 1}={_fmt_value(v)}" for i, v in enumerate(self.values)
-        )
-        return f"{self.family} at {vals}"
-
-
-def _fmt_value(v) -> str:
-    if isinstance(v, Fraction):
-        return str(v)
-    return format(float(v), ".12g")
-
 
 def _substitute_values(family: ParamFamily, values) -> SparsePoly:
     subs = [
@@ -546,7 +523,9 @@ def _roots_of_upoly(p: uni.UPoly) -> list:
             value = uni.simplest_rational_in(lo, hi)
             if uni.sign_at(p, value) != 0:
                 value = AlgebraicNumber(tuple(p), lo, hi, float((lo + hi) / 2))
-        if not _value_is_zero(value):
+        # zero is the simplest rational in any interval that holds it, so a
+        # root at 0 is the Fraction 0, and an AlgebraicNumber is never 0
+        if value != 0:
             roots.append(value)
     return roots
 
@@ -791,8 +770,6 @@ def solve_real(system: GradientSystem, tol: float = RESIDUAL_TOL) -> list[Critic
 
     solutions: list[CriticalSolution] = []
     for values in candidates:
-        if any(_value_is_zero(v) for v in values):
-            continue
         if not _candidate_passes(eqs, values):
             continue
         poly = _substitute_values(system.family, values)

@@ -351,10 +351,6 @@ class SparsePoly:
         return SparsePoly(n, d, clean)
 
     @staticmethod
-    def zero(n: int, d: int) -> "SparsePoly":
-        return SparsePoly(n, d, {})
-
-    @staticmethod
     def monomial(n: int, exp: ExponentVector, coeff: Scalar = ONE) -> "SparsePoly":
         return SparsePoly.make(n, degree(tuple(exp)), {tuple(exp): coeff})
 
@@ -374,9 +370,6 @@ class SparsePoly:
         if not isinstance(other, SparsePoly):
             return NotImplemented
         return (self.n, self.d) == (other.n, other.d) and self.terms == other.terms
-
-    def __add__(self, other: "SparsePoly") -> "SparsePoly":
-        return poly_add(self, other)
 
     def __str__(self):
         return format_poly(self)
@@ -433,23 +426,6 @@ def display_key(alpha: ExponentVector) -> tuple[int, ...]:
 # operations
 
 
-def poly_add(f: SparsePoly, g: SparsePoly) -> SparsePoly:
-    """Termwise sum; zero coefficients are pruned."""
-    if (f.n, f.d) != (g.n, g.d):
-        raise ValueError(f"cannot add polynomials of shape {(f.n, f.d)} and {(g.n, g.d)}")
-    out = dict(f.terms)
-    for exp, coeff in g.terms.items():
-        if exp in out:
-            s = out[exp] + coeff
-            if scalar_is_zero(s):
-                del out[exp]
-            else:
-                out[exp] = s
-        else:
-            out[exp] = coeff
-    return SparsePoly(f.n, f.d, out)
-
-
 def parameter_symbols(f: SparsePoly) -> int:
     """Number of parameter symbols occurring in ``f`` (0 when numeric)."""
     for c in f.terms.values():
@@ -458,27 +434,17 @@ def parameter_symbols(f: SparsePoly) -> int:
     return 0
 
 
-def substitute_params(f: SparsePoly, assignment: Mapping[str, Scalar] | Sequence) -> SparsePoly:
+def substitute_params(f: SparsePoly, values: Sequence) -> SparsePoly:
     """Replace parameter symbols by values.
 
-    ``assignment`` is either a positional sequence or a mapping with keys
-    ``"b1"``, ``"b2"``, ...; it must cover every symbol occurring in ``f``.
-    Evaluation is exact when all values are rational.
+    ``values`` holds one value per symbol, ``b1`` first.  Evaluation is exact
+    when all values are rational.
     """
     nsyms = parameter_symbols(f)
     if nsyms == 0:
         return f
-    if isinstance(assignment, Mapping):
-        values = []
-        for i in range(nsyms):
-            name = f"b{i + 1}"
-            if name not in assignment:
-                raise ValueError(f"assignment misses parameter symbol {name}")
-            values.append(assignment[name])
-    else:
-        values = list(assignment)
-        if len(values) != nsyms:
-            raise ValueError(f"expected {nsyms} parameter values, got {len(values)}")
+    if len(values) != nsyms:
+        raise ValueError(f"expected {nsyms} parameter values, got {len(values)}")
     values = [v if isinstance(v, float) else Fraction(v) for v in values]
     out: dict[ExponentVector, Scalar] = {}
     for exp, coeff in f.terms.items():

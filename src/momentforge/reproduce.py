@@ -27,6 +27,50 @@ class CheckResult(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
+# checks of either degree d, 3 for the cubics and 4 for the quartics
+
+
+def _diagonal_families(name: str, d: int, terms, table) -> CheckResult:
+    got = [fam.support for m in terms for fam in diagonal_families(3, d, m)]
+    want = [support(*names) for names in table]
+    return CheckResult(name, got == want, f"got {len(got)}")
+
+
+def _monomials_critical(name: str, d: int) -> CheckResult:
+    monomials = enumerate_monomials(3, d)
+    bad = [a for a in monomials if verify_critical(SparsePoly.monomial(3, a)) != 0.0]
+    return CheckResult(name, not bad, str(bad) if bad else "")
+
+
+def solver_results(d: int):
+    """Each diagonal family with 2, then 3 terms, with its solutions."""
+    families = [family for m in (2, 3) for family in diagonal_families(3, d, m)]
+    return [(family, solve_family(family)) for family in families]
+
+
+def _missing_targets(produced: list[SparsePoly], targets) -> list[int]:
+    """Numbers of the (number, polynomial) targets equivalent to no produced
+    polynomial modulo torus rescaling and coordinate permutation."""
+    # each polynomial is canonicalized once, not once per compared pair
+    canonical = [critical.orbit_torus_canonical(p) for p in produced]
+    missing = []
+    for number, target in targets:
+        key = critical.orbit_torus_canonical(target)
+        if not any(polys_close(c, key) for c in canonical):
+            missing.append(number)
+    return missing
+
+
+def _recovered(name: str, d: int, entries) -> CheckResult:
+    """Whether the solutions of degree ``d`` hold each published (number, entry)."""
+    produced = [sol.polynomial() for _, sols in solver_results(d) for sol in sols]
+    targets = [(number, critical_fixture_poly(entry)) for number, entry in entries]
+    missing = _missing_targets(produced, targets)
+    detail = f"missing entries {missing}" if missing else f"{len(produced)} solutions"
+    return CheckResult(name, not missing, detail)
+
+
+# ---------------------------------------------------------------------------
 # cubic checks
 
 
@@ -56,61 +100,6 @@ def check_cubic_moment_example() -> CheckResult:
     return CheckResult("moment matrix of x^3 + y^3", ok)
 
 
-def check_cubic_diagonal_families() -> CheckResult:
-    got = []
-    for m in (2, 3, 4):
-        got.extend(fam.support for fam in diagonal_families(3, 3, m))
-    want = [support(*names) for names in fixtures.DIAGONAL_CUBIC]
-    ok = got == want
-    return CheckResult(
-        "cubic diagonal families (11)",
-        ok,
-        f"got {len(got)}",
-    )
-
-
-def check_cubic_monomial_criticality() -> CheckResult:
-    bad = [
-        alpha
-        for alpha in enumerate_monomials(3, 3)
-        if verify_critical(SparsePoly.monomial(3, alpha)) != 0.0
-    ]
-    return CheckResult("all 10 cubic monomials critical", not bad, str(bad) if bad else "")
-
-
-def cubic_solver_results():
-    families = []
-    for m in (2, 3):
-        families.extend(diagonal_families(3, 3, m))
-    return [(family, solve_family(family)) for family in families]
-
-
-def _missing_targets(produced: list[SparsePoly], targets) -> list[int]:
-    """Numbers of the (number, polynomial) targets equivalent to no produced
-    polynomial modulo torus rescaling and coordinate permutation."""
-    # each polynomial is canonicalized once, not once per compared pair
-    canonical = [critical.orbit_torus_canonical(p) for p in produced]
-    missing = []
-    for number, target in targets:
-        key = critical.orbit_torus_canonical(target)
-        if not any(polys_close(c, key) for c in canonical):
-            missing.append(number)
-    return missing
-
-
-def check_cubic_critical_set() -> CheckResult:
-    produced = [sol.polynomial() for _, sols in cubic_solver_results() for sol in sols]
-    missing = _missing_targets(
-        produced,
-        [(k + 1, critical_fixture_poly(entry)) for k, entry in enumerate(fixtures.CRITICAL_CUBICS)],
-    )
-    return CheckResult(
-        "six published critical cubics recovered",
-        not missing,
-        f"missing entries {missing}" if missing else f"{len(produced)} solutions",
-    )
-
-
 # ---------------------------------------------------------------------------
 # quartic checks
 
@@ -119,12 +108,6 @@ def check_quartic_orbit_pairs() -> CheckResult:
     got = orbit_classes(3, 4, 2)
     want = [support(*names) for names in fixtures.T2_QUARTIC]
     return CheckResult("quartic two-term representatives (22)", got == want, f"got {len(got)}")
-
-
-def check_quartic_diagonal_families() -> CheckResult:
-    got = [fam.support for fam in diagonal_families(3, 4, 3)]
-    want = [support(*names) for names in fixtures.DIAGONAL_QUARTIC_3TERM]
-    return CheckResult("quartic three-term diagonal families (31)", got == want, f"got {len(got)}")
 
 
 def check_quartic_symbolic_matrix() -> CheckResult:
@@ -155,15 +138,6 @@ def check_quartic_symbolic_matrix() -> CheckResult:
     return CheckResult("symbolic quartic moment matrix", not bad, ", ".join(bad))
 
 
-def check_quartic_monomial_criticality() -> CheckResult:
-    bad = [
-        alpha
-        for alpha in enumerate_monomials(3, 4)
-        if verify_critical(SparsePoly.monomial(3, alpha)) != 0.0
-    ]
-    return CheckResult("all 15 quartic monomials critical", not bad, str(bad) if bad else "")
-
-
 def check_quartic_list_verifies() -> CheckResult:
     worst = 0.0
     bad = []
@@ -181,50 +155,30 @@ def check_quartic_list_verifies() -> CheckResult:
     )
 
 
-def quartic_solver_results():
-    families = []
-    for m in (2, 3):
-        families.extend(diagonal_families(3, 4, m))
-    return [(family, solve_family(family)) for family in families]
-
-
-def check_quartic_rational_rediscovery() -> CheckResult:
-    produced = [sol.polynomial() for _, sols in quartic_solver_results() for sol in sols]
-    missing = _missing_targets(
-        produced,
-        [
-            (k + 1, critical_fixture_poly(entry))
-            for k, entry in enumerate(fixtures.CRITICAL_QUARTICS)
-            # entries with irrational coefficients are verification-only
-            if all(r == 1 for _, r, _ in entry)
-        ],
-    )
-    return CheckResult(
-        "rational critical quartics rediscovered by the solver",
-        not missing,
-        f"missing entries {missing}" if missing else f"{len(produced)} solutions",
-    )
-
-
 def run_case(case: str) -> list[CheckResult]:
+    cubics, quartics = fixtures.CRITICAL_CUBICS, fixtures.CRITICAL_QUARTICS
     if case == "cubics":
-        checks = [
+        return [
             check_bases(),
             check_orbit_tables(),
             check_cubic_moment_example(),
-            check_cubic_diagonal_families(),
-            check_cubic_monomial_criticality(),
-            check_cubic_critical_set(),
+            _diagonal_families(
+                "cubic diagonal families (11)", 3, (2, 3, 4), fixtures.DIAGONAL_CUBIC
+            ),
+            _monomials_critical("all 10 cubic monomials critical", 3),
+            _recovered("six published critical cubics recovered", 3, enumerate(cubics, 1)),
         ]
-    elif case == "quartics":
-        checks = [
+    if case == "quartics":
+        # entries with irrational coefficients are verification-only
+        rational = [(k, e) for k, e in enumerate(quartics, 1) if all(r == 1 for _, r, _ in e)]
+        return [
             check_quartic_orbit_pairs(),
-            check_quartic_diagonal_families(),
+            _diagonal_families(
+                "quartic three-term diagonal families (31)", 4, (3,), fixtures.DIAGONAL_QUARTIC_3TERM
+            ),
             check_quartic_symbolic_matrix(),
-            check_quartic_monomial_criticality(),
+            _monomials_critical("all 15 quartic monomials critical", 4),
             check_quartic_list_verifies(),
-            check_quartic_rational_rediscovery(),
+            _recovered("rational critical quartics rediscovered by the solver", 4, rational),
         ]
-    else:
-        raise ValueError(f"unknown case {case!r}; expected cubics or quartics")
-    return checks
+    raise ValueError(f"unknown case {case!r}; expected cubics or quartics")

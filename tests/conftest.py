@@ -36,3 +36,9 @@ def random_sparse_poly(rng: random.Random, n: int = 3, d: int = 3) -> SparsePoly
 def scale_poly(f: SparsePoly, lam) -> SparsePoly:
     """``lam * f``; the zero polynomial when ``lam`` is 0."""
     return SparsePoly(f.n, f.d, {a: c * lam for a, c in f.terms.items() if lam != 0})
+
+
+def add_poly(f: SparsePoly, g: SparsePoly) -> SparsePoly:
+    """``f + g`` for two polynomials of one shape; zero sums are dropped."""
+    exps = f.terms.keys() | g.terms.keys()
+    return SparsePoly.make(f.n, f.d, {a: f.terms.get(a, 0) + g.terms.get(a, 0) for a in exps})

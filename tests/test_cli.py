@@ -218,6 +218,45 @@ def test_moment_bytes_are_stable(case, command, tmp_path, capsys):
     assert sha256_of(capsys.readouterr().out) == MOMENT_SHA256[case, command]
 
 
+# sha256 and point count of the stdout of `emit-points --poly FILE --json`
+EMIT_POINTS_JSON = {
+    "x^3 + y^3 - z^3": (
+        cubic(([3, 0, 0], "1"), ([0, 3, 0], "1"), ([0, 0, 3], "-1")),
+        "4675c3d0d95e99a13bbaf45f53f2d3f4ac0b7406af40010bf2a9c8d389ee71db",
+        1671,
+    ),
+    "x^3 + 0.5*x^2*y + y^3 - z^3": (
+        cubic(([3, 0, 0], "1"), ([2, 1, 0], 0.5), ([0, 3, 0], "1"), ([0, 0, 3], "-1")),
+        "51c778273df8855818bf5bbeceb39c1d1b5bbc8ccb61b81fd7d7ad775a399830",
+        1634,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EMIT_POINTS_JSON))
+def test_emit_points_json_bytes_are_stable(case, tmp_path, capsys):
+    body, digest, count = EMIT_POINTS_JSON[case]
+    path = tmp_path / "poly.json"
+    path.write_text(json.dumps(body))
+    assert cli.main(["emit-points", "--poly", str(path), "--json"]) == 0
+    out = capsys.readouterr().out
+    assert sha256_of(out) == digest
+    assert len(json.loads(out)["points"]) == count
+
+
+# sha256 of the stdout of `reproduce-paper --case CASE`
+REPRODUCE_PAPER_SHA256 = {
+    "cubics": "a3767a96f88c88e271e8004ac7f87938146ce26d187e394466bfa3b99859abb9",
+    "quartics": "5ed58988bb4bcf9c42fff78666a965418dda196d39e81db3b1e10d014faeaeb2",
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPRODUCE_PAPER_SHA256))
+def test_reproduce_paper_bytes_are_stable(case, capsys):
+    assert cli.main(["reproduce-paper", "--case", case]) == 0
+    assert sha256_of(capsys.readouterr().out) == REPRODUCE_PAPER_SHA256[case]
+
+
 def write_poly(tmp_path, coeff):
     path = tmp_path / "poly.json"
     path.write_text(json.dumps({"n": 3, "d": 3, "terms": [{"exp": [3, 0, 0], "coeff": coeff}]}))
@@ -358,6 +397,36 @@ def test_float_output_beyond_the_float_range_is_a_usage_error(tmp_path, capsys, 
     assert captured.out == "" and captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_verify_beyond_the_float_range_is_a_usage_error(tmp_path, capsys, flags):
+    # the largest gradient entry of the same input; it used to end in an
+    # uncaught OverflowError
+    path = tmp_path / "poly.json"
+    path.write_text(json.dumps(cubic(([3, 0, 0], "1e-400"), ([2, 1, 0], "1e-400"))))
+    assert cli.main(["verify", "--poly", str(path), *flags]) == cli.USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        # beyond the float range: an uncaught OverflowError
+        (([3, 0, 0], "1e400"), ([0, 3, 0], "1")),
+        # nonzero, but 0.0 as floats: all 45,000 grid points, with exit 0
+        (([3, 0, 0], "1e-400"), ([2, 1, 0], "1e-400")),
+    ],
+)
+def test_emit_points_coefficient_outside_the_float_range_is_a_usage_error(
+    tmp_path, capsys, terms
+):
+    path = tmp_path / "poly.json"
+    path.write_text(json.dumps(cubic(*terms)))
+    assert cli.main(["emit-points", "--poly", str(path), "--json"]) == cli.USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
 @pytest.mark.parametrize("samples", [0, 1])
 def test_emit_points_needs_two_samples(tmp_path, capsys, samples):
     argv = ["emit-points", "--poly", write_poly(tmp_path, 1), "--samples", str(samples)]
@@ -401,8 +470,11 @@ def test_one_term_diagonal_is_a_usage_error(capsys):
 def test_zero_polynomial_is_degenerate_input(tmp_path, capsys):
     path = tmp_path / "zero.json"
     path.write_text(json.dumps({"n": 3, "d": 3, "terms": []}))
-    assert cli.main(["verify", "--poly", str(path)]) == cli.DEGENERATE_INPUT
-    assert capsys.readouterr().err.startswith("degenerate input: ")
+    # emit-points used to print all 45,000 grid points, with exit 0
+    for command in ("verify", "emit-points"):
+        assert cli.main([command, "--poly", str(path)]) == cli.DEGENERATE_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("degenerate input: ")
 
 
 def test_failed_check_is_a_fixture_mismatch(monkeypatch, capsys):

@@ -4,7 +4,7 @@ import pytest
 
 from momentforge import fixtures
 from momentforge.fixtures import critical_fixture_poly
-from momentforge.reproduce import _missing_targets, quartic_solver_results, run_case
+from momentforge.reproduce import _missing_targets, run_case, solver_results
 
 
 @pytest.mark.parametrize("case", ["cubics", "quartics"])
@@ -16,7 +16,7 @@ def test_run_case_all_checks_ok(case):
 
 def test_all_published_quartics_are_rediscovered():
     # the harness checks only the 9 rational entries; the solver finds all 26
-    produced = [sol.polynomial() for _, sols in quartic_solver_results() for sol in sols]
+    produced = [sol.polynomial() for _, sols in solver_results(4) for sol in sols]
     targets = [
         (k + 1, critical_fixture_poly(entry)) for k, entry in enumerate(fixtures.CRITICAL_QUARTICS)
     ]
