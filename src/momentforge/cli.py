@@ -291,10 +291,17 @@ def emit_points(f: SparsePoly, box: float = 2.0, samples: int = 25):
         raise ValueError(f"need at least 2 samples per axis, got {samples}")
     if f.is_zero():
         raise DegenerateInputError("cannot sample the zero polynomial")
-    # converted once: a coefficient beyond the float range, or a nonzero one
-    # that rounds to 0.0, would sample another curve or none
+    # converted once and scaled by 2**shift, which is exact, to centre the
+    # binary exponents on 0 (short of overflowing the largest): terms near an
+    # end of the float range would overflow in the sums.  A coefficient beyond
+    # the float range, or a nonzero one that rounds to 0.0, would sample
+    # another curve or none
     try:
-        f = SparsePoly(f.n, f.d, {exp: float(c) for exp, c in f.terms.items()})
+        coeffs = {exp: float(c) for exp, c in f.terms.items()}
+        exponents = [math.frexp(c)[1] for c in coeffs.values()]
+        top, bottom = max(exponents), min(exponents)
+        shift = min(-(top + bottom) // 2, sys.float_info.max_exp - top)
+        f = SparsePoly(f.n, f.d, {exp: math.ldexp(c, shift) for exp, c in coeffs.items()})
     except OverflowError:
         raise ValueError("a coefficient is beyond the floating-point range") from None
     if 0.0 in f.terms.values():
@@ -305,27 +312,22 @@ def emit_points(f: SparsePoly, box: float = 2.0, samples: int = 25):
         others = [i for i in range(3) if i != axis]
         for u in grid:
             for v in grid:
-                base = [0.0, 0.0, 0.0]
-                base[others[0]] = u
-                base[others[1]] = v
 
-                def at(t: float) -> float:
-                    p = list(base)
-                    p[axis] = t
-                    return evaluate_poly(f, p)
+                def point(t: float) -> tuple[float, float, float]:
+                    p = [0.0, 0.0, 0.0]
+                    p[others[0]], p[others[1]], p[axis] = u, v, t
+                    return tuple(p)
 
-                prev_t, prev_val = grid[0], at(grid[0])
+                prev_t, prev_val = grid[0], evaluate_poly(f, point(grid[0]))
                 for t in grid[1:]:
-                    val = at(t)
+                    val = evaluate_poly(f, point(t))
                     if prev_val == 0.0:
-                        p = list(base)
-                        p[axis] = prev_t
-                        pts.append(tuple(p))
+                        pts.append(point(prev_t))
                     elif val != 0.0 and (prev_val < 0) != (val < 0):
                         lo, hi, flo = prev_t, t, prev_val
                         for _ in range(48):
                             mid = 0.5 * (lo + hi)
-                            fmid = at(mid)
+                            fmid = evaluate_poly(f, point(mid))
                             if fmid == 0.0:
                                 lo = hi = mid
                                 break
@@ -333,9 +335,7 @@ def emit_points(f: SparsePoly, box: float = 2.0, samples: int = 25):
                                 hi = mid
                             else:
                                 lo, flo = mid, fmid
-                        p = list(base)
-                        p[axis] = 0.5 * (lo + hi)
-                        pts.append(tuple(p))
+                        pts.append(point(0.5 * (lo + hi)))
                     prev_t, prev_val = t, val
     return pts
 
@@ -382,9 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = add(name, func, help=what)
         p.add_argument("--poly", required=True, help="polynomial JSON file")
-        mode = p.add_mutually_exclusive_group()
-        mode.add_argument("--exact", action="store_true", help="exact output (default)")
-        mode.add_argument("--float", action="store_true", help="decimal output")
+        p.add_argument("--float", action="store_true", help="decimal output (exact by default)")
 
     p = add("orbits", _cmd_orbits, help="orbit representatives of monomial supports")
     p.add_argument("--n", type=int, required=True)

@@ -61,7 +61,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
-from math import prod
+from math import lcm, prod
 from typing import NamedTuple
 
 from . import univariate as uni
@@ -215,23 +215,16 @@ def _solve_combination(basis: list[tuple[Fraction, ...]], target: tuple[Fraction
     return combo
 
 
-def _factor_positive(value: Fraction) -> dict[int, int]:
-    """Prime-exponent map of a positive rational (large leftovers kept opaque)."""
-    out: dict[int, int] = {}
-
-    def factor_int(n: int, sign: int):
-        p = 2
-        while p * p <= n and p < 10**6:
-            while n % p == 0:
-                out[p] = out.get(p, 0) + sign
-                n //= p
-            p += 1 if p == 2 else 2
-        if n > 1:
-            out[n] = out.get(n, 0) + sign
-
-    factor_int(value.numerator, 1)
-    factor_int(value.denominator, -1)
-    return {k: v for k, v in out.items() if v}
+def _exact_root(n: int, k: int) -> int | None:
+    """The integer r >= 0 with r**k == n, or None when n >= 0 is no k-th power."""
+    if n < 2:
+        return n
+    r = 1 << -(-n.bit_length() // k)  # at least the real root
+    while True:
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            return r if r**k == n else None
+        r = s
 
 
 def _greedy_basis(vectors) -> tuple[tuple[int, ...], tuple]:
@@ -284,26 +277,23 @@ def torus_canonical(f: SparsePoly) -> SparsePoly:
     exact_in = all(isinstance(c, Fraction) for c in coeffs)
     magnitudes: list = [None] * len(support)
     if exact_in:
-        factored = {t: _factor_positive(abs(coeffs[t])) for t in chosen}
         for j, combo in enumerate(combos):
             if combo is None:
                 magnitudes[j] = Fraction(1)
                 continue
-            exps: dict[int, Fraction] = {}
-            for p, e in _factor_positive(abs(coeffs[j])).items():
-                exps[p] = exps.get(p, Fraction(0)) + e
-            for t, gamma in zip(chosen, combo):
-                for p, e in factored[t].items():
-                    exps[p] = exps.get(p, Fraction(0)) - gamma * e
-            if all(e.denominator == 1 for e in exps.values()):
-                mag = Fraction(1)
-                for p, e in exps.items():
-                    mag *= Fraction(p) ** int(e)
-                magnitudes[j] = mag
-            else:
+            # |c_j| prod |c_t|^(-gamma_t) is rational iff the numerator and the
+            # denominator of its k-th power, k the common denominator of the
+            # gammas, are k-th powers of integers
+            k = lcm(*(g.denominator for g in combo))
+            power = abs(coeffs[j]) ** k
+            for t, g in zip(chosen, combo):
+                power /= abs(coeffs[t]) ** int(g * k)
+            num, den = _exact_root(power.numerator, k), _exact_root(power.denominator, k)
+            if num is None or den is None:
                 exact_in = False
                 break
-    if not exact_in or any(m is None for m in magnitudes):
+            magnitudes[j] = Fraction(num, den)
+    if not exact_in:
         logs = [math.log(abs(float(c))) for c in coeffs]
         for j, combo in enumerate(combos):
             if combo is None:

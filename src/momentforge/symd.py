@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import comb, factorial
 
 from .polyring import (
@@ -25,23 +26,14 @@ from .polyring import (
 )
 
 
-def _compositions(n: int, d: int):
-    # all length-n tuples of non-negative integers summing to d
-    if n == 1:
-        yield (d,)
-        return
-    for first in range(d, -1, -1):
-        for rest in _compositions(n - 1, d - first):
-            yield (first,) + rest
-
-
 @lru_cache(maxsize=None)
 def enumerate_monomials(n: int, d: int) -> tuple[ExponentVector, ...]:
     """The degree-``d`` exponent vectors in ``n`` variables, canonically
     ordered; there are binomial(n+d-1, d) of them."""
     if n < 1 or d < 1:
         raise ValueError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
-    basis = tuple(sorted(_compositions(n, d), key=canonical_key))
+    exponents = (a for a in product(range(d + 1), repeat=n) if sum(a) == d)
+    basis = tuple(sorted(exponents, key=canonical_key))
     assert len(basis) == comb(n + d - 1, d)
     return basis
 

@@ -244,6 +244,28 @@ def test_emit_points_json_bytes_are_stable(case, tmp_path, capsys):
     assert len(json.loads(out)["points"]) == count
 
 
+def test_emit_points_near_the_top_of_the_float_range(tmp_path, capsys):
+    # 1e308*x^3 - 1e308*y^3 is the curve x^3 - y^3, but its terms overflowed
+    # to inf - inf = nan on grid lines, and it printed 1,360 points
+    outs = []
+    for big, minus_big in ((1e308, -1e308), ("1", "-1")):
+        path = tmp_path / "poly.json"
+        path.write_text(json.dumps(cubic(([3, 0, 0], big), ([0, 3, 0], minus_big))))
+        assert cli.main(["emit-points", "--poly", str(path), "--json"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert len(json.loads(outs[0])["points"]) == 1800
+
+
+def test_emit_points_coefficients_spanning_the_float_range(tmp_path, capsys):
+    # frexp puts 1e308 and 5e-324 at binary exponents 1024 and -1073:
+    # centring them would overflow 1e308, so the scaling stops short of that
+    path = tmp_path / "poly.json"
+    path.write_text(json.dumps(cubic(([3, 0, 0], 1e308), ([0, 3, 0], 5e-324), ([0, 0, 3], -1.0))))
+    assert cli.main(["emit-points", "--poly", str(path), "--json"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["points"]) == 659
+
+
 # sha256 of the stdout of `reproduce-paper --case CASE`
 REPRODUCE_PAPER_SHA256 = {
     "cubics": "a3767a96f88c88e271e8004ac7f87938146ce26d187e394466bfa3b99859abb9",

@@ -325,7 +325,27 @@ def test_float_expression_matches_subs():
 
 # ---------------------------------------------------------------------------
 # torus canonicalisation, with the independent terms and the sign flips
-# worked out on every call as before the plan was cached per support
+# worked out on every call as before the plan was cached per support, and the
+# magnitudes from prime factorisations as before exact integer roots
+
+
+def factor_positive(value):
+    """Prime-exponent map of a positive rational (large leftovers kept opaque)."""
+    out = {}
+
+    def factor_int(n, sign):
+        p = 2
+        while p * p <= n and p < 10**6:
+            while n % p == 0:
+                out[p] = out.get(p, 0) + sign
+                n //= p
+            p += 1 if p == 2 else 2
+        if n > 1:
+            out[n] = out.get(n, 0) + sign
+
+    factor_int(value.numerator, 1)
+    factor_int(value.denominator, -1)
+    return {k: v for k, v in out.items() if v}
 
 
 def reference_torus_canonical(f):
@@ -341,13 +361,13 @@ def reference_torus_canonical(f):
     exact_in = all(isinstance(c, Fraction) for c in coeffs)
     magnitudes = [None] * len(support)
     if exact_in:
-        factored = {t: critical._factor_positive(abs(coeffs[t])) for t in chosen}
+        factored = {t: factor_positive(abs(coeffs[t])) for t in chosen}
         for j, combo in enumerate(combos):
             if combo is None:
                 magnitudes[j] = Fraction(1)
                 continue
             exps = {}
-            for p, e in critical._factor_positive(abs(coeffs[j])).items():
+            for p, e in factor_positive(abs(coeffs[j])).items():
                 exps[p] = exps.get(p, Fraction(0)) + e
             for t, gamma in zip(chosen, combo):
                 for p, e in factored[t].items():
@@ -400,3 +420,14 @@ def test_torus_canonical_matches_the_per_call_plan(seed):
         for sigma in permutations(range(n)):
             g = permute(sigma, f)
             assert repr(critical.torus_canonical(g).terms) == repr(reference_torus_canonical(g))
+
+
+def test_torus_magnitude_with_prime_factors_beyond_trial_division():
+    # P^2 x^3 + x^2 y + x z^2 + z^3 rescales to x^3 + x^2 y + x z^2 + P z^3,
+    # the z^3 magnitude being (P^2)^(1/2); trial division up to 10^6 kept P^2
+    # as an opaque prime, so that magnitude fell to floats: 1000036000098.9984
+    big = 1000003 * 1000033
+    f = SparsePoly.make(3, 3, {(3, 0, 0): big**2, (2, 1, 0): 1, (1, 0, 2): 1, (0, 0, 3): 1})
+    terms = critical.torus_canonical(f).terms
+    assert terms == {(3, 0, 0): 1, (2, 1, 0): 1, (1, 0, 2): 1, (0, 0, 3): 1000036000099}
+    assert all(isinstance(c, Fraction) for c in terms.values())

@@ -571,16 +571,17 @@ class TestFlowDerivative:
     def test_mixed_direction(self):
         assert flow_derivative(P(x2y=1, x3=1), 1, 2) == Fraction(3, 2)
 
-    def test_equals_twice_hermitian_entry(self):
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_equals_twice_hermitian_entry(self, n):
         # 2 H_ij = m_ij + (2d/n) delta_ij
         rng = random.Random(71)
         for d in (3, 4):
             for _ in range(25):
-                f = random_rational_poly(rng, 3, d, density=0.5)
+                f = random_rational_poly(rng, n, d, density=0.5)
                 m = moment_matrix(f)
-                for i in range(1, 4):
-                    for j in range(1, 4):
-                        shift = Fraction(2 * d, 3) if i == j else 0
+                for i in range(1, n + 1):
+                    for j in range(1, n + 1):
+                        shift = Fraction(2 * d, n) if i == j else 0
                         assert flow_derivative(f, i, j) == m[i - 1][j - 1] + shift
 
     def test_bad_indices(self):
