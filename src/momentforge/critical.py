@@ -61,7 +61,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
-from math import lcm, prod
+from math import lcm
 from typing import NamedTuple
 
 from . import univariate as uni
@@ -182,37 +182,44 @@ def fixed_point_check(f: SparsePoly, tol: float = RESIDUAL_TOL) -> bool:
 # torus canonicalization ("obvious isomorphism")
 
 
-def _solve_combination(basis: list[tuple[Fraction, ...]], target: tuple[Fraction, ...]):
-    """Coefficients writing target as a combination of the (independent) basis
-    vectors, or None when target lies outside their span."""
+def _integer_combination(basis, target):
+    """Integers ``(N, D)``, ``D > 0``, with ``sum_k N_k basis[k] = D target``,
+    or None when target lies outside the span of the (independent) integer
+    basis vectors.  Gauss-Jordan by cross-multiplication, so every entry stays
+    an integer; the only division is the exact one that brings the pivots to
+    a common denominator."""
     r = len(basis)
-    if r == 0:
-        return [] if all(x == 0 for x in target) else None
     w = len(target)
     m = [[basis[k][row] for k in range(r)] + [target[row]] for row in range(w)]
-    pivots = []
     row = 0
     for col in range(r):
         p = next((i for i in range(row, w) if m[i][col] != 0), None)
         if p is None:
             continue
         m[row], m[p] = m[p], m[row]
-        inv = 1 / m[row][col]
-        m[row] = [x * inv for x in m[row]]
         prow = m[row]
+        pivot = prow[col]
         for i in range(w):
             if i != row and m[i][col] != 0:
                 factor = m[i][col]
-                m[i] = [a - factor * b for a, b in zip(m[i], prow)]
-        pivots.append(col)
+                m[i] = [pivot * a - factor * b for a, b in zip(m[i], prow)]
         row += 1
-    for i in range(row, w):
-        if m[i][r] != 0:
-            return None
-    combo = [Fraction(0)] * r
-    for i, col in enumerate(pivots):
-        combo[col] = m[i][r]
-    return combo
+    if any(m[i][r] != 0 for i in range(row, w)):
+        return None
+    # row i now reads m[i][i] * N_i / D = m[i][r]: the basis is independent,
+    # so its pivots sit on the diagonal
+    denominator = abs(lcm(*(m[i][i] for i in range(r))))
+    return [m[i][r] * (denominator // m[i][i]) for i in range(r)], denominator
+
+
+def _solve_combination(basis, target) -> list[Fraction] | None:
+    """Coefficients writing target as a combination of the (independent)
+    basis vectors, or None when target lies outside their span."""
+    solved = _integer_combination(basis, target)
+    if solved is None:
+        return None
+    numerators, denominator = solved
+    return [Fraction(x, denominator) for x in numerators]
 
 
 def _exact_root(n: int, k: int) -> int | None:
@@ -241,19 +248,35 @@ def _greedy_basis(vectors) -> tuple[tuple[int, ...], tuple]:
     return tuple(chosen), tuple(combos)
 
 
+def _parity_combinations(support: tuple[ExponentVector, ...]) -> tuple:
+    """For each term, None if its character (exponent parities and a final
+    1, as a bitmask) is independent over GF(2) of the characters before it,
+    else the indices of the independent terms whose characters sum to it."""
+    n = len(support[0])
+    pivots: dict[int, tuple[int, int]] = {}  # top bit -> (vector, terms summed)
+    out = []
+    for j, a in enumerate(support):
+        v = 1 << n | sum(1 << i for i, e in enumerate(a) if e % 2)
+        terms = 0
+        while v and v.bit_length() in pivots:
+            w, used = pivots[v.bit_length()]
+            v ^= w
+            terms ^= used
+        if v:
+            pivots[v.bit_length()] = (v, terms | 1 << j)
+            out.append(None)
+        else:
+            out.append(tuple(t for t in range(j) if terms >> t & 1))
+    return tuple(out)
+
+
 @lru_cache(maxsize=256)
 def _torus_plan(support: tuple[ExponentVector, ...]):
     """What ``torus_canonical`` needs of a sorted support alone: the greedy
     independent terms (rescaled to |c'| = 1), each other term's exponent
-    combination of them, and the sign every coordinate and overall sign flip
-    gives each term."""
-    chosen, combos = _greedy_basis([tuple(Fraction(e) for e in a) + (Fraction(1),) for a in support])
-    n = len(support[0])
-    flips = tuple(
-        tuple(s[n] * prod(s[i] for i, e in enumerate(a) if e % 2) for a in support)
-        for s in product((1, -1), repeat=n + 1)
-    )
-    return chosen, combos, flips
+    combination of them, and the GF(2) sign rule (``_parity_combinations``)."""
+    chosen, combos = _greedy_basis([a + (1,) for a in support])
+    return chosen, combos, _parity_combinations(support)
 
 
 def torus_canonical(f: SparsePoly) -> SparsePoly:
@@ -265,6 +288,24 @@ def torus_canonical(f: SparsePoly) -> SparsePoly:
     spent making the coefficient signs lexicographically as positive as
     possible.  Exact when the input is rational and the rescaling stays
     rational; float magnitudes otherwise.
+
+    The signs come from linear algebra over GF(2).  Flipping the signs of a
+    set of coordinates and possibly of the whole form is a vector
+    s in GF(2)^(n+1); it flips term a iff <chi_a, s> = 1, where the
+    character chi_a holds the parities of a's exponents and a final 1.  So
+    the reachable patterns of negative terms form the coset
+    neg + {(<chi_a, s>)_a : s}.  The most positive pattern, the minimum over
+    all 2^(n+1) flips in lexicographic order, is the lexicographic minimum
+    of that coset; it is unique even where several flips reach it.
+    Greedily, in canonical order: when chi_j is independent of the
+    characters before it, <chi_j, s> can still take either value once the
+    earlier terms' values are fixed (chi_j is not constant on the solutions
+    of those equations), so the minimum makes term j positive.  When chi_j
+    is the sum of the characters of some earlier independent terms T, which
+    are all positive by then, <chi_j, s> is the sum of their flips, that is
+    of their input negativities, so term j gets its input sign times
+    theirs.  Input signs are read exactly (``c > 0``), also for rationals
+    beyond the float range.
     """
     if f.is_zero():
         raise DegenerateInputError("zero polynomial")
@@ -272,7 +313,7 @@ def torus_canonical(f: SparsePoly) -> SparsePoly:
         raise TypeError("torus canonicalization expects a numeric polynomial")
     support = tuple(sorted(f.terms, key=canonical_key))
     coeffs = [f.terms[a] for a in support]
-    chosen, combos, flips = _torus_plan(support)
+    chosen, combos, parity = _torus_plan(support)
 
     exact_in = all(isinstance(c, Fraction) for c in coeffs)
     magnitudes: list = [None] * len(support)
@@ -304,14 +345,11 @@ def torus_canonical(f: SparsePoly) -> SparsePoly:
                 )
                 magnitudes[j] = math.exp(value)
 
-    in_signs = [1 if float(c) > 0 else -1 for c in coeffs]
-    # the first flip whose signs are lexicographically most positive
-    best = min(flips, key=lambda flip: tuple(0 if i * s > 0 else 1 for i, s in zip(in_signs, flip)))
-    pattern = [i * s for i, s in zip(in_signs, best)]
-
+    negative = [not c > 0 for c in coeffs]
     terms = {}
-    for a, mag, sgn in zip(support, magnitudes, pattern):
-        terms[a] = mag if sgn > 0 else -mag
+    for j, (a, mag, combo) in enumerate(zip(support, magnitudes, parity)):
+        flip = combo is not None and (negative[j] + sum(negative[t] for t in combo)) % 2
+        terms[a] = -mag if flip else mag
     return SparsePoly(f.n, f.d, terms)
 
 
@@ -417,25 +455,38 @@ def critical_set(family: ParamFamily) -> CriticalSet:
     coordinate per dependent difference, and each coordinate of B is affine
     in them, so strict positivity is decided, and a point found, by
     Fourier-Motzkin over the |S| - 1 - r free coordinates (none when S is
-    affinely independent: the barycentric coordinates of p_S).  The point is
-    checked exactly against the gradient's own u-form sums.
+    affinely independent: the barycentric coordinates of p_S).
+
+    The support data stay integers: the differences, the Gram matrix of B
+    and n (t - a_0) = d 1 - n a_0.  The normal equations are solved without
+    fractions, as N / D with the Gram matrix times N equal to D times the
+    right-hand side, so p_S = a_0 + sum_j N_j B_j / (n D) and
+    |m|^2 = 4 |n D (p_S - t)|^2 / (n D)^2 each take one division.  The
+    point is checked exactly against the gradient's own u-form sums, on the
+    integer vector L u, L the least common multiple of its denominators:
+    every sum is a quadratic form in u, so it is L^2 times its value at u
+    and vanishes exactly when that does.
     """
     points = family.display_terms()
     if not _root_difference_free(points):
         raise ValueError(f"{family}: two support exponents differ by a root")
     n, d = family.poly.n, family.poly.d
     base = points[0]
-    diffs = [tuple(Fraction(x - y) for x, y in zip(a, base)) for a in points[1:]]
+    diffs = [tuple(x - y for x, y in zip(a, base)) for a in points[1:]]
     chosen, combos = _greedy_basis(diffs)
     basis = [diffs[j] for j in chosen]
     rank = len(basis)
-    t = Fraction(d, n)
     gram = [tuple(_dot(b, c) for c in basis) for b in basis]
-    y = _solve_combination(gram, tuple(_dot(b, [t - x for x in base]) for b in basis))
-    projection = tuple(
-        x + sum(y_j * b[i] for y_j, b in zip(y, basis)) for i, x in enumerate(base)
+    target = [d - n * x for x in base]  # n (t - a_0)
+    numerators, denominator = _integer_combination(gram, [_dot(b, target) for b in basis])
+    scale = n * denominator
+    # offset = n D (p_S - a_0), so n D (p_S - t) = offset - D n (t - a_0)
+    offset = [sum(y * b[i] for y, b in zip(numerators, basis)) for i in range(n)]
+    projection = tuple(Fraction(scale * x + o, scale) for x, o in zip(base, offset))
+    square_length = Fraction(
+        4 * sum((o - denominator * e) ** 2 for o, e in zip(offset, target)), scale * scale
     )
-    square_length = 4 * sum((p - t) ** 2 for p in projection)
+    y = [Fraction(x, scale) for x in numerators]
 
     # sum_k u_k (a_k - a_0) = p_S - a_0 = sum_j y_j B_j, with u_k the free
     # unknown z_v for the v-th dependent difference, so that the coordinate of
@@ -452,7 +503,9 @@ def critical_set(family: ParamFamily) -> CriticalSet:
     point = None
     if z is not None:
         point = tuple(c + _dot(a, z) for c, a in rows)
-        if any(_centroid_sums(Fraction(0), points, point)):
+        common = lcm(*(u.denominator for u in point))
+        scaled = [u.numerator * (common // u.denominator) for u in point]
+        if any(_centroid_sums(0, points, scaled)):
             raise ArithmeticError(f"{family}: the closed-form point is not critical")
     return CriticalSet(family, rank, projection, len(free), square_length, point)
 

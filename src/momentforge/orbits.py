@@ -9,15 +9,25 @@ algebra listings this package's fixtures come from (e.g. the class of
 ``{y^2 z, x^2 z}`` is represented by exactly that set, not by its image
 ``{x^2 y, y z^2}``).
 
-Enumeration walks the size-``m`` support sets once, builds each orbit from
-the first of its members it meets and skips the others as they come, so
-every orbit is built and minimised exactly once.
+``orbit_classes`` works on integers.  A support set of size ``m`` is a
+bitmask over the basis, bit ``k`` standing for the ``k``-th monomial in
+canonical order.  A table of ``n! x B`` ints, built per call, holds the
+bit of each monomial's image under each permutation, so an image of a mask
+is a sum of table entries.  For two masks with the same
+number of bits, integer order is ``support_order_key`` order: both compare
+the largest monomial first, and the first one where the sets differ decides.
+So the representative of an orbit is the least of its image masks, and only
+the representatives become frozensets.  Enumeration walks the masks once,
+builds each orbit from the first of its members it meets and skips the
+others as they come, so every orbit is built and minimised exactly once.
+``orbit_of`` and ``canonical_representative`` keep the definition on
+frozensets, which the tests hold ``orbit_classes`` to.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, compress, permutations
 from typing import NamedTuple
 
 from .polyring import (
@@ -78,25 +88,28 @@ def orbit_classes(n: int, d: int, m: int) -> list[SupportSet]:
     basis = enumerate_monomials(n, d)
     if not 1 <= m <= len(basis):
         raise ValueError(f"term count {m} out of range 1..{len(basis)}")
-    # each orbit is built once, from the first of its sets the enumeration
-    # meets; the others wait in `pending` until it reaches them.  Up to 863
-    # wait at once for (4, 3, 3), so they are kept as bitmasks over the
-    # basis: as frozensets they raised the peak memory of solving every
-    # (3, 5, 3) and (4, 3, 3) family by 0.35 MB
     bit = {alpha: 1 << k for k, alpha in enumerate(basis)}
+    # the permutation table, one column per monomial: the bits of its images.
+    # `permutations(alpha)` rearranges the exponents of every monomial by the
+    # same index permutations in the same order, so row s of the table is
+    # one coordinate permutation
+    images_of = [tuple(map(bit.__getitem__, permutations(alpha))) for alpha in basis]
+    units = [1 << k for k in range(len(basis))]
+    # the masks of orbits already built that the walk has not reached yet
     pending: set[int] = set()
     reps = []
-    for combo in combinations(basis, m):
-        mask = sum(bit[a] for a in combo)
+    # both walks list the size-m subsets of the basis in the same order
+    for mask, columns in zip(map(sum, combinations(units, m)), combinations(images_of, m)):
         if mask in pending:
             pending.remove(mask)
             continue
-        orbit = orbit_of(combo)
-        reps.append(min(orbit, key=support_order_key))
-        pending.update(sum(bit[a] for a in image) for image in orbit)
-        pending.remove(mask)
-    reps.sort(key=support_order_key)
-    return reps
+        images = set(map(sum, zip(*columns)))
+        reps.append(min(images))
+        images.remove(mask)
+        pending |= images
+    reps.sort()
+    # bin(rep)[:1:-1] lists the bits of rep lowest first
+    return [frozenset(compress(basis, map(int, bin(rep)[:1:-1]))) for rep in reps]
 
 
 def uses_all_variables(support) -> bool:

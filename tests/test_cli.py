@@ -25,6 +25,8 @@ CRITICAL_JSON_SHA256 = {
 
 # sha256 of the stdout of the orbit enumeration and the diagonal filter
 ENUMERATION_JSON_SHA256 = {
+    "orbits --n 4 --d 3 --terms 3 --json": "2f4367a0dd0ea70d2bf1bfa317f0025099c883de93a19939f3a0c9cfb63c7e08",
+    "orbits --n 2 --d 6 --terms 3 --json": "d7a2b57e3fe9f5741f7cace01da129c5a57af21fb87a5c053c5cc8dc0b451b59",
     "orbits --n 3 --d 5 --terms 3 --json": "cbdfc5b8911623992b245c923a20dc919ba71099e9ffc1ed4fd33e86066a8907",
     "diagonal --n 4 --d 3 --terms 3 --json": "60113d483d6f0e8733cb6a1dc5b9b5b4e20e985ed99a736e9ad2dc0e150c9f4b",
     "diagonal --n 3 --d 4 --terms 4 --json": "4bf09f8a5fa6253d2c2332260064cb403b5d83538e8f0480a0ba8c24e53c5ff1",

@@ -13,7 +13,7 @@ import math
 import random
 import sys
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -324,9 +324,11 @@ def test_float_expression_matches_subs():
 
 
 # ---------------------------------------------------------------------------
-# torus canonicalisation, with the independent terms and the sign flips
-# worked out on every call as before the plan was cached per support, and the
-# magnitudes from prime factorisations as before exact integer roots
+# torus canonicalisation, with the independent terms worked out on every call
+# as before the plan was cached per support, the magnitudes from prime
+# factorisations as before exact integer roots, and the signs from the first
+# of all 2^(n+1) coordinate and overall flips that makes them lexicographically
+# most positive, as before the GF(2) rule
 
 
 def factor_positive(value):
@@ -351,7 +353,7 @@ def factor_positive(value):
 def reference_torus_canonical(f):
     support = sorted(f.terms, key=canonical_key)
     coeffs = [f.terms[a] for a in support]
-    aug = [tuple(Fraction(e) for e in a) + (Fraction(1),) for a in support]
+    aug = [a + (1,) for a in support]
     chosen, combos = [], []
     for j, v in enumerate(aug):
         combo = critical._solve_combination([aug[t] for t in chosen], v)
@@ -389,7 +391,7 @@ def reference_torus_canonical(f):
                 value = logs[j] - sum(float(g) * logs[t] for t, g in zip(chosen, combo))
                 magnitudes[j] = math.exp(value)
     n = f.n
-    in_signs = [1 if float(c) > 0 else -1 for c in coeffs]
+    in_signs = [1 if c > 0 else -1 for c in coeffs]
     best_pattern = None
     for s in product((1, -1), repeat=n + 1):
         pattern = []
@@ -431,3 +433,28 @@ def test_torus_magnitude_with_prime_factors_beyond_trial_division():
     terms = critical.torus_canonical(f).terms
     assert terms == {(3, 0, 0): 1, (2, 1, 0): 1, (1, 0, 2): 1, (0, 0, 3): 1000036000099}
     assert all(isinstance(c, Fraction) for c in terms.values())
+
+
+@pytest.mark.parametrize("n, d", [(2, 4), (3, 3)])
+def test_gf2_sign_rule_matches_the_minimum_over_all_flips(n, d):
+    # every support of at most four terms, under every input sign pattern
+    basis = enumerate_monomials(n, d)
+    for m in range(1, 5):
+        for support in combinations(basis, m):
+            for signs in product((1, -1), repeat=m):
+                f = SparsePoly(n, d, {a: Fraction(s) for a, s in zip(support, signs)})
+                assert critical.torus_canonical(f).terms == reference_torus_canonical(f)
+
+
+def test_torus_signs_are_read_exactly():
+    # 10^-400 is 0.0 as a float: a float reading of the signs counts the xyz
+    # term as negative, and with it the z^3 term, whose character is the sum
+    # of the other three
+    tiny = Fraction(1, 10**400)
+    f = SparsePoly.make(3, 3, {(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1, (1, 1, 1): tiny})
+    assert critical.torus_canonical(f).terms == {
+        (3, 0, 0): 1, (0, 3, 0): 1, (1, 1, 1): 1, (0, 0, 3): Fraction(10**1200)
+    }
+    # 10^400 is beyond the float range; both magnitudes are 1
+    f = SparsePoly.make(2, 3, {(3, 0): 10**400, (0, 3): 1})
+    assert critical.torus_canonical(f).terms == {(3, 0): 1, (0, 3): 1}

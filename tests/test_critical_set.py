@@ -21,10 +21,10 @@ from momentforge.critical import (
     verify_critical,
 )
 from momentforge.diagonal import diagonal_families
-from momentforge.moment import square_length
+from momentforge.moment import _centroid_sums, _root_difference_free, square_length
 from momentforge.orbits import build_family
 from momentforge.polyring import SparsePoly
-from momentforge.symd import weight
+from momentforge.symd import enumerate_monomials, weight
 
 # every identically diagonal family of these shapes and term counts
 CASES = [(3, 3, 2), (3, 3, 3), (3, 3, 4), (3, 4, 2), (3, 4, 3), (3, 4, 4),
@@ -232,3 +232,23 @@ def test_fourier_motzkin_against_an_exact_lp(seed):
     assert (point is not None) == expected, rows
     if point is not None:
         assert all(c + sum(x * zi for x, zi in zip(a, point)) > 0 for c, a in rows), rows
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_centroid_sums_scale_by_the_square_of_an_integer_scaling(seed):
+    # critical_set checks its point u as the integer vector L u, L the least
+    # common multiple of the denominators: each sum is a quadratic form in u
+    rng = random.Random(seed)
+    n, d = rng.choice([(2, 5), (3, 3), (3, 4), (3, 5), (4, 3)])
+    basis = enumerate_monomials(n, d)
+    while True:
+        support = rng.sample(basis, rng.randint(2, min(6, len(basis))))
+        if _root_difference_free(support):
+            break
+    u = [Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in support]
+    scale = math.lcm(*(x.denominator for x in u))
+    scaled = [x.numerator * (scale // x.denominator) for x in u]
+    exact = _centroid_sums(Fraction(0), support, u)
+    integer = _centroid_sums(0, support, scaled)
+    assert integer == [scale * scale * s for s in exact]
+    assert all(type(s) is int for s in integer)

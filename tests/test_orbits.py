@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 from math import comb
 
 import pytest
@@ -12,9 +12,11 @@ from momentforge.orbits import (
     orbit_classes,
     orbit_of,
     permute,
+    support_order_key,
     uses_all_variables,
 )
 from momentforge.polyring import ParamPoly, SparsePoly
+from momentforge.symd import enumerate_monomials
 
 
 def P(**kw):
@@ -106,6 +108,16 @@ class TestOrbitClasses:
             for m in (1, 2, 3):
                 reps = orbit_classes(n, d, m)
                 assert sum(len(orbit_of(r)) for r in reps) == comb(total, m)
+
+    @pytest.mark.parametrize("n, d, m", [
+        (1, 3, 1), (2, 4, 1), (2, 4, 2), (2, 6, 3), (2, 5, 4), (3, 3, 2), (3, 4, 3),
+        (4, 2, 1), (4, 2, 3), (4, 3, 2), (4, 3, 3),
+    ])
+    def test_matches_the_definition(self, n, d, m):
+        # the distinct representatives of all size-m supports, in key order
+        basis = enumerate_monomials(n, d)
+        reps = {canonical_representative(s) for s in combinations(basis, m)}
+        assert orbit_classes(n, d, m) == sorted(reps, key=support_order_key)
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
