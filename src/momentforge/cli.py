@@ -5,6 +5,11 @@ verify, reproduce-paper, emit-points.  Polynomials travel as JSON files (see
 the wire-format comment in ``polyring.py`` for the schema).  Exit codes:
 0 success, 1 usage error, 2 degenerate input, 3 fixture mismatch in
 reproduce-paper.  JSON output uses sorted keys.
+
+The solver's tolerance is fixed (``critical.RESIDUAL_TOL``); ``verify --tol``
+sets only the threshold of the ``critical`` flag that it prints.
+The real zero set of a form is a cone, so ``emit-points`` samples one box,
+[-2, 2]^3.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import math
 import sys
 from fractions import Fraction
 
-from .critical import AlgebraicNumber, solve_family, verify_critical
+from .critical import RESIDUAL_TOL, AlgebraicNumber, solve_family, verify_critical
 from .diagonal import diagonal_families, diagonal_verdicts
 from .moment import (
     gradient,
@@ -42,6 +47,8 @@ from .symd import enumerate_monomials
 USAGE_ERROR = 1
 DEGENERATE_INPUT = 2
 FIXTURE_MISMATCH = 3
+
+BOX = 2.0  # emit-points samples [-BOX, BOX]^3
 
 
 class _Parser(argparse.ArgumentParser):
@@ -207,24 +214,16 @@ def _value_payload(v):
 
 
 def _check_tol(tol: float) -> None:
-    # a NaN tolerance accepts every residual, a negative one rejects them all
+    # a NaN or negative tolerance flags no residual as critical, an infinite one every residual
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"--tol must be finite and non-negative, got {tol}")
 
 
-def _check_box(box: float) -> None:
-    # a NaN or infinite box, or one whose grid width 2 * box overflows, finds
-    # no points; a zero box repeats the origin and a negative one mirrors the grid
-    if not (math.isfinite(2 * box) and box > 0):
-        raise ValueError(f"--box must be positive with 2 * box finite, got {box}")
-
-
 def _cmd_critical(args) -> int:
-    _check_tol(args.tol)
     payload = []
     for m in args.terms:
         for family in diagonal_families(args.n, args.d, m):
-            solutions = solve_family(family, args.tol)
+            solutions = solve_family(family)
             payload.append(
                 {
                     "family": str(family),
@@ -278,8 +277,8 @@ def _cmd_reproduce(args) -> int:
     return 0 if all(c.ok for c in checks) else FIXTURE_MISMATCH
 
 
-def emit_points(f: SparsePoly, box: float = 2.0, samples: int = 25):
-    """Approximate real points of ``{f = 0}`` inside ``[-box, box]^3``.
+def emit_points(f: SparsePoly, samples: int = 25):
+    """Approximate real points of ``{f = 0}`` inside ``[-BOX, BOX]^3``.
 
     Sign-change bisection along grid lines in each axis direction; the list
     may be empty (some of the published curves have no real points besides
@@ -307,7 +306,7 @@ def emit_points(f: SparsePoly, box: float = 2.0, samples: int = 25):
     if 0.0 in f.terms.values():
         raise ValueError("a nonzero coefficient rounds to 0.0 in floating point")
     pts: list[tuple[float, float, float]] = []
-    grid = [(-box + 2 * box * k / (samples - 1)) for k in range(samples)]
+    grid = [(-BOX + 2 * BOX * k / (samples - 1)) for k in range(samples)]
     for axis in range(3):
         others = [i for i in range(3) if i != axis]
         for u in grid:
@@ -341,20 +340,13 @@ def emit_points(f: SparsePoly, box: float = 2.0, samples: int = 25):
 
 
 def _cmd_emit_points(args) -> int:
-    _check_box(args.box)
     f = _load_numeric_poly(args.poly)
-    pts = emit_points(f, box=args.box, samples=args.samples)
-    lines = [[_fmt_float(c) for c in p] for p in pts]
-    out = sys.stdout if args.out is None else open(args.out, "w", encoding="utf-8")
-    try:
-        if args.json:
-            out.write(json.dumps({"points": lines}, sort_keys=True) + "\n")
-        else:
-            for p in lines:
-                out.write(" ".join(format(c, ".12g") for c in p) + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    lines = [[_fmt_float(c) for c in p] for p in emit_points(f, samples=args.samples)]
+    if args.json:
+        _dump_json({"points": lines})
+    else:
+        for p in lines:
+            print(" ".join(format(c, ".12g") for c in p))
     return 0
 
 
@@ -399,20 +391,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--terms", type=int, nargs="+", required=True)
-    p.add_argument("--tol", type=float, default=1e-9)
 
     p = add("verify", _cmd_verify, help="residual of the criticality gradient")
     p.add_argument("--poly", required=True)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=RESIDUAL_TOL)
 
     p = add("reproduce-paper", _cmd_reproduce, help="diff pipelines against embedded tables")
     p.add_argument("--case", choices=("cubics", "quartics"), required=True)
 
     p = add("emit-points", _cmd_emit_points, help="sample the real zero locus")
     p.add_argument("--poly", required=True)
-    p.add_argument("--box", type=float, default=2.0)
     p.add_argument("--samples", type=int, default=25)
-    p.add_argument("--out", default=None)
 
     return parser
 

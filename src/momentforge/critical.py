@@ -2,11 +2,11 @@
 
 The gradient of ``|m|^2`` with respect to all coefficient directions,
 restricted to a parametric family, is an overdetermined polynomial system in
-the parameters.  Systems in one unknown are solved through the gcd of the
-equations plus Sturm isolation; two unknowns go through Sylvester resultants
-in both directions with full-system filtering of the candidate grid; three
-unknowns, and two-unknown pencils whose resultants vanish identically, fall
-back to multistart Gauss-Newton.  Every reported solution is re-verified
+the parameters.  A system in one unknown is a single equation, solved by
+Sturm isolation; two unknowns go through Sylvester resultants in both
+directions with full-system filtering of the candidate grid; three unknowns,
+and two-unknown pencils whose resultants vanish identically, fall back to
+multistart Gauss-Newton.  Every reported solution is re-verified
 against the exact gradient (solvers lie, residuals do not).
 
 Gauss-Newton runs one generated function per system (``_gauss_newton_kernel``),
@@ -40,8 +40,9 @@ and an overall scalar ("obvious isomorphism"), which is also the equivalence
 used when comparing against published lists.
 
 Before any of that, ``solve_family`` asks ``critical_set`` for the family's
-real critical set in closed form, when no two support exponents differ by a
-root e_i - e_j (every identically diagonal family).  In the u-form of
+real critical set in closed form.  Both take only supports in which no two
+exponents differ by a root e_i - e_j (every identically diagonal family), and
+raise ``ValueError`` for any other.  In the u-form of
 ``moment`` the set is the open polytope {u > 0, sum u = 1,
 sum u_a a = p_S}, decided in exact rationals; where it is empty the family
 gets ``[]`` and no gradient system is built.  This does not change the
@@ -51,8 +52,7 @@ parameters and a zero gradient: exactly for rational points, and for
 algebraic and float points up to the residual check, which is why it was
 also measured.  On all 457 diagonal families of (3,3), (3,4), (3,5) and
 (4,3) with 2 to 4 terms, the unfiltered solver returned ``[]`` on each of
-the 128 empty sets (the tests repeat this on 84 of them).  Other supports
-take the solver as before.
+the 128 empty sets (the tests repeat this on 84 of them).
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ from .polyring import (
     substitute_params,
 )
 
-RESIDUAL_TOL = 1e-9
+RESIDUAL_TOL = 1e-9  # the largest accepted residual, and the merge distance
 INTERVAL_WIDTH = Fraction(1, 10**12)
 NEWTON_STEP_TOL = 1e-13
 CLUSTER_DIST = 1e-6
@@ -122,7 +122,10 @@ class GradientSystem(NamedTuple):
 
 
 def gradient_system(family: ParamFamily) -> GradientSystem:
-    """Exact numerators of every gradient component on the family."""
+    """Exact numerators of every gradient component on the family; a
+    ``ValueError`` when two support exponents differ by a root e_i - e_j."""
+    if not _root_difference_free(family.support):
+        raise ValueError(f"{family}: two support exponents differ by a root")
     numerators, denom = gradient_symbolic(family.poly)
     equations = tuple(e if e.is_zero() else e.primitive() for e in numerators)
     return GradientSystem(family, equations, denom, family.nparams)
@@ -145,13 +148,14 @@ def verify_critical(f: SparsePoly) -> float:
 # fixed-point criterion: exp(m(f)) must fix f projectively
 
 
-def fixed_point_check(f: SparsePoly, tol: float = RESIDUAL_TOL) -> bool:
+def fixed_point_check(f: SparsePoly) -> bool:
     """True iff the one-parameter subgroup generated by the (diagonal) moment
     matrix fixes ``f`` in projective space.
 
     The action scales the term ``x^a`` by ``e^(a . diag)``; after projective
     normalization the form is fixed iff every support exponent pairs to the
-    same value.  Decided exactly for rational input.
+    same value.  Decided exactly for rational input, and within
+    ``RESIDUAL_TOL`` for float input.
     """
     if f.is_zero():
         raise DegenerateInputError("zero polynomial")
@@ -161,7 +165,7 @@ def fixed_point_check(f: SparsePoly, tol: float = RESIDUAL_TOL) -> bool:
     if exact:
         if any(v != 0 for v in offdiag):
             raise ValueError("fixed-point criterion needs a diagonal moment matrix")
-    elif any(abs(float(v)) > tol for v in offdiag):
+    elif any(abs(float(v)) > RESIDUAL_TOL for v in offdiag):
         raise ValueError("fixed-point criterion needs a diagonal moment matrix")
     lam = [m[i][i] for i in range(f.n)]
     support = sorted(f.terms, key=canonical_key)
@@ -173,7 +177,7 @@ def fixed_point_check(f: SparsePoly, tol: float = RESIDUAL_TOL) -> bool:
         if exact:
             if delta != 0:
                 return False
-        elif abs(float(delta)) > tol:
+        elif abs(float(delta)) > RESIDUAL_TOL:
             return False
     return True
 
@@ -287,7 +291,8 @@ def torus_canonical(f: SparsePoly) -> SparsePoly:
     coordinate) is rescaled to absolute value 1; leftover sign freedom is
     spent making the coefficient signs lexicographically as positive as
     possible.  Exact when the input is rational and the rescaling stays
-    rational; float magnitudes otherwise.
+    rational; float magnitudes otherwise, and ``ValueError`` when one of
+    those is beyond the float range.
 
     The signs come from linear algebra over GF(2).  Flipping the signs of a
     set of coordinates and possibly of the whole form is a vector
@@ -335,15 +340,19 @@ def torus_canonical(f: SparsePoly) -> SparsePoly:
                 break
             magnitudes[j] = Fraction(num, den)
     if not exact_in:
-        logs = [math.log(abs(float(c))) for c in coeffs]
-        for j, combo in enumerate(combos):
-            if combo is None:
-                magnitudes[j] = 1.0
-            else:
-                value = logs[j] - sum(
-                    float(g) * logs[t] for t, g in zip(chosen, combo)
-                )
-                magnitudes[j] = math.exp(value)
+        # a rational's logarithm from its integers, which may be beyond the float range
+        logs = [math.log(abs(c.numerator)) - math.log(c.denominator) if isinstance(c, Fraction)
+                else math.log(abs(c)) for c in coeffs]
+        try:
+            magnitudes = [
+                1.0 if combo is None
+                else math.exp(logs[j] - sum(float(g) * logs[t] for t, g in zip(chosen, combo)))
+                for j, combo in enumerate(combos)
+            ]
+        except OverflowError:
+            magnitudes = [0.0]  # as for a magnitude that underflows
+        if 0.0 in magnitudes:
+            raise ValueError("a rescaled coefficient is beyond the floating-point range")
 
     negative = [not c > 0 for c in coeffs]
     terms = {}
@@ -353,8 +362,9 @@ def torus_canonical(f: SparsePoly) -> SparsePoly:
     return SparsePoly(f.n, f.d, terms)
 
 
-def polys_close(f: SparsePoly, g: SparsePoly, tol: float = RESIDUAL_TOL) -> bool:
-    """Support equality plus coefficient agreement (exact where both exact)."""
+def polys_close(f: SparsePoly, g: SparsePoly) -> bool:
+    """Support equality plus coefficient agreement: exact where both are
+    exact, within ``RESIDUAL_TOL`` otherwise."""
     if (f.n, f.d) != (g.n, g.d) or f.support() != g.support():
         return False
     for a, c in f.terms.items():
@@ -362,19 +372,20 @@ def polys_close(f: SparsePoly, g: SparsePoly, tol: float = RESIDUAL_TOL) -> bool
         if isinstance(c, Fraction) and isinstance(other, Fraction):
             if c != other:
                 return False
-        elif abs(float(c) - float(other)) > tol:
+        elif abs(float(c) - float(other)) > RESIDUAL_TOL:
             return False
     return True
 
 
 def orbit_torus_canonical(f: SparsePoly) -> SparsePoly:
-    """Canonical form modulo coordinate permutation plus rescaling."""
+    """Canonical form modulo coordinate permutation plus rescaling: the
+    least candidate by support, then by the exact coefficients."""
     best = None
     for sigma in permutations(range(f.n)):
         cand = torus_canonical(permute(sigma, f))
         key = (
             support_order_key(cand.terms),
-            tuple(float(cand.terms[a]) for a in sorted(cand.terms, key=canonical_key)),
+            tuple(cand.terms[a] for a in sorted(cand.terms, key=canonical_key)),
         )
         if best is None or key < best[0]:
             best = (key, cand)
@@ -602,13 +613,12 @@ def _candidate_passes(eqs: list[ParamPoly], values) -> bool:
 
 
 def _solve_one_unknown(eqs: list[ParamPoly]) -> list[tuple]:
-    polys = [uni.trim(e.univariate()) for e in eqs]
-    g = polys[0]
-    for p in polys[1:]:
-        g = uni.poly_gcd(g, p)
-        if uni.deg(g) <= 0:
-            return []
-    return [(root,) for root in _roots_of_upoly(g)]
+    # a two-term family b1 x^a + x^b has u-form centroid sums u_b X and
+    # -u_a X, X = u_a (|a|^2 - a.b) - u_b (|b|^2 - a.b), so every gradient
+    # numerator is one equation up to the monomial and content that
+    # ``_prepared_equations`` strips
+    (eq,) = eqs
+    return [(root,) for root in _roots_of_upoly(uni.trim(eq.univariate()))]
 
 
 def _eliminate_direction(ranked: list[ParamPoly], eliminate: int):
@@ -793,7 +803,7 @@ def _prefer_representative(a: CriticalSolution, b: CriticalSolution) -> Critical
     return a if score(a) <= score(b) else b
 
 
-def solve_real(system: GradientSystem, tol: float = RESIDUAL_TOL) -> list[CriticalSolution]:
+def solve_real(system: GradientSystem) -> list[CriticalSolution]:
     """All verified real critical points of the family with nonzero parameters.
 
     Solutions equivalent under torus rescaling are merged, preferring the
@@ -819,14 +829,14 @@ def solve_real(system: GradientSystem, tol: float = RESIDUAL_TOL) -> list[Critic
         if poly.is_zero():
             continue
         residual = verify_critical(poly)
-        if residual > tol:
+        if residual > RESIDUAL_TOL:
             continue
         sol = CriticalSolution(
             system.family, tuple(values), residual, torus_canonical(poly)
         )
         merged = False
         for k, existing in enumerate(solutions):
-            if polys_close(existing.canonical_form, sol.canonical_form, tol):
+            if polys_close(existing.canonical_form, sol.canonical_form):
                 solutions[k] = _prefer_representative(existing, sol)
                 merged = True
                 break
@@ -836,9 +846,10 @@ def solve_real(system: GradientSystem, tol: float = RESIDUAL_TOL) -> list[Critic
     return solutions
 
 
-def solve_family(family: ParamFamily, tol: float = RESIDUAL_TOL) -> list[CriticalSolution]:
+def solve_family(family: ParamFamily) -> list[CriticalSolution]:
     """``solve_real`` of the family's gradient system, or ``[]`` without
-    building it when the closed-form critical set is empty."""
-    if _root_difference_free(family.support) and critical_set(family).is_empty:
+    building it when the closed-form critical set is empty; a ``ValueError``
+    for a support with a root difference, as from ``critical_set``."""
+    if critical_set(family).is_empty:
         return []
-    return solve_real(gradient_system(family), tol)
+    return solve_real(gradient_system(family))

@@ -63,6 +63,8 @@ class ParamPoly:
 
     Stored as a map from parameter-exponent tuples to nonzero Fractions.
     Arithmetic never leaves the exact world: mixing with a float raises.
+    A constant equals its value; like ``SparsePoly`` the class is not
+    hashable, and ``key`` is its hashable form.
     """
 
     __slots__ = ("nsyms", "terms")
@@ -110,16 +112,6 @@ class ParamPoly:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def is_constant(self) -> bool:
-        return all(sum(exp) == 0 for exp in self.terms)
-
-    def constant_value(self) -> Fraction:
-        if not self.terms:
-            return ZERO
-        if not self.is_constant():
-            raise ValueError("not a constant polynomial")
-        return next(iter(self.terms.values()))
 
     def total_degree(self) -> int:
         return max((sum(exp) for exp in self.terms), default=0)
@@ -196,12 +188,6 @@ class ParamPoly:
         if not isinstance(other, ParamPoly):
             return NotImplemented
         return self.nsyms == other.nsyms and self.terms == other.terms
-
-    def __hash__(self):
-        # a constant equals its value as a Fraction, so it must hash alike
-        if self.is_constant():
-            return hash(self.constant_value())
-        return hash((self.nsyms, self.key()))
 
     def key(self) -> tuple:
         """Canonical hashable form (sorted term list)."""

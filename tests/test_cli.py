@@ -8,7 +8,7 @@ import pytest
 
 from conftest import random_rational_poly
 from momentforge import cli, reproduce
-from momentforge.critical import fixed_point_check
+from momentforge.critical import RESIDUAL_TOL, fixed_point_check
 from momentforge.fixtures import CRITICAL_CUBICS, critical_fixture_poly
 from momentforge.polyring import poly_to_json
 
@@ -458,26 +458,34 @@ def test_emit_points_needs_two_samples(tmp_path, capsys, samples):
     assert capsys.readouterr().err.startswith("error: ")
 
 
-@pytest.mark.parametrize("box", ["nan", "inf", "-inf", "1e308", "0", "-2"])
-def test_bad_box_is_a_usage_error(tmp_path, capsys, box):
-    # unchecked, nan, inf and 1e308 would print no points, 0 the origin again
-    # and again, and -2 the mirrored grid, each with exit code 0
-    argv = ["emit-points", "--poly", write_poly(tmp_path, 1), "--json", f"--box={box}"]
+@pytest.mark.parametrize("argv", [
+    "critical --n 3 --d 3 --terms 2 --tol 0",
+    "emit-points --poly {poly} --json --box 2",
+    "emit-points --poly {poly} --json --out {out}",
+])
+def test_removed_settings_are_usage_errors(tmp_path, capsys, argv):
+    # the solver's tolerance is fixed, and emit-points samples one box and
+    # prints to stdout
+    out = tmp_path / "points.json"
+    with pytest.raises(SystemExit) as stop:
+        cli.main(argv.format(poly=write_poly(tmp_path, 1), out=out).split())
+    assert stop.value.code == cli.USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unrecognized arguments" in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-inf"])
+def test_bad_tolerance_is_a_usage_error(tmp_path, capsys, tol):
+    # nan or a negative bound would flag no residual as critical, inf every one
+    argv = ["verify", "--poly", write_poly(tmp_path, 1), "--json", f"--tol={tol}"]
     assert cli.main(argv) == cli.USAGE_ERROR
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: ")
 
 
-@pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-inf"])
-def test_bad_tolerance_is_a_usage_error(tmp_path, capsys, tol):
-    # nan would accept every candidate, a negative bound would reject them all
-    for argv in (
-        ["critical", "--n", "3", "--d", "3", "--terms", "2", f"--tol={tol}"],
-        ["verify", "--poly", write_poly(tmp_path, 1), "--json", f"--tol={tol}"],
-    ):
-        assert cli.main(argv) == cli.USAGE_ERROR
-        captured = capsys.readouterr()
-        assert captured.out == "" and captured.err.startswith("error: ")
+def test_verify_flags_against_the_solver_tolerance():
+    assert cli.build_parser().parse_args(["verify", "--poly", "f.json"]).tol == RESIDUAL_TOL
 
 
 def test_zero_tolerance_is_accepted(tmp_path, capsys):

@@ -383,7 +383,9 @@ def reference_torus_canonical(f):
                 exact_in = False
                 break
     if not exact_in or any(m is None for m in magnitudes):
-        logs = [math.log(abs(float(c))) for c in coeffs]
+        # a rational's logarithm from its integers, a float's directly
+        logs = [math.log(abs(c.numerator)) - math.log(c.denominator)
+                if isinstance(c, Fraction) else math.log(abs(c)) for c in coeffs]
         for j, combo in enumerate(combos):
             if combo is None:
                 magnitudes[j] = 1.0
@@ -458,3 +460,44 @@ def test_torus_signs_are_read_exactly():
     # 10^400 is beyond the float range; both magnitudes are 1
     f = SparsePoly.make(2, 3, {(3, 0): 10**400, (0, 3): 1})
     assert critical.torus_canonical(f).terms == {(3, 0): 1, (0, 3): 1}
+
+
+def test_orbit_canonical_form_beyond_the_float_range():
+    # the z^3 coefficient of the canonical form is 10^1200: ordering the
+    # candidates by float coefficients raised OverflowError
+    tiny = Fraction(1, 10**400)
+    f = SparsePoly.make(3, 3, {(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1, (1, 1, 1): tiny})
+    assert critical.orbit_torus_canonical(f) == critical.torus_canonical(f)
+
+
+def test_orbit_canonical_form_is_an_orbit_invariant():
+    # swapping x and y turns the y^2 z magnitude r into 1/r, and both round
+    # to 1.0: ordered by floats, the first permutation won the tie
+    r = 1 + Fraction(1, 10**20)
+    f = SparsePoly.make(3, 3, {(3, 0, 0): 1, (0, 3, 0): 1, (2, 0, 1): 1, (0, 2, 1): r})
+    forms = [critical.orbit_torus_canonical(permute(s, f)) for s in permutations(range(3))]
+    assert all(g == forms[0] for g in forms)
+    assert forms[0].terms[0, 2, 1] == 1 / r
+
+
+@pytest.mark.parametrize("exponent, expected", [(-400, 2**0.5 * 1e-200), (400, 2**0.5 * 1e200)])
+def test_irrational_magnitude_of_a_rational_beyond_the_float_range(exponent, expected):
+    # the z^3 magnitude is the square root of the x^3 coefficient: its float
+    # logarithm was log(0.0) or log(inf)
+    f = SparsePoly.make(3, 3, {(3, 0, 0): 2 * Fraction(10)**exponent, (2, 1, 0): 1,
+                               (1, 0, 2): 1, (0, 0, 3): 1})
+    for canonical in (critical.torus_canonical, critical.orbit_torus_canonical):
+        terms = canonical(f).terms
+        assert all(isinstance(c, float) for c in terms.values())
+    terms = critical.torus_canonical(f).terms
+    assert terms == pytest.approx({(3, 0, 0): 1.0, (2, 1, 0): 1.0, (1, 0, 2): 1.0,
+                                   (0, 0, 3): expected}, rel=1e-12)
+
+
+@pytest.mark.parametrize("exponent", [-700, 700])
+def test_magnitude_beyond_the_float_range_is_a_value_error(exponent):
+    f = SparsePoly.make(3, 3, {(3, 0, 0): 2 * Fraction(10)**exponent, (2, 1, 0): 1,
+                               (1, 0, 2): 1, (0, 0, 3): 1})
+    for canonical in (critical.torus_canonical, critical.orbit_torus_canonical):
+        with pytest.raises(ValueError, match="beyond the floating-point range"):
+            canonical(f)

@@ -23,7 +23,7 @@ from momentforge.critical import (
 from momentforge.diagonal import diagonal_families
 from momentforge.moment import _centroid_sums, _root_difference_free, square_length
 from momentforge.orbits import build_family
-from momentforge.polyring import SparsePoly
+from momentforge.polyring import ParamPoly, SparsePoly
 from momentforge.symd import enumerate_monomials, weight
 
 # every identically diagonal family of these shapes and term counts
@@ -195,20 +195,31 @@ def test_known_components(family, dimension, value, closed_forms):
     assert (cs.dimension, cs.square_length) == (dimension, value)
 
 
-def test_root_difference_reaches_the_solver(monkeypatch):
-    # x^3 - x^2*y = e_1 - e_2: no closed form, so the gradient system is built
+def test_root_difference_is_refused():
+    # x^3 - x^2*y = e_1 - e_2: the moment matrix is not identically diagonal,
+    # whichever of the two terms carries the parameter
     family = build_family({(3, 0, 0), (2, 1, 0)})
-    with pytest.raises(ValueError):
-        critical_set(family)
-    built = []
+    b1, one = ParamPoly.symbol(1, 0), ParamPoly.const(1, 1)
+    swapped = family._replace(poly=SparsePoly.make(3, 3, {(3, 0, 0): b1, (2, 1, 0): one}))
+    for f in (family, swapped):
+        for solve in (critical_set, solve_family, gradient_system):
+            with pytest.raises(ValueError, match="differ by a root"):
+                solve(f)
 
-    def recording_gradient_system(f):
-        built.append(f)
-        return gradient_system(f)
 
-    monkeypatch.setattr(critical, "gradient_system", recording_gradient_system)
-    assert solve_family(family) == unfiltered(family)
-    assert built == [family]
+# every two-term diagonal family of these shapes: 136 in all
+TWO_TERM_SHAPES = [(2, 3), (2, 4), (2, 5), (2, 6), (3, 3), (3, 4), (3, 5), (3, 6),
+                   (4, 3), (4, 4), (5, 3)]
+
+
+def test_two_term_families_prepare_one_equation():
+    # _solve_one_unknown takes the single equation as it is, with no gcd
+    counts = [
+        len(critical._prepared_equations(gradient_system(family)))
+        for n, d in TWO_TERM_SHAPES for family in diagonal_families(n, d, 2)
+    ]
+    assert len(counts) == 136
+    assert set(counts) == {1}
 
 
 def test_empty_set_skips_the_gradient_system(monkeypatch, closed_forms):
