@@ -7,7 +7,10 @@ Sturm isolation; two unknowns go through Sylvester resultants in both
 directions with full-system filtering of the candidate grid; three unknowns,
 and two-unknown pencils whose resultants vanish identically, fall back to
 multistart Gauss-Newton.  Every reported solution is re-verified
-against the exact gradient (solvers lie, residuals do not).
+against the exact gradient (solvers lie, residuals do not).  A candidate is
+placed in its torus class (see below) before that check, and one that would
+not replace its class's representative is dropped unverified, as it cannot
+reach the output.
 
 Gauss-Newton runs one generated function per system (``_gauss_newton_kernel``),
 built once from the exact equations: residuals, Jacobian entries, the normal
@@ -516,7 +519,7 @@ def critical_set(family: ParamFamily) -> CriticalSet:
         point = tuple(c + _dot(a, z) for c, a in rows)
         common = lcm(*(u.denominator for u in point))
         scaled = [u.numerator * (common // u.denominator) for u in point]
-        if any(_centroid_sums(0, points, scaled)):
+        if any(_centroid_sums(points, scaled)):
             raise ArithmeticError(f"{family}: the closed-form point is not critical")
     return CriticalSet(family, rank, projection, len(free), square_length, point)
 
@@ -791,23 +794,15 @@ def _gauss_newton_kernel(eqs: list[ParamPoly], unknowns: int):
     return namespace["run_start"]
 
 
-def _prefer_representative(a: CriticalSolution, b: CriticalSolution) -> CriticalSolution:
-    def score(sol: CriticalSolution):
-        all_pos = all(float(v) > 0 for v in sol.values)
-        poly = sol.polynomial()
-        coeffs = tuple(
-            float(poly.terms[al]) for al in sorted(poly.terms, key=canonical_key)
-        )
-        return (0 if all_pos else 1, coeffs)
-
-    return a if score(a) <= score(b) else b
-
-
 def solve_real(system: GradientSystem) -> list[CriticalSolution]:
     """All verified real critical points of the family with nonzero parameters.
 
     Solutions equivalent under torus rescaling are merged, preferring the
     all-positive-parameter representative.  An empty list is a valid outcome.
+    A candidate is canonicalised before it is verified: one whose torus class
+    already has a representative it would not replace cannot reach the
+    output, and is dropped unverified.  Every other candidate is verified,
+    so each reported solution carries its own residual.
     """
     if system.unknowns > 3:
         raise ValueError("systems in more than three unknowns are unsupported")
@@ -822,26 +817,34 @@ def solve_real(system: GradientSystem) -> list[CriticalSolution]:
         candidates = _newton_candidates(eqs, system.unknowns)
 
     solutions: list[CriticalSolution] = []
+    scores: list[tuple] = []  # one per solution; the lower score is preferred
     for values in candidates:
         if not _candidate_passes(eqs, values):
             continue
         poly = _substitute_values(system.family, values)
         if poly.is_zero():
             continue
+        canonical = torus_canonical(poly)
+        # all parameters positive first, then the float coefficients in order
+        coeffs = tuple(float(poly.terms[a]) for a in sorted(poly.terms, key=canonical_key))
+        score = (0 if all(float(v) > 0 for v in values) else 1, coeffs)
+        # the first torus class within RESIDUAL_TOL; a candidate that would
+        # not replace its representative cannot reach the output
+        k = next(
+            (k for k, sol in enumerate(solutions) if polys_close(sol.canonical_form, canonical)),
+            len(solutions),
+        )
+        if k < len(solutions) and scores[k] <= score:
+            continue
         residual = verify_critical(poly)
         if residual > RESIDUAL_TOL:
             continue
-        sol = CriticalSolution(
-            system.family, tuple(values), residual, torus_canonical(poly)
-        )
-        merged = False
-        for k, existing in enumerate(solutions):
-            if polys_close(existing.canonical_form, sol.canonical_form):
-                solutions[k] = _prefer_representative(existing, sol)
-                merged = True
-                break
-        if not merged:
+        sol = CriticalSolution(system.family, tuple(values), residual, canonical)
+        if k < len(solutions):
+            solutions[k], scores[k] = sol, score
+        else:
             solutions.append(sol)
+            scores.append(score)
     solutions.sort(key=lambda s: tuple(float(v) for v in s.values))
     return solutions
 

@@ -30,10 +30,9 @@ contract of its coefficient type:
   that constant to float once, which gives the bits of multiplying every
   part by the ``Fraction``.
 
-The gradient of ``|m|^2`` in every coefficient direction has two engines,
-which share ``_gradient_numerators``.  Both apply the quotient rule once at
-the very end, never numeric differentiation, and give exact results for
-exact and parametric input.
+The gradient of ``|m|^2`` in every coefficient direction has two engines.
+Both apply the quotient rule once at the very end, never numeric
+differentiation, and give exact results for exact and parametric input.
 
 * The u-form takes exact and parametric input whose support has no two
   exponents differing by a root ``e_i - e_j``: every identically diagonal
@@ -43,10 +42,16 @@ exact and parametric input.
   and the gradient numerator is
   ``N_a = 16 d^2 w(a) c_a (norm2 <a, s> - <s, s>)``
   ``= 16 d^2 w(a) c_a sum_{b,c} <a - b, c> u_b u_c`` on the support and 0
-  off it, in operations shared by ``Fraction`` and ``ParamPoly``.  The
-  sums (``_centroid_sums``) vanish exactly on the family's real critical
-  set, which ``critical.critical_set`` gives in closed form and checks with
-  them.
+  off it.  It is computed in integers: over one common denominator D the
+  coefficients become integers, or integer polynomials in the parameters
+  (``ParamPoly`` with ``int`` coefficients), ``u'_a = a! c'_a^2``, and
+  ``Fraction`` or ``ParamPoly`` values are built once, at the end.  The
+  integer products and sums visit and drop terms as the rational ones do,
+  so each polynomial keeps the term order of the rational computation,
+  which the solver's float residuals sum in.  The sums
+  (``_centroid_sums``) vanish exactly on the family's real critical set,
+  which ``critical.critical_set`` gives in closed form and checks with them
+  on an integer point.
 * Forward jets take everything else: float input, and exact or parametric
   input with a root difference.  Only ``grad`` and ``verify`` on arbitrary
   input reach the latter.  A closed form for it took 40-80% of the jets'
@@ -70,7 +75,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import factorial, gcd, lcm, prod
 
 from .polyring import (
     DegenerateInputError,
@@ -269,22 +274,19 @@ def _root_difference_free(support) -> bool:
     return all(root_pair(a, b) is None for a, b in combinations(support, 2))
 
 
-def _gradient_numerators(zero, coeffs, n: int, d: int):
-    """``(numerators, norm2)`` in canonical basis order: entry ``k`` of the
-    gradient is ``numerators[k] / (d^2 norm2^3)``.  The u-form for exact and
-    parametric coefficients without a root difference, jets otherwise."""
-    diagonal = _root_difference_free([alpha for alpha, _ in coeffs])
-    if diagonal and not isinstance(zero, float):
-        return _diagonal_gradient(zero, coeffs, n, d)
-    # one jet per basis monomial, seeded with the direction of its basis
-    # index; without a root difference the support directions suffice
+def _jet_numerators(zero, coeffs, n: int, d: int, support_only: bool):
+    """``(numerators, norm2)`` in canonical basis order from forward jets:
+    entry ``k`` of the gradient is ``numerators[k] / (d^2 norm2^3)``.  With
+    ``support_only`` (no root difference) the jets are seeded in the support
+    directions alone."""
+    # one jet per basis monomial, seeded with the direction of its basis index
     basis = enumerate_monomials(n, d)
     terms = dict(coeffs)
     one = zero + 1
     jets = [
         (alpha, _Jet(terms.get(alpha, zero), {k: one}))
         for k, alpha in enumerate(basis)
-        if not diagonal or alpha in terms
+        if not support_only or alpha in terms
     ]
     p, norm2 = _trace_parts(_Jet(zero, {}), jets, n, d)
     numerators = [
@@ -294,32 +296,34 @@ def _gradient_numerators(zero, coeffs, n: int, d: int):
     return numerators, norm2.value
 
 
-def _diagonal_gradient(zero, coeffs, n: int, d: int):
-    # u_a = w(a) c_a^2, norm2 = sum_a u_a, and on the support
-    # N_a = 16 d^2 w(a) c_a sum_{b,c} <a - b, c> u_b u_c, 0 off it
-    support = [alpha for alpha, _ in coeffs]
-    u = [c * c * weight(alpha) for alpha, c in coeffs]
-    norm2 = zero
-    for u_b in u:
-        norm2 = norm2 + u_b
-    sums = dict(zip(support, _centroid_sums(zero, support, u)))
-
-    terms = dict(coeffs)
-    numerators = []
-    for a in enumerate_monomials(n, d):
-        c = terms.get(a)
-        if c is None:
-            numerators.append(zero)
-        else:
-            numerators.append(c * (16 * d * d * weight(a)) * sums[a])
-    return numerators, norm2
+# ---------------------------------------------------------------------------
+# the u-form in integers: over the common denominator D of the coefficients,
+# c'_a = D c_a and u'_a = a! c'_a^2 = d! D^2 u_a (as w(a) = a!/d!) are integer
+# (polynomials), and so are the centroid sums S'_a of u'; then
+# N_a = 16 d^2 a! c'_a S'_a / (d!^3 D^5) and norm2 = sum_a u'_a / (d! D^2).
 
 
-def _centroid_sums(zero, support, u) -> list:
+def _divided(p: ParamPoly, num: int, den: int) -> ParamPoly:
+    """``p * num / den`` for an integer polynomial ``p`` and ``den > 0``."""
+    return ParamPoly._trusted(p.nsyms, {e: Fraction(v * num, den) for e, v in p.terms.items()})
+
+
+def _u_form(lifted) -> tuple:
+    """``(sum_a u'_a, {a: a! c'_a S'_a})`` from the lifted coefficients
+    ``(a, c'_a)`` of a support with no root difference."""
+    support = [alpha for alpha, _ in lifted]
+    factorials = [prod(map(factorial, alpha)) for alpha in support]
+    u = [c * c * k for (_, c), k in zip(lifted, factorials)]
+    sums = _centroid_sums(support, u)
+    return sum(u), {a: c * k * s for (a, c), k, s in zip(lifted, factorials, sums)}
+
+
+def _centroid_sums(support, u) -> list:
     """``sum_{b,c} <a - b, c> u_b u_c = norm2 <a, s> - <s, s>`` for each
     ``a`` of the support, with ``s = sum_b u_b b``: the gradient numerator
     without its factor ``16 d^2 w(a) c_a``, so all vanish exactly at the
-    critical points of a support with no root difference."""
+    critical points of a support with no root difference.  ``u`` holds
+    integers or integer polynomials; a sum with no term is the integer 0."""
     # u_b u_c once per unordered pair, with the integer products <b, c>
     pairs = [
         (j, k, sum(x * y for x, y in zip(support[j], support[k])), u[j] * u[k])
@@ -329,7 +333,7 @@ def _centroid_sums(zero, support, u) -> list:
     sums = []
     for a in support:
         a_dot = [sum(x * y for x, y in zip(a, b)) for b in support]
-        inner = zero
+        inner = 0
         for j, k, b_dot_c, product in pairs:
             # the ordered pairs (b, c) and (c, b) together, or (b, b) alone
             coeff = a_dot[j] - b_dot_c if j == k else a_dot[j] + a_dot[k] - 2 * b_dot_c
@@ -396,11 +400,20 @@ def gradient(f: SparsePoly) -> list:
     _require_nonzero(f)
     if f.is_parametric():
         raise TypeError("parametric input: use gradient_symbolic")
+    diagonal = _root_difference_free(f.terms)
     if f.is_exact():
+        if diagonal:
+            # N_a / (d^2 norm2^3) = 16 D a! c'_a S'_a / (sum_a u'_a)^3
+            scale = lcm(*(c.denominator for c in f.terms.values()))
+            lifted = [(a, c.numerator * (scale // c.denominator)) for a, c in f.terms.items()]
+            norm, parts = _u_form(lifted)
+            cube = norm**3
+            return [Fraction(16 * scale * parts[a], cube) if a in parts else Fraction(0)
+                    for a in enumerate_monomials(f.n, f.d)]
         zero, coeffs = Fraction(0), list(f.terms.items())
     else:
         zero, coeffs = 0.0, [(alpha, float(c)) for alpha, c in f.terms.items()]
-    numerators, norm2 = _gradient_numerators(zero, coeffs, f.n, f.d)
+    numerators, norm2 = _jet_numerators(zero, coeffs, f.n, f.d, diagonal)
     if scalar_is_zero(norm2):
         raise DegenerateInputError("squared norm vanishes at the evaluation point")
     denom = f.d * f.d * norm2 * norm2 * norm2
@@ -417,8 +430,19 @@ def gradient_symbolic(family: SparsePoly) -> tuple[list[ParamPoly], ParamPoly]:
     if parameter_symbols(family) == 0:
         raise TypeError("numeric input: use gradient")
     zero, coeffs = _parametric(family)
-    numerators, norm2 = _gradient_numerators(zero, coeffs, family.n, family.d)
-    return numerators, norm2 * norm2 * norm2 * (family.d * family.d)
+    n, d = family.n, family.d
+    if not _root_difference_free(family.terms):
+        numerators, norm2 = _jet_numerators(zero, coeffs, n, d, False)
+        return numerators, norm2 * norm2 * norm2 * (d * d)
+    scale = lcm(*(v.denominator for _, c in coeffs for v in c.terms.values()))
+    lifted = [(a, ParamPoly._trusted(zero.nsyms, {e: v.numerator * (scale // v.denominator)
+                                                  for e, v in c.terms.items()}))
+              for a, c in coeffs]
+    norm, parts = _u_form(lifted)
+    cube = factorial(d) ** 3 * scale**5
+    numerators = [_divided(parts[a], 16 * d * d, cube) if a in parts else zero
+                  for a in enumerate_monomials(n, d)]
+    return numerators, _divided(norm * norm * norm, d * d, cube * scale)
 
 
 # ---------------------------------------------------------------------------

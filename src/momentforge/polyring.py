@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isfinite, lcm
+from operator import add
 from typing import Mapping, Sequence, Union
 
 # Exponent vector: element i is the exponent of variable x_{i+1}.
@@ -63,6 +64,8 @@ class ParamPoly:
 
     Stored as a map from parameter-exponent tuples to nonzero Fractions.
     Arithmetic never leaves the exact world: mixing with a float raises.
+    Sums and products of polynomials with ``int`` coefficients (built with
+    ``_trusted``), and their products with an ``int``, stay ``int``.
     A constant equals its value; like ``SparsePoly`` the class is not
     hashable, and ``key`` is its hashable form.
     """
@@ -136,7 +139,7 @@ class ParamPoly:
             return NotImplemented
         out = dict(self.terms)
         for exp, coeff in other.terms.items():
-            s = out.get(exp, ZERO) + coeff
+            s = out.get(exp, 0) + coeff
             if s == 0:
                 out.pop(exp, None)
             else:
@@ -162,7 +165,7 @@ class ParamPoly:
 
     def __mul__(self, other):
         if _is_exact(other):
-            c = Fraction(other)
+            c = other if type(other) is int else Fraction(other)
             if c == 0:
                 return ParamPoly(self.nsyms)
             return ParamPoly._trusted(self.nsyms, {exp: v * c for exp, v in self.terms.items()})
@@ -172,8 +175,8 @@ class ParamPoly:
         out: dict[tuple[int, ...], Fraction] = {}
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():
-                exp = tuple(x + y for x, y in zip(ea, eb))
-                s = out.get(exp, ZERO) + ca * cb
+                exp = tuple(map(add, ea, eb))
+                s = out.get(exp, 0) + ca * cb
                 if s == 0:
                     out.pop(exp, None)
                 else:

@@ -1,8 +1,9 @@
 """End-to-end reproduction of the published cubic and quartic tables.
 
 Each check compares a freshly computed pipeline stage against the embedded
-fixtures and reports one line.  Checks are hermetic (no I/O) and independent
-of each other, so the harness may run them in any order.
+fixtures and reports one line.  Checks are hermetic (no I/O).  A case
+enumerates its diagonal families once, and the family-table check and the
+solver check read the same lists; every other check stands alone.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ class CheckResult(NamedTuple):
 # checks of either degree d, 3 for the cubics and 4 for the quartics
 
 
-def _diagonal_families(name: str, d: int, terms, table) -> CheckResult:
-    got = [fam.support for m in terms for fam in diagonal_families(3, d, m)]
+def _diagonal_families(name: str, families, table) -> CheckResult:
+    got = [fam.support for fam in families]
     want = [support(*names) for names in table]
     return CheckResult(name, got == want, f"got {len(got)}")
 
@@ -42,9 +43,8 @@ def _monomials_critical(name: str, d: int) -> CheckResult:
     return CheckResult(name, not bad, str(bad) if bad else "")
 
 
-def solver_results(d: int):
-    """Each diagonal family with 2, then 3 terms, with its solutions."""
-    families = [family for m in (2, 3) for family in diagonal_families(3, d, m)]
+def solver_results(families):
+    """Each family, in order, with its solutions."""
     return [(family, solve_family(family)) for family in families]
 
 
@@ -61,9 +61,9 @@ def _missing_targets(produced: list[SparsePoly], targets) -> list[int]:
     return missing
 
 
-def _recovered(name: str, d: int, entries) -> CheckResult:
-    """Whether the solutions of degree ``d`` hold each published (number, entry)."""
-    produced = [sol.polynomial() for _, sols in solver_results(d) for sol in sols]
+def _recovered(name: str, families, entries) -> CheckResult:
+    """Whether the solutions of the families hold each published (number, entry)."""
+    produced = [sol.polynomial() for _, sols in solver_results(families) for sol in sols]
     targets = [(number, critical_fixture_poly(entry)) for number, entry in entries]
     missing = _missing_targets(produced, targets)
     detail = f"missing entries {missing}" if missing else f"{len(produced)} solutions"
@@ -158,27 +158,33 @@ def check_quartic_list_verifies() -> CheckResult:
 def run_case(case: str) -> list[CheckResult]:
     cubics, quartics = fixtures.CRITICAL_CUBICS, fixtures.CRITICAL_QUARTICS
     if case == "cubics":
+        two, three, four = (diagonal_families(3, 3, m) for m in (2, 3, 4))
         return [
             check_bases(),
             check_orbit_tables(),
             check_cubic_moment_example(),
             _diagonal_families(
-                "cubic diagonal families (11)", 3, (2, 3, 4), fixtures.DIAGONAL_CUBIC
+                "cubic diagonal families (11)", two + three + four, fixtures.DIAGONAL_CUBIC
             ),
             _monomials_critical("all 10 cubic monomials critical", 3),
-            _recovered("six published critical cubics recovered", 3, enumerate(cubics, 1)),
+            _recovered(
+                "six published critical cubics recovered", two + three, enumerate(cubics, 1)
+            ),
         ]
     if case == "quartics":
+        two, three = (diagonal_families(3, 4, m) for m in (2, 3))
         # entries with irrational coefficients are verification-only
         rational = [(k, e) for k, e in enumerate(quartics, 1) if all(r == 1 for _, r, _ in e)]
         return [
             check_quartic_orbit_pairs(),
             _diagonal_families(
-                "quartic three-term diagonal families (31)", 4, (3,), fixtures.DIAGONAL_QUARTIC_3TERM
+                "quartic three-term diagonal families (31)", three, fixtures.DIAGONAL_QUARTIC_3TERM
             ),
             check_quartic_symbolic_matrix(),
             _monomials_critical("all 15 quartic monomials critical", 4),
             check_quartic_list_verifies(),
-            _recovered("rational critical quartics rediscovered by the solver", 4, rational),
+            _recovered(
+                "rational critical quartics rediscovered by the solver", two + three, rational
+            ),
         ]
     raise ValueError(f"unknown case {case!r}; expected cubics or quartics")

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import random_rational_poly
 from momentforge import cli, reproduce
-from momentforge.critical import RESIDUAL_TOL, fixed_point_check
+from momentforge.critical import RESIDUAL_TOL, fixed_point_check, verify_critical
 from momentforge.fixtures import CRITICAL_CUBICS, critical_fixture_poly
 from momentforge.polyring import poly_to_json
 
@@ -96,6 +96,14 @@ def test_every_solver_output_is_a_fixed_point(critical_runs):
     outputs = [sol for _, solutions in critical_runs.values() for sol in solutions]
     assert len(outputs) == 232
     assert [str(sol) for sol in outputs if not fixed_point_check(sol.polynomial())] == []
+
+
+def test_every_reported_residual_is_its_own_verification(critical_runs):
+    # the solver skips verifying candidates that cannot reach the output; each
+    # solution it reports was verified, and carries that residual
+    outputs = [sol for _, solutions in critical_runs.values() for sol in solutions]
+    for sol in outputs:
+        assert sol.residual == verify_critical(sol.polynomial()) <= RESIDUAL_TOL, sol
 
 
 @pytest.mark.parametrize("command", sorted(ENUMERATION_JSON_SHA256))

@@ -501,3 +501,50 @@ def test_magnitude_beyond_the_float_range_is_a_value_error(exponent):
     for canonical in (critical.torus_canonical, critical.orbit_torus_canonical):
         with pytest.raises(ValueError, match="beyond the floating-point range"):
             canonical(f)
+
+
+# ---------------------------------------------------------------------------
+# one verification per torus class
+
+
+def test_rejected_preferred_candidate_keeps_the_earlier_representative(monkeypatch):
+    # b1 = -r and b1 = r, r = (27/5)^(1/2), give one torus class; -r comes
+    # first and is verified, and r, all positive, would replace it, so it is
+    # verified too
+    family = next(f for f in diagonal_families(3, 3, 2) if str(f) == "b1*x^2*z + y^3")
+    system = critical.gradient_system(family)
+    (neg,), (pos,) = critical._solve_one_unknown(critical._prepared_equations(system))
+    assert float(neg) == -float(pos) < 0
+    assert [sol.values for sol in critical.solve_real(system)] == [(pos,)]
+
+    verify = critical.verify_critical
+    checked = []
+
+    def reject_positive(f):
+        checked.append(f)
+        return 1.0 if all(c > 0 for c in f.terms.values()) else verify(f)
+
+    monkeypatch.setattr(critical, "verify_critical", reject_positive)
+    (sol,) = critical.solve_real(system)
+    assert sol.values == (neg,)
+    assert sol.residual == verify(sol.polynomial()) <= critical.RESIDUAL_TOL
+    assert len(checked) == 2
+
+
+def test_fewer_verifications_than_passing_candidates(monkeypatch):
+    verify, passes = critical.verify_critical, critical._candidate_passes
+    counts = {"verified": 0, "passed": 0}
+
+    def counting_verify(f):
+        counts["verified"] += 1
+        return verify(f)
+
+    def counting_passes(eqs, values):
+        ok = passes(eqs, values)
+        counts["passed"] += ok
+        return ok
+
+    monkeypatch.setattr(critical, "verify_critical", counting_verify)
+    monkeypatch.setattr(critical, "_candidate_passes", counting_passes)
+    solutions = [sol for f in diagonal_families(3, 5, 3) for sol in critical.solve_family(f)]
+    assert len(solutions) <= counts["verified"] < counts["passed"]

@@ -259,7 +259,7 @@ def test_centroid_sums_scale_by_the_square_of_an_integer_scaling(seed):
     u = [Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in support]
     scale = math.lcm(*(x.denominator for x in u))
     scaled = [x.numerator * (scale // x.denominator) for x in u]
-    exact = _centroid_sums(Fraction(0), support, u)
-    integer = _centroid_sums(0, support, scaled)
+    exact = _centroid_sums(support, u)
+    integer = _centroid_sums(support, scaled)
     assert integer == [scale * scale * s for s in exact]
     assert all(type(s) is int for s in integer)

@@ -33,7 +33,7 @@ from momentforge.polyring import (
     parameter_symbols,
     substitute_params,
 )
-from momentforge.symd import enumerate_monomials, root_pair
+from momentforge.symd import enumerate_monomials, root_pair, weight
 
 
 def P(**kw):
@@ -436,6 +436,94 @@ class TestDiagonalSupportGradient:
             f = substitute_params(family, values)
             numerators, denom = jet_gradient(Fraction(0), list(f.terms.items()), f.n, f.d)
             assert gradient(f) == [numer / denom for numer in numerators], f
+
+
+def reference_u_form(zero, coeffs, n, d):
+    """Reference: the u-form in the coefficients' own ring (``Fraction`` or
+    ``ParamPoly``), as the package computed it before its integer kernel:
+    the numerators in basis order and the denominator ``d^2 norm2^3``."""
+    support = [alpha for alpha, _ in coeffs]
+    u = [c * c * weight(alpha) for alpha, c in coeffs]
+    norm2 = zero
+    for u_b in u:
+        norm2 = norm2 + u_b
+    pairs = [(j, k, sum(x * y for x, y in zip(support[j], support[k])), u[j] * u[k])
+             for j in range(len(u)) for k in range(j, len(u))]
+    sums = {}
+    for a in support:
+        a_dot = [sum(x * y for x, y in zip(a, b)) for b in support]
+        inner = zero
+        for j, k, b_dot_c, product in pairs:
+            coeff = a_dot[j] - b_dot_c if j == k else a_dot[j] + a_dot[k] - 2 * b_dot_c
+            if coeff:
+                inner = inner + product * coeff
+        sums[a] = inner
+    terms = dict(coeffs)
+    numerators = [terms[a] * (16 * d * d * weight(a)) * sums[a] if a in terms else zero
+                  for a in enumerate_monomials(n, d)]
+    return numerators, norm2 * norm2 * norm2 * (d * d)
+
+
+def in_term_order(pair):
+    """Numerators and denominator as lists of terms in dict order, which the
+    solver's float residuals sum in."""
+    numerators, denominator = pair
+    return [list(p.terms.items()) for p in numerators], list(denominator.terms.items())
+
+
+def random_parametric_coefficient(rng, nsyms):
+    """A rational constant, or a polynomial of one to three terms such as
+    ``b1 - 2/3 b2``."""
+    if rng.random() < 0.2:
+        return Fraction(rng.randint(1, 9), rng.randint(1, 4))
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        exp = tuple(rng.randint(0, 2) for _ in range(nsyms))
+        terms[exp] = Fraction(rng.choice([-1, 1]) * rng.randint(1, 7), rng.randint(1, 6))
+    return ParamPoly(nsyms, terms)
+
+
+class TestIntegerUForm:
+    """The integer u-form against ``reference_u_form``: equal values, and
+    for families equal terms in the same order."""
+
+    SHAPES = [(3, 3), (3, 4), (3, 5), (4, 3)]
+
+    def test_every_diagonal_family_term_by_term(self):
+        families = [fam.poly for n, d in self.SHAPES for m in (2, 3, 4)
+                    for fam in diagonal_families(n, d, m)]
+        assert len(families) == 457  # 914 outputs: the numerators and the denominator
+        for family in families:
+            expected = reference_u_form(*_parametric(family), family.n, family.d)
+            assert in_term_order(gradient_symbolic(family)) == in_term_order(expected), family
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_non_monomial_coefficients_term_by_term(self, seed):
+        rng = random.Random(seed)
+        for _ in range(15):
+            n, d = rng.choice(self.SHAPES)
+            support = list(random_root_difference_free(rng, n, d).terms)
+            nsyms = rng.randint(1, 3)
+            family = SparsePoly.make(n, d, {
+                a: random_parametric_coefficient(rng, nsyms) for a in support})
+            if parameter_symbols(family) == 0:
+                continue
+            expected = reference_u_form(*_parametric(family), n, d)
+            assert in_term_order(gradient_symbolic(family)) == in_term_order(expected), family
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_exact_input(self, seed):
+        rng = random.Random(100 + seed)
+        for _ in range(25):
+            n, d = rng.choice(self.SHAPES + [(2, 5)])
+            support = list(random_root_difference_free(rng, n, d).terms)
+            f = SparsePoly.make(n, d, {
+                a: Fraction(rng.choice([-1, 1]) * rng.randint(1, 10**rng.randint(1, 30)),
+                            rng.randint(1, 10**rng.randint(1, 30))) for a in support})
+            numerators, denominator = reference_u_form(Fraction(0), list(f.terms.items()), n, d)
+            got = gradient(f)
+            assert got == [numer / denominator for numer in numerators], f
+            assert all(type(g) is Fraction for g in got)
 
 
 def float_quotients(p, norm2, d, size):
