@@ -5,7 +5,6 @@ filtering, and critical points of the moment-map square length."""
 from .critical import (
     AlgebraicNumber,
     CriticalSolution,
-    GradientSystem,
     fixed_point_check,
     gradient_system,
     solve_family,

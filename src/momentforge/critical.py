@@ -2,15 +2,17 @@
 
 The gradient of ``|m|^2`` with respect to all coefficient directions,
 restricted to a parametric family, is an overdetermined polynomial system in
-the parameters.  A system in one unknown is a single equation, solved by
-Sturm isolation; two unknowns go through Sylvester resultants in both
-directions with full-system filtering of the candidate grid; three unknowns,
-and two-unknown pencils whose resultants vanish identically, fall back to
-multistart Gauss-Newton.  Every reported solution is re-verified
-against the exact gradient (solvers lie, residuals do not).  A candidate is
-placed in its torus class (see below) before that check, and one that would
-not replace its class's representative is dropped unverified, as it cannot
-reach the output.
+the parameters.  ``gradient_system`` prepares it once, and ``solve_real``
+reads its equations as they are: each nonzero numerator is divided by its
+parameter monomial and made primitive, and repeats are dropped.  A system in
+one unknown is a single equation, solved by Sturm isolation; two unknowns
+go through Sylvester resultants in both directions with full-system filtering
+of the candidate grid; three unknowns, and two-unknown pencils whose
+resultants vanish identically, fall back to multistart Gauss-Newton.  Every
+reported solution is re-verified against the exact gradient (solvers lie,
+residuals do not).  A candidate is placed in its torus class (see below)
+before that check, and one that would not replace its class's representative
+is dropped unverified, as it cannot reach the output.
 
 Gauss-Newton runs one generated function per system (``_gauss_newton_kernel``),
 built once from the exact equations: residuals, Jacobian entries, the normal
@@ -115,23 +117,23 @@ class AlgebraicNumber(NamedTuple):
 # gradient systems
 
 
-class GradientSystem(NamedTuple):
-    """All gradient numerators of a family, one per basis direction."""
+def gradient_system(family: ParamFamily) -> tuple[ParamPoly, ...]:
+    """The solver's equations on the family; a ``ValueError`` when two
+    support exponents differ by a root e_i - e_j.
 
-    family: ParamFamily
-    equations: tuple[ParamPoly, ...]
-    denominator: ParamPoly
-    unknowns: int
-
-
-def gradient_system(family: ParamFamily) -> GradientSystem:
-    """Exact numerators of every gradient component on the family; a
-    ``ValueError`` when two support exponents differ by a root e_i - e_j."""
+    Each nonzero gradient numerator, in basis order, is divided by its
+    largest parameter monomial and made primitive, and the first equation
+    of each ``key`` is kept.  Dividing by b^k only removes roots with some
+    b_i = 0, which the family stratification discards anyway.
+    """
     if not _root_difference_free(family.support):
         raise ValueError(f"{family}: two support exponents differ by a root")
-    numerators, denom = gradient_symbolic(family.poly)
-    equations = tuple(e if e.is_zero() else e.primitive() for e in numerators)
-    return GradientSystem(family, equations, denom, family.nparams)
+    equations: dict[tuple, ParamPoly] = {}
+    for numerator in gradient_symbolic(family.poly)[0]:
+        if not numerator.is_zero():
+            eq = numerator.shift_down(numerator.monomial_gcd()).primitive()
+            equations.setdefault(eq.key(), eq)
+    return tuple(equations.values())
 
 
 def verify_critical(f: SparsePoly) -> float:
@@ -547,27 +549,6 @@ def _substitute_values(family: ParamFamily, values) -> SparsePoly:
     return substitute_params(family.poly, subs)
 
 
-def _strip_parameter_monomials(eq: ParamPoly) -> ParamPoly:
-    # dividing an equation by b^k only removes roots with some b_i = 0,
-    # which the family stratification discards anyway
-    shift = eq.monomial_gcd()
-    return eq.shift_down(shift) if any(shift) else eq
-
-
-def _prepared_equations(system: GradientSystem) -> list[ParamPoly]:
-    seen = set()
-    eqs = []
-    for eq in system.equations:
-        if eq.is_zero():
-            continue
-        eq = _strip_parameter_monomials(eq).primitive()
-        key = eq.key()
-        if key not in seen:
-            seen.add(key)
-            eqs.append(eq)
-    return eqs
-
-
 def _roots_of_upoly(p: uni.UPoly) -> list:
     """Nonzero real roots as Fractions or AlgebraicNumbers."""
     p = uni.squarefree_part(p)
@@ -619,7 +600,7 @@ def _solve_one_unknown(eqs: list[ParamPoly]) -> list[tuple]:
     # a two-term family b1 x^a + x^b has u-form centroid sums u_b X and
     # -u_a X, X = u_a (|a|^2 - a.b) - u_b (|b|^2 - a.b), so every gradient
     # numerator is one equation up to the monomial and content that
-    # ``_prepared_equations`` strips
+    # ``gradient_system`` strips
     (eq,) = eqs
     return [(root,) for root in _roots_of_upoly(uni.trim(eq.univariate()))]
 
@@ -794,8 +775,9 @@ def _gauss_newton_kernel(eqs: list[ParamPoly], unknowns: int):
     return namespace["run_start"]
 
 
-def solve_real(system: GradientSystem) -> list[CriticalSolution]:
-    """All verified real critical points of the family with nonzero parameters.
+def solve_real(family: ParamFamily, equations: tuple[ParamPoly, ...]) -> list[CriticalSolution]:
+    """All verified real critical points of the family with nonzero
+    parameters, from its ``gradient_system`` equations.
 
     Solutions equivalent under torus rescaling are merged, preferring the
     all-positive-parameter representative.  An empty list is a valid outcome.
@@ -804,24 +786,25 @@ def solve_real(system: GradientSystem) -> list[CriticalSolution]:
     output, and is dropped unverified.  Every other candidate is verified,
     so each reported solution carries its own residual.
     """
-    if system.unknowns > 3:
+    unknowns = family.nparams
+    if unknowns > 3:
         raise ValueError("systems in more than three unknowns are unsupported")
-    eqs = _prepared_equations(system)
+    eqs = list(equations)
     if not eqs:
         return []
-    if system.unknowns == 1:
+    if unknowns == 1:
         candidates = _solve_one_unknown(eqs)
-    elif system.unknowns == 2:
+    elif unknowns == 2:
         candidates = _solve_two_unknowns(eqs)
     else:
-        candidates = _newton_candidates(eqs, system.unknowns)
+        candidates = _newton_candidates(eqs, unknowns)
 
     solutions: list[CriticalSolution] = []
     scores: list[tuple] = []  # one per solution; the lower score is preferred
     for values in candidates:
         if not _candidate_passes(eqs, values):
             continue
-        poly = _substitute_values(system.family, values)
+        poly = _substitute_values(family, values)
         if poly.is_zero():
             continue
         canonical = torus_canonical(poly)
@@ -839,7 +822,7 @@ def solve_real(system: GradientSystem) -> list[CriticalSolution]:
         residual = verify_critical(poly)
         if residual > RESIDUAL_TOL:
             continue
-        sol = CriticalSolution(system.family, tuple(values), residual, canonical)
+        sol = CriticalSolution(family, tuple(values), residual, canonical)
         if k < len(solutions):
             solutions[k], scores[k] = sol, score
         else:
@@ -850,9 +833,9 @@ def solve_real(system: GradientSystem) -> list[CriticalSolution]:
 
 
 def solve_family(family: ParamFamily) -> list[CriticalSolution]:
-    """``solve_real`` of the family's gradient system, or ``[]`` without
+    """``solve_real`` on the family's ``gradient_system``, or ``[]`` without
     building it when the closed-form critical set is empty; a ``ValueError``
     for a support with a root difference, as from ``critical_set``."""
     if critical_set(family).is_empty:
         return []
-    return solve_real(gradient_system(family))
+    return solve_real(family, gradient_system(family))

@@ -414,9 +414,10 @@ def gradient(f: SparsePoly) -> list:
     else:
         zero, coeffs = 0.0, [(alpha, float(c)) for alpha, c in f.terms.items()]
     numerators, norm2 = _jet_numerators(zero, coeffs, f.n, f.d, diagonal)
-    if scalar_is_zero(norm2):
-        raise DegenerateInputError("squared norm vanishes at the evaluation point")
+    # a float norm2 can be nonzero while d^2 norm2^3 underflows to 0.0
     denom = f.d * f.d * norm2 * norm2 * norm2
+    if scalar_is_zero(denom):
+        raise DegenerateInputError("squared norm vanishes or underflows at the evaluation point")
     return [numer / denom for numer in numerators]
 
 

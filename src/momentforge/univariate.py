@@ -183,11 +183,6 @@ def _sign_variations(chain: list[UPoly], x: Fraction) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def count_roots(chain: list[UPoly], lo: Fraction, hi: Fraction) -> int:
-    """Number of distinct real roots in (lo, hi]."""
-    return _sign_variations(chain, lo) - _sign_variations(chain, hi)
-
-
 def root_bound(p: UPoly) -> Fraction:
     """Cauchy bound: all real roots lie in (-B, B)."""
     return Fraction(max((abs(c) for c in p[:-1]), default=0), abs(p[-1])) + 1

@@ -406,13 +406,22 @@ def test_non_finite_results_are_not_printed(tmp_path, capsys, command, flag, tex
     assert captured.out == "" and captured.err.startswith("error: ")
 
 
-@pytest.mark.parametrize("command", ["moment", "sqlength"])
-@pytest.mark.parametrize("flags", [[], ["--json"], ["--float"], ["--float", "--json"]])
+FLAG_SETS = [[], ["--json"], ["--float"], ["--float", "--json"]]
+
+
+@pytest.mark.parametrize("command, flags", [
+    pytest.param(command, flags, id=f"flags{k}-{command}")
+    for command in ("moment", "sqlength", "grad", "verify")
+    for k, flags in enumerate(FLAG_SETS[:2] if command == "verify" else FLAG_SETS)
+])
 def test_underflowing_norm_is_degenerate_input(tmp_path, capsys, command, flags):
-    # with 1e-200 on x^3 and y^3 the squared norm is 0.0: grad and verify said
-    # so, but both of these ended in a ZeroDivisionError
+    # with 1e-200 on x^3 and y^3 the squared norm is 0.0, and moment and
+    # sqlength divided by it; with 1e-110 it is about 1e-220, but the
+    # gradient's denominator d^2 norm2^3 is 0.0, and grad and verify divided
+    # by that: each ended in a ZeroDivisionError
+    coeff = 1e-110 if command in ("grad", "verify") else 1e-200
     path = tmp_path / "poly.json"
-    path.write_text(json.dumps(cubic(([3, 0, 0], 1e-200), ([0, 3, 0], 1e-200))))
+    path.write_text(json.dumps(cubic(([3, 0, 0], coeff), ([0, 3, 0], coeff))))
     assert cli.main([command, "--poly", str(path), *flags]) == cli.DEGENERATE_INPUT
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("degenerate input: ")

@@ -1,6 +1,7 @@
 """The generated Gauss-Newton kernel against the list loop it replaced, the
-reuse of sign-mirrored starts against a run from every start, and torus
-canonicalisation against its per-call form.
+reuse of sign-mirrored starts against a run from every start, torus
+canonicalisation against its per-call form, and the solver's equations
+against the preparation they replaced.
 
 Float Newton points and their residuals are printed by `critical --json`, so
 the kernel must repeat the loop's float operations exactly, and a reused start
@@ -25,6 +26,7 @@ from momentforge.critical import (
     _residual_on_equations,
 )
 from momentforge.diagonal import diagonal_families
+from momentforge.moment import gradient_symbolic
 from momentforge.orbits import permute
 from momentforge.polyring import ParamPoly, SparsePoly, canonical_key
 from momentforge.symd import enumerate_monomials
@@ -175,12 +177,12 @@ def random_system(rng, planted):
 
 def hesse_equations():
     (family,) = diagonal_families(3, 3, 4)  # b1*z^3 + b2*xyz + b3*y^3 + x^3
-    return critical._prepared_equations(critical.gradient_system(family)), 3
+    return list(critical.gradient_system(family)), 3
 
 
 def family_equations(n, d, m, name):
     (family,) = [f for f in diagonal_families(n, d, m) if str(f) == name]
-    return critical._prepared_equations(critical.gradient_system(family)), family.nparams
+    return list(critical.gradient_system(family)), family.nparams
 
 
 # the systems of diagonal families that reach Newton, by kind: the pencils in
@@ -512,10 +514,10 @@ def test_rejected_preferred_candidate_keeps_the_earlier_representative(monkeypat
     # first and is verified, and r, all positive, would replace it, so it is
     # verified too
     family = next(f for f in diagonal_families(3, 3, 2) if str(f) == "b1*x^2*z + y^3")
-    system = critical.gradient_system(family)
-    (neg,), (pos,) = critical._solve_one_unknown(critical._prepared_equations(system))
+    eqs = critical.gradient_system(family)
+    (neg,), (pos,) = critical._solve_one_unknown(eqs)
     assert float(neg) == -float(pos) < 0
-    assert [sol.values for sol in critical.solve_real(system)] == [(pos,)]
+    assert [sol.values for sol in critical.solve_real(family, eqs)] == [(pos,)]
 
     verify = critical.verify_critical
     checked = []
@@ -525,7 +527,7 @@ def test_rejected_preferred_candidate_keeps_the_earlier_representative(monkeypat
         return 1.0 if all(c > 0 for c in f.terms.values()) else verify(f)
 
     monkeypatch.setattr(critical, "verify_critical", reject_positive)
-    (sol,) = critical.solve_real(system)
+    (sol,) = critical.solve_real(family, eqs)
     assert sol.values == (neg,)
     assert sol.residual == verify(sol.polynomial()) <= critical.RESIDUAL_TOL
     assert len(checked) == 2
@@ -548,3 +550,36 @@ def test_fewer_verifications_than_passing_candidates(monkeypatch):
     monkeypatch.setattr(critical, "_candidate_passes", counting_passes)
     solutions = [sol for f in diagonal_families(3, 5, 3) for sol in critical.solve_family(f)]
     assert len(solutions) <= counts["verified"] < counts["passed"]
+
+
+# ---------------------------------------------------------------------------
+# the solver's equations against the preparation they replaced
+
+
+def reference_equations(family):
+    """The equations as the solver used to prepare them: each nonzero
+    gradient numerator made primitive, divided by its parameter monomial and
+    made primitive again, keeping the first of each key."""
+    seen, eqs = set(), []
+    for eq in gradient_symbolic(family.poly)[0]:
+        if eq.is_zero():
+            continue
+        eq = eq.primitive()
+        shift = eq.monomial_gcd()
+        if any(shift):
+            eq = eq.shift_down(shift)
+        eq = eq.primitive()
+        if eq.key() not in seen:
+            seen.add(eq.key())
+            eqs.append(eq)
+    return eqs
+
+
+def test_gradient_system_matches_the_old_preparation():
+    # the float residuals sum in term order, so the terms must keep it too
+    families = [f for n, d in [(3, 3), (3, 4), (3, 5), (4, 3)] for m in (2, 3, 4)
+                for f in diagonal_families(n, d, m)]
+    assert len(families) == 457
+    for family in families:
+        got = [list(eq.terms.items()) for eq in critical.gradient_system(family)]
+        assert got == [list(eq.terms.items()) for eq in reference_equations(family)], family

@@ -43,7 +43,7 @@ def closed_forms():
 
 def unfiltered(family):
     """The solver without the closed-form pre-filter."""
-    return solve_real(gradient_system(family))
+    return solve_real(family, gradient_system(family))
 
 
 def pinned_squares(cs):
@@ -215,7 +215,7 @@ TWO_TERM_SHAPES = [(2, 3), (2, 4), (2, 5), (2, 6), (3, 3), (3, 4), (3, 5), (3, 6
 def test_two_term_families_prepare_one_equation():
     # _solve_one_unknown takes the single equation as it is, with no gcd
     counts = [
-        len(critical._prepared_equations(gradient_system(family)))
+        len(gradient_system(family))
         for n, d in TWO_TERM_SHAPES for family in diagonal_families(n, d, 2)
     ]
     assert len(counts) == 136

@@ -31,7 +31,8 @@ def test_import_loads_no_dataclasses_or_inspect():
     assert not loaded & {"dataclasses", "inspect"}
 
 
-# exported names that nothing in the package calls, each kept for a reason
+# exported or module-level names that nothing in the package calls, each kept
+# for a reason
 UNCALLED_EXPORTS = {
     "flow_derivative": "the Lie-algebra oracle for H(f): 2 H(f)_ij from the velocity "
                        "x_j d_i f of exp(t E_ij)",
@@ -41,22 +42,25 @@ UNCALLED_EXPORTS = {
 }
 
 
-def test_every_export_has_a_caller_or_a_reason():
+def test_every_function_and_class_has_a_caller_or_a_reason():
     package = Path(momentforge.__file__).resolve().parent
     init = ast.parse((package / "__init__.py").read_text())
-    exported = {alias.asname or alias.name for node in init.body
-                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    names = {alias.asname or alias.name for node in init.body
+             if isinstance(node, ast.ImportFrom) for alias in node.names}
     # names read in the package's modules: a definition or an __all__ string is no use
     used = set()
     for path in package.glob("*.py"):
         if path.name != "__init__.py":
-            for node in ast.walk(ast.parse(path.read_text())):
+            tree = ast.parse(path.read_text())
+            names |= {node.name for node in tree.body
+                      if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+            for node in ast.walk(tree):
                 if isinstance(node, ast.Name):
                     used.add(node.id)
                 elif isinstance(node, ast.Attribute):
                     used.add(node.attr)
-    assert sorted(exported - used - UNCALLED_EXPORTS.keys()) == []
-    assert sorted(UNCALLED_EXPORTS.keys() - exported) == []
+    assert sorted(names - used - UNCALLED_EXPORTS.keys()) == []
+    assert sorted(UNCALLED_EXPORTS.keys() - names) == []
 
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
