@@ -77,7 +77,7 @@ from .moment import (
     gradient_symbolic,
     moment_matrix,
 )
-from .orbits import ParamFamily, permute, support_order_key
+from .orbits import ParamFamily, Permutation, permute, permute_exponents, support_order_key
 from .polyring import (
     DegenerateInputError,
     ExponentVector,
@@ -137,12 +137,17 @@ def gradient_system(family: ParamFamily) -> tuple[ParamPoly, ...]:
 
 
 def verify_critical(f: SparsePoly) -> float:
-    """Largest absolute gradient component; exactly 0.0 for rational critical points."""
+    """Largest absolute gradient component; exactly 0.0 for rational critical
+    points, and a ``ValueError`` when a component is beyond the float range."""
     if f.is_zero():
         raise DegenerateInputError("cannot verify the zero polynomial")
+    components = gradient(f)
+    # max() skips a nan after the first component, and `nan > RESIDUAL_TOL` is False
+    if not all(isinstance(g, Fraction) or math.isfinite(g) for g in components):
+        raise ValueError("the gradient is beyond the floating-point range")
     # one conversion of the exact maximum: rounding is monotone and symmetric,
     # so it is the largest of the rounded components
-    largest = max(abs(g) for g in gradient(f))
+    largest = max(abs(g) for g in components)
     try:
         return float(largest)
     except OverflowError:
@@ -382,16 +387,25 @@ def polys_close(f: SparsePoly, g: SparsePoly) -> bool:
     return True
 
 
+@lru_cache(maxsize=256)
+def _orbit_plan(n: int, support: tuple[ExponentVector, ...]) -> tuple[Permutation, ...]:
+    """The permutations, in order, whose image of the support is least by
+    ``support_order_key``: the only ones whose candidates can win."""
+    keys = {sigma: support_order_key(permute_exponents(sigma, a) for a in support)
+            for sigma in permutations(range(n))}
+    least = min(keys.values())
+    return tuple(sigma for sigma, key in keys.items() if key == least)
+
+
 def orbit_torus_canonical(f: SparsePoly) -> SparsePoly:
     """Canonical form modulo coordinate permutation plus rescaling: the
-    least candidate by support, then by the exact coefficients."""
+    least candidate by support, then by the exact coefficients.
+    ``torus_canonical`` keeps the support, so only the permutations giving
+    the least support can win, and only they run (``_orbit_plan``)."""
     best = None
-    for sigma in permutations(range(f.n)):
+    for sigma in _orbit_plan(f.n, tuple(sorted(f.terms, key=canonical_key))):
         cand = torus_canonical(permute(sigma, f))
-        key = (
-            support_order_key(cand.terms),
-            tuple(cand.terms[a] for a in sorted(cand.terms, key=canonical_key)),
-        )
+        key = tuple(cand.terms[a] for a in sorted(cand.terms, key=canonical_key))
         if best is None or key < best[0]:
             best = (key, cand)
     return best[1]

@@ -30,8 +30,8 @@ contract of its coefficient type:
   that constant to float once, which gives the bits of multiplying every
   part by the ``Fraction``.
 
-The gradient of ``|m|^2`` in every coefficient direction has two engines.
-Both apply the quotient rule once at the very end, never numeric
+The gradient of ``|m|^2`` in every coefficient direction has three engines.
+All apply the quotient rule once at the very end, never numeric
 differentiation, and give exact results for exact and parametric input.
 
 * The u-form takes exact and parametric input whose support has no two
@@ -52,20 +52,21 @@ differentiation, and give exact results for exact and parametric input.
   (``_centroid_sums``) vanish exactly on the family's real critical set,
   which ``critical.critical_set`` gives in closed form and checks with them
   on an integer point.
-* Forward jets take everything else: float input, and exact or parametric
-  input with a root difference.  Only ``grad`` and ``verify`` on arbitrary
-  input reach the latter.  A closed form for it took 40-80% of the jets'
-  time (CHANGES.md), but no solver path ran it, so it did not pay for its
-  code.  Float input keeps the jets even without a root difference: the
-  order of summation sets the last bits of a float gradient, and with them
-  the residuals the solver reports.  There the jets are seeded in the
-  support directions only, and the result is bit-identical to jets in every
-  basis direction, signed zeros included: a direction off the support
-  reaches the trace product only through an off-diagonal ``M_ij``, whose
-  value is structurally 0.0, and a jet product drops derivative parts
-  multiplied by a zero value; each direction on the support sees the same
-  operations in the same order; and the zero-valued jets that are left out
-  only ever added 0.0 to sums that are never -0.0.
+* Forward jets take every input with a root difference: exact, parametric
+  or float.  Only ``grad`` and ``verify`` on arbitrary input reach them.  A
+  closed form for it took 40-80% of the jets' time (CHANGES.md), but no
+  solver path ran it, so it did not pay for its code.
+* Float input with no root difference replays, over plain floats and a
+  plan cached per support, the float operations of jets seeded in every
+  basis direction, in their order (``_float_numerators``): the order of
+  summation sets the last bits of a float gradient, and with them the
+  residuals the solver reports.  The replay is bit-identical, signed zeros
+  and NaNs included.  There an off-diagonal ``M_ij`` is 0.0 with no parts,
+  which adds 0.0 to ``P`` and is all an off-support direction reaches (its
+  numerator is ``0.0 norm2 - 2 P 0.0``); jet products drop the parts of a
+  zero coefficient and those of ``M_ii M_ii`` when ``M_ii == 0.0``.  Sums
+  are explicit ``+`` folds, as ``sum`` of floats is compensated from
+  CPython 3.12.
 
 The flow construction differentiates the pulled-back norm along
 one-parameter subgroups independently of the engine.
@@ -74,11 +75,13 @@ one-parameter subgroups independently of the engine.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import factorial, gcd, lcm, prod
 
 from .polyring import (
     DegenerateInputError,
+    ExponentVector,
     ParamPoly,
     Scalar,
     SparsePoly,
@@ -274,20 +277,14 @@ def _root_difference_free(support) -> bool:
     return all(root_pair(a, b) is None for a, b in combinations(support, 2))
 
 
-def _jet_numerators(zero, coeffs, n: int, d: int, support_only: bool):
+def _jet_numerators(zero, coeffs, n: int, d: int):
     """``(numerators, norm2)`` in canonical basis order from forward jets:
-    entry ``k`` of the gradient is ``numerators[k] / (d^2 norm2^3)``.  With
-    ``support_only`` (no root difference) the jets are seeded in the support
-    directions alone."""
+    entry ``k`` of the gradient is ``numerators[k] / (d^2 norm2^3)``."""
     # one jet per basis monomial, seeded with the direction of its basis index
     basis = enumerate_monomials(n, d)
     terms = dict(coeffs)
     one = zero + 1
-    jets = [
-        (alpha, _Jet(terms.get(alpha, zero), {k: one}))
-        for k, alpha in enumerate(basis)
-        if not support_only or alpha in terms
-    ]
+    jets = [(alpha, _Jet(terms.get(alpha, zero), {k: one})) for k, alpha in enumerate(basis)]
     p, norm2 = _trace_parts(_Jet(zero, {}), jets, n, d)
     numerators = [
         p.parts.get(k, zero) * norm2.value - 2 * p.value * norm2.parts.get(k, zero)
@@ -394,15 +391,62 @@ class _Jet:
         return _Jet(av * bv, parts)
 
 
+@lru_cache(maxsize=256)
+def _float_plan(n: int, d: int, support: tuple[ExponentVector, ...]):
+    """What the float replay needs of a support with no root difference
+    (else None): its terms in basis order with their indices and weights,
+    per variable ``i`` the terms with ``a_i > 0`` as ``(position, a_i,
+    w(a - e_i))``, the shift ``-2 d^2 / n`` and the basis size, in floats."""
+    if not _root_difference_free(support):
+        return None
+    basis = enumerate_monomials(n, d)
+    indices = tuple(sorted(map(basis.index, support)))
+    ordered = tuple(basis[k] for k in indices)
+    rows = tuple(tuple((t, float(a[i]), float(weight(a[:i] + (a[i] - 1,) + a[i + 1:])))
+                       for t, a in enumerate(ordered) if a[i]) for i in range(n))
+    weights = tuple(float(weight(a)) for a in ordered)
+    return ordered, indices, weights, rows, float(Fraction(-2 * d * d, n)), len(basis)
+
+
+def _float_numerators(plan, coeffs: dict):
+    """``_jet_numerators`` of float coefficients, bit for bit, from the
+    ``_float_plan`` of their support."""
+    ordered, indices, weights, rows, shift, size = plan
+    cs = [coeffs[a] for a in ordered]
+    norm2 = 0.0
+    for c, w in zip(cs, weights):
+        norm2 = norm2 + (c * c) * w
+    dnorm = [((1.0 * c) + (c * 1.0)) * w for c, w in zip(cs, weights)]
+    p, dp = 0.0, None
+    for i, row in enumerate(rows):
+        g, dm = 0.0, [v * shift for v in dnorm]
+        for t, k, w in row:
+            c = cs[t] * k
+            g = g + (c * c) * w
+            dm[t] = ((((k * c) + (c * k)) * w) * 2.0) + dm[t]
+        m = g * 2.0 + norm2 * shift
+        # P sums M_ij M_ji in (i, j) order; off the diagonal M_ij is 0.0
+        for j in range(len(rows)):
+            p = p + (m * m if j == i else 0.0)
+        if m != 0:
+            parts = [(v * m) + (m * v) for v in dm]
+            dp = parts if dp is None else [a + b for a, b in zip(dp, parts)]
+    numerators = [0.0 * norm2 - 2 * p * 0.0] * size
+    for k, c, a, v in zip(indices, cs, dp or [0.0] * len(cs), dnorm):
+        if c != 0:  # the parts of a zero coefficient are dropped, as off the support
+            numerators[k] = a * norm2 - 2 * p * v
+    return numerators, norm2
+
+
 def gradient(f: SparsePoly) -> list:
     """Partial derivatives of ``|m|^2`` in all ``binomial(n+d-1, d)`` coefficient
     directions, canonical basis order; exact for exact input."""
     _require_nonzero(f)
     if f.is_parametric():
         raise TypeError("parametric input: use gradient_symbolic")
-    diagonal = _root_difference_free(f.terms)
+    plan = _float_plan(f.n, f.d, tuple(f.terms))
     if f.is_exact():
-        if diagonal:
+        if plan is not None:
             # N_a / (d^2 norm2^3) = 16 D a! c'_a S'_a / (sum_a u'_a)^3
             scale = lcm(*(c.denominator for c in f.terms.values()))
             lifted = [(a, c.numerator * (scale // c.denominator)) for a, c in f.terms.items()]
@@ -410,10 +454,11 @@ def gradient(f: SparsePoly) -> list:
             cube = norm**3
             return [Fraction(16 * scale * parts[a], cube) if a in parts else Fraction(0)
                     for a in enumerate_monomials(f.n, f.d)]
-        zero, coeffs = Fraction(0), list(f.terms.items())
+        numerators, norm2 = _jet_numerators(Fraction(0), list(f.terms.items()), f.n, f.d)
     else:
-        zero, coeffs = 0.0, [(alpha, float(c)) for alpha, c in f.terms.items()]
-    numerators, norm2 = _jet_numerators(zero, coeffs, f.n, f.d, diagonal)
+        coeffs = {alpha: float(c) for alpha, c in f.terms.items()}
+        numerators, norm2 = (_float_numerators(plan, coeffs) if plan is not None
+                             else _jet_numerators(0.0, coeffs.items(), f.n, f.d))
     # a float norm2 can be nonzero while d^2 norm2^3 underflows to 0.0
     denom = f.d * f.d * norm2 * norm2 * norm2
     if scalar_is_zero(denom):
@@ -433,7 +478,7 @@ def gradient_symbolic(family: SparsePoly) -> tuple[list[ParamPoly], ParamPoly]:
     zero, coeffs = _parametric(family)
     n, d = family.n, family.d
     if not _root_difference_free(family.terms):
-        numerators, norm2 = _jet_numerators(zero, coeffs, n, d, False)
+        numerators, norm2 = _jet_numerators(zero, coeffs, n, d)
         return numerators, norm2 * norm2 * norm2 * (d * d)
     scale = lcm(*(v.denominator for _, c in coeffs for v in c.terms.values()))
     lifted = [(a, ParamPoly._trusted(zero.nsyms, {e: v.numerator * (scale // v.denominator)

@@ -1,7 +1,8 @@
 """The generated Gauss-Newton kernel against the list loop it replaced, the
 reuse of sign-mirrored starts against a run from every start, torus
-canonicalisation against its per-call form, and the solver's equations
-against the preparation they replaced.
+canonicalisation against its per-call form, orbit canonicalisation against
+all n! candidates, and the solver's equations against the preparation they
+replaced.
 
 Float Newton points and their residuals are printed by `critical --json`, so
 the kernel must repeat the loop's float operations exactly, and a reused start
@@ -26,8 +27,9 @@ from momentforge.critical import (
     _residual_on_equations,
 )
 from momentforge.diagonal import diagonal_families
-from momentforge.moment import gradient_symbolic
-from momentforge.orbits import permute
+from momentforge.fixtures import CRITICAL_CUBICS, CRITICAL_QUARTICS, critical_fixture_poly, mono
+from momentforge.moment import gradient, gradient_symbolic
+from momentforge.orbits import permute, support_order_key
 from momentforge.polyring import ParamPoly, SparsePoly, canonical_key
 from momentforge.symd import enumerate_monomials
 
@@ -503,6 +505,90 @@ def test_magnitude_beyond_the_float_range_is_a_value_error(exponent):
     for canonical in (critical.torus_canonical, critical.orbit_torus_canonical):
         with pytest.raises(ValueError, match="beyond the floating-point range"):
             canonical(f)
+
+
+# ---------------------------------------------------------------------------
+# orbit canonicalisation against every one of the n! candidates
+
+
+def reference_orbit_torus_canonical(f):
+    """The least candidate over all n! permutations, by support and then by
+    the exact coefficients; the first of equal candidates wins."""
+    best = None
+    for sigma in permutations(range(f.n)):
+        cand = critical.torus_canonical(permute(sigma, f))
+        key = (support_order_key(cand.terms),
+               tuple(cand.terms[a] for a in sorted(cand.terms, key=canonical_key)))
+        if best is None or key < best[0]:
+            best = (key, cand)
+    return best[1]
+
+
+def assert_orbit_canonical_matches_reference(f):
+    assert repr(critical.orbit_torus_canonical(f).terms) == repr(
+        reference_orbit_torus_canonical(f).terms), f
+
+
+def test_orbit_canonical_form_on_the_paper_cases():
+    # every solver output and every published form of both reproduced cases
+    forms = [critical_fixture_poly(e) for e in CRITICAL_CUBICS + CRITICAL_QUARTICS]
+    assert len(forms) == 32
+    for n, d, m in ((3, 3, 2), (3, 3, 3), (3, 4, 2), (3, 4, 3)):
+        for family in diagonal_families(n, d, m):
+            forms += [sol.polynomial() for sol in critical.solve_family(family)]
+    assert len(forms) == 90
+    for f in forms:
+        assert_orbit_canonical_matches_reference(f)
+
+
+@pytest.mark.parametrize("support", [
+    ("x3", "y3", "z3"),  # Fermat: every permutation ties on the support
+    ("x3", "y3", "z3", "xyz"),  # Hesse pencil members
+    ("x2y2", "y2z2", "x2z2"),
+    ("x4", "y4", "z4", "x2y2", "y2z2", "x2z2"),
+    ("x2z", "y3"),  # ties between the two permutations fixing the support
+])
+def test_orbit_canonical_form_on_symmetric_supports(support):
+    rng = random.Random(str(support))
+    draws = (lambda: Fraction(rng.choice([-2, -1, 1, 2])),  # ties in the coefficients too
+             lambda: Fraction(rng.randint(-12, 12) or 1, rng.randint(1, 6)),
+             lambda: rng.choice([-1, 1]) * rng.uniform(0.1, 5))
+    for _ in range(20):
+        draw = rng.choice(draws)
+        f = SparsePoly.make(3, sum(mono(support[0])), {mono(name): draw() for name in support})
+        for sigma in permutations(range(3)):
+            assert_orbit_canonical_matches_reference(permute(sigma, f))
+
+
+def test_only_candidates_that_can_win_are_canonicalised():
+    # a permutation whose support is not the least needs irrational
+    # magnitudes beyond the float range: it raised ValueError while all n!
+    # candidates were canonicalised, though the winner is exact
+    big = 2 * Fraction(10) ** 700
+    f = SparsePoly.make(3, 3, {(3, 0, 0): 1, (1, 1, 1): 1, (0, 2, 1): big, (0, 0, 3): 1})
+    with pytest.raises(ValueError, match="beyond the floating-point range"):
+        reference_orbit_torus_canonical(f)
+    assert critical.orbit_torus_canonical(f).terms == {
+        (3, 0, 0): 1, (0, 3, 0): 1, (1, 1, 1): 1, (1, 0, 2): big
+    }
+
+
+# ---------------------------------------------------------------------------
+# float verification beyond the float range
+
+
+@pytest.mark.parametrize("terms", [
+    # the jets overflow and every component is nan: verify_critical returned nan
+    {(3, 0, 0): 1.0, (0, 3, 0): 1e155, (0, 0, 3): 2.0},
+    # only the y^3 component is nan, after finite ones: max() skipped it, and
+    # verify_critical returned 0.0
+    {(0, 3, 0): 1e63},
+])
+def test_verify_critical_rejects_a_non_finite_gradient(terms):
+    f = SparsePoly.make(3, 3, terms)
+    assert any(math.isnan(g) for g in gradient(f))
+    with pytest.raises(ValueError, match="beyond the floating-point range"):
+        critical.verify_critical(f)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from math import factorial, prod
@@ -10,8 +11,11 @@ from momentforge.critical import solve_family
 from momentforge.diagonal import diagonal_families
 from momentforge.fixtures import CRITICAL_CUBICS, CRITICAL_QUARTICS, critical_fixture_poly, mono
 from momentforge.moment import (
+    _float_numerators,
+    _float_plan,
     _inner_products,
     _Jet,
+    _jet_numerators,
     _moment_numerators,
     _norm2,
     _parametric,
@@ -561,8 +565,9 @@ def random_root_difference_free(rng, n, d):
 
 
 class TestSupportOnlyJets:
-    """Float gradients on root-difference-free supports are bit-identical to
-    jets carrying every basis direction, signed zeros included."""
+    """Float gradients on root-difference-free supports, which replay the
+    jets on the support alone, are bit-identical to jets carrying every
+    basis direction, signed zeros included."""
 
     def test_float_solver_outputs(self):
         outputs = []
@@ -606,6 +611,57 @@ class TestSupportOnlyJets:
         off_support = enumerate_monomials(3, 3).index(mono("xy2"))
         assert grad[off_support] != 0.0
         assert_bit_identical(f)
+
+
+class TestFloatReplay:
+    """The float replay on supports with no root difference against jets in
+    every basis direction, by ``repr``: every bit, signed zeros and the
+    positions of NaNs included.  The replay sums with explicit ``+`` as the
+    jets do, so this holds on every interpreter."""
+
+    @staticmethod
+    def assert_replay_matches_jets(f):
+        coeffs = {a: float(c) for a, c in f.terms.items()}
+        plan = _float_plan(f.n, f.d, tuple(f.terms))
+        assert plan is not None, f
+        numerators, norm2 = _float_numerators(plan, coeffs)
+        expected, expected_norm2 = _jet_numerators(0.0, list(coeffs.items()), f.n, f.d)
+        assert [repr(v) for v in numerators] == [repr(v) for v in expected], f
+        assert repr(norm2) == repr(expected_norm2), f
+
+    @pytest.mark.parametrize("n, d, m", [
+        (3, 3, 2), (3, 3, 3), (3, 3, 4), (3, 4, 2), (3, 4, 3), (3, 4, 4),
+        (3, 5, 3), (4, 3, 3), (2, 5, 2),
+    ])
+    def test_diagonal_families(self, n, d, m):
+        rng = random.Random(f"{n}-{d}-{m}")
+        families = diagonal_families(n, d, m)
+        assert families
+        for family in families:
+            for _ in range(3):
+                f = SparsePoly(n, d, {a: rng.choice([-1, 1]) * 10 ** rng.uniform(-3, 3)
+                                      for a in family.support})
+                self.assert_replay_matches_jets(f)
+
+    @pytest.mark.parametrize("scale", [1.0, -1.0, 2.5])
+    def test_minimal_points(self, scale):
+        # |m|^2 = 0: every M_ii is 0.0, so the diagonal products drop their parts
+        fermat = SparsePoly.make(3, 3, {mono(s): scale for s in ("x3", "y3", "z3")})
+        quartic = SparsePoly.make(3, 4, {(4, 0, 0): scale, (0, 4, 0): -scale, (0, 0, 4): scale})
+        for f in (fermat, quartic):
+            coeffs = list(f.terms.items())
+            m = _moment_numerators(_inner_products(0.0, coeffs, 3), _norm2(0.0, coeffs), 3, f.d)
+            assert [m[i][i] for i in range(3)] == [0.0] * 3, f
+            self.assert_replay_matches_jets(f)
+
+    @pytest.mark.parametrize("special", [
+        math.nan, math.inf, -math.inf, 1e308, -1e308, 1e155, 1e-200, 0.0, -0.0,
+    ])
+    def test_special_coefficients(self, special):
+        for terms in ({"x3": special, "y3": 1.0}, {"x2y": special, "z3": -2.0, "y2z": 0.5},
+                      {"x3": special}):
+            f = SparsePoly(3, 3, {mono(s): c for s, c in terms.items()})
+            self.assert_replay_matches_jets(f)
 
 
 class FractionWeightJet(_Jet):
