@@ -1,15 +1,13 @@
 """Command-line surface.
 
 Subcommands: monomials, moment, sqlength, grad, orbits, diagonal, critical,
-verify, reproduce-paper, emit-points.  Polynomials travel as JSON files (see
+verify, reproduce-paper.  Polynomials travel as JSON files (see
 the wire-format comment in ``polyring.py`` for the schema).  Exit codes:
 0 success, 1 usage error, 2 degenerate input, 3 fixture mismatch in
 reproduce-paper.  JSON output uses sorted keys.
 
 The solver's tolerance is fixed (``critical.RESIDUAL_TOL``); ``verify --tol``
 sets only the threshold of the ``critical`` flag that it prints.
-The real zero set of a form is a cone, so ``emit-points`` samples one box,
-[-2, 2]^3.
 """
 
 from __future__ import annotations
@@ -35,7 +33,6 @@ from .polyring import (
     DegenerateInputError,
     SparsePoly,
     canonical_key,
-    evaluate_poly,
     format_monomial,
     format_scalar,
     poly_from_json,
@@ -47,8 +44,6 @@ from .symd import enumerate_monomials
 USAGE_ERROR = 1
 DEGENERATE_INPUT = 2
 FIXTURE_MISMATCH = 3
-
-BOX = 2.0  # emit-points samples [-BOX, BOX]^3
 
 
 class _Parser(argparse.ArgumentParser):
@@ -79,13 +74,6 @@ def _dump_json(payload) -> None:
 def _load_poly(path: str) -> SparsePoly:
     with open(path, "r", encoding="utf-8") as fh:
         return poly_from_json(json.load(fh))
-
-
-def _load_numeric_poly(path: str) -> SparsePoly:
-    f = _load_poly(path)
-    if f.is_parametric():
-        raise ValueError("parametric input: substitute the parameters first")
-    return f
 
 
 def _scalar_out(value, as_float: bool):
@@ -259,7 +247,9 @@ def _cmd_critical(args) -> int:
 
 def _cmd_verify(args) -> int:
     _check_tol(args.tol)
-    f = _load_numeric_poly(args.poly)
+    f = _load_poly(args.poly)
+    if f.is_parametric():
+        raise ValueError("parametric input: substitute the parameters first")
     residual = verify_critical(f)
     if args.json:
         _dump_json({"critical": residual <= args.tol, "residual": _fmt_float(residual)})
@@ -275,79 +265,6 @@ def _cmd_reproduce(args) -> int:
         detail = f"  ({c.detail})" if c.detail else ""
         print(f"{status}: {c.name}{detail}")
     return 0 if all(c.ok for c in checks) else FIXTURE_MISMATCH
-
-
-def emit_points(f: SparsePoly, samples: int = 25):
-    """Approximate real points of ``{f = 0}`` inside ``[-BOX, BOX]^3``.
-
-    Sign-change bisection along grid lines in each axis direction; the list
-    may be empty (some of the published curves have no real points besides
-    the origin).
-    """
-    if f.n != 3:
-        raise ValueError("point emission supports three variables")
-    if samples < 2:
-        raise ValueError(f"need at least 2 samples per axis, got {samples}")
-    if f.is_zero():
-        raise DegenerateInputError("cannot sample the zero polynomial")
-    # converted once and scaled by 2**shift, which is exact, to centre the
-    # binary exponents on 0 (short of overflowing the largest): terms near an
-    # end of the float range would overflow in the sums.  A coefficient beyond
-    # the float range, or a nonzero one that rounds to 0.0, would sample
-    # another curve or none
-    try:
-        coeffs = {exp: float(c) for exp, c in f.terms.items()}
-        exponents = [math.frexp(c)[1] for c in coeffs.values()]
-        top, bottom = max(exponents), min(exponents)
-        shift = min(-(top + bottom) // 2, sys.float_info.max_exp - top)
-        f = SparsePoly(f.n, f.d, {exp: math.ldexp(c, shift) for exp, c in coeffs.items()})
-    except OverflowError:
-        raise ValueError("a coefficient is beyond the floating-point range") from None
-    if 0.0 in f.terms.values():
-        raise ValueError("a nonzero coefficient rounds to 0.0 in floating point")
-    pts: list[tuple[float, float, float]] = []
-    grid = [(-BOX + 2 * BOX * k / (samples - 1)) for k in range(samples)]
-    for axis in range(3):
-        others = [i for i in range(3) if i != axis]
-        for u in grid:
-            for v in grid:
-
-                def point(t: float) -> tuple[float, float, float]:
-                    p = [0.0, 0.0, 0.0]
-                    p[others[0]], p[others[1]], p[axis] = u, v, t
-                    return tuple(p)
-
-                prev_t, prev_val = grid[0], evaluate_poly(f, point(grid[0]))
-                for t in grid[1:]:
-                    val = evaluate_poly(f, point(t))
-                    if prev_val == 0.0:
-                        pts.append(point(prev_t))
-                    elif val != 0.0 and (prev_val < 0) != (val < 0):
-                        lo, hi, flo = prev_t, t, prev_val
-                        for _ in range(48):
-                            mid = 0.5 * (lo + hi)
-                            fmid = evaluate_poly(f, point(mid))
-                            if fmid == 0.0:
-                                lo = hi = mid
-                                break
-                            if (flo < 0) != (fmid < 0):
-                                hi = mid
-                            else:
-                                lo, flo = mid, fmid
-                        pts.append(point(0.5 * (lo + hi)))
-                    prev_t, prev_val = t, val
-    return pts
-
-
-def _cmd_emit_points(args) -> int:
-    f = _load_numeric_poly(args.poly)
-    lines = [[_fmt_float(c) for c in p] for p in emit_points(f, samples=args.samples)]
-    if args.json:
-        _dump_json({"points": lines})
-    else:
-        for p in lines:
-            print(" ".join(format(c, ".12g") for c in p))
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -398,10 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("reproduce-paper", _cmd_reproduce, help="diff pipelines against embedded tables")
     p.add_argument("--case", choices=("cubics", "quartics"), required=True)
-
-    p = add("emit-points", _cmd_emit_points, help="sample the real zero locus")
-    p.add_argument("--poly", required=True)
-    p.add_argument("--samples", type=int, default=25)
 
     return parser
 

@@ -5,8 +5,8 @@ over them:
 
 * :class:`fractions.Fraction` -- exact rationals (always lowest terms,
   positive denominator),
-* :class:`float` -- used only once irrational values enter (solver output,
-  point sampling); mixing a float with an exact scalar promotes to float,
+* :class:`float` -- used only once irrational values enter (solver output);
+  mixing a float with an exact scalar promotes to float,
 * :class:`ParamPoly` -- an exact multivariate polynomial in parameter
   symbols ``b1..bk`` with rational coefficients.
 
@@ -443,26 +443,14 @@ def substitute_params(f: SparsePoly, values: Sequence) -> SparsePoly:
     return SparsePoly(f.n, f.d, out)
 
 
-def evaluate_poly(f: SparsePoly, point: Sequence[float]) -> float:
-    """Numeric value of ``f`` at a real point."""
-    if len(point) != f.n:
-        raise ValueError("point dimension mismatch")
-    total = 0.0
-    for exp, coeff in f.terms.items():
-        term = float(coeff)
-        for e, v in zip(exp, point):
-            if e:
-                term *= v**e
-        total += term
-    return total
-
-
 # ---------------------------------------------------------------------------
 # JSON wire format
 #
 # {"n": int, "d": int, "terms": [{"exp": [..], "coeff": "p/q" | float |
 #  {"params": [{"exp": [..], "coeff": "p/q"}, ...], "nsyms": k >= 1}}]}
 # with every exponent listed once in its list, and float coefficients finite.
+# n, d, nsyms and each exponent entry are JSON integers, not booleans or
+# floats; n, d and nsyms are at least 1, exponent entries at least 0.
 
 
 def _coeff_to_json(c: Scalar):
@@ -478,12 +466,19 @@ def _coeff_to_json(c: Scalar):
     }
 
 
+def _int_from_json(obj, least: int, what: str) -> int:
+    # bool subclasses int, and int() would truncate 3.7 and parse "3"
+    if type(obj) is not int or obj < least:
+        raise ValueError(f"{what} must be an integer >= {least}, got {obj!r}")
+    return obj
+
+
 def _terms_from_json(entries, coeff_from_json) -> dict:
     """``{exp: coeff}`` from a list of ``{"exp": .., "coeff": ..}`` objects; an
     exponent listed twice is refused, not summed or overwritten."""
     terms = {}
     for t in entries:
-        exp = tuple(t["exp"])
+        exp = tuple(_int_from_json(e, 0, "an exponent") for e in t["exp"])
         if exp in terms:
             raise ValueError(f"exponent {list(exp)} is listed twice")
         terms[exp] = coeff_from_json(t["coeff"])
@@ -510,9 +505,7 @@ def _coeff_from_json(obj) -> Scalar:
             raise ValueError(f"coefficient {obj!r} is not finite")
         return obj
     if isinstance(obj, dict) and "params" in obj:
-        nsyms = int(obj["nsyms"])
-        if nsyms < 1:
-            raise ValueError(f"parametric coefficient needs nsyms >= 1, got {nsyms}")
+        nsyms = _int_from_json(obj["nsyms"], 1, "nsyms")
         return ParamPoly(nsyms, _terms_from_json(obj["params"], _fraction_from_json))
     raise ValueError(f"unrecognized coefficient encoding: {obj!r}")
 
@@ -528,8 +521,8 @@ def poly_to_json(f: SparsePoly) -> dict:
 def poly_from_json(obj: Mapping) -> SparsePoly:
     """Parse the wire format; input of the wrong structure raises ``ValueError``."""
     try:
-        n = int(obj["n"])
-        d = int(obj["d"])
+        n = _int_from_json(obj["n"], 1, "n")
+        d = _int_from_json(obj["d"], 1, "d")
         terms = _terms_from_json(obj["terms"], _coeff_from_json)
         kinds = {type(c) for c in terms.values()}
         if float in kinds and ParamPoly in kinds:

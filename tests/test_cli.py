@@ -228,54 +228,6 @@ def test_moment_bytes_are_stable(case, command, tmp_path, capsys):
     assert sha256_of(capsys.readouterr().out) == MOMENT_SHA256[case, command]
 
 
-# sha256 and point count of the stdout of `emit-points --poly FILE --json`
-EMIT_POINTS_JSON = {
-    "x^3 + y^3 - z^3": (
-        cubic(([3, 0, 0], "1"), ([0, 3, 0], "1"), ([0, 0, 3], "-1")),
-        "4675c3d0d95e99a13bbaf45f53f2d3f4ac0b7406af40010bf2a9c8d389ee71db",
-        1671,
-    ),
-    "x^3 + 0.5*x^2*y + y^3 - z^3": (
-        cubic(([3, 0, 0], "1"), ([2, 1, 0], 0.5), ([0, 3, 0], "1"), ([0, 0, 3], "-1")),
-        "51c778273df8855818bf5bbeceb39c1d1b5bbc8ccb61b81fd7d7ad775a399830",
-        1634,
-    ),
-}
-
-
-@pytest.mark.parametrize("case", sorted(EMIT_POINTS_JSON))
-def test_emit_points_json_bytes_are_stable(case, tmp_path, capsys):
-    body, digest, count = EMIT_POINTS_JSON[case]
-    path = tmp_path / "poly.json"
-    path.write_text(json.dumps(body))
-    assert cli.main(["emit-points", "--poly", str(path), "--json"]) == 0
-    out = capsys.readouterr().out
-    assert sha256_of(out) == digest
-    assert len(json.loads(out)["points"]) == count
-
-
-def test_emit_points_near_the_top_of_the_float_range(tmp_path, capsys):
-    # 1e308*x^3 - 1e308*y^3 is the curve x^3 - y^3, but its terms overflowed
-    # to inf - inf = nan on grid lines, and it printed 1,360 points
-    outs = []
-    for big, minus_big in ((1e308, -1e308), ("1", "-1")):
-        path = tmp_path / "poly.json"
-        path.write_text(json.dumps(cubic(([3, 0, 0], big), ([0, 3, 0], minus_big))))
-        assert cli.main(["emit-points", "--poly", str(path), "--json"]) == 0
-        outs.append(capsys.readouterr().out)
-    assert outs[0] == outs[1]
-    assert len(json.loads(outs[0])["points"]) == 1800
-
-
-def test_emit_points_coefficients_spanning_the_float_range(tmp_path, capsys):
-    # frexp puts 1e308 and 5e-324 at binary exponents 1024 and -1073:
-    # centring them would overflow 1e308, so the scaling stops short of that
-    path = tmp_path / "poly.json"
-    path.write_text(json.dumps(cubic(([3, 0, 0], 1e308), ([0, 3, 0], 5e-324), ([0, 0, 3], -1.0))))
-    assert cli.main(["emit-points", "--poly", str(path), "--json"]) == 0
-    assert len(json.loads(capsys.readouterr().out)["points"]) == 659
-
-
 # sha256 of the stdout of `reproduce-paper --case CASE`
 REPRODUCE_PAPER_SHA256 = {
     "cubics": "a3767a96f88c88e271e8004ac7f87938146ce26d187e394466bfa3b99859abb9",
@@ -306,6 +258,8 @@ def test_verify_accepts_integer_coefficient(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "0"
 
 
+NUMERIC_COMMANDS = ["verify", "sqlength", "grad", "moment"]
+
 PARAM_COEFF = {"nsyms": 1, "params": [{"exp": [1], "coeff": "1"}]}
 
 
@@ -315,8 +269,6 @@ PARAM_COEFF = {"nsyms": 1, "params": [{"exp": [1], "coeff": "1"}]}
         ("moment", 1.5),
         ("grad", 1.5),
         ("sqlength", 1.5),
-        ("emit-points", 1.5),
-        ("emit-points", "1"),
         ("verify", "1"),
     ],
 )
@@ -343,24 +295,48 @@ def test_parametric_coefficient_without_symbols_is_a_usage_error(tmp_path, capsy
     assert captured.out == "" and captured.err.startswith("error: ")
 
 
+def param_cubic(exp, nsyms=1):
+    """x^3 + c*y^3, where ``c`` has the one parameter exponent list ``exp``."""
+    coeff = {"nsyms": nsyms, "params": [{"exp": exp, "coeff": "1"}]}
+    return cubic(([3, 0, 0], "1"), ([0, 3, 0], coeff))
+
+
+NOT_AN_INTEGER = "must be an integer"
+
+
+@pytest.mark.parametrize("command", NUMERIC_COMMANDS)
 @pytest.mark.parametrize(
-    "body",
+    "body, message",
     [
-        {"n": 3},
-        [1, 2],
-        {"n": 3, "d": 3, "terms": [{"exp": [3, 0, 0]}]},
-        {"n": 3, "d": 3, "terms": 5},
-        {"n": 3, "d": 3, "terms": [{"exp": ["x", 0, 0], "coeff": "1"}]},
+        ({"n": 3}, "malformed polynomial JSON"),
+        ([1, 2], "malformed polynomial JSON"),
+        ({"n": 3, "d": 3, "terms": [{"exp": [3, 0, 0]}]}, "malformed polynomial JSON"),
+        ({"n": 3, "d": 3, "terms": 5}, "malformed polynomial JSON"),
+        (cubic((["x", 0, 0], "1")), NOT_AN_INTEGER),
+        # a float exponent ended moment and sqlength in a TypeError traceback,
+        # and grad and verify in "tuple.index(x): x not in tuple"
+        (cubic(([1.5, 1.5, 0], "1"), ([0, 0, 3], "1")), NOT_AN_INTEGER),
+        # true was read as 1, so this was x*y^2 + z^3
+        (cubic(([True, 2, 0], "1"), ([0, 0, 3], "1")), NOT_AN_INTEGER),
+        # n = 3.7 was truncated to 3, and "3" parsed
+        ({**cubic(*FERMAT), "n": 3.7}, NOT_AN_INTEGER),
+        ({**cubic(*FERMAT), "n": "3"}, NOT_AN_INTEGER),
+        ({**cubic(*FERMAT), "d": True}, NOT_AN_INTEGER),
+        # parameter exponents printed non-polynomials such as b1^1.5 and b1^-2
+        (param_cubic([0.5]), NOT_AN_INTEGER),
+        (param_cubic([-1]), NOT_AN_INTEGER),
+        (param_cubic([1], nsyms="1"), NOT_AN_INTEGER),
+        # moment and sqlength took these for an underflowing norm (exit 2)
+        ({"n": 0, "d": 3, "terms": []}, NOT_AN_INTEGER),
+        ({"n": 3, "d": 0, "terms": []}, NOT_AN_INTEGER),
     ],
 )
-def test_malformed_polynomial_json_is_a_usage_error(tmp_path, capsys, body):
+def test_malformed_polynomial_json_is_a_usage_error(tmp_path, capsys, command, body, message):
     path = tmp_path / "poly.json"
     path.write_text(json.dumps(body))
-    assert cli.main(["verify", "--poly", str(path)]) == cli.USAGE_ERROR
-    assert capsys.readouterr().err.startswith("error: ")
-
-
-NUMERIC_COMMANDS = ["verify", "sqlength", "grad", "moment"]
+    assert cli.main([command, "--poly", str(path)]) == cli.USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ") and message in captured.err
 
 
 @pytest.mark.parametrize("command", NUMERIC_COMMANDS)
@@ -449,47 +425,17 @@ def test_verify_beyond_the_float_range_is_a_usage_error(tmp_path, capsys, flags)
     assert captured.out == "" and captured.err.startswith("error: ")
 
 
-@pytest.mark.parametrize(
-    "terms",
-    [
-        # beyond the float range: an uncaught OverflowError
-        (([3, 0, 0], "1e400"), ([0, 3, 0], "1")),
-        # nonzero, but 0.0 as floats: all 45,000 grid points, with exit 0
-        (([3, 0, 0], "1e-400"), ([2, 1, 0], "1e-400")),
-    ],
-)
-def test_emit_points_coefficient_outside_the_float_range_is_a_usage_error(
-    tmp_path, capsys, terms
-):
-    path = tmp_path / "poly.json"
-    path.write_text(json.dumps(cubic(*terms)))
-    assert cli.main(["emit-points", "--poly", str(path), "--json"]) == cli.USAGE_ERROR
-    captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.startswith("error: ")
-
-
-@pytest.mark.parametrize("samples", [0, 1])
-def test_emit_points_needs_two_samples(tmp_path, capsys, samples):
-    argv = ["emit-points", "--poly", write_poly(tmp_path, 1), "--samples", str(samples)]
-    assert cli.main(argv) == cli.USAGE_ERROR
-    assert capsys.readouterr().err.startswith("error: ")
-
-
-@pytest.mark.parametrize("argv", [
-    "critical --n 3 --d 3 --terms 2 --tol 0",
-    "emit-points --poly {poly} --json --box 2",
-    "emit-points --poly {poly} --json --out {out}",
+@pytest.mark.parametrize("argv, message", [
+    ("critical --n 3 --d 3 --terms 2 --tol 0", "unrecognized arguments"),
+    ("emit-points --poly {poly} --json", "invalid choice"),
 ])
-def test_removed_settings_are_usage_errors(tmp_path, capsys, argv):
-    # the solver's tolerance is fixed, and emit-points samples one box and
-    # prints to stdout
-    out = tmp_path / "points.json"
+def test_removed_settings_are_usage_errors(tmp_path, capsys, argv, message):
+    # the solver's tolerance is fixed, and the zero-locus sampler is gone
     with pytest.raises(SystemExit) as stop:
-        cli.main(argv.format(poly=write_poly(tmp_path, 1), out=out).split())
+        cli.main(argv.format(poly=write_poly(tmp_path, 1)).split())
     assert stop.value.code == cli.USAGE_ERROR
     captured = capsys.readouterr()
-    assert captured.out == "" and "unrecognized arguments" in captured.err
-    assert not out.exists()
+    assert captured.out == "" and message in captured.err
 
 
 @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-inf"])
@@ -519,11 +465,9 @@ def test_one_term_diagonal_is_a_usage_error(capsys):
 def test_zero_polynomial_is_degenerate_input(tmp_path, capsys):
     path = tmp_path / "zero.json"
     path.write_text(json.dumps({"n": 3, "d": 3, "terms": []}))
-    # emit-points used to print all 45,000 grid points, with exit 0
-    for command in ("verify", "emit-points"):
-        assert cli.main([command, "--poly", str(path)]) == cli.DEGENERATE_INPUT
-        captured = capsys.readouterr()
-        assert captured.out == "" and captured.err.startswith("degenerate input: ")
+    assert cli.main(["verify", "--poly", str(path)]) == cli.DEGENERATE_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("degenerate input: ")
 
 
 def test_failed_check_is_a_fixture_mismatch(monkeypatch, capsys):
