@@ -1,0 +1,57 @@
+#!/bin/sh
+# The exit-code contract of the installed `momentforge` entry point; the
+# tests call cli.main in-process.  Exit 1 for an unknown subcommand, for a
+# removed option and for malformed JSON, which must be refused with an
+# `error:` line and no traceback (a traceback exits 1 too); 2 for degenerate
+# input; 0 where a float form verifies.  Run from any directory:
+#   sh ci/exit_codes.sh
+set -u
+scratch=$(mktemp -d) || exit 1
+trap 'rm -rf "$scratch"' EXIT
+cd "$scratch" || exit 1
+
+# expect CODE ARGS...: run `momentforge ARGS...` with its stderr in err.txt
+expect() {
+    want=$1
+    shift
+    momentforge "$@" 2> err.txt
+    got=$?
+    if [ "$got" -ne "$want" ]; then
+        echo "momentforge $*: exit $got, expected $want" >&2
+        cat err.txt >&2
+        exit 1
+    fi
+}
+
+# expect_error MESSAGE ARGS...: exit 1 with `error: MESSAGE...` and no traceback
+expect_error() {
+    message=$1
+    shift
+    expect 1 "$@"
+    if ! grep -q "^error: $message" err.txt || grep -q Traceback err.txt; then
+        echo "momentforge $*: expected 'error: $message' and no traceback" >&2
+        cat err.txt >&2
+        exit 1
+    fi
+}
+
+echo '{"n": 3, "d": 3, "terms": [{"exp": [3, 0, 0], "coeff": "1"}]}' > x.json
+echo '{"n": 3, "d": 3, "terms": [{"exp": [1.5, 1.5, 0], "coeff": "1"}]}' > float-exponent.json
+echo '{"n": 3, "d": 3, "terms": []}' > zero.json
+echo '{"n": 3, "d": 3, "terms": [{"exp": [3, 0, 0], "coeff": "1e400"}, {"exp": [0, 3, 0], "coeff": 0.5}]}' > mixed-range.json
+echo '{"n": 3, "d": 3, "terms": [{"exp": [0, 3, 0], "coeff": 1e63}]}' > large-float.json
+
+expect 1 emit-points --poly x.json
+expect 1 verify --poly x.json --tol 0
+expect 1 orbits --n 3 --d 3 --terms 2 --all-vars
+expect_error "an exponent must be an integer" moment --poly float-exponent.json
+for command in moment sqlength grad verify; do
+    expect_error "a rational coefficient beside a float" "$command" --poly mixed-range.json
+done
+expect 2 verify --poly zero.json
+expect 0 verify --poly large-float.json > out.txt
+if [ "$(cat out.txt)" != 0 ]; then
+    echo "momentforge verify --poly large-float.json printed $(cat out.txt), expected 0" >&2
+    exit 1
+fi
+echo "exit codes ok"

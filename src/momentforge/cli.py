@@ -5,9 +5,6 @@ verify, reproduce-paper.  Polynomials travel as JSON files (see
 the wire-format comment in ``polyring.py`` for the schema).  Exit codes:
 0 success, 1 usage error, 2 degenerate input, 3 fixture mismatch in
 reproduce-paper.  JSON output uses sorted keys.
-
-The solver's tolerance is fixed (``critical.RESIDUAL_TOL``); ``verify --tol``
-sets only the threshold of the ``critical`` flag that it prints.
 """
 
 from __future__ import annotations
@@ -28,7 +25,7 @@ from .moment import (
     square_length_symbolic,
     symbolic_moment_matrix,
 )
-from .orbits import orbit_classes, uses_all_variables
+from .orbits import orbit_classes
 from .polyring import (
     DegenerateInputError,
     SparsePoly,
@@ -156,10 +153,7 @@ def _cmd_grad(args) -> int:
 
 
 def _cmd_orbits(args) -> int:
-    reps = orbit_classes(args.n, args.d, args.terms)
-    if args.all_vars:
-        reps = [r for r in reps if uses_all_variables(r)]
-    supports = [sorted(r, key=canonical_key) for r in reps]
+    supports = [sorted(r, key=canonical_key) for r in orbit_classes(args.n, args.d, args.terms)]
     if args.json:
         _dump_json([[list(a) for a in s] for s in supports])
     else:
@@ -201,12 +195,6 @@ def _value_payload(v):
     return _fmt_float(v)
 
 
-def _check_tol(tol: float) -> None:
-    # a NaN or negative tolerance flags no residual as critical, an infinite one every residual
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ValueError(f"--tol must be finite and non-negative, got {tol}")
-
-
 def _cmd_critical(args) -> int:
     payload = []
     for m in args.terms:
@@ -246,13 +234,12 @@ def _cmd_critical(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    _check_tol(args.tol)
     f = _load_poly(args.poly)
     if f.is_parametric():
         raise ValueError("parametric input: substitute the parameters first")
     residual = verify_critical(f)
     if args.json:
-        _dump_json({"critical": residual <= args.tol, "residual": _fmt_float(residual)})
+        _dump_json({"critical": residual <= RESIDUAL_TOL, "residual": _fmt_float(residual)})
     else:
         print(format(_fmt_float(residual), ".12g"))
     return 0
@@ -297,7 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--terms", type=int, required=True)
-    p.add_argument("--all-vars", action="store_true", dest="all_vars")
 
     p = add("diagonal", _cmd_diagonal, help="diagonal-moment verdicts for families")
     p.add_argument("--n", type=int, required=True)
@@ -311,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("verify", _cmd_verify, help="residual of the criticality gradient")
     p.add_argument("--poly", required=True)
-    p.add_argument("--tol", type=float, default=RESIDUAL_TOL)
 
     p = add("reproduce-paper", _cmd_reproduce, help="diff pipelines against embedded tables")
     p.add_argument("--case", choices=("cubics", "quartics"), required=True)

@@ -66,7 +66,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
-from math import lcm
+from math import gcd, lcm
 from typing import NamedTuple
 
 from . import univariate as uni
@@ -197,11 +197,12 @@ def fixed_point_check(f: SparsePoly) -> bool:
 
 
 def _integer_combination(basis, target):
-    """Integers ``(N, D)``, ``D > 0``, with ``sum_k N_k basis[k] = D target``,
-    or None when target lies outside the span of the (independent) integer
-    basis vectors.  Gauss-Jordan by cross-multiplication, so every entry stays
-    an integer; the only division is the exact one that brings the pivots to
-    a common denominator."""
+    """Integers ``(N, D)`` in lowest terms, ``D > 0``, with
+    ``sum_k N_k basis[k] = D target``, or None when target lies outside the
+    span of the (independent) integer basis vectors.  Gauss-Jordan by
+    cross-multiplication, so every entry stays an integer; the only divisions
+    are the exact ones that bring the pivots to a common denominator and the
+    result to lowest terms."""
     r = len(basis)
     w = len(target)
     m = [[basis[k][row] for k in range(r)] + [target[row]] for row in range(w)]
@@ -223,17 +224,9 @@ def _integer_combination(basis, target):
     # row i now reads m[i][i] * N_i / D = m[i][r]: the basis is independent,
     # so its pivots sit on the diagonal
     denominator = abs(lcm(*(m[i][i] for i in range(r))))
-    return [m[i][r] * (denominator // m[i][i]) for i in range(r)], denominator
-
-
-def _solve_combination(basis, target) -> list[Fraction] | None:
-    """Coefficients writing target as a combination of the (independent)
-    basis vectors, or None when target lies outside their span."""
-    solved = _integer_combination(basis, target)
-    if solved is None:
-        return None
-    numerators, denominator = solved
-    return [Fraction(x, denominator) for x in numerators]
+    numerators = [m[i][r] * (denominator // m[i][i]) for i in range(r)]
+    common = gcd(denominator, *numerators)
+    return tuple(x // common for x in numerators), denominator // common
 
 
 def _exact_root(n: int, k: int) -> int | None:
@@ -251,14 +244,14 @@ def _exact_root(n: int, k: int) -> int | None:
 def _greedy_basis(vectors) -> tuple[tuple[int, ...], tuple]:
     """Indices of a maximal independent subset, taken greedily in order, and
     for each vector None if it was taken, else its combination of the taken
-    vectors before it."""
+    vectors before it, as ``_integer_combination`` gives it."""
     chosen: list[int] = []
     combos: list = []
     for j, v in enumerate(vectors):
-        combo = _solve_combination([vectors[t] for t in chosen], v)
+        combo = _integer_combination([vectors[t] for t in chosen], v)
         if combo is None:
             chosen.append(j)
-        combos.append(None if combo is None else tuple(combo))
+        combos.append(combo)
     return tuple(chosen), tuple(combos)
 
 
@@ -338,12 +331,12 @@ def torus_canonical(f: SparsePoly) -> SparsePoly:
                 magnitudes[j] = Fraction(1)
                 continue
             # |c_j| prod |c_t|^(-gamma_t) is rational iff the numerator and the
-            # denominator of its k-th power, k the common denominator of the
-            # gammas, are k-th powers of integers
-            k = lcm(*(g.denominator for g in combo))
+            # denominator of its k-th power, gamma = N / k in lowest terms,
+            # are k-th powers of integers
+            exponents, k = combo
             power = abs(coeffs[j]) ** k
-            for t, g in zip(chosen, combo):
-                power /= abs(coeffs[t]) ** int(g * k)
+            for t, g in zip(chosen, exponents):
+                power /= abs(coeffs[t]) ** g
             num, den = _exact_root(power.numerator, k), _exact_root(power.denominator, k)
             if num is None or den is None:
                 exact_in = False
@@ -356,7 +349,8 @@ def torus_canonical(f: SparsePoly) -> SparsePoly:
         try:
             magnitudes = [
                 1.0 if combo is None
-                else math.exp(logs[j] - sum(float(g) * logs[t] for t, g in zip(chosen, combo)))
+                else math.exp(logs[j] - sum(g / combo[1] * logs[t]
+                                            for t, g in zip(chosen, combo[0])))
                 for j, combo in enumerate(combos)
             ]
         except OverflowError:
@@ -524,7 +518,8 @@ def critical_set(family: ParamFamily) -> CriticalSet:
     free = [k for k, combo in enumerate(combos) if combo is not None]
     rows = [None] * len(diffs)
     for j, k in enumerate(chosen):
-        rows[k] = (y[j], tuple(-combos[f][j] if j < len(combos[f]) else 0 for f in free))
+        rows[k] = (y[j], tuple(Fraction(-combos[f][0][j], combos[f][1])
+                               if j < len(combos[f][0]) else 0 for f in free))
     for v, k in enumerate(free):
         rows[k] = (0, tuple(int(v == w) for w in range(len(free))))
     first = (1 - sum(c for c, _ in rows), tuple(-sum(col) for col in zip(*(a for _, a in rows))))

@@ -68,6 +68,12 @@ differentiation, and give exact results for exact and parametric input.
   are explicit ``+`` folds, as ``sum`` of floats is compensated from
   CPython 3.12.
 
+Float input runs on ``f / 2^e``, ``e`` the largest binary exponent of its
+coefficients, and each entry is multiplied back by ``2^-e``: the gradient has
+degree -1 in the coefficients and a power of two commutes with rounding, so
+the bits are those of the unscaled run wherever its numerators (degree 5) and
+``d^2 norm2^3`` (degree 6) stay in range (unscaled, ``1e63 y^3`` got a NaN).
+
 The flow construction differentiates the pulled-back norm along
 one-parameter subgroups independently of the engine.
 """
@@ -77,7 +83,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import factorial, gcd, lcm, prod
+from math import factorial, frexp, gcd, lcm, ldexp, prod
 
 from .polyring import (
     DegenerateInputError,
@@ -456,14 +462,20 @@ def gradient(f: SparsePoly) -> list:
                     for a in enumerate_monomials(f.n, f.d)]
         numerators, norm2 = _jet_numerators(Fraction(0), list(f.terms.items()), f.n, f.d)
     else:
-        coeffs = {alpha: float(c) for alpha, c in f.terms.items()}
+        shift = max(frexp(float(c))[1] for c in f.terms.values())
+        coeffs = {alpha: ldexp(float(c), -shift) for alpha, c in f.terms.items()}
         numerators, norm2 = (_float_numerators(plan, coeffs) if plan is not None
                              else _jet_numerators(0.0, coeffs.items(), f.n, f.d))
     # a float norm2 can be nonzero while d^2 norm2^3 underflows to 0.0
     denom = f.d * f.d * norm2 * norm2 * norm2
     if scalar_is_zero(denom):
         raise DegenerateInputError("squared norm vanishes or underflows at the evaluation point")
-    return [numer / denom for numer in numerators]
+    if f.is_exact():
+        return [numer / denom for numer in numerators]
+    try:
+        return [ldexp(numer / denom, -shift) for numer in numerators]
+    except OverflowError:
+        raise ValueError("the gradient is beyond the floating-point range") from None
 
 
 def gradient_symbolic(family: SparsePoly) -> tuple[list[ParamPoly], ParamPoly]:

@@ -157,12 +157,6 @@ class ParamPoly:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other):
         if _is_exact(other):
             c = other if type(other) is int else Fraction(other)
@@ -448,7 +442,8 @@ def substitute_params(f: SparsePoly, values: Sequence) -> SparsePoly:
 #
 # {"n": int, "d": int, "terms": [{"exp": [..], "coeff": "p/q" | float |
 #  {"params": [{"exp": [..], "coeff": "p/q"}, ...], "nsyms": k >= 1}}]}
-# with every exponent listed once in its list, and float coefficients finite.
+# with every exponent listed once in its list, float coefficients finite, and
+# beside a float no rational coefficient beyond the float range.
 # n, d, nsyms and each exponent entry are JSON integers, not booleans or
 # floats; n, d and nsyms are at least 1, exponent entries at least 0.
 
@@ -527,6 +522,11 @@ def poly_from_json(obj: Mapping) -> SparsePoly:
         kinds = {type(c) for c in terms.values()}
         if float in kinds and ParamPoly in kinds:
             raise ValueError("cannot mix float coefficients with parameters")
+        if float in kinds:
+            try:  # beside a float, every coefficient is taken as a float
+                [float(c) for c in terms.values()]
+            except OverflowError:
+                raise ValueError("a rational coefficient beside a float overflows") from None
         return SparsePoly.make(n, d, terms)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed polynomial JSON ({type(exc).__name__}: {exc})") from None

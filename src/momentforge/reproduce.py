@@ -43,11 +43,6 @@ def _monomials_critical(name: str, d: int) -> CheckResult:
     return CheckResult(name, not bad, str(bad) if bad else "")
 
 
-def solver_results(families):
-    """Each family, in order, with its solutions."""
-    return [(family, solve_family(family)) for family in families]
-
-
 def _missing_targets(produced: list[SparsePoly], targets) -> list[int]:
     """Numbers of the (number, polynomial) targets equivalent to no produced
     polynomial modulo torus rescaling and coordinate permutation."""
@@ -63,7 +58,7 @@ def _missing_targets(produced: list[SparsePoly], targets) -> list[int]:
 
 def _recovered(name: str, families, entries) -> CheckResult:
     """Whether the solutions of the families hold each published (number, entry)."""
-    produced = [sol.polynomial() for _, sols in solver_results(families) for sol in sols]
+    produced = [sol.polynomial() for family in families for sol in solve_family(family)]
     targets = [(number, critical_fixture_poly(entry)) for number, entry in entries]
     missing = _missing_targets(produced, targets)
     detail = f"missing entries {missing}" if missing else f"{len(produced)} solutions"

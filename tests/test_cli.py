@@ -23,8 +23,9 @@ CRITICAL_JSON_SHA256 = {
     (4, 3, "4"): "ab40ca209172d8e0aeb745ab6486bb9687ccb1603a856b9d332bad755188e29f",
 }
 
-# sha256 of the stdout of the orbit enumeration and the diagonal filter
-ENUMERATION_JSON_SHA256 = {
+# sha256 of the stdout of the orbit enumeration, the diagonal filter, the
+# monomial basis and the solver, as JSON and as text
+ENUMERATION_SHA256 = {
     "orbits --n 4 --d 3 --terms 3 --json": "2f4367a0dd0ea70d2bf1bfa317f0025099c883de93a19939f3a0c9cfb63c7e08",
     "orbits --n 2 --d 6 --terms 3 --json": "d7a2b57e3fe9f5741f7cace01da129c5a57af21fb87a5c053c5cc8dc0b451b59",
     "orbits --n 3 --d 5 --terms 3 --json": "cbdfc5b8911623992b245c923a20dc919ba71099e9ffc1ed4fd33e86066a8907",
@@ -32,6 +33,10 @@ ENUMERATION_JSON_SHA256 = {
     "diagonal --n 3 --d 4 --terms 4 --json": "4bf09f8a5fa6253d2c2332260064cb403b5d83538e8f0480a0ba8c24e53c5ff1",
     "diagonal --n 3 --d 5 --terms 4 --json": "dafa24a6adc8bfeb47e654603e34bf873b33bcdf0d6e4bc50447f49423673878",
     "monomials --n 4 --d 3 --json": "1116cd27a7b652c8d8434e7d183af89d4e0bef1f9e397ec0433b7fe4aa305b42",
+    "orbits --n 3 --d 5 --terms 3": "555781b094a969c074b982a6cea9b23c1d95910500b14fb8a0bda1fa7bdb74af",
+    "diagonal --n 3 --d 4 --terms 4": "86b3f5109d47630c132b06888fd21013e5714519e067f54de2e77ee9a7760058",
+    "monomials --n 4 --d 3": "ccdd577c6461e2b791610b472bac5554494669a3f3a5285980165b4273105fdd",
+    "critical --n 3 --d 3 --terms 2 3": "a0498faf30039e5bf7b5123ad32985edcc3288457887ba43ba7929ac436902c5",
 }
 
 
@@ -106,10 +111,10 @@ def test_every_reported_residual_is_its_own_verification(critical_runs):
         assert sol.residual == verify_critical(sol.polynomial()) <= RESIDUAL_TOL, sol
 
 
-@pytest.mark.parametrize("command", sorted(ENUMERATION_JSON_SHA256))
-def test_enumeration_json_bytes_are_stable(command, capsys):
+@pytest.mark.parametrize("command", sorted(ENUMERATION_SHA256))
+def test_enumeration_bytes_are_stable(command, capsys):
     assert cli.main(command.split()) == 0
-    assert sha256_of(capsys.readouterr().out) == ENUMERATION_JSON_SHA256[command]
+    assert sha256_of(capsys.readouterr().out) == ENUMERATION_SHA256[command]
 
 
 def symbol(nsyms, k):
@@ -207,6 +212,8 @@ MOMENT_SHA256 = {
     ("x^3 + 0.5*x^2*y + y^3 + z^3", "moment --json"): "c40ffca8cf7426394e3df160c689098b68f0bdc2105d5faa81e6a127db16f0f6",
     ("x^3 + 0.5*x^2*y + y^3 + z^3", "sqlength"): "dffb92a561302aa3e13947da4f15b9916ac9c7ec0bfa2c8e3bf21ff35e874804",
     ("x^3 + 0.5*x^2*y + y^3 + z^3", "sqlength --json"): "9fe7416ac0272d5057272303e43e101058fa5ce8471a13d5d5e6db6df5a292f9",
+    ("x^3 + 0.5*x^2*y + y^3 + z^3", "grad"): "4165420751a9e2192cb4dbb7a485f4a3390e6c092fdf43c98cbbbaf1bc88057f",
+    ("x^3 + 0.5*x^2*y + y^3 + z^3", "verify"): "93c42a93b8e43309ade24d3430934bb4296ec7d85eca1335268e55b620617140",
     ("critical cubic 5", "moment"): "20a7cbf4a84cbdb557ba9b4415e026b224741305c5e07b357058e80511b1a2b7",
     ("critical cubic 5", "moment --json"): "3f9b7a089219efabe330870a54e31b42b62cfac98f39a7e2e9213935450a1dd3",
     ("critical cubic 5", "sqlength"): "58eef401661eae894d4e2b669867533231647f9c2fb9cff58f49aa23aa776fa5",
@@ -350,6 +357,9 @@ def test_malformed_polynomial_json_is_a_usage_error(tmp_path, capsys, command, b
         # x^3 + x^3 + y^3 gave the square length of x^3 + y^3
         [([3, 0, 0], "1"), ([3, 0, 0], "1"), ([0, 3, 0], "1")],
         [([3, 0, 0], {"nsyms": 1, "params": [{"exp": [1], "coeff": "1"}] * 2}), ([0, 3, 0], "1")],
+        # a rational beyond the float range beside a float, which makes every
+        # coefficient a float: each command ended in an OverflowError traceback
+        [([3, 0, 0], "1e400"), ([0, 3, 0], 0.5)],
     ],
 )
 def test_malformed_coefficients_are_a_usage_error(tmp_path, capsys, command, terms):
@@ -360,19 +370,21 @@ def test_malformed_coefficients_are_a_usage_error(tmp_path, capsys, command, ter
     assert captured.out == "" and captured.err.startswith("error: ")
 
 
-@pytest.mark.parametrize("command", NUMERIC_COMMANDS)
+# finite, but the squared norm overflows to inf; grad and verify run on the
+# form scaled by a power of two, and print its gradient
+OVERFLOWING_NORM = '{"exp": [3, 0, 0], "coeff": 1e308}, {"exp": [0, 3, 0], "coeff": 1e308}'
+
+
 @pytest.mark.parametrize("flag", [[], ["--json"]])
-@pytest.mark.parametrize(
-    "text",
-    [
+@pytest.mark.parametrize("command, text", [
+    *((command, text) for text in [
         # non-finite coefficients, which Python's json reads
         '{"exp": [3, 0, 0], "coeff": NaN}, {"exp": [0, 3, 0], "coeff": 1}',
         '{"exp": [3, 0, 0], "coeff": Infinity}, {"exp": [0, 3, 0], "coeff": 1}',
         '{"exp": [3, 0, 0], "coeff": -Infinity}, {"exp": [0, 3, 0], "coeff": 1}',
-        # finite, but the squared norm overflows to inf
-        '{"exp": [3, 0, 0], "coeff": 1e308}, {"exp": [0, 3, 0], "coeff": 1e308}',
-    ],
-)
+    ] for command in NUMERIC_COMMANDS),
+    *((command, OVERFLOWING_NORM) for command in ("sqlength", "moment")),
+])
 def test_non_finite_results_are_not_printed(tmp_path, capsys, command, flag, text):
     # each used to print nan (moment a matrix with nan on its diagonal) with exit 0
     path = tmp_path / "poly.json"
@@ -392,12 +404,15 @@ FLAG_SETS = [[], ["--json"], ["--float"], ["--float", "--json"]]
 ])
 def test_underflowing_norm_is_degenerate_input(tmp_path, capsys, command, flags):
     # with 1e-200 on x^3 and y^3 the squared norm is 0.0, and moment and
-    # sqlength divided by it; with 1e-110 it is about 1e-220, but the
-    # gradient's denominator d^2 norm2^3 is 0.0, and grad and verify divided
-    # by that: each ended in a ZeroDivisionError
-    coeff = 1e-110 if command in ("grad", "verify") else 1e-200
+    # sqlength divided by it: each ended in a ZeroDivisionError.  grad and
+    # verify run on the form scaled to coefficients below 1, where the
+    # weight 300!^2 / 600! of x^300*y^300 alone makes d^2 norm2^3 0.0
+    if command in ("grad", "verify"):
+        body = {"n": 2, "d": 600, "terms": [{"exp": [300, 300], "coeff": 1.0}]}
+    else:
+        body = cubic(([3, 0, 0], 1e-200), ([0, 3, 0], 1e-200))
     path = tmp_path / "poly.json"
-    path.write_text(json.dumps(cubic(([3, 0, 0], coeff), ([0, 3, 0], coeff))))
+    path.write_text(json.dumps(body))
     assert cli.main([command, "--poly", str(path), *flags]) == cli.DEGENERATE_INPUT
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("degenerate input: ")
@@ -427,10 +442,13 @@ def test_verify_beyond_the_float_range_is_a_usage_error(tmp_path, capsys, flags)
 
 @pytest.mark.parametrize("argv, message", [
     ("critical --n 3 --d 3 --terms 2 --tol 0", "unrecognized arguments"),
+    ("verify --poly {poly} --tol 0", "unrecognized arguments"),
+    ("orbits --n 3 --d 3 --terms 2 --all-vars", "unrecognized arguments"),
     ("emit-points --poly {poly} --json", "invalid choice"),
 ])
 def test_removed_settings_are_usage_errors(tmp_path, capsys, argv, message):
-    # the solver's tolerance is fixed, and the zero-locus sampler is gone
+    # the one tolerance is fixed, and the zero-locus sampler and the
+    # all-variables filter of orbits are gone
     with pytest.raises(SystemExit) as stop:
         cli.main(argv.format(poly=write_poly(tmp_path, 1)).split())
     assert stop.value.code == cli.USAGE_ERROR
@@ -438,21 +456,8 @@ def test_removed_settings_are_usage_errors(tmp_path, capsys, argv, message):
     assert captured.out == "" and message in captured.err
 
 
-@pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-inf"])
-def test_bad_tolerance_is_a_usage_error(tmp_path, capsys, tol):
-    # nan or a negative bound would flag no residual as critical, inf every one
-    argv = ["verify", "--poly", write_poly(tmp_path, 1), "--json", f"--tol={tol}"]
-    assert cli.main(argv) == cli.USAGE_ERROR
-    captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.startswith("error: ")
-
-
-def test_verify_flags_against_the_solver_tolerance():
-    assert cli.build_parser().parse_args(["verify", "--poly", "f.json"]).tol == RESIDUAL_TOL
-
-
-def test_zero_tolerance_is_accepted(tmp_path, capsys):
-    assert cli.main(["verify", "--poly", write_poly(tmp_path, 1), "--json", "--tol", "0"]) == 0
+def test_verify_flags_a_zero_residual_as_critical(tmp_path, capsys):
+    assert cli.main(["verify", "--poly", write_poly(tmp_path, 1), "--json"]) == 0
     assert json.loads(capsys.readouterr().out) == {"critical": True, "residual": 0.0}
 
 

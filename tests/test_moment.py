@@ -7,7 +7,7 @@ import pytest
 import sympy
 
 from conftest import random_rational_poly, scale_poly
-from momentforge.critical import solve_family
+from momentforge.critical import solve_family, verify_critical
 from momentforge.diagonal import diagonal_families
 from momentforge.fixtures import CRITICAL_CUBICS, CRITICAL_QUARTICS, critical_fixture_poly, mono
 from momentforge.moment import (
@@ -264,6 +264,24 @@ class TestGradient:
     def test_zero_polynomial_rejected(self):
         with pytest.raises(DegenerateInputError):
             gradient(SparsePoly(3, 3, {}))
+
+    @pytest.mark.parametrize("k", [-1000, -300, 300, 1000])
+    def test_power_of_two_scaling_is_bit_exact(self, k):
+        # the gradient has degree -1 in the coefficients and a power of two
+        # commutes with rounding, so 2^k f gives the entries of f times 2^-k,
+        # on the gated float cubic x^3 + 0.5*x^2*y + y^3 + z^3; unscaled, the
+        # numerators and d^2 norm2^3 overflowed or underflowed first
+        f = SparsePoly.make(3, 3, {**P(x3=1, y3=1, z3=1).terms, mono("x2y"): 0.5})
+        scaled = SparsePoly.make(3, 3, {a: c * Fraction(2) ** k if isinstance(c, Fraction)
+                                        else math.ldexp(c, k) for a, c in f.terms.items()})
+        expected = [math.ldexp(g, -k) for g in gradient(f)]
+        assert [repr(g) for g in gradient(scaled)] == [repr(g) for g in expected]
+
+    def test_critical_monomial_beyond_the_unscaled_range(self):
+        # unscaled, the y^3 entry was inf - inf = nan
+        f = SparsePoly.make(3, 3, {mono("y3"): 1e63})
+        assert [repr(g) for g in gradient(f)] == ["0.0"] * 10
+        assert verify_critical(f) == 0.0
 
 
 class TestGradientSymbolic:

@@ -3,9 +3,10 @@
 import pytest
 
 from momentforge import fixtures
+from momentforge.critical import solve_family
 from momentforge.diagonal import diagonal_families
 from momentforge.fixtures import critical_fixture_poly
-from momentforge.reproduce import _missing_targets, run_case, solver_results
+from momentforge.reproduce import _missing_targets, run_case
 
 
 @pytest.mark.parametrize("case", ["cubics", "quartics"])
@@ -18,7 +19,7 @@ def test_run_case_all_checks_ok(case):
 def test_all_published_quartics_are_rediscovered():
     # the harness checks only the 9 rational entries; the solver finds all 26
     families = diagonal_families(3, 4, 2) + diagonal_families(3, 4, 3)
-    produced = [sol.polynomial() for _, sols in solver_results(families) for sol in sols]
+    produced = [sol.polynomial() for family in families for sol in solve_family(family)]
     targets = [
         (k + 1, critical_fixture_poly(entry)) for k, entry in enumerate(fixtures.CRITICAL_QUARTICS)
     ]
