@@ -3,7 +3,8 @@
 # tests call cli.main in-process.  Exit 1 for an unknown subcommand, for a
 # removed option and for malformed JSON, which must be refused with an
 # `error:` line and no traceback (a traceback exits 1 too); 2 for degenerate
-# input; 0 where a float form verifies.  Run from any directory:
+# input; 0 where a float form verifies or its moment matrix is in range.
+# Run from any directory:
 #   sh ci/exit_codes.sh
 set -u
 scratch=$(mktemp -d) || exit 1
@@ -40,6 +41,9 @@ echo '{"n": 3, "d": 3, "terms": [{"exp": [1.5, 1.5, 0], "coeff": "1"}]}' > float
 echo '{"n": 3, "d": 3, "terms": []}' > zero.json
 echo '{"n": 3, "d": 3, "terms": [{"exp": [3, 0, 0], "coeff": "1e400"}, {"exp": [0, 3, 0], "coeff": 0.5}]}' > mixed-range.json
 echo '{"n": 3, "d": 3, "terms": [{"exp": [0, 3, 0], "coeff": 1e63}]}' > large-float.json
+echo '{"n": 3, "d": 3, "terms": [{"exp": [3, 0, 0], "coeff": 1e-200}, {"exp": [0, 3, 0], "coeff": 1e-200}]}' > tiny-cubic.json
+echo '{"n": 3, "d": 3, "terms": [{"exp": [3, 0, 0], "coeff": 1e155}, {"exp": [0, 3, 0], "coeff": 1e155}]}' > huge-cubic.json
+echo '{"n": 2, "d": 1100, "terms": [{"exp": [550, 550], "coeff": 1.0}]}' > underflowing-norm.json
 
 expect 1 emit-points --poly x.json
 expect 1 verify --poly x.json --tol 0
@@ -49,6 +53,13 @@ for command in moment sqlength grad verify; do
     expect_error "a rational coefficient beside a float" "$command" --poly mixed-range.json
 done
 expect 2 verify --poly zero.json
+# |m|^2 and m have degree 0 in the coefficients, so the float range of the
+# coefficients does not matter; only a weight that underflows does
+for command in moment sqlength; do
+    expect 0 "$command" --poly tiny-cubic.json > /dev/null
+    expect 0 "$command" --poly huge-cubic.json > /dev/null
+    expect 2 "$command" --poly underflowing-norm.json
+done
 expect 0 verify --poly large-float.json > out.txt
 if [ "$(cat out.txt)" != 0 ]; then
     echo "momentforge verify --poly large-float.json printed $(cat out.txt), expected 0" >&2

@@ -458,8 +458,8 @@ def _strictly_feasible(rows: list, k: int) -> list[Fraction] | None:
     z = [Fraction(0)] * k
     for v, lower, upper in reversed(levels):
         # z_v and the unknowns after it are still 0 here
-        lo = max((-(c + _dot(a, z)) / a[v] for c, a in lower), default=None)
-        hi = min((-(c + _dot(a, z)) / a[v] for c, a in upper), default=None)
+        lo = max((Fraction(-(c + _dot(a, z)), a[v]) for c, a in lower), default=None)
+        hi = min((Fraction(-(c + _dot(a, z)), a[v]) for c, a in upper), default=None)
         if lo is not None and hi is not None:
             z[v] = (lo + hi) / 2
         elif lo is not None:
@@ -485,11 +485,14 @@ def critical_set(family: ParamFamily) -> CriticalSet:
     and n (t - a_0) = d 1 - n a_0.  The normal equations are solved without
     fractions, as N / D with the Gram matrix times N equal to D times the
     right-hand side, so p_S = a_0 + sum_j N_j B_j / (n D) and
-    |m|^2 = 4 |n D (p_S - t)|^2 / (n D)^2 each take one division.  The
-    point is checked exactly against the gradient's own u-form sums, on the
-    integer vector L u, L the least common multiple of its denominators:
-    every sum is a quadratic form in u, so it is L^2 times its value at u
-    and vanishes exactly when that does.
+    |m|^2 = 4 |n D (p_S - t)|^2 / (n D)^2 each take one division.  The rows
+    of u > 0 stay integers too (n D u, in free coordinates scaled to integer
+    coefficients): on a bounded set, ``_strictly_feasible`` picks midpoints
+    alone, which positive scalings do not move.  The point is checked
+    exactly against the gradient's own u-form sums, on the integer vector
+    L u, L the least common multiple of its denominators: every sum is a
+    quadratic form in u, so it is L^2 times its value at u and vanishes
+    exactly when that does.
     """
     points = family.display_terms()
     if not _root_difference_free(points):
@@ -510,24 +513,23 @@ def critical_set(family: ParamFamily) -> CriticalSet:
     square_length = Fraction(
         4 * sum((o - denominator * e) ** 2 for o, e in zip(offset, target)), scale * scale
     )
-    y = [Fraction(x, scale) for x in numerators]
 
-    # sum_k u_k (a_k - a_0) = p_S - a_0 = sum_j y_j B_j, with u_k the free
-    # unknown z_v for the v-th dependent difference, so that the coordinate of
-    # B_j is y_j - sum_v gamma_vj z_v and u_0 is 1 minus all the others
+    # n D sum_k u_k (a_k - a_0) = sum_j N_j B_j, with u_k = D_v w_v / (n D) free
+    # for the v-th dependent difference, D_v (a_k - a_0) = sum_j g_vj B_j: the
+    # row of B_j is N_j - sum_v g_vj w_v, and n D u_0 is n D minus all others
     free = [k for k, combo in enumerate(combos) if combo is not None]
     rows = [None] * len(diffs)
     for j, k in enumerate(chosen):
-        rows[k] = (y[j], tuple(Fraction(-combos[f][0][j], combos[f][1])
-                               if j < len(combos[f][0]) else 0 for f in free))
+        rows[k] = (numerators[j], tuple(-combos[f][0][j] if j < len(combos[f][0]) else 0
+                                        for f in free))
     for v, k in enumerate(free):
-        rows[k] = (0, tuple(int(v == w) for w in range(len(free))))
-    first = (1 - sum(c for c, _ in rows), tuple(-sum(col) for col in zip(*(a for _, a in rows))))
+        rows[k] = (0, tuple(combos[k][1] if v == w else 0 for w in range(len(free))))
+    first = (scale - sum(c for c, _ in rows), tuple(-sum(x) for x in zip(*(a for _, a in rows))))
     rows.insert(0, first)
-    z = _strictly_feasible(rows, len(free))
+    w = _strictly_feasible(rows, len(free))
     point = None
-    if z is not None:
-        point = tuple(c + _dot(a, z) for c, a in rows)
+    if w is not None:
+        point = tuple(Fraction(c + _dot(a, w), scale) for c, a in rows)
         common = lcm(*(u.denominator for u in point))
         scaled = [u.numerator * (common // u.denominator) for u in point]
         if any(_centroid_sums(points, scaled)):

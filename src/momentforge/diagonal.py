@@ -14,14 +14,22 @@ cancels: the family is identically diagonal iff no two of its exponents
 differ by a root ``e_i - e_j``.  Where an entry is not identically zero,
 every term of its numerator is positive at the parameters (1, ..., 1), so
 that point witnesses it.
+
+``diagonal_families`` builds no other family: it walks, depth first over
+bitmasks, the independent sets of the graph joining monomials that differ by
+a root.  A permutation of the variables maps roots to roots, so whole orbits
+lie in the walk, and it keeps a set iff its mask is the least of its images
+under the table of ``orbits``.  That is the least mask of the orbit, which
+``orbit_classes`` returns.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, compress
+from operator import add
 from typing import NamedTuple
 
-from .orbits import ParamFamily, build_family, orbit_classes, uses_all_variables
+from .orbits import ParamFamily, _image_table, build_family, orbit_classes, uses_all_variables
 from .symd import root_pair
 
 
@@ -43,8 +51,8 @@ def is_identically_diagonal(family: ParamFamily) -> DiagonalVerdict:
 
 
 def diagonal_verdicts(n: int, d: int, m: int) -> list[DiagonalVerdict]:
-    """Verdicts for the all-variables orbit representatives with ``m`` terms,
-    in orbit order."""
+    """Verdicts for every all-variables orbit representative with ``m``
+    terms, in orbit order; ``diagonal --json`` prints the failing ones too."""
     if m < 2:
         raise ValueError("parametric families need at least two terms")
     return [
@@ -56,5 +64,26 @@ def diagonal_verdicts(n: int, d: int, m: int) -> list[DiagonalVerdict]:
 
 def diagonal_families(n: int, d: int, m: int) -> list[ParamFamily]:
     """All-variables orbit representatives with ``m`` terms whose moment
-    matrix is identically diagonal."""
-    return [v.family for v in diagonal_verdicts(n, d, m) if v.is_diagonal]
+    matrix is identically diagonal, in orbit order."""
+    if m < 2:
+        raise ValueError("parametric families need at least two terms")
+    basis, table = _image_table(n, d, m)
+    # bit j of later[k]: j > k, and monomials k and j differ by no root
+    later = [sum(1 << j for j in range(k + 1, len(basis)) if root_pair(a, basis[j]) is None)
+             for k, a in enumerate(basis)]
+    with_variable = [sum(1 << k for k, a in enumerate(basis) if a[i]) for i in range(n)]
+    reps = []
+
+    def grow(mask, candidates, images, terms):
+        # images[s]: the image of mask under permutation s
+        while candidates.bit_count() >= m - terms:
+            low = candidates & -candidates
+            candidates ^= low
+            k = low.bit_length() - 1
+            if terms + 1 < m:
+                grow(mask | low, candidates & later[k], [*map(add, images, table[k])], terms + 1)
+            elif min(map(add, images, table[k])) == mask | low:
+                reps.append(mask | low)
+    grow(0, (1 << len(basis)) - 1, [0] * len(table[0]), 0)
+    return [build_family(compress(basis, map(int, bin(rep)[:1:-1])))
+            for rep in sorted(reps) if all(rep & v for v in with_variable)]

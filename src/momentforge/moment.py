@@ -69,10 +69,10 @@ differentiation, and give exact results for exact and parametric input.
   CPython 3.12.
 
 Float input runs on ``f / 2^e``, ``e`` the largest binary exponent of its
-coefficients, and each entry is multiplied back by ``2^-e``: the gradient has
-degree -1 in the coefficients and a power of two commutes with rounding, so
-the bits are those of the unscaled run wherever its numerators (degree 5) and
-``d^2 norm2^3`` (degree 6) stay in range (unscaled, ``1e63 y^3`` got a NaN).
+coefficients.  A power of two commutes with rounding, so m and |m|^2 (degree
+0 in the coefficients) keep the bits of the unscaled run wherever it stays in
+range, and so does each gradient entry (degree -1), multiplied back by 2^-e.
+Unscaled, ``1e63 y^3`` got a NaN gradient, ``1e-200 (x^3 + y^3)`` a zero norm.
 
 The flow construction differentiates the pulled-back norm along
 one-parameter subgroups independently of the engine.
@@ -195,13 +195,19 @@ def _parametric(f: SparsePoly) -> tuple[ParamPoly, list]:
     return ParamPoly(nsyms), coeffs
 
 
+def _float_scaled(f: SparsePoly) -> tuple[int, dict]:
+    """``e`` and the float coefficients of ``f / 2^e`` (see the module docstring)."""
+    shift = max(frexp(float(c))[1] for c in f.terms.values())
+    return shift, {alpha: ldexp(float(c), -shift) for alpha, c in f.terms.items()}
+
+
 def moment_matrix(f: SparsePoly) -> tuple[tuple[Scalar, ...], ...]:
     """The traceless moment matrix ``2 (H(f) - (d/n) I)`` as ``n`` rows;
     exact for exact input."""
     _require_nonzero(f)
     if f.is_parametric():
         raise TypeError("parametric input: use symbolic_moment_matrix")
-    coeffs = list(f.terms.items())
+    coeffs = list((f.terms if f.is_exact() else _float_scaled(f)[1]).items())
     g = _inner_products(Fraction(0), coeffs, f.n)
     scale = _norm2(Fraction(0), coeffs) * f.d
     if scale == 0:
@@ -462,8 +468,7 @@ def gradient(f: SparsePoly) -> list:
                     for a in enumerate_monomials(f.n, f.d)]
         numerators, norm2 = _jet_numerators(Fraction(0), list(f.terms.items()), f.n, f.d)
     else:
-        shift = max(frexp(float(c))[1] for c in f.terms.values())
-        coeffs = {alpha: ldexp(float(c), -shift) for alpha, c in f.terms.items()}
+        shift, coeffs = _float_scaled(f)
         numerators, norm2 = (_float_numerators(plan, coeffs) if plan is not None
                              else _jet_numerators(0.0, coeffs.items(), f.n, f.d))
     # a float norm2 can be nonzero while d^2 norm2^3 underflows to 0.0

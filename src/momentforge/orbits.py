@@ -11,14 +11,14 @@ algebra listings this package's fixtures come from (e.g. the class of
 
 ``orbit_classes`` works on integers.  A support set of size ``m`` is a
 bitmask over the basis, bit ``k`` standing for the ``k``-th monomial in
-canonical order.  A table of ``n! x B`` ints, built per call, holds the
-bit of each monomial's image under each permutation, so an image of a mask
-is a sum of table entries.  For two masks with the same
-number of bits, integer order is ``support_order_key`` order: both compare
-the largest monomial first, and the first one where the sets differ decides.
-So the representative of an orbit is the least of its image masks, and only
-the representatives become frozensets.  Enumeration walks the masks once,
-builds each orbit from the first of its members it meets and skips the
+canonical order.  A table of ``n! x B`` ints (``_image_table``, shared with
+``diagonal``) holds the bit of each monomial's image under each permutation,
+so an image of a mask is a sum of table entries.  For two masks with the
+same number of bits, integer order is ``support_order_key`` order: both
+compare the largest monomial first, and the first one where the sets differ
+decides.  So the representative of an orbit is the least of its image masks,
+and only the representatives become frozensets.  Enumeration walks the masks
+once, builds each orbit from the first of its members it meets and skips the
 others as they come, so every orbit is built and minimised exactly once.
 ``orbit_of`` and ``canonical_representative`` keep the definition on
 frozensets, which the tests hold ``orbit_classes`` to.
@@ -82,18 +82,22 @@ def canonical_representative(support) -> SupportSet:
     return min(orbit_of(support), key=support_order_key)
 
 
-def orbit_classes(n: int, d: int, m: int) -> list[SupportSet]:
-    """The canonical support set of every orbit of size-``m`` support sets,
-    sorted by ``support_order_key``."""
+def _image_table(n: int, d: int, m: int) -> tuple[tuple[ExponentVector, ...], list[tuple]]:
+    """The basis, and per monomial the bits of its images (see the module docstring)."""
     basis = enumerate_monomials(n, d)
     if not 1 <= m <= len(basis):
         raise ValueError(f"term count {m} out of range 1..{len(basis)}")
     bit = {alpha: 1 << k for k, alpha in enumerate(basis)}
-    # the permutation table, one column per monomial: the bits of its images.
     # `permutations(alpha)` rearranges the exponents of every monomial by the
     # same index permutations in the same order, so row s of the table is
     # one coordinate permutation
-    images_of = [tuple(map(bit.__getitem__, permutations(alpha))) for alpha in basis]
+    return basis, [tuple(map(bit.__getitem__, permutations(alpha))) for alpha in basis]
+
+
+def orbit_classes(n: int, d: int, m: int) -> list[SupportSet]:
+    """The canonical support set of every orbit of size-``m`` support sets,
+    sorted by ``support_order_key``."""
+    basis, images_of = _image_table(n, d, m)
     units = [1 << k for k in range(len(basis))]
     # the masks of orbits already built that the walk has not reached yet
     pending: set[int] = set()

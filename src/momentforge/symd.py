@@ -71,6 +71,6 @@ def root_pair(a: ExponentVector, b: ExponentVector) -> tuple[int, int] | None:
     pairs of support exponents related this way, and over nothing else.
     """
     moved = [k for k in range(len(a)) if a[k] != b[k]]
-    if len(moved) == 2 and sorted(a[k] - b[k] for k in moved) == [-1, 1]:
+    if len(moved) == 2 and a[moved[0]] - b[moved[0]] == b[moved[1]] - a[moved[1]] in (1, -1):
         return moved[0], moved[1]
     return None

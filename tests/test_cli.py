@@ -370,11 +370,6 @@ def test_malformed_coefficients_are_a_usage_error(tmp_path, capsys, command, ter
     assert captured.out == "" and captured.err.startswith("error: ")
 
 
-# finite, but the squared norm overflows to inf; grad and verify run on the
-# form scaled by a power of two, and print its gradient
-OVERFLOWING_NORM = '{"exp": [3, 0, 0], "coeff": 1e308}, {"exp": [0, 3, 0], "coeff": 1e308}'
-
-
 @pytest.mark.parametrize("flag", [[], ["--json"]])
 @pytest.mark.parametrize("command, text", [
     *((command, text) for text in [
@@ -383,7 +378,6 @@ OVERFLOWING_NORM = '{"exp": [3, 0, 0], "coeff": 1e308}, {"exp": [0, 3, 0], "coef
         '{"exp": [3, 0, 0], "coeff": Infinity}, {"exp": [0, 3, 0], "coeff": 1}',
         '{"exp": [3, 0, 0], "coeff": -Infinity}, {"exp": [0, 3, 0], "coeff": 1}',
     ] for command in NUMERIC_COMMANDS),
-    *((command, OVERFLOWING_NORM) for command in ("sqlength", "moment")),
 ])
 def test_non_finite_results_are_not_printed(tmp_path, capsys, command, flag, text):
     # each used to print nan (moment a matrix with nan on its diagonal) with exit 0
@@ -397,20 +391,35 @@ def test_non_finite_results_are_not_printed(tmp_path, capsys, command, flag, tex
 FLAG_SETS = [[], ["--json"], ["--float"], ["--float", "--json"]]
 
 
+@pytest.mark.parametrize("flags", FLAG_SETS)
+@pytest.mark.parametrize("command", ["sqlength", "moment"])
+@pytest.mark.parametrize("coeff", [1e-200, 1e155, 1e308])
+def test_moment_and_sqlength_scale_out_the_float_range(tmp_path, capsys, command, flags, coeff):
+    # both have degree 0 in the coefficients and run on f / 2^e, so
+    # c (x^3 + y^3) prints what x^3 + y^3 does.  Unscaled, the squared norm
+    # underflowed to 0.0 (exit 2) or overflowed (exit 1: the result is nan)
+    printed = []
+    for c in (1.0, coeff):
+        path = tmp_path / "poly.json"
+        path.write_text(json.dumps(cubic(([3, 0, 0], c), ([0, 3, 0], c))))
+        assert cli.main([command, "--poly", str(path), *flags]) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[1] == printed[0]
+
+
 @pytest.mark.parametrize("command, flags", [
     pytest.param(command, flags, id=f"flags{k}-{command}")
     for command in ("moment", "sqlength", "grad", "verify")
     for k, flags in enumerate(FLAG_SETS[:2] if command == "verify" else FLAG_SETS)
 ])
 def test_underflowing_norm_is_degenerate_input(tmp_path, capsys, command, flags):
-    # with 1e-200 on x^3 and y^3 the squared norm is 0.0, and moment and
-    # sqlength divided by it: each ended in a ZeroDivisionError.  grad and
-    # verify run on the form scaled to coefficients below 1, where the
-    # weight 300!^2 / 600! of x^300*y^300 alone makes d^2 norm2^3 0.0
-    if command in ("grad", "verify"):
-        body = {"n": 2, "d": 600, "terms": [{"exp": [300, 300], "coeff": 1.0}]}
-    else:
-        body = cubic(([3, 0, 0], 1e-200), ([0, 3, 0], 1e-200))
+    # every command runs on the form scaled to coefficients below 1, where
+    # the weight 550!^2 / 1100! of x^550*y^550 alone makes the squared norm
+    # 0.0, and 300!^2 / 600! that of x^300*y^300 makes d^2 norm2^3 0.0.
+    # moment and sqlength used to divide by a zero norm: with 1e-200 on x^3
+    # and y^3, each ended in a ZeroDivisionError
+    half = 300 if command in ("grad", "verify") else 550
+    body = {"n": 2, "d": 2 * half, "terms": [{"exp": [half, half], "coeff": 1.0}]}
     path = tmp_path / "poly.json"
     path.write_text(json.dumps(body))
     assert cli.main([command, "--poly", str(path), *flags]) == cli.DEGENERATE_INPUT

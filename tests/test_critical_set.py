@@ -2,6 +2,7 @@
 against the solver, against sampled points of every positive-dimensional
 component, and against an exact LP (sympy) that knows nothing of p_S."""
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -193,6 +194,33 @@ def test_known_components(family, dimension, value, closed_forms):
     cs = by_name[family]
     assert not cs.is_empty
     assert (cs.dimension, cs.square_length) == (dimension, value)
+
+
+# sha256 of repr([(rank, projection, dimension, square_length, point)]) over
+# every diagonal family of (3,3), (3,4), (3,5) and (4,3) with 2-4 terms, in
+# enumeration order, as the Fraction rows of Fourier-Motzkin gave them
+CLOSED_FORMS_SHA256 = "03ee99d6610174bdbcdabb65f5181f58548df6a26012cffa56aff06f8a385ed3"
+
+
+def test_closed_forms_are_pinned():
+    rows = [
+        (cs.rank, cs.projection, cs.dimension, cs.square_length, cs.point)
+        for n, d in [(3, 3), (3, 4), (3, 5), (4, 3)] for m in (2, 3, 4)
+        for cs in map(critical_set, diagonal_families(n, d, m))
+    ]
+    assert len(rows) == 457
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == CLOSED_FORMS_SHA256
+
+
+def test_two_free_coordinates():
+    # the pinned families have at most one; with two, the back-substitution
+    # of the second free coordinate runs at a nonzero value of the first
+    family = next(f for f in diagonal_families(3, 4, 5)
+                  if str(f) == "b1*x*z^3 + b2*y^2*z^2 + b3*y^4 + b4*x^2*y^2 + x^4")
+    cs = critical_set(family)
+    third = Fraction(4, 3)
+    assert (cs.rank, cs.projection, cs.dimension, cs.square_length) == (2, (third,) * 3, 2, 0)
+    assert cs.point == tuple(map(Fraction, ("11/36", "5/24", "5/48", "1/4", "19/144")))
 
 
 def test_root_difference_is_refused():

@@ -1,6 +1,8 @@
+from math import comb
+
 import pytest
 
-from momentforge.diagonal import is_identically_diagonal
+from momentforge.diagonal import diagonal_families, diagonal_verdicts, is_identically_diagonal
 from momentforge.moment import symbolic_moment_matrix
 from momentforge.orbits import build_family, orbit_classes, uses_all_variables
 
@@ -60,3 +62,32 @@ class TestIsIdenticallyDiagonal:
             assert any(oracle[entry].subs(verdict.witness) != 0 for entry in verdict.offending_entries)
         assert seen > 0
 
+
+# every (n <= 4, d <= 5, 2 <= m <= 5) whose verdicts take under a second:
+# all but (4, 4, 5) and (4, 5, 5), which walk all C(35, 5) and C(56, 5) subsets
+WALK_CASES = [
+    (n, d, m)
+    for n in (2, 3, 4) for d in range(1, 6) for m in range(2, 6)
+    if m <= comb(n + d - 1, d) and (n, d, m) not in {(4, 4, 5), (4, 5, 5)}
+]
+
+
+@pytest.mark.parametrize("n, d, m", WALK_CASES)
+def test_the_walk_keeps_the_diagonal_orbit_representatives(n, d, m):
+    # the same families as filtering every all-variables orbit, in orbit order
+    expected = [v.family for v in diagonal_verdicts(n, d, m) if v.is_diagonal]
+    assert diagonal_families(n, d, m) == expected
+
+
+@pytest.mark.parametrize("n, d, m, count", [
+    (3, 5, 5, 176), (3, 5, 6, 66), (3, 5, 7, 6), (3, 6, 5, 1976), (4, 4, 5, 1132),
+])
+def test_diagonal_family_counts_beyond_the_oracle(n, d, m, count):
+    assert len(diagonal_families(n, d, m)) == count
+
+
+@pytest.mark.parametrize("m, message", [(1, "at least two terms"), (11, "out of range")])
+def test_term_counts_out_of_range_are_refused(m, message):
+    for enumerate_families in (diagonal_families, diagonal_verdicts):
+        with pytest.raises(ValueError, match=message):
+            enumerate_families(3, 3, m)

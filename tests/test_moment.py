@@ -112,6 +112,19 @@ class TestMomentMatrix:
             assert square_length(scale_poly(f, lam)) == square_length(f)
 
 
+    @pytest.mark.parametrize("k", [-1000, -300, 300, 1000])
+    def test_power_of_two_scaling_is_bit_exact(self, k):
+        # m and |m|^2 have degree 0 in the coefficients, and a power of two
+        # commutes with rounding, so 2^k f gives the bits of f, on the gated
+        # float cubic x^3 + 0.5*x^2*y + y^3 + z^3; unscaled, the squared norm
+        # overflowed or underflowed
+        f = SparsePoly.make(3, 3, {**P(x3=1, y3=1, z3=1).terms, mono("x2y"): 0.5})
+        scaled = SparsePoly.make(3, 3, {a: c * Fraction(2) ** k if isinstance(c, Fraction)
+                                        else math.ldexp(c, k) for a, c in f.terms.items()})
+        assert repr(moment_matrix(scaled)) == repr(moment_matrix(f))
+        assert repr(square_length(scaled)) == repr(square_length(f))
+
+
 class TestSquareLength:
     def test_examples(self):
         assert square_length(X3Y3) == 6
