@@ -44,6 +44,7 @@ echo '{"n": 3, "d": 3, "terms": [{"exp": [0, 3, 0], "coeff": 1e63}]}' > large-fl
 echo '{"n": 3, "d": 3, "terms": [{"exp": [3, 0, 0], "coeff": 1e-200}, {"exp": [0, 3, 0], "coeff": 1e-200}]}' > tiny-cubic.json
 echo '{"n": 3, "d": 3, "terms": [{"exp": [3, 0, 0], "coeff": 1e155}, {"exp": [0, 3, 0], "coeff": 1e155}]}' > huge-cubic.json
 echo '{"n": 2, "d": 1100, "terms": [{"exp": [550, 550], "coeff": 1.0}]}' > underflowing-norm.json
+echo '{"n": 3, "d": 3, "terms": [{"exp": [3, 0, 0], "coeff": "1e-400"}, {"exp": [0, 3, 0], "coeff": "1e-400"}, {"exp": [1, 1, 1], "coeff": "1e-400"}]}' > tiny-exact-cubic.json
 
 expect 1 emit-points --poly x.json
 expect 1 verify --poly x.json --tol 0
@@ -60,6 +61,10 @@ for command in moment sqlength; do
     expect 0 "$command" --poly huge-cubic.json > /dev/null
     expect 2 "$command" --poly underflowing-norm.json
 done
+# exact input with no root difference: the one division of the integer
+# u-form numerators is beyond the float range
+expect_error "the gradient is beyond the floating-point range" verify --poly tiny-exact-cubic.json
+expect_error "the gradient is beyond the floating-point range" verify --poly tiny-exact-cubic.json --json
 expect 0 verify --poly large-float.json > out.txt
 if [ "$(cat out.txt)" != 0 ]; then
     echo "momentforge verify --poly large-float.json printed $(cat out.txt), expected 0" >&2

@@ -65,7 +65,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations, product, zip_longest
 from math import gcd, lcm
 from typing import NamedTuple
 
@@ -73,6 +73,7 @@ from . import univariate as uni
 from .moment import (
     _centroid_sums,
     _root_difference_free,
+    _u_quotients,
     gradient,
     gradient_symbolic,
     moment_matrix,
@@ -138,18 +139,30 @@ def gradient_system(family: ParamFamily) -> tuple[ParamPoly, ...]:
 
 def verify_critical(f: SparsePoly) -> float:
     """Largest absolute gradient component; exactly 0.0 for rational critical
-    points, and a ``ValueError`` when a component is beyond the float range."""
+    points, and a ``ValueError`` when a component is beyond the float range.
+
+    On exact input with no root difference it is the largest integer u-form
+    numerator over their common denominator (``moment._u_quotients``), in
+    one ``int / int`` division, which is correctly rounded.  The residual
+    has degree -1 in the coefficients: ``t f`` reads ``1/t`` times that of
+    ``f``, so the ``RESIDUAL_TOL`` test depends on the scale of the form.
+    """
     if f.is_zero():
         raise DegenerateInputError("cannot verify the zero polynomial")
-    components = gradient(f)
-    # max() skips a nan after the first component, and `nan > RESIDUAL_TOL` is False
-    if not all(isinstance(g, Fraction) or math.isfinite(g) for g in components):
-        raise ValueError("the gradient is beyond the floating-point range")
-    # one conversion of the exact maximum: rounding is monotone and symmetric,
-    # so it is the largest of the rounded components
-    largest = max(abs(g) for g in components)
+    quotients = _u_quotients(f)
+    if quotients is None:
+        components = gradient(f)
+        # max() skips a nan after the first component, and `nan > RESIDUAL_TOL` is False
+        if not all(isinstance(g, Fraction) or math.isfinite(g) for g in components):
+            raise ValueError("the gradient is beyond the floating-point range")
+        largest, denominator = max(abs(g) for g in components).as_integer_ratio()
+    else:
+        numerators, denominator = quotients
+        largest = max(map(abs, numerators.values()))
     try:
-        return float(largest)
+        # one conversion of the exact maximum: rounding is monotone and
+        # symmetric, so it is the largest of the rounded components
+        return largest / denominator
     except OverflowError:
         raise ValueError("the gradient is beyond the floating-point range") from None
 
@@ -196,39 +209,6 @@ def fixed_point_check(f: SparsePoly) -> bool:
 # torus canonicalization ("obvious isomorphism")
 
 
-def _integer_combination(basis, target):
-    """Integers ``(N, D)`` in lowest terms, ``D > 0``, with
-    ``sum_k N_k basis[k] = D target``, or None when target lies outside the
-    span of the (independent) integer basis vectors.  Gauss-Jordan by
-    cross-multiplication, so every entry stays an integer; the only divisions
-    are the exact ones that bring the pivots to a common denominator and the
-    result to lowest terms."""
-    r = len(basis)
-    w = len(target)
-    m = [[basis[k][row] for k in range(r)] + [target[row]] for row in range(w)]
-    row = 0
-    for col in range(r):
-        p = next((i for i in range(row, w) if m[i][col] != 0), None)
-        if p is None:
-            continue
-        m[row], m[p] = m[p], m[row]
-        prow = m[row]
-        pivot = prow[col]
-        for i in range(w):
-            if i != row and m[i][col] != 0:
-                factor = m[i][col]
-                m[i] = [pivot * a - factor * b for a, b in zip(m[i], prow)]
-        row += 1
-    if any(m[i][r] != 0 for i in range(row, w)):
-        return None
-    # row i now reads m[i][i] * N_i / D = m[i][r]: the basis is independent,
-    # so its pivots sit on the diagonal
-    denominator = abs(lcm(*(m[i][i] for i in range(r))))
-    numerators = [m[i][r] * (denominator // m[i][i]) for i in range(r)]
-    common = gcd(denominator, *numerators)
-    return tuple(x // common for x in numerators), denominator // common
-
-
 def _exact_root(n: int, k: int) -> int | None:
     """The integer r >= 0 with r**k == n, or None when n >= 0 is no k-th power."""
     if n < 2:
@@ -244,14 +224,39 @@ def _exact_root(n: int, k: int) -> int | None:
 def _greedy_basis(vectors) -> tuple[tuple[int, ...], tuple]:
     """Indices of a maximal independent subset, taken greedily in order, and
     for each vector None if it was taken, else its combination of the taken
-    vectors before it, as ``_integer_combination`` gives it."""
+    vectors before it: the integers ``(N, D)`` in lowest terms, ``D > 0``,
+    with ``sum_t N_t v_t = D v``.
+
+    One fraction-free echelon of the taken vectors is kept, in pivot order:
+    each row is an integer vector, zero before its pivot (its first nonzero
+    entry), with its integer combination of the taken vectors.  A new
+    vector ``v`` is reduced once, row by row, to ``D v - sum_t N_t v_t``,
+    which is zero at every pivot: zero iff ``v`` lies in their span, else
+    the row that ``v`` adds."""
     chosen: list[int] = []
     combos: list = []
+    rows: list = []  # (pivot, row, combination), by pivot
     for j, v in enumerate(vectors):
-        combo = _integer_combination([vectors[t] for t in chosen], v)
-        if combo is None:
+        denominator, numerators = 1, [0] * len(chosen)
+        for pivot, row, combination in rows:
+            x = v[pivot]
+            if x:
+                y = row[pivot]
+                v = [y * a - x * b for a, b in zip(v, row)]
+                denominator *= y
+                numerators = [y * a + x * b
+                              for a, b in zip_longest(numerators, combination, fillvalue=0)]
+        if any(v):
+            combination = [-a for a in numerators] + [denominator]
+            common = gcd(*v, *combination)
+            pivot = next(i for i, a in enumerate(v) if a)
+            rows.append((pivot, [a // common for a in v], [a // common for a in combination]))
+            rows.sort(key=lambda r: r[0])
             chosen.append(j)
-        combos.append(combo)
+            combos.append(None)
+        else:
+            common = gcd(denominator, *numerators) * (1 if denominator > 0 else -1)
+            combos.append((tuple(a // common for a in numerators), denominator // common))
     return tuple(chosen), tuple(combos)
 
 
@@ -474,12 +479,14 @@ def critical_set(family: ParamFamily) -> CriticalSet:
 
     Defined when no two support exponents differ by a root e_i - e_j.  With
     the support's first point a_0 as origin, the other points' differences
-    are taken greedily into an independent set B; p_S solves the normal
-    equations over B.  A u with sum 1 and centroid p_S then has one free
-    coordinate per dependent difference, and each coordinate of B is affine
-    in them, so strict positivity is decided, and a point found, by
-    Fourier-Motzkin over the |S| - 1 - r free coordinates (none when S is
-    affinely independent: the barycentric coordinates of p_S).
+    are taken greedily into an independent set B, in one pass over one
+    fraction-free echelon (``_greedy_basis``), which also gives each other
+    difference as an integer combination of B over a common denominator;
+    p_S solves the normal equations over B.  A u with sum 1 and centroid
+    p_S then has one free coordinate per dependent difference, and each
+    coordinate of B is affine in them, so strict positivity is decided, and
+    a point found, by Fourier-Motzkin over the |S| - 1 - r free coordinates
+    (none when S is affinely independent: the barycentric coordinates of p_S).
 
     The support data stay integers: the differences, the Gram matrix of B
     and n (t - a_0) = d 1 - n a_0.  The normal equations are solved without
@@ -491,8 +498,8 @@ def critical_set(family: ParamFamily) -> CriticalSet:
     alone, which positive scalings do not move.  The point is checked
     exactly against the gradient's own u-form sums, on the integer vector
     L u, L the least common multiple of its denominators: every sum is a
-    quadratic form in u, so it is L^2 times its value at u and vanishes
-    exactly when that does.
+    quadratic form in u, ``norm2 <a, s> - <s, s>`` in integers, so it is
+    L^2 times its value at u and vanishes exactly when that does.
     """
     points = family.display_terms()
     if not _root_difference_free(points):
@@ -505,7 +512,8 @@ def critical_set(family: ParamFamily) -> CriticalSet:
     rank = len(basis)
     gram = [tuple(_dot(b, c) for c in basis) for b in basis]
     target = [d - n * x for x in base]  # n (t - a_0)
-    numerators, denominator = _integer_combination(gram, [_dot(b, target) for b in basis])
+    # the Gram matrix is symmetric and invertible: the right side is a combination of its rows
+    numerators, denominator = _greedy_basis(gram + [[_dot(b, target) for b in basis]])[1][-1]
     scale = n * denominator
     # offset = n D (p_S - a_0), so n D (p_S - t) = offset - D n (t - a_0)
     offset = [sum(y * b[i] for y, b in zip(numerators, basis)) for i in range(n)]

@@ -44,14 +44,18 @@ differentiation, and give exact results for exact and parametric input.
   ``= 16 d^2 w(a) c_a sum_{b,c} <a - b, c> u_b u_c`` on the support and 0
   off it.  It is computed in integers: over one common denominator D the
   coefficients become integers, or integer polynomials in the parameters
-  (``ParamPoly`` with ``int`` coefficients), ``u'_a = a! c'_a^2``, and
-  ``Fraction`` or ``ParamPoly`` values are built once, at the end.  The
-  integer products and sums visit and drop terms as the rational ones do,
-  so each polynomial keeps the term order of the rational computation,
-  which the solver's float residuals sum in.  The sums
-  (``_centroid_sums``) vanish exactly on the family's real critical set,
-  which ``critical.critical_set`` gives in closed form and checks with them
-  on an integer point.
+  (``ParamPoly`` with ``int`` coefficients), ``u'_a = a! c'_a^2``.  For
+  exact input, ``_u_quotients`` gives the integers ``16 D a! c'_a S'_a``
+  and ``(sum_a u'_a)^3``, whose quotients are the entries: ``gradient``
+  builds its ``Fraction``s from them, and ``critical.verify_critical``
+  divides only the largest, once.  Integer sums take the closed form
+  ``norm2 <a, s> - <s, s>``.  Polynomial sums are folded over the pairs
+  (b, c) into one dict each, adding and dropping terms as the rational
+  computation did, so each keeps its term order, which the solver's float
+  residuals sum in; ``gradient_symbolic`` builds its ``ParamPoly`` values
+  once, at the end.  The sums (``_centroid_sums``) vanish exactly on the
+  family's real critical set, which ``critical.critical_set`` gives in
+  closed form and checks with them on an integer point.
 * Forward jets take every input with a root difference: exact, parametric
   or float.  Only ``grad`` and ``verify`` on arbitrary input reach them.  A
   closed form for it took 40-80% of the jets' time (CHANGES.md), but no
@@ -327,12 +331,33 @@ def _u_form(lifted) -> tuple:
     return sum(u), {a: c * k * s for (a, c), k, s in zip(lifted, factorials, sums)}
 
 
+def _u_quotients(f: SparsePoly) -> tuple[dict, int] | None:
+    """``({a: 16 D a! c'_a S'_a}, (sum_a u'_a)^3)`` in integers for exact
+    ``f`` whose support has no root difference, else None.  Their quotient
+    is the gradient entry ``N_a / (d^2 norm2^3)`` of each ``a`` on the
+    support; the entries off it are 0."""
+    if not f.is_exact() or _float_plan(f.n, f.d, tuple(f.terms)) is None:
+        return None
+    scale = lcm(*(c.denominator for c in f.terms.values()))
+    lifted = [(a, c.numerator * (scale // c.denominator)) for a, c in f.terms.items()]
+    norm, parts = _u_form(lifted)
+    return {a: 16 * scale * p for a, p in parts.items()}, norm**3
+
+
 def _centroid_sums(support, u) -> list:
     """``sum_{b,c} <a - b, c> u_b u_c = norm2 <a, s> - <s, s>`` for each
     ``a`` of the support, with ``s = sum_b u_b b``: the gradient numerator
     without its factor ``16 d^2 w(a) c_a``, so all vanish exactly at the
-    critical points of a support with no root difference.  ``u`` holds
-    integers or integer polynomials; a sum with no term is the integer 0."""
+    critical points of a support with no root difference.
+
+    ``u`` holds exact numbers, which take the right-hand side, or integer
+    polynomials.  A polynomial sum is folded over the pairs (b, c) into one
+    dict, with the term order of the rational computation, which the
+    solver's float residuals sum in."""
+    if not isinstance(u[0], ParamPoly):
+        s = [sum(x * b[i] for x, b in zip(u, support)) for i in range(len(support[0]))]
+        norm2, s_dot_s = sum(u), sum(x * x for x in s)
+        return [norm2 * sum(x * y for x, y in zip(a, s)) - s_dot_s for a in support]
     # u_b u_c once per unordered pair, with the integer products <b, c>
     pairs = [
         (j, k, sum(x * y for x, y in zip(support[j], support[k])), u[j] * u[k])
@@ -342,13 +367,21 @@ def _centroid_sums(support, u) -> list:
     sums = []
     for a in support:
         a_dot = [sum(x * y for x, y in zip(a, b)) for b in support]
-        inner = 0
+        inner: dict = {}
         for j, k, b_dot_c, product in pairs:
             # the ordered pairs (b, c) and (c, b) together, or (b, b) alone
             coeff = a_dot[j] - b_dot_c if j == k else a_dot[j] + a_dot[k] - 2 * b_dot_c
-            if coeff:
-                inner = inner + product * coeff
-        sums.append(inner)
+            if not coeff:
+                continue
+            # inner + product * coeff in place: terms are added, and dropped
+            # when they cancel, in the order ``ParamPoly.__add__`` visits them
+            for exp, v in product.terms.items():
+                total = inner.get(exp, 0) + v * coeff
+                if total:
+                    inner[exp] = total
+                else:
+                    del inner[exp]
+        sums.append(ParamPoly._trusted(u[0].nsyms, inner))
     return sums
 
 
@@ -456,18 +489,15 @@ def gradient(f: SparsePoly) -> list:
     _require_nonzero(f)
     if f.is_parametric():
         raise TypeError("parametric input: use gradient_symbolic")
-    plan = _float_plan(f.n, f.d, tuple(f.terms))
     if f.is_exact():
-        if plan is not None:
-            # N_a / (d^2 norm2^3) = 16 D a! c'_a S'_a / (sum_a u'_a)^3
-            scale = lcm(*(c.denominator for c in f.terms.values()))
-            lifted = [(a, c.numerator * (scale // c.denominator)) for a, c in f.terms.items()]
-            norm, parts = _u_form(lifted)
-            cube = norm**3
-            return [Fraction(16 * scale * parts[a], cube) if a in parts else Fraction(0)
+        quotients = _u_quotients(f)
+        if quotients is not None:
+            numerators, cube = quotients
+            return [Fraction(numerators[a], cube) if a in numerators else Fraction(0)
                     for a in enumerate_monomials(f.n, f.d)]
         numerators, norm2 = _jet_numerators(Fraction(0), list(f.terms.items()), f.n, f.d)
     else:
+        plan = _float_plan(f.n, f.d, tuple(f.terms))
         shift, coeffs = _float_scaled(f)
         numerators, norm2 = (_float_numerators(plan, coeffs) if plan is not None
                              else _jet_numerators(0.0, coeffs.items(), f.n, f.d))

@@ -1,10 +1,12 @@
-"""Shared generators for randomized property tests (seeded, deterministic)."""
+"""Shared generators for randomized property tests (seeded, deterministic),
+and a reference for ``verify_critical``."""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
 
+from momentforge.moment import gradient
 from momentforge.polyring import SparsePoly
 from momentforge.symd import enumerate_monomials
 
@@ -42,3 +44,22 @@ def add_poly(f: SparsePoly, g: SparsePoly) -> SparsePoly:
     """``f + g`` for two polynomials of one shape; zero sums are dropped."""
     exps = f.terms.keys() | g.terms.keys()
     return SparsePoly.make(f.n, f.d, {a: f.terms.get(a, 0) + g.terms.get(a, 0) for a in exps})
+
+
+def reference_verify_critical(f: SparsePoly) -> str:
+    """``repr`` of ``verify_critical(f)`` for exact ``f`` as computed from the
+    gradient's ``Fraction``s, or ``ValueError`` where it is beyond the float
+    range."""
+    try:
+        return repr(float(max(abs(g) for g in gradient(f))))
+    except OverflowError:
+        return "ValueError"
+
+
+def verify_outcome(verify, f: SparsePoly) -> str:
+    """``repr`` of ``verify(f)``, or ``ValueError``, as the reference gives it."""
+    try:
+        return repr(verify(f))
+    except ValueError as error:
+        assert str(error) == "the gradient is beyond the floating-point range"
+        return "ValueError"

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from conftest import random_rational_poly
+from conftest import random_rational_poly, reference_verify_critical, verify_outcome
 from momentforge import cli, reproduce
 from momentforge.critical import RESIDUAL_TOL, fixed_point_check, verify_critical
 from momentforge.fixtures import CRITICAL_CUBICS, critical_fixture_poly
@@ -447,6 +447,43 @@ def test_verify_beyond_the_float_range_is_a_usage_error(tmp_path, capsys, flags)
     assert cli.main(["verify", "--poly", str(path), *flags]) == cli.USAGE_ERROR
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: ")
+
+
+# 10^-400 (x^3 + y^3 + xyz), exact and with no root difference: verify divides
+# the integer u-form numerators once, and the quotient is beyond the float range
+TINY_EXACT_CUBIC = cubic(([3, 0, 0], "1e-400"), ([0, 3, 0], "1e-400"), ([1, 1, 1], "1e-400"))
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_verify_beyond_the_float_range_without_a_root_difference(tmp_path, capsys, flags):
+    path = tmp_path / "poly.json"
+    path.write_text(json.dumps(TINY_EXACT_CUBIC))
+    assert cli.main(["verify", "--poly", str(path), *flags]) == cli.USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the gradient is beyond the floating-point range\n"
+
+
+@pytest.mark.xfail(strict=True, reason="the residual has degree -1 in the coefficients")
+def test_the_critical_flag_does_not_depend_on_the_scale(tmp_path, capsys):
+    # x^3 + y^3 + xyz reads 1.57, not critical; 10^400 times it reads 0.0,
+    # "critical": true (verify_critical's docstring)
+    flags = []
+    for coeff in ("1", "1e400"):
+        path = tmp_path / "poly.json"
+        path.write_text(json.dumps(cubic(([3, 0, 0], coeff), ([0, 3, 0], coeff), ([1, 1, 1], coeff))))
+        assert cli.main(["verify", "--poly", str(path), "--json"]) == 0
+        flags.append(json.loads(capsys.readouterr().out)["critical"])
+    assert flags == [False, False]
+
+
+def test_exact_solver_outputs_verify_as_from_the_fraction_gradient(critical_runs):
+    # the integer u-form's one division against the gradient's Fractions
+    exact = [sol.polynomial() for _, solutions in critical_runs.values() for sol in solutions
+             if sol.polynomial().is_exact()]
+    assert len(exact) == 76  # of the 232 outputs
+    for f in exact:
+        assert verify_outcome(verify_critical, f) == reference_verify_critical(f), f
 
 
 @pytest.mark.parametrize("argv, message", [

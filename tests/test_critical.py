@@ -19,6 +19,7 @@ from itertools import combinations, permutations, product
 
 import pytest
 
+from conftest import reference_verify_critical, verify_outcome
 from momentforge import critical
 from momentforge.critical import (
     CLUSTER_DIST,
@@ -354,13 +355,45 @@ def factor_positive(value):
     return {k: v for k, v in out.items() if v}
 
 
+def reference_integer_combination(basis, target):
+    """Integers ``(N, D)`` in lowest terms, ``D > 0``, with
+    ``sum_k N_k basis[k] = D target``, or None when target lies outside the
+    span of the (independent) integer basis vectors: a Gauss-Jordan solve by
+    cross-multiplication, as the package ran one per vector before its
+    one-pass echelon."""
+    r = len(basis)
+    w = len(target)
+    m = [[basis[k][row] for k in range(r)] + [target[row]] for row in range(w)]
+    row = 0
+    for col in range(r):
+        p = next((i for i in range(row, w) if m[i][col] != 0), None)
+        if p is None:
+            continue
+        m[row], m[p] = m[p], m[row]
+        prow = m[row]
+        pivot = prow[col]
+        for i in range(w):
+            if i != row and m[i][col] != 0:
+                factor = m[i][col]
+                m[i] = [pivot * a - factor * b for a, b in zip(m[i], prow)]
+        row += 1
+    if any(m[i][r] != 0 for i in range(row, w)):
+        return None
+    # row i now reads m[i][i] * N_i / D = m[i][r]: the basis is independent,
+    # so its pivots sit on the diagonal
+    denominator = abs(math.lcm(*(m[i][i] for i in range(r))))
+    numerators = [m[i][r] * (denominator // m[i][i]) for i in range(r)]
+    common = math.gcd(denominator, *numerators)
+    return tuple(x // common for x in numerators), denominator // common
+
+
 def reference_torus_canonical(f):
     support = sorted(f.terms, key=canonical_key)
     coeffs = [f.terms[a] for a in support]
     aug = [a + (1,) for a in support]
     chosen, combos = [], []
     for j, v in enumerate(aug):
-        combo = critical._integer_combination([aug[t] for t in chosen], v)
+        combo = reference_integer_combination([aug[t] for t in chosen], v)
         if combo is None:
             chosen.append(j)
             combos.append(None)
@@ -431,6 +464,46 @@ def test_torus_canonical_matches_the_per_call_plan(seed):
         for sigma in permutations(range(n)):
             g = permute(sigma, f)
             assert repr(critical.torus_canonical(g).terms) == repr(reference_torus_canonical(g))
+
+
+def reference_greedy_basis(vectors):
+    """The per-vector loop that one echelon replaced: a fresh
+    ``reference_integer_combination`` over the vectors taken so far."""
+    chosen, combos = [], []
+    for j, v in enumerate(vectors):
+        combo = reference_integer_combination([vectors[t] for t in chosen], v)
+        if combo is None:
+            chosen.append(j)
+        combos.append(combo)
+    return tuple(chosen), tuple(combos)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_greedy_basis_matches_the_per_vector_loop(seed):
+    # up to 8 vectors in 3-5 dimensions: zero vectors, repeats, and vectors
+    # in the span of a few others, so that most lists are rank-deficient
+    rng = random.Random(seed)
+    deficient = 0
+    for _ in range(250):
+        dim = rng.randint(3, 5)
+        spanning = [tuple(rng.randint(-4, 4) for _ in range(dim)) for _ in range(rng.randint(1, dim))]
+        vectors = []
+        for _ in range(rng.randint(0, 8)):
+            kind = rng.random()
+            if kind < 0.1:
+                vectors.append((0,) * dim)
+            elif kind < 0.2 and vectors:
+                vectors.append(rng.choice(vectors))
+            elif kind < 0.6:
+                weights = [rng.randint(-3, 3) for _ in spanning]
+                vectors.append(tuple(sum(w * v[i] for w, v in zip(weights, spanning))
+                                     for i in range(dim)))
+            else:
+                vectors.append(tuple(rng.randint(-5, 5) for _ in range(dim)))
+        expected = reference_greedy_basis(vectors)
+        assert critical._greedy_basis(vectors) == expected, vectors
+        deficient += len(expected[0]) < len(vectors)
+    assert deficient >= 100
 
 
 def test_torus_magnitude_with_prime_factors_beyond_trial_division():
@@ -592,6 +665,59 @@ def test_verify_critical_rejects_a_non_finite_gradient(terms):
     f = SparsePoly.make(3, 3, terms)
     with pytest.raises(ValueError, match="beyond the floating-point range"):
         critical.verify_critical(f)
+
+
+# ---------------------------------------------------------------------------
+# exact verification by the integer u-form, against the gradient's Fractions
+
+
+def rational_near(rng, exponent):
+    """A signed rational within about a hundred of ``10^exponent``: integers
+    of up to 20 digits, and the power of ten in the numerator or the
+    denominator, so both stay below ``10^400`` for ``|exponent| <= 380``."""
+    k = exponent + rng.randint(-2, 2)
+    numerator = rng.choice([-1, 1]) * rng.randint(1, 10 ** rng.randint(0, 20)) * 10 ** max(k, 0)
+    return Fraction(numerator, rng.randint(1, 10 ** rng.randint(0, 20)) * 10 ** max(-k, 0))
+
+
+def test_verify_critical_matches_the_fraction_gradient():
+    # on the supports of the 457 diagonal families of (3,3), (3,4), (3,5) and
+    # (4,3) with 2-4 terms; one scale per form, so that the largest entry
+    # spreads over and beyond the float range (it has degree -1)
+    supports = [(family.poly.n, family.poly.d, tuple(family.poly.terms))
+                for n, d in ((3, 3), (3, 4), (3, 5), (4, 3)) for m in (2, 3, 4)
+                for family in diagonal_families(n, d, m)]
+    assert len(supports) == 457
+    rng = random.Random(2500)
+    kinds = {"ValueError": 0, "0.0": 0, "subnormal": 0, "normal": 0}
+    for _ in range(1200):
+        n, d, support = rng.choice(supports)
+        exponent = rng.randint(-380, 380)
+        f = SparsePoly(n, d, {a: rational_near(rng, exponent) for a in support})
+        expected = reference_verify_critical(f)
+        assert verify_outcome(critical.verify_critical, f) == expected, f
+        kind = expected if expected in kinds else (
+            "subnormal" if float(expected) < sys.float_info.min else "normal")
+        kinds[kind] += 1
+    assert min(kinds.values()) >= 10, kinds
+
+
+CUBIC = {(3, 0, 0): 1, (0, 3, 0): 1, (1, 1, 1): 1}  # x^3 + y^3 + xyz
+
+
+@pytest.mark.parametrize("terms, expected", [
+    (CUBIC, "1.573054164770141"),
+    ({a: Fraction(1, 10**308) for a in CUBIC}, "1.573054164770141e+308"),  # below the largest float
+    ({a: Fraction(1, 2 * 10**308) for a in CUBIC}, "ValueError"),  # above it
+    ({a: Fraction(1, 10**400) for a in CUBIC}, "ValueError"),
+    ({a: Fraction(10**310) for a in CUBIC}, "1.57305416477016e-310"),  # subnormal: 15 digits
+    ({a: Fraction(10**400) for a in CUBIC}, "0.0"),  # underflows
+    # critical, with centroid sums that vanish exactly
+    ({(3, 0, 0): Fraction(10**400), (0, 3, 0): Fraction(1, 10**400)}, "0.0"),
+])
+def test_verify_critical_at_the_edges_of_the_float_range(terms, expected):
+    f = SparsePoly(3, 3, terms)
+    assert verify_outcome(critical.verify_critical, f) == reference_verify_critical(f) == expected
 
 
 # ---------------------------------------------------------------------------

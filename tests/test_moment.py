@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -7,6 +8,7 @@ import pytest
 import sympy
 
 from conftest import random_rational_poly, scale_poly
+from momentforge import cli
 from momentforge.critical import solve_family, verify_critical
 from momentforge.diagonal import diagonal_families
 from momentforge.fixtures import CRITICAL_CUBICS, CRITICAL_QUARTICS, critical_fixture_poly, mono
@@ -14,6 +16,7 @@ from momentforge.moment import (
     _float_numerators,
     _float_plan,
     _inner_products,
+    _divided,
     _Jet,
     _jet_numerators,
     _moment_numerators,
@@ -559,6 +562,77 @@ class TestIntegerUForm:
             got = gradient(f)
             assert got == [numer / denominator for numer in numerators], f
             assert all(type(g) is Fraction for g in got)
+
+
+def reference_integer_u_form(lifted):
+    """Reference: ``moment._u_form`` with the ``_centroid_sums`` it called
+    before the polynomial sums were folded into one dict, where every step
+    builds a new polynomial."""
+    support = [alpha for alpha, _ in lifted]
+    factorials = [prod(map(factorial, alpha)) for alpha in support]
+    u = [c * c * k for (_, c), k in zip(lifted, factorials)]
+    pairs = [
+        (j, k, sum(x * y for x, y in zip(support[j], support[k])), u[j] * u[k])
+        for j in range(len(u))
+        for k in range(j, len(u))
+    ]
+    sums = []
+    for a in support:
+        a_dot = [sum(x * y for x, y in zip(a, b)) for b in support]
+        inner = 0
+        for j, k, b_dot_c, product in pairs:
+            coeff = a_dot[j] - b_dot_c if j == k else a_dot[j] + a_dot[k] - 2 * b_dot_c
+            if coeff:
+                inner = inner + product * coeff
+        sums.append(inner)
+    return sum(u), {a: c * k * s for (a, c), k, s in zip(lifted, factorials, sums)}
+
+
+def reference_integer_gradient_symbolic(family):
+    """``gradient_symbolic`` on a support with no root difference, over
+    ``reference_integer_u_form``."""
+    zero, coeffs = _parametric(family)
+    n, d = family.n, family.d
+    scale = math.lcm(*(v.denominator for _, c in coeffs for v in c.terms.values()))
+    lifted = [(a, ParamPoly._trusted(zero.nsyms, {e: v.numerator * (scale // v.denominator)
+                                                  for e, v in c.terms.items()}))
+              for a, c in coeffs]
+    norm, parts = reference_integer_u_form(lifted)
+    cube = factorial(d) ** 3 * scale**5
+    numerators = [_divided(parts[a], 16 * d * d, cube) if a in parts else zero
+                  for a in enumerate_monomials(n, d)]
+    return numerators, _divided(norm * norm * norm, d * d, cube * scale)
+
+
+class TestFoldedCentroidSums:
+    """The polynomial centroid sums folded into one dict against the fold
+    that built a new polynomial per term: equal terms in the same order."""
+
+    def test_every_diagonal_family_term_by_term(self):
+        families = [fam.poly for n, d in TestIntegerUForm.SHAPES for m in (2, 3, 4)
+                    for fam in diagonal_families(n, d, m)]
+        assert len(families) == 457
+        for family in families:
+            expected = reference_integer_gradient_symbolic(family)
+            assert in_term_order(gradient_symbolic(family)) == in_term_order(expected), family
+
+    def test_non_monomial_coefficients_through_grad(self, tmp_path, capsys):
+        # (b1 + b2) x^3 + b1 y^3 + x y z: sums in which terms cancel
+        b1 = {"exp": [1, 0], "coeff": "1"}
+        b2 = {"exp": [0, 1], "coeff": "1"}
+        body = {"n": 3, "d": 3, "terms": [
+            {"exp": [3, 0, 0], "coeff": {"nsyms": 2, "params": [b1, b2]}},
+            {"exp": [0, 3, 0], "coeff": {"nsyms": 2, "params": [b1]}},
+            {"exp": [1, 1, 1], "coeff": "1"},
+        ]}
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps(body))
+        family = cli._load_poly(str(path))
+        numerators, denominator = expected = reference_integer_gradient_symbolic(family)
+        assert in_term_order(gradient_symbolic(family)) == in_term_order(expected)
+        assert cli.main(["grad", "--poly", str(path), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "denominator": str(denominator), "numerators": [str(e) for e in numerators]}
 
 
 def float_quotients(p, norm2, d, size):
