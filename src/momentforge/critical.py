@@ -47,17 +47,21 @@ used when comparing against published lists.
 Before any of that, ``solve_family`` asks ``critical_set`` for the family's
 real critical set in closed form.  Both take only supports in which no two
 exponents differ by a root e_i - e_j (every identically diagonal family), and
-raise ``ValueError`` for any other.  In the u-form of
-``moment`` the set is the open polytope {u > 0, sum u = 1,
-sum u_a a = p_S}, decided in exact rationals; where it is empty the family
-gets ``[]`` and no gradient system is built.  This does not change the
-output.  An empty set means no real point with every parameter nonzero has
-a zero gradient, and every solution the solver reports has nonzero
-parameters and a zero gradient: exactly for rational points, and for
-algebraic and float points up to the residual check, which is why it was
-also measured.  On all 457 diagonal families of (3,3), (3,4), (3,5) and
-(4,3) with 2 to 4 terms, the unfiltered solver returned ``[]`` on each of
-the 128 empty sets (the tests repeat this on 84 of them).
+raise ``ValueError`` for any other.  In the u-form of ``moment`` the set is
+the open polytope {u > 0, sum u = 1, sum u_a a = p_S}, decided in exact
+rationals.  Two kinds of family skip elimination without changing the output.
+Where the set is empty the family gets ``[]``: no real point with every
+parameter nonzero has a zero gradient, and every solution the solver reports
+has nonzero parameters and a zero gradient (exactly for rational points, up
+to the residual check for the others, so this was also measured: the
+unfiltered solver returned ``[]`` on each of the 128 empty sets among the 457
+diagonal families of (3,3), (3,4), (3,5) and (4,3) with 2 to 4 terms).
+Where the set is one point in at most two unknowns and every
+b_k^2 = (u_k / w(a_k)) / (u_pin / w(pin)) is the square of a rational, the
+solver finds those exact roots as ``Fraction``s; their sign patterns are
+merged by exact torus class with ``solve_real``'s score, verified to 0.0 and
+sorted by its key, so the same bytes print.  Irrational points,
+positive-dimensional sets and three unknowns stay on elimination and Newton.
 """
 
 from __future__ import annotations
@@ -87,6 +91,7 @@ from .polyring import (
     canonical_key,
     substitute_params,
 )
+from .symd import weight
 
 RESIDUAL_TOL = 1e-9  # the largest accepted residual, and the merge distance
 INTERVAL_WIDTH = Fraction(1, 10**12)
@@ -851,10 +856,45 @@ def solve_real(family: ParamFamily, equations: tuple[ParamPoly, ...]) -> list[Cr
     return solutions
 
 
+def _rational_roots(cs: CriticalSet) -> list[Fraction] | None:
+    """|b_k| at a one-point critical set; None unless every b_k^2 is the square of a rational."""
+    c2 = [u / weight(a) for u, a in zip(cs.point, cs.family.display_terms())]
+    roots = []
+    for q in (c / c2[-1] for c in c2[:-1]):
+        num, den = _exact_root(q.numerator, 2), _exact_root(q.denominator, 2)
+        if num is None or den is None:
+            return None
+        roots.append(Fraction(num, den))
+    return roots
+
+
+def _sign_pattern_solutions(family: ParamFamily, roots: list[Fraction]) -> list[CriticalSolution]:
+    """``solve_real``'s output on the sign patterns of ``roots``: the least
+    score of each exact torus class, verified to 0.0, sorted alike."""
+    best: dict = {}
+    for signs in product((1, -1), repeat=len(roots)):
+        values = tuple(s * r for s, r in zip(signs, roots))
+        poly = substitute_params(family.poly, values)
+        canonical = torus_canonical(poly)
+        coeffs = tuple(float(poly.terms[a]) for a in sorted(poly.terms, key=canonical_key))
+        score = (0 if all(v > 0 for v in values) else 1, coeffs)
+        key = frozenset(canonical.terms.items())
+        if key not in best or score < best[key][0]:
+            best[key] = (score, CriticalSolution(family, values, 0.0, canonical), poly)
+    for _, _, poly in best.values():
+        if verify_critical(poly) != 0.0:
+            raise ArithmeticError(f"{family}: a closed-form point is not critical")
+    return sorted((sol for _, sol, _ in best.values()), key=lambda s: tuple(map(float, s.values)))
+
+
 def solve_family(family: ParamFamily) -> list[CriticalSolution]:
-    """``solve_real`` on the family's ``gradient_system``, or ``[]`` without
-    building it when the closed-form critical set is empty; a ``ValueError``
-    for a support with a root difference, as from ``critical_set``."""
-    if critical_set(family).is_empty:
+    """``solve_real``'s solutions, found without elimination for an empty
+    closed-form set and for one rational point in at most two unknowns (see
+    the module docstring); a ``ValueError`` for a support with a root difference."""
+    cs = critical_set(family)
+    if cs.is_empty:
         return []
+    roots = _rational_roots(cs) if cs.dimension == 0 and family.nparams <= 2 else None
+    if roots is not None:
+        return _sign_pattern_solutions(family, roots)
     return solve_real(family, gradient_system(family))

@@ -200,9 +200,14 @@ def _parametric(f: SparsePoly) -> tuple[ParamPoly, list]:
 
 
 def _float_scaled(f: SparsePoly) -> tuple[int, dict]:
-    """``e`` and the float coefficients of ``f / 2^e`` (see the module docstring)."""
-    shift = max(frexp(float(c))[1] for c in f.terms.values())
-    return shift, {alpha: ldexp(float(c), -shift) for alpha, c in f.terms.items()}
+    """``e`` and the float coefficients of ``f / 2^e`` (see the module docstring);
+    a ``ValueError`` for a rational coefficient beyond the float range."""
+    try:
+        floats = {alpha: float(c) for alpha, c in f.terms.items()}
+    except OverflowError:
+        raise ValueError("a coefficient is beyond the floating-point range") from None
+    shift = max(frexp(c)[1] for c in floats.values())
+    return shift, {alpha: ldexp(c, -shift) for alpha, c in floats.items()}
 
 
 def moment_matrix(f: SparsePoly) -> tuple[tuple[Scalar, ...], ...]:

@@ -20,7 +20,7 @@ from itertools import combinations, permutations, product
 import pytest
 
 from conftest import reference_verify_critical, verify_outcome
-from momentforge import critical
+from momentforge import critical, moment
 from momentforge.critical import (
     CLUSTER_DIST,
     NEWTON_STEP_TOL,
@@ -665,6 +665,18 @@ def test_verify_critical_rejects_a_non_finite_gradient(terms):
     f = SparsePoly.make(3, 3, terms)
     with pytest.raises(ValueError, match="beyond the floating-point range"):
         critical.verify_critical(f)
+
+
+@pytest.mark.parametrize("entry", [
+    critical.verify_critical, critical.fixed_point_check,
+    moment.moment_matrix, moment.gradient, moment.square_length,
+], ids=lambda entry: entry.__name__)
+def test_a_rational_beyond_the_float_range_beside_a_float(entry):
+    # the float layers convert every coefficient; the conversion of 10^400
+    # ended in a bare OverflowError
+    f = SparsePoly(3, 3, {(3, 0, 0): Fraction(10**400), (0, 3, 0): 0.5})
+    with pytest.raises(ValueError, match="^a coefficient is beyond the floating-point range$"):
+        entry(f)
 
 
 # ---------------------------------------------------------------------------

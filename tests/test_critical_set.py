@@ -11,7 +11,7 @@ import pytest
 import sympy
 from sympy.solvers.simplex import InfeasibleLPError, linprog
 
-from momentforge import critical
+from momentforge import cli, critical
 from momentforge.critical import (
     AlgebraicNumber,
     _strictly_feasible,
@@ -254,6 +254,59 @@ def test_empty_set_skips_the_gradient_system(monkeypatch, closed_forms):
     family = next(f for f, cs in closed_forms[3, 5, 3] if cs.is_empty)
     monkeypatch.setattr(critical, "gradient_system", None)
     assert solve_family(family) == []
+
+
+# how many families of each case have one critical point, in at most two
+# unknowns, with every b_k^2 the square of a rational
+RATIONAL_POINT_COUNTS = {(3, 3, 2): 2, (3, 3, 3): 2, (3, 4, 2): 5, (3, 4, 3): 5,
+                         (3, 5, 2): 8, (3, 5, 3): 5, (4, 3, 2): 2, (4, 3, 3): 3}
+
+
+def is_rational_square(q):
+    return all(math.isqrt(k) ** 2 == k for k in (q.numerator, q.denominator))
+
+
+def rational_point_families(n, d, m):
+    """The families that ``solve_family`` answers from the closed form."""
+    return [
+        f for f in diagonal_families(n, d, m)
+        for cs in [critical_set(f)]
+        if not cs.is_empty and cs.dimension == 0 and f.nparams <= 2
+        and all(map(is_rational_square, pinned_squares(cs)))
+    ]
+
+
+@pytest.mark.parametrize("n, d, m", RATIONAL_POINT_COUNTS)
+def test_rational_points_build_no_gradient_system(n, d, m, monkeypatch):
+    families = rational_point_families(n, d, m)
+    assert len(families) == RATIONAL_POINT_COUNTS[n, d, m]
+
+    def refuse(family):
+        raise AssertionError(f"{family}: the gradient system was built")
+
+    monkeypatch.setattr(critical, "gradient_system", refuse)
+    for family in families:
+        assert solve_family(family), family
+    # every other nonempty family still goes through elimination
+    others = [f for f in diagonal_families(n, d, m)
+              if f not in families and not critical_set(f).is_empty]
+    for family in others:
+        with pytest.raises(AssertionError, match="the gradient system was built"):
+            solve_family(family)
+
+
+def critical_json(capsys, n, d, m):
+    assert cli.main(["critical", "--n", str(n), "--d", str(d), "--terms", str(m), "--json"]) == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("n, d, m", RATIONAL_POINT_COUNTS)
+def test_rational_points_print_the_bytes_of_elimination(n, d, m, monkeypatch, capsys):
+    printed = critical_json(capsys, n, d, m)
+    rational = rational_point_families(n, d, m)
+    monkeypatch.setattr(cli, "solve_family",
+                        lambda f: unfiltered(f) if f in rational else solve_family(f))
+    assert critical_json(capsys, n, d, m) == printed
 
 
 @pytest.mark.parametrize("seed", range(40))
