@@ -49,19 +49,26 @@ real critical set in closed form.  Both take only supports in which no two
 exponents differ by a root e_i - e_j (every identically diagonal family), and
 raise ``ValueError`` for any other.  In the u-form of ``moment`` the set is
 the open polytope {u > 0, sum u = 1, sum u_a a = p_S}, decided in exact
-rationals.  Two kinds of family skip elimination without changing the output.
-Where the set is empty the family gets ``[]``: no real point with every
-parameter nonzero has a zero gradient, and every solution the solver reports
-has nonzero parameters and a zero gradient (exactly for rational points, up
-to the residual check for the others, so this was also measured: the
-unfiltered solver returned ``[]`` on each of the 128 empty sets among the 457
-diagonal families of (3,3), (3,4), (3,5) and (4,3) with 2 to 4 terms).
-Where the set is one point in at most two unknowns and every
-b_k^2 = (u_k / w(a_k)) / (u_pin / w(pin)) is the square of a rational, the
-solver finds those exact roots as ``Fraction``s; their sign patterns are
-merged by exact torus class with ``solve_real``'s score, verified to 0.0 and
-sorted by its key, so the same bytes print.  Irrational points,
-positive-dimensional sets and three unknowns stay on elimination and Newton.
+rationals.  Two kinds of family skip the solver's candidate grid without
+changing the output.  Where the set is empty the family gets ``[]``: no real
+point with every parameter nonzero has a zero gradient, and every solution
+the solver reports has nonzero parameters and a zero gradient (exactly for
+rational points, up to the residual check for the others, so this was also
+measured: the unfiltered solver returned ``[]`` on each of the 128 empty sets
+among the 457 diagonal families of (3,3), (3,4), (3,5) and (4,3) with 2 to 4
+terms).  Where the set is one point in at most two unknowns, each b_k^2 is
+q_k = (u_k / w(a_k)) / (u_pin / w(pin)), so the points are the sign patterns
+of b_k = +-sqrt(q_k) and need no candidate grid.  A rational sqrt(q_k) is the
+``Fraction`` the solver found.  Otherwise elimination only spells it: the
+projection the solver isolates (the one equation, or a resultant) is checked
+to vanish at sqrt(q_k), and only the two intervals holding -sqrt(q_k) and
+sqrt(q_k), decided in integers, are refined, to the solver's polynomial and
+interval.  Its other candidates are off the critical set and were dropped by
+its filters (the tests compare the bytes on all 124 such families of (3,3),
+(3,4), (3,5) and (4,3) with 2 and 3 terms).  The patterns are merged, scored,
+verified and sorted as the solver does, so the same bytes print.  Pencils
+with an identically zero resultant stay on the solver, and so do
+positive-dimensional sets and three unknowns.
 """
 
 from __future__ import annotations
@@ -856,45 +863,77 @@ def solve_real(family: ParamFamily, equations: tuple[ParamPoly, ...]) -> list[Cr
     return solutions
 
 
-def _rational_roots(cs: CriticalSet) -> list[Fraction] | None:
-    """|b_k| at a one-point critical set; None unless every b_k^2 is the square of a rational."""
-    c2 = [u / weight(a) for u, a in zip(cs.point, cs.family.display_terms())]
+def _signed_roots(p: uni.UPoly, q: Fraction) -> list[AlgebraicNumber]:
+    """-sqrt(q) and sqrt(q), q not a rational square, as ``_roots_of_upoly``
+    gives them as roots of ``p``, refining only the two intervals that hold them."""
+    p = uni.squarefree_part(p)
+    # p(sqrt(q)) = E(q) + sqrt(q) O(q), p(x) = E(x^2) + x O(x^2), and E(q), O(q) are rational
+    if uni.sign_at(p[0::2], q) or uni.sign_at(p[1::2], q):
+        raise ArithmeticError(f"sqrt({q}) is not a root of the projection")
+
+    def rank(x: Fraction) -> int:  # how many of -sqrt(q), sqrt(q) lie below x; x * x != q
+        a, b = x.numerator, x.denominator
+        return 1 if a * a * q.denominator < q.numerator * b * b else 2 * (a > 0)
+
+    intervals = uni.isolate_real_roots(p)
+    ranks = [(rank(lo), rank(hi)) for lo, hi in intervals]
     roots = []
-    for q in (c / c2[-1] for c in c2[:-1]):
-        num, den = _exact_root(q.numerator, 2), _exact_root(q.denominator, 2)
-        if num is None or den is None:
-            return None
-        roots.append(Fraction(num, den))
+    for t in (0, 1):  # -sqrt(q), then sqrt(q)
+        held = [interval for interval, (r, s) in zip(intervals, ranks) if r <= t < s]
+        if len(held) != 1:
+            raise ArithmeticError(f"{len(held)} isolating intervals hold a square root of {q}")
+        lo, hi = uni.refine_interval(p, *held[0], INTERVAL_WIDTH)
+        roots.append(AlgebraicNumber(tuple(p), lo, hi, float((lo + hi) / 2)))
     return roots
 
 
-def _sign_pattern_solutions(family: ParamFamily, roots: list[Fraction]) -> list[CriticalSolution]:
-    """``solve_real``'s output on the sign patterns of ``roots``: the least
-    score of each exact torus class, verified to 0.0, sorted alike."""
-    best: dict = {}
-    for signs in product((1, -1), repeat=len(roots)):
-        values = tuple(s * r for s, r in zip(signs, roots))
-        poly = substitute_params(family.poly, values)
+def _point_solutions(family: ParamFamily, cs: CriticalSet) -> list[CriticalSolution]:
+    """``solve_real``'s output at a one-point critical set in at most two
+    unknowns, from b_k^2 = q_k (see the module docstring)."""
+    c2 = [u / weight(a) for u, a in zip(cs.point, family.display_terms())]
+    squares = [c / c2[-1] for c in c2[:-1]]
+    roots = [(_exact_root(q.numerator, 2), _exact_root(q.denominator, 2)) for q in squares]
+    pairs = [None if None in r else (-Fraction(*r), Fraction(*r)) for r in roots]
+    if None in pairs:
+        equations = gradient_system(family)
+        if len(pairs) == 1:
+            (eq,) = equations
+            projections = [uni.trim(eq.univariate())]
+        else:
+            ranked = sorted(equations, key=lambda e: (e.total_degree(), len(e.terms)))
+            # eliminating b2 leaves b1 values, and eliminating b1 leaves b2 values
+            projections = [_eliminate_direction(ranked, 1), _eliminate_direction(ranked, 0)]
+            if None in projections:
+                return solve_real(family, equations)  # a degenerate pencil: Newton
+        pairs = [pair or _signed_roots(p, q) for pair, p, q in zip(pairs, projections, squares)]
+
+    # solve_real's merge: the first torus class within RESIDUAL_TOL, and the least score
+    kept: list[tuple] = []  # (score, values, poly, canonical form) per class
+    for values in product(*pairs):
+        poly = _substitute_values(family, values)
         canonical = torus_canonical(poly)
         coeffs = tuple(float(poly.terms[a]) for a in sorted(poly.terms, key=canonical_key))
-        score = (0 if all(v > 0 for v in values) else 1, coeffs)
-        key = frozenset(canonical.terms.items())
-        if key not in best or score < best[key][0]:
-            best[key] = (score, CriticalSolution(family, values, 0.0, canonical), poly)
-    for _, _, poly in best.values():
-        if verify_critical(poly) != 0.0:
+        score = (0 if all(float(v) > 0 for v in values) else 1, coeffs)
+        k = next((k for k, c in enumerate(kept) if polys_close(c[3], canonical)), len(kept))
+        if k == len(kept) or score < kept[k][0]:
+            kept[k:k + 1] = [(score, values, poly, canonical)]
+    solutions = []
+    for _, values, poly, canonical in kept:
+        residual = verify_critical(poly)
+        if residual > (0.0 if all(isinstance(v, Fraction) for v in values) else RESIDUAL_TOL):
             raise ArithmeticError(f"{family}: a closed-form point is not critical")
-    return sorted((sol for _, sol, _ in best.values()), key=lambda s: tuple(map(float, s.values)))
+        solutions.append(CriticalSolution(family, values, residual, canonical))
+    return sorted(solutions, key=lambda s: tuple(map(float, s.values)))
 
 
 def solve_family(family: ParamFamily) -> list[CriticalSolution]:
     """``solve_real``'s solutions, found without elimination for an empty
-    closed-form set and for one rational point in at most two unknowns (see
-    the module docstring); a ``ValueError`` for a support with a root difference."""
+    closed-form set, and without the candidate grid for one point in at most
+    two unknowns (see the module docstring); a ``ValueError`` for a support
+    with a root difference."""
     cs = critical_set(family)
     if cs.is_empty:
         return []
-    roots = _rational_roots(cs) if cs.dimension == 0 and family.nparams <= 2 else None
-    if roots is not None:
-        return _sign_pattern_solutions(family, roots)
+    if cs.dimension == 0 and family.nparams <= 2:
+        return _point_solutions(family, cs)
     return solve_real(family, gradient_system(family))

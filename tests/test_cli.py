@@ -96,6 +96,20 @@ def test_critical_json_bytes_are_stable_four_terms(n, d, critical_runs):
     check_critical_json(critical_runs, n, d, "4")
 
 
+# two-term cases answered from the closed form, rational and algebraic
+# points alike; kept out of ``critical_runs``, whose outputs are counted
+TWO_TERM_CRITICAL_JSON_SHA256 = {
+    (3, 5, "2"): "9f80ab34c7b3cd641e19a694258d80f15de417b24e6725f3e8a6e8096a17075c",
+    (4, 3, "2"): "27d0784f3d36db0bd1a33218ac967a27cf8f5fef4556b56eca718fbef9d7b447",
+}
+
+
+@pytest.mark.parametrize("n, d, terms", sorted(TWO_TERM_CRITICAL_JSON_SHA256))
+def test_critical_json_bytes_are_stable_two_terms(n, d, terms):
+    out, _ = run_critical(n, d, terms)
+    assert sha256_of(out) == TWO_TERM_CRITICAL_JSON_SHA256[n, d, terms]
+
+
 def test_every_solver_output_is_a_fixed_point(critical_runs):
     # independent certificate: exp(m(f)) fixes each output projectively
     outputs = [sol for _, solutions in critical_runs.values() for sol in solutions]

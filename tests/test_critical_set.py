@@ -256,8 +256,10 @@ def test_empty_set_skips_the_gradient_system(monkeypatch, closed_forms):
     assert solve_family(family) == []
 
 
-# how many families of each case have one critical point, in at most two
-# unknowns, with every b_k^2 the square of a rational
+# how many families of each case have one critical point in at most two
+# unknowns, and how many of those have every b_k^2 the square of a rational
+POINT_COUNTS = {(3, 3, 2): 3, (3, 3, 3): 4, (3, 4, 2): 11, (3, 4, 3): 17,
+                (3, 5, 2): 22, (3, 5, 3): 51, (4, 3, 2): 4, (4, 3, 3): 12}
 RATIONAL_POINT_COUNTS = {(3, 3, 2): 2, (3, 3, 3): 2, (3, 4, 2): 5, (3, 4, 3): 5,
                          (3, 5, 2): 8, (3, 5, 3): 5, (4, 3, 2): 2, (4, 3, 3): 3}
 
@@ -266,32 +268,56 @@ def is_rational_square(q):
     return all(math.isqrt(k) ** 2 == k for k in (q.numerator, q.denominator))
 
 
-def rational_point_families(n, d, m):
-    """The families that ``solve_family`` answers from the closed form."""
+def point_families(n, d, m):
+    """The families that ``solve_family`` answers from the closed form, with
+    their critical sets."""
     return [
-        f for f in diagonal_families(n, d, m)
+        (f, cs) for f in diagonal_families(n, d, m)
         for cs in [critical_set(f)]
         if not cs.is_empty and cs.dimension == 0 and f.nparams <= 2
-        and all(map(is_rational_square, pinned_squares(cs)))
     ]
+
+
+def rational_point_families(n, d, m):
+    """The point families with no elimination at all."""
+    return [f for f, cs in point_families(n, d, m)
+            if all(map(is_rational_square, pinned_squares(cs)))]
+
+
+def refuse(name):
+    def refused(*args):
+        raise AssertionError(f"{name} was called")
+    return refused
 
 
 @pytest.mark.parametrize("n, d, m", RATIONAL_POINT_COUNTS)
 def test_rational_points_build_no_gradient_system(n, d, m, monkeypatch):
     families = rational_point_families(n, d, m)
     assert len(families) == RATIONAL_POINT_COUNTS[n, d, m]
-
-    def refuse(family):
-        raise AssertionError(f"{family}: the gradient system was built")
-
-    monkeypatch.setattr(critical, "gradient_system", refuse)
+    monkeypatch.setattr(critical, "gradient_system", refuse("gradient_system"))
     for family in families:
         assert solve_family(family), family
-    # every other nonempty family still goes through elimination
+    # every other nonempty family still builds its equations
     others = [f for f in diagonal_families(n, d, m)
               if f not in families and not critical_set(f).is_empty]
     for family in others:
-        with pytest.raises(AssertionError, match="the gradient system was built"):
+        with pytest.raises(AssertionError, match="gradient_system was called"):
+            solve_family(family)
+
+
+@pytest.mark.parametrize("n, d, m", POINT_COUNTS)
+def test_isolated_points_skip_the_candidate_grid(n, d, m, monkeypatch):
+    families = [f for f, _ in point_families(n, d, m)]
+    assert len(families) == POINT_COUNTS[n, d, m]
+    for name in ("_roots_of_upoly", "_candidate_passes", "_newton_candidates"):
+        monkeypatch.setattr(critical, name, refuse(name))
+    for family in families:
+        assert solve_family(family), family
+    # positive-dimensional sets and three unknowns still take the grid or Newton
+    others = [f for f in diagonal_families(n, d, m)
+              if f not in families and not critical_set(f).is_empty]
+    for family in others:
+        with pytest.raises(AssertionError, match="was called"):
             solve_family(family)
 
 
@@ -300,12 +326,13 @@ def critical_json(capsys, n, d, m):
     return capsys.readouterr().out
 
 
-@pytest.mark.parametrize("n, d, m", RATIONAL_POINT_COUNTS)
+# every point family, rational or not, prints what elimination prints
+@pytest.mark.parametrize("n, d, m", POINT_COUNTS)
 def test_rational_points_print_the_bytes_of_elimination(n, d, m, monkeypatch, capsys):
     printed = critical_json(capsys, n, d, m)
-    rational = rational_point_families(n, d, m)
+    points = [f for f, _ in point_families(n, d, m)]
     monkeypatch.setattr(cli, "solve_family",
-                        lambda f: unfiltered(f) if f in rational else solve_family(f))
+                        lambda f: unfiltered(f) if f in points else solve_family(f))
     assert critical_json(capsys, n, d, m) == printed
 
 
