@@ -60,15 +60,16 @@ terms).  Where the set is one point in at most two unknowns, each b_k^2 is
 q_k = (u_k / w(a_k)) / (u_pin / w(pin)), so the points are the sign patterns
 of b_k = +-sqrt(q_k) and need no candidate grid.  A rational sqrt(q_k) is the
 ``Fraction`` the solver found.  Otherwise elimination only spells it: the
-projection the solver isolates (the one equation, or a resultant) is checked
-to vanish at sqrt(q_k), and only the two intervals holding -sqrt(q_k) and
-sqrt(q_k), decided in integers, are refined, to the solver's polynomial and
-interval.  Its other candidates are off the critical set and were dropped by
-its filters (the tests compare the bytes on all 124 such families of (3,3),
-(3,4), (3,5) and (4,3) with 2 and 3 terms).  The patterns are merged, scored,
-verified and sorted as the solver does, so the same bytes print.  Pencils
-with an identically zero resultant stay on the solver, and so do
-positive-dimensional sets and three unknowns.
+projection the solver isolates (the one equation, or a resultant) is taken
+in b_k^2, as every equation is even in each b_k, and checked to vanish at q_k.
+Only the two intervals holding -sqrt(q_k) and sqrt(q_k) are refined, to the
+solver's polynomial and interval, by a bisection decided against q_k, as each
+holds one simple irrational root.  The solver's other candidates are off the
+critical set and were dropped by its filters (the tests compare the bytes on
+all 124 such families of (3,3), (3,4), (3,5) and (4,3) with 2 and 3 terms).
+The patterns are merged, scored, verified and sorted as the solver does, so
+the same bytes print.  Pencils with an identically zero resultant stay on the
+solver, and so do positive-dimensional sets and three unknowns.
 """
 
 from __future__ import annotations
@@ -863,45 +864,58 @@ def solve_real(family: ParamFamily, equations: tuple[ParamPoly, ...]) -> list[Cr
     return solutions
 
 
-def _signed_roots(p: uni.UPoly, q: Fraction) -> list[AlgebraicNumber]:
+def _signed_roots(projection: uni.UPoly, q: Fraction) -> list[AlgebraicNumber]:
     """-sqrt(q) and sqrt(q), q not a rational square, as ``_roots_of_upoly``
-    gives them as roots of ``p``, refining only the two intervals that hold them."""
-    p = uni.squarefree_part(p)
-    # p(sqrt(q)) = E(q) + sqrt(q) O(q), p(x) = E(x^2) + x O(x^2), and E(q), O(q) are rational
-    if uni.sign_at(p[0::2], q) or uni.sign_at(p[1::2], q):
+    gives them as roots of p(x) = projection(x^2), refining only the two
+    intervals that hold them.  Each holds one simple irrational root of p, so
+    p at a midpoint has the sign of p at ``lo`` exactly when the midpoint lies
+    below that root: ``refine_interval``'s bisection is decided against q."""
+    if uni.sign_at(projection, q):
         raise ArithmeticError(f"sqrt({q}) is not a root of the projection")
+    p = uni.squarefree_part([c for x in projection for c in (x, 0)][:-1])
 
-    def rank(x: Fraction) -> int:  # how many of -sqrt(q), sqrt(q) lie below x; x * x != q
-        a, b = x.numerator, x.denominator
+    def rank(a: int, b: int) -> int:  # how many of -sqrt(q), sqrt(q) lie below a / b, b > 0
         return 1 if a * a * q.denominator < q.numerator * b * b else 2 * (a > 0)
 
     intervals = uni.isolate_real_roots(p)
-    ranks = [(rank(lo), rank(hi)) for lo, hi in intervals]
+    ranks = [(rank(*lo.as_integer_ratio()), rank(*hi.as_integer_ratio())) for lo, hi in intervals]
     roots = []
     for t in (0, 1):  # -sqrt(q), then sqrt(q)
         held = [interval for interval, (r, s) in zip(intervals, ranks) if r <= t < s]
         if len(held) != 1:
             raise ArithmeticError(f"{len(held)} isolating intervals hold a square root of {q}")
-        lo, hi = uni.refine_interval(p, *held[0], INTERVAL_WIDTH)
+        lo, hi = held[0]
+        den = lcm(lo.denominator, hi.denominator)
+        a, b = lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator)
+        while (b - a) * INTERVAL_WIDTH.denominator > INTERVAL_WIDTH.numerator * den:
+            mid = a + b
+            a, b, den = 2 * a, 2 * b, 2 * den
+            a, b = (a, mid) if rank(mid, den) > t else (mid, b)
+        lo, hi = Fraction(a, den), Fraction(b, den)
         roots.append(AlgebraicNumber(tuple(p), lo, hi, float((lo + hi) / 2)))
     return roots
 
 
 def _point_solutions(family: ParamFamily, cs: CriticalSet) -> list[CriticalSolution]:
     """``solve_real``'s output at a one-point critical set in at most two
-    unknowns, from b_k^2 = q_k (see the module docstring)."""
+    unknowns, from b_k^2 = q_k (see the module docstring); projections are
+    taken in b_k^2, as Res_y(F(x^2, y^2), G(x^2, y^2)) = Res(F, G)(x^2)^2."""
     c2 = [u / weight(a) for u, a in zip(cs.point, family.display_terms())]
     squares = [c / c2[-1] for c in c2[:-1]]
     roots = [(_exact_root(q.numerator, 2), _exact_root(q.denominator, 2)) for q in squares]
     pairs = [None if None in r else (-Fraction(*r), Fraction(*r)) for r in roots]
     if None in pairs:
         equations = gradient_system(family)
+        if any(e % 2 for eq in equations for exp in eq.terms for e in exp):
+            raise ArithmeticError(f"{family}: an equation is odd in a parameter")
+        halved = [ParamPoly._trusted(eq.nsyms, {tuple(e // 2 for e in x): c
+                                                for x, c in eq.terms.items()}) for eq in equations]
         if len(pairs) == 1:
-            (eq,) = equations
+            (eq,) = halved
             projections = [uni.trim(eq.univariate())]
         else:
-            ranked = sorted(equations, key=lambda e: (e.total_degree(), len(e.terms)))
-            # eliminating b2 leaves b1 values, and eliminating b1 leaves b2 values
+            ranked = sorted(halved, key=lambda e: (e.total_degree(), len(e.terms)))
+            # eliminating b2^2 leaves b1^2 values, and eliminating b1^2 leaves b2^2 values
             projections = [_eliminate_direction(ranked, 1), _eliminate_direction(ranked, 0)]
             if None in projections:
                 return solve_real(family, equations)  # a degenerate pencil: Newton

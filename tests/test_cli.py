@@ -96,18 +96,23 @@ def test_critical_json_bytes_are_stable_four_terms(n, d, critical_runs):
     check_critical_json(critical_runs, n, d, "4")
 
 
-# two-term cases answered from the closed form, rational and algebraic
-# points alike; kept out of ``critical_runs``, whose outputs are counted
-TWO_TERM_CRITICAL_JSON_SHA256 = {
+# cases with points answered from the closed form, rational and algebraic
+# alike: two-term cases, and three-term shapes that no gate above covers,
+# with 101, 81 and 16 one-point families; kept out of ``critical_runs``,
+# whose outputs are counted
+CLOSED_FORM_CRITICAL_JSON_SHA256 = {
     (3, 5, "2"): "9f80ab34c7b3cd641e19a694258d80f15de417b24e6725f3e8a6e8096a17075c",
     (4, 3, "2"): "27d0784f3d36db0bd1a33218ac967a27cf8f5fef4556b56eca718fbef9d7b447",
+    (3, 6, "3"): "2b7d1c19565b38f15098e8f33fdc24aefcb54818bf6c70e22b4c33135ca7126e",
+    (4, 4, "3"): "e7c66eadbbf323609e6d86e9101f31b586c8d50cf52867ead40a263db92d9530",
+    (5, 3, "3"): "871194c5ea78a475f99ec0454041de98c49ea7b0475fde6ea911949e6917f1b7",
 }
 
 
-@pytest.mark.parametrize("n, d, terms", sorted(TWO_TERM_CRITICAL_JSON_SHA256))
-def test_critical_json_bytes_are_stable_two_terms(n, d, terms):
+@pytest.mark.parametrize("n, d, terms", sorted(CLOSED_FORM_CRITICAL_JSON_SHA256))
+def test_critical_json_bytes_are_stable_closed_form_points(n, d, terms):
     out, _ = run_critical(n, d, terms)
-    assert sha256_of(out) == TWO_TERM_CRITICAL_JSON_SHA256[n, d, terms]
+    assert sha256_of(out) == CLOSED_FORM_CRITICAL_JSON_SHA256[n, d, terms]
 
 
 def test_every_solver_output_is_a_fixed_point(critical_runs):

@@ -12,8 +12,11 @@ import sympy
 from sympy.solvers.simplex import InfeasibleLPError, linprog
 
 from momentforge import cli, critical
+from momentforge import univariate as uni
 from momentforge.critical import (
+    INTERVAL_WIDTH,
     AlgebraicNumber,
+    _eliminate_direction,
     _strictly_feasible,
     critical_set,
     gradient_system,
@@ -311,6 +314,7 @@ def test_isolated_points_skip_the_candidate_grid(n, d, m, monkeypatch):
     assert len(families) == POINT_COUNTS[n, d, m]
     for name in ("_roots_of_upoly", "_candidate_passes", "_newton_candidates"):
         monkeypatch.setattr(critical, name, refuse(name))
+    monkeypatch.setattr(uni, "refine_interval", refuse("refine_interval"))
     for family in families:
         assert solve_family(family), family
     # positive-dimensional sets and three unknowns still take the grid or Newton
@@ -319,6 +323,95 @@ def test_isolated_points_skip_the_candidate_grid(n, d, m, monkeypatch):
     for family in others:
         with pytest.raises(AssertionError, match="was called"):
             solve_family(family)
+
+
+# _point_solutions takes its projections in the squares b_k^2, and refines
+# toward -sqrt(q_k) and sqrt(q_k) by comparing midpoints with q_k
+SQUARE_SHAPES = [(3, 3), (3, 4), (3, 5), (3, 6), (4, 3), (4, 4)]
+
+
+@pytest.fixture(scope="module")
+def square_systems():
+    """The equations of every 2- and 3-term family of ``SQUARE_SHAPES``."""
+    return {m: [gradient_system(f) for n, d in SQUARE_SHAPES for f in diagonal_families(n, d, m)]
+            for m in (2, 3)}
+
+
+def halved(eq):
+    return ParamPoly(eq.nsyms, {tuple(e // 2 for e in x): c for x, c in eq.terms.items()})
+
+
+def by_degree(eq):  # the ranking that _point_solutions gives its equations
+    return eq.total_degree(), len(eq.terms)
+
+
+def in_squares(r):
+    """R(s) as the polynomial R(b^2) in b."""
+    return [c for x in r for c in (x, 0)][:-1]
+
+
+def test_every_equation_is_even_in_each_parameter(square_systems):
+    equations = {m: [eq for eqs in systems for eq in eqs] for m, systems in square_systems.items()}
+    assert {m: len(eqs) for m, eqs in equations.items()} == {2: 113, 3: 1869}
+    assert [eq for eqs in equations.values() for eq in eqs
+            if any(e % 2 for x in eq.terms for e in x)] == []
+
+
+def test_halved_projections_have_the_squarefree_part_of_the_full_ones(square_systems):
+    for (eq,) in square_systems[2]:
+        assert (uni.squarefree_part(in_squares(halved(eq).univariate()))
+                == uni.squarefree_part(eq.univariate())), eq
+    projections = degenerate = 0
+    for eqs in square_systems[3]:
+        full, half = sorted(eqs, key=by_degree), sorted(map(halved, eqs), key=by_degree)
+        for eliminate in (0, 1):
+            expected = _eliminate_direction(full, eliminate)
+            got = _eliminate_direction(half, eliminate)
+            projections += 1
+            if expected is None or got is None:
+                assert expected is got is None, eqs
+                degenerate += 1
+            else:
+                assert uni.squarefree_part(in_squares(got)) == uni.squarefree_part(expected), eqs
+    assert (projections, degenerate) == (1246, 23)
+
+
+@pytest.mark.parametrize("n, d, m", [(3, 5, 2), (3, 5, 3)])
+def test_an_odd_exponent_is_refused(n, d, m, monkeypatch):
+    family = next(f for f, cs in point_families(n, d, m)
+                  if not all(map(is_rational_square, pinned_squares(cs))))
+    k = family.nparams
+    odd = ParamPoly(k, {(1,) + (0,) * (k - 1): 1, (0,) * k: -2})  # b1 - 2
+    monkeypatch.setattr(critical, "gradient_system", lambda f: (odd,) + gradient_system(f))
+    with pytest.raises(ArithmeticError, match="odd in a parameter"):
+        solve_family(family)
+
+
+@pytest.mark.parametrize("n, d, m", POINT_COUNTS)
+def test_the_bisection_against_q_is_refine_interval(n, d, m, monkeypatch):
+    calls = []
+    signed_roots = critical._signed_roots
+
+    def recording(projection, q):
+        roots = signed_roots(projection, q)
+        calls.append((q, roots))
+        return roots
+
+    monkeypatch.setattr(critical, "_signed_roots", recording)
+    families = point_families(n, d, m)
+    for family, _ in families:
+        solve_family(family)
+    # every irrational coordinate of every point family, both signs
+    assert sorted(q for q, _ in calls) == sorted(
+        q for _, cs in families for q in pinned_squares(cs) if not is_rational_square(q))
+    for q, roots in calls:
+        assert [square_matches(root, q) for root in roots] == [True, True]
+        assert roots[0].approx < 0 < roots[1].approx
+        p = list(roots[0].minimal_polynomial)
+        for root in roots:
+            ((lo, hi),) = [(a, b) for a, b in uni.isolate_real_roots(p)
+                           if a <= root.lo and root.hi <= b]
+            assert (root.lo, root.hi) == uni.refine_interval(p, lo, hi, INTERVAL_WIDTH), (q, root)
 
 
 def critical_json(capsys, n, d, m):
