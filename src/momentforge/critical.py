@@ -63,7 +63,7 @@ of b_k = +-sqrt(q_k) and need no candidate grid.  A rational sqrt(q_k) is the
 projection the solver isolates (the one equation, or a resultant) is taken
 in b_k^2, as every equation is even in each b_k, and checked to vanish at q_k.
 Only the two intervals holding -sqrt(q_k) and sqrt(q_k) are refined, to the
-solver's polynomial and interval, by a bisection decided against q_k, as each
+solver's polynomial and interval, by bisecting against x^2 - q_k, as each
 holds one simple irrational root.  The solver's other candidates are off the
 critical set and were dropped by its filters (the tests compare the bytes on
 all 124 such families of (3,3), (3,4), (3,5) and (4,3) with 2 and 3 terms).
@@ -867,9 +867,10 @@ def solve_real(family: ParamFamily, equations: tuple[ParamPoly, ...]) -> list[Cr
 def _signed_roots(projection: uni.UPoly, q: Fraction) -> list[AlgebraicNumber]:
     """-sqrt(q) and sqrt(q), q not a rational square, as ``_roots_of_upoly``
     gives them as roots of p(x) = projection(x^2), refining only the two
-    intervals that hold them.  Each holds one simple irrational root of p, so
-    p at a midpoint has the sign of p at ``lo`` exactly when the midpoint lies
-    below that root: ``refine_interval``'s bisection is decided against q."""
+    intervals that hold them.  Each holds one simple irrational root of p,
+    +-sqrt(q), which is the only root there of q.den x^2 - q.num, so the
+    bisection is decided against q: ``refine_interval`` on that quadratic
+    makes the same choices as on p."""
     if uni.sign_at(projection, q):
         raise ArithmeticError(f"sqrt({q}) is not a root of the projection")
     p = uni.squarefree_part([c for x in projection for c in (x, 0)][:-1])
@@ -884,14 +885,7 @@ def _signed_roots(projection: uni.UPoly, q: Fraction) -> list[AlgebraicNumber]:
         held = [interval for interval, (r, s) in zip(intervals, ranks) if r <= t < s]
         if len(held) != 1:
             raise ArithmeticError(f"{len(held)} isolating intervals hold a square root of {q}")
-        lo, hi = held[0]
-        den = lcm(lo.denominator, hi.denominator)
-        a, b = lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator)
-        while (b - a) * INTERVAL_WIDTH.denominator > INTERVAL_WIDTH.numerator * den:
-            mid = a + b
-            a, b, den = 2 * a, 2 * b, 2 * den
-            a, b = (a, mid) if rank(mid, den) > t else (mid, b)
-        lo, hi = Fraction(a, den), Fraction(b, den)
+        lo, hi = uni.refine_interval([-q.numerator, 0, q.denominator], *held[0], INTERVAL_WIDTH)
         roots.append(AlgebraicNumber(tuple(p), lo, hi, float((lo + hi) / 2)))
     return roots
 

@@ -314,7 +314,6 @@ def test_isolated_points_skip_the_candidate_grid(n, d, m, monkeypatch):
     assert len(families) == POINT_COUNTS[n, d, m]
     for name in ("_roots_of_upoly", "_candidate_passes", "_newton_candidates"):
         monkeypatch.setattr(critical, name, refuse(name))
-    monkeypatch.setattr(uni, "refine_interval", refuse("refine_interval"))
     for family in families:
         assert solve_family(family), family
     # positive-dimensional sets and three unknowns still take the grid or Newton
@@ -326,7 +325,7 @@ def test_isolated_points_skip_the_candidate_grid(n, d, m, monkeypatch):
 
 
 # _point_solutions takes its projections in the squares b_k^2, and refines
-# toward -sqrt(q_k) and sqrt(q_k) by comparing midpoints with q_k
+# toward -sqrt(q_k) and sqrt(q_k) by bisecting against x^2 - q_k
 SQUARE_SHAPES = [(3, 3), (3, 4), (3, 5), (3, 6), (4, 3), (4, 4)]
 
 
