@@ -49,6 +49,8 @@ echo '{"n": 3, "d": 3, "terms": [{"exp": [3, 0, 0], "coeff": "1e-400"}, {"exp": 
 expect 1 emit-points --poly x.json
 expect 1 verify --poly x.json --tol 0
 expect 1 orbits --n 3 --d 3 --terms 2 --all-vars
+# four parameters: the solver refuses more than three unknowns
+expect_error "systems in more than three unknowns are unsupported" critical --n 3 --d 5 --terms 5
 expect_error "an exponent must be an integer" moment --poly float-exponent.json
 for command in moment sqlength grad verify; do
     expect_error "a rational coefficient beside a float" "$command" --poly mixed-range.json

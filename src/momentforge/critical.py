@@ -4,15 +4,14 @@ The gradient of ``|m|^2`` with respect to all coefficient directions,
 restricted to a parametric family, is an overdetermined polynomial system in
 the parameters.  ``gradient_system`` prepares it once, and ``solve_real``
 reads its equations as they are: each nonzero numerator is divided by its
-parameter monomial and made primitive, and repeats are dropped.  A system in
-one unknown is a single equation, solved by Sturm isolation; two unknowns
-go through Sylvester resultants in both directions with full-system filtering
-of the candidate grid; three unknowns, and two-unknown pencils whose
-resultants vanish identically, fall back to multistart Gauss-Newton.  Every
-reported solution is re-verified against the exact gradient (solvers lie,
-residuals do not).  A candidate is placed in its torus class (see below)
-before that check, and one that would not replace its class's representative
-is dropped unverified, as it cannot reach the output.
+parameter monomial and made primitive, and repeats are dropped.
+``solve_real`` is multistart Gauss-Newton in at most three unknowns; it
+answers only what the closed form below does not (positive-dimensional
+sets, degenerate pencils and three unknowns).  Every reported solution is
+re-verified against the exact gradient (solvers lie, residuals do not).  A
+candidate is placed in its torus class (see below) before that check, and
+one that would not replace its class's representative is dropped
+unverified, as it cannot reach the output.
 
 Gauss-Newton runs one generated function per system (``_gauss_newton_kernel``),
 built once from the exact equations: residuals, Jacobian entries, the normal
@@ -49,27 +48,29 @@ real critical set in closed form.  Both take only supports in which no two
 exponents differ by a root e_i - e_j (every identically diagonal family), and
 raise ``ValueError`` for any other.  In the u-form of ``moment`` the set is
 the open polytope {u > 0, sum u = 1, sum u_a a = p_S}, decided in exact
-rationals.  Two kinds of family skip the solver's candidate grid without
-changing the output.  Where the set is empty the family gets ``[]``: no real
-point with every parameter nonzero has a zero gradient, and every solution
-the solver reports has nonzero parameters and a zero gradient (exactly for
-rational points, up to the residual check for the others, so this was also
-measured: the unfiltered solver returned ``[]`` on each of the 128 empty sets
-among the 457 diagonal families of (3,3), (3,4), (3,5) and (4,3) with 2 to 4
-terms).  Where the set is one point in at most two unknowns, each b_k^2 is
+rationals.  Two kinds of family skip ``solve_real``.  Where the set is
+empty the family gets ``[]``: no real point with every parameter nonzero has
+a zero gradient, and every solution the solver reports has nonzero
+parameters and a zero gradient (exactly for rational points, up to the
+residual check for the others, so this was also measured: the solver
+returned ``[]`` on each of the 128 empty sets among the 457 diagonal
+families of (3,3), (3,4), (3,5) and (4,3) with 2 to 4 terms).  Where the set
+is one point in at most two unknowns, each b_k^2 is
 q_k = (u_k / w(a_k)) / (u_pin / w(pin)), so the points are the sign patterns
-of b_k = +-sqrt(q_k) and need no candidate grid.  A rational sqrt(q_k) is the
-``Fraction`` the solver found.  Otherwise elimination only spells it: the
-projection the solver isolates (the one equation, or a resultant) is taken
-in b_k^2, as every equation is even in each b_k, and checked to vanish at q_k.
-Only the two intervals holding -sqrt(q_k) and sqrt(q_k) are refined, to the
-solver's polynomial and interval, by bisecting against x^2 - q_k, as each
-holds one simple irrational root.  The solver's other candidates are off the
-critical set and were dropped by its filters (the tests compare the bytes on
-all 124 such families of (3,3), (3,4), (3,5) and (4,3) with 2 and 3 terms).
-The patterns are merged, scored, verified and sorted as the solver does, so
-the same bytes print.  Pencils with an identically zero resultant stay on the
-solver, and so do positive-dimensional sets and three unknowns.
+of b_k = +-sqrt(q_k).  A rational sqrt(q_k) is a ``Fraction``.  An irrational
+one is an ``AlgebraicNumber``, in the spelling that the ``critical --json``
+gates pin: the projection (the one equation, or the first nonzero resultant)
+is taken in b_k^2, as every equation is even in each b_k, and checked to
+vanish at q_k; its squarefree
+part in b_k is printed with the interval that holds the root, refined by
+bisecting against x^2 - q_k, as each holds one simple irrational root.  The
+patterns are merged, scored, verified and sorted as ``solve_real`` does.
+Pencils with an identically zero resultant go to ``solve_real``, and so do
+positive-dimensional sets and three unknowns.  A positive-dimensional set in
+two unknowns is always such a pencil: its equations have infinitely many
+real common zeros, so by Bezout they share a factor of positive degree.
+Every resultant in an unknown that this factor involves then vanishes
+identically, and no equation is free of that unknown.
 """
 
 from __future__ import annotations
@@ -581,25 +582,6 @@ def _substitute_values(family: ParamFamily, values) -> SparsePoly:
     return substitute_params(family.poly, subs)
 
 
-def _roots_of_upoly(p: uni.UPoly) -> list:
-    """Nonzero real roots as Fractions or AlgebraicNumbers."""
-    p = uni.squarefree_part(p)
-    roots = []
-    for lo, hi in uni.isolate_real_roots(p):
-        lo, hi = uni.refine_interval(p, lo, hi, INTERVAL_WIDTH)
-        if lo == hi:
-            value = lo
-        else:
-            value = uni.simplest_rational_in(lo, hi)
-            if uni.sign_at(p, value) != 0:
-                value = AlgebraicNumber(tuple(p), lo, hi, float((lo + hi) / 2))
-        # zero is the simplest rational in any interval that holds it, so a
-        # root at 0 is the Fraction 0, and an AlgebraicNumber is never 0
-        if value != 0:
-            roots.append(value)
-    return roots
-
-
 def _residual_on_equations(eqs: list[ParamPoly], values) -> float:
     """Scale-relative float residual of a candidate point."""
     floats = [float(v) for v in values]
@@ -622,21 +604,6 @@ def _exact_zero_on_equations(eqs: list[ParamPoly], values) -> bool:
     return all(eq.subs(list(values)) == 0 for eq in eqs)
 
 
-def _candidate_passes(eqs: list[ParamPoly], values) -> bool:
-    if all(isinstance(v, Fraction) for v in values):
-        return _exact_zero_on_equations(eqs, values)
-    return _residual_on_equations(eqs, values) < 1e-8
-
-
-def _solve_one_unknown(eqs: list[ParamPoly]) -> list[tuple]:
-    # a two-term family b1 x^a + x^b has u-form centroid sums u_b X and
-    # -u_a X, X = u_a (|a|^2 - a.b) - u_b (|b|^2 - a.b), so every gradient
-    # numerator is one equation up to the monomial and content that
-    # ``gradient_system`` strips
-    (eq,) = eqs
-    return [(root,) for root in _roots_of_upoly(uni.trim(eq.univariate()))]
-
-
 def _eliminate_direction(ranked: list[ParamPoly], eliminate: int):
     """First nonzero Sylvester resultant over pairs of minimal degree."""
     for ea, eb in combinations(ranked, 2):
@@ -650,18 +617,6 @@ def _eliminate_direction(ranked: list[ParamPoly], eliminate: int):
         if eq.degree_in(eliminate) == 0:
             return uni.trim(eq.univariate())
     return None
-
-
-def _solve_two_unknowns(eqs: list[ParamPoly]) -> list[tuple]:
-    ranked = sorted(eqs, key=lambda e: (e.total_degree(), len(e.terms)))
-    res_b2 = _eliminate_direction(ranked, eliminate=0)  # roots are b2 values
-    res_b1 = _eliminate_direction(ranked, eliminate=1)  # roots are b1 values
-    if res_b1 is None or res_b2 is None:
-        # degenerate pencil (shared component): sample numerically instead
-        return _newton_candidates(eqs, 2)
-    roots1 = _roots_of_upoly(res_b1)
-    roots2 = _roots_of_upoly(res_b2)
-    return [(r1, r2) for r1 in roots1 for r2 in roots2]
 
 
 def _sign_mirrored(eqs: list[ParamPoly], unknowns: int) -> tuple[bool, ...]:
@@ -809,7 +764,10 @@ def _gauss_newton_kernel(eqs: list[ParamPoly], unknowns: int):
 
 def solve_real(family: ParamFamily, equations: tuple[ParamPoly, ...]) -> list[CriticalSolution]:
     """All verified real critical points of the family with nonzero
-    parameters, from its ``gradient_system`` equations.
+    parameters that multistart Gauss-Newton finds from its
+    ``gradient_system`` equations (``_newton_candidates``, whose candidates
+    have already passed its residual or exact-zero filter); a
+    ``ValueError`` in more than three unknowns.
 
     Solutions equivalent under torus rescaling are merged, preferring the
     all-positive-parameter representative.  An empty list is a valid outcome.
@@ -824,18 +782,10 @@ def solve_real(family: ParamFamily, equations: tuple[ParamPoly, ...]) -> list[Cr
     eqs = list(equations)
     if not eqs:
         return []
-    if unknowns == 1:
-        candidates = _solve_one_unknown(eqs)
-    elif unknowns == 2:
-        candidates = _solve_two_unknowns(eqs)
-    else:
-        candidates = _newton_candidates(eqs, unknowns)
 
     solutions: list[CriticalSolution] = []
     scores: list[tuple] = []  # one per solution; the lower score is preferred
-    for values in candidates:
-        if not _candidate_passes(eqs, values):
-            continue
+    for values in _newton_candidates(eqs, unknowns):
         poly = _substitute_values(family, values)
         if poly.is_zero():
             continue
@@ -865,12 +815,12 @@ def solve_real(family: ParamFamily, equations: tuple[ParamPoly, ...]) -> list[Cr
 
 
 def _signed_roots(projection: uni.UPoly, q: Fraction) -> list[AlgebraicNumber]:
-    """-sqrt(q) and sqrt(q), q not a rational square, as ``_roots_of_upoly``
-    gives them as roots of p(x) = projection(x^2), refining only the two
-    intervals that hold them.  Each holds one simple irrational root of p,
-    +-sqrt(q), which is the only root there of q.den x^2 - q.num, so the
-    bisection is decided against q: ``refine_interval`` on that quadratic
-    makes the same choices as on p."""
+    """-sqrt(q) and sqrt(q), q not a rational square, as roots of the
+    squarefree part p of projection(x^2), each with its Sturm isolating
+    interval refined to ``INTERVAL_WIDTH``.  Each interval holds one simple
+    irrational root of p, +-sqrt(q), which is the only root there of
+    q.den x^2 - q.num, so the bisection is decided against q:
+    ``refine_interval`` on that quadratic makes the same choices as on p."""
     if uni.sign_at(projection, q):
         raise ArithmeticError(f"sqrt({q}) is not a root of the projection")
     p = uni.squarefree_part([c for x in projection for c in (x, 0)][:-1])
@@ -935,10 +885,10 @@ def _point_solutions(family: ParamFamily, cs: CriticalSet) -> list[CriticalSolut
 
 
 def solve_family(family: ParamFamily) -> list[CriticalSolution]:
-    """``solve_real``'s solutions, found without elimination for an empty
-    closed-form set, and without the candidate grid for one point in at most
-    two unknowns (see the module docstring); a ``ValueError`` for a support
-    with a root difference."""
+    """The family's critical points: ``[]`` for an empty closed-form set,
+    the sign patterns of +-sqrt(q_k) for one point in at most two unknowns
+    (see the module docstring), and ``solve_real``'s Newton otherwise; a
+    ``ValueError`` for a support with a root difference."""
     cs = critical_set(family)
     if cs.is_empty:
         return []

@@ -1,4 +1,4 @@
-"""Exact univariate polynomial tools for the solver.
+"""Exact univariate polynomial tools for spelling algebraic critical points.
 
 Polynomials are dense lists of Python ints (index = degree).  They enter as
 integers once, at the boundary (``ParamPoly.univariate`` and the resultant's
@@ -248,38 +248,6 @@ def refine_interval(
         else:
             a = mid
     return Fraction(a, den), Fraction(b, den)
-
-
-def simplest_rational_in(lo: Fraction, hi: Fraction) -> Fraction:
-    """The rational with the smallest denominator in [lo, hi] (Stern-Brocot)."""
-    if lo > hi:
-        lo, hi = hi, lo
-    if lo == hi:
-        return lo
-    if lo <= 0 <= hi:
-        return Fraction(0)
-    if hi < 0:
-        return -simplest_rational_in(-hi, -lo)
-
-    def rec(an: int, ad: int, bn: int, bd: int) -> tuple[int, int]:
-        # simplest rational in [an/ad, bn/bd], 0 < an/ad < bn/bd, as (num, den)
-        fl, ra = divmod(an, ad)
-        if ra and fl == bn // bd:
-            # fl + 1/t with t simplest in [1/(b - fl), 1/(a - fl)]
-            tn, td = rec(bd, bn - fl * bd, ad, ra)
-            return fl * tn + td, tn
-        return (fl + 1 if ra else fl), 1
-
-    return Fraction(*rec(lo.numerator, lo.denominator, hi.numerator, hi.denominator))
-
-
-# ---------------------------------------------------------------------------
-# Sylvester resultant of bivariate polynomials
-#
-# Equations arrive as ParamPoly in k <= 3 symbols; eliminating symbol `var`
-# views them as univariate in `var` with UPoly coefficients in the other
-# symbol, and the determinant of the Sylvester matrix is taken by Bareiss
-# elimination (exact division at every step).
 
 
 def _as_poly_in(p: ParamPoly, var: int, other: int) -> list[UPoly]:

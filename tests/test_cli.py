@@ -78,7 +78,8 @@ def test_critical_json_bytes_are_stable(d, critical_runs):
     check_critical_json(critical_runs, 3, d, "2 3")
 
 
-# these reach the resultant, Sturm and refinement path with algebraic roots
+# algebraic points spelled from the closed form: a projection in the squares,
+# Sturm isolation and refinement toward -sqrt(q) and sqrt(q)
 @pytest.mark.parametrize("n, d", [(3, 5), (4, 3)])
 def test_critical_json_bytes_are_stable_three_terms(n, d, critical_runs):
     check_critical_json(critical_runs, n, d, "3")
@@ -113,6 +114,13 @@ CLOSED_FORM_CRITICAL_JSON_SHA256 = {
 def test_critical_json_bytes_are_stable_closed_form_points(n, d, terms):
     out, _ = run_critical(n, d, terms)
     assert sha256_of(out) == CLOSED_FORM_CRITICAL_JSON_SHA256[n, d, terms]
+
+
+# binary octics: each of the 18 nonempty families is a curve in two unknowns,
+# sampled by multistart Gauss-Newton; kept out of ``critical_runs``
+def test_critical_json_bytes_are_stable_binary_curves():
+    out, _ = run_critical(2, 8, "3")
+    assert sha256_of(out) == "ef2296aab20e644591b0e51025ae9126bde175c9ef223c33adcc169e21df426a"
 
 
 def test_every_solver_output_is_a_fixed_point(critical_runs):

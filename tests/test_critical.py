@@ -742,7 +742,7 @@ def test_rejected_preferred_candidate_keeps_the_earlier_representative(monkeypat
     # verified too
     family = next(f for f in diagonal_families(3, 3, 2) if str(f) == "b1*x^2*z + y^3")
     eqs = critical.gradient_system(family)
-    (neg,), (pos,) = critical._solve_one_unknown(eqs)
+    (neg,), (pos,) = critical._newton_candidates(list(eqs), 1)
     assert float(neg) == -float(pos) < 0
     assert [sol.values for sol in critical.solve_real(family, eqs)] == [(pos,)]
 
@@ -761,24 +761,25 @@ def test_rejected_preferred_candidate_keeps_the_earlier_representative(monkeypat
 
 
 def test_fewer_verifications_than_passing_candidates(monkeypatch):
-    verify, passes = critical.verify_critical, critical._candidate_passes
+    # every Newton candidate has passed the residual or exact-zero filter
+    verify, newton = critical.verify_critical, critical._newton_candidates
     counts = {"verified": 0, "passed": 0}
 
     def counting_verify(f):
         counts["verified"] += 1
         return verify(f)
 
-    def counting_passes(eqs, values):
-        ok = passes(eqs, values)
-        counts["passed"] += ok
-        return ok
+    def counting_newton(eqs, unknowns):
+        candidates = newton(eqs, unknowns)
+        counts["passed"] += len(candidates)
+        return candidates
 
     monkeypatch.setattr(critical, "verify_critical", counting_verify)
-    monkeypatch.setattr(critical, "_candidate_passes", counting_passes)
-    # solve_family answers these families without the candidate grid
-    solutions = [sol for f in diagonal_families(3, 5, 3)
+    monkeypatch.setattr(critical, "_newton_candidates", counting_newton)
+    # the Hesse pencil and the other four-term families of (3, 3)
+    solutions = [sol for f in diagonal_families(3, 3, 4)
                  for sol in critical.solve_real(f, critical.gradient_system(f))]
-    assert len(solutions) <= counts["verified"] < counts["passed"]
+    assert (len(solutions), counts["verified"], counts["passed"]) == (20, 21, 22)
 
 
 # ---------------------------------------------------------------------------

@@ -131,19 +131,6 @@ def test_inexact_division_raises():
     assert uni.exact_quotient([-1, 0, 1], [1, 1]) == [-1, 1]
 
 
-def test_simplest_rational_is_the_smallest_denominator():
-    rng = random.Random(11)
-    for _ in range(300):
-        lo = Fraction(rng.randint(-500, 500), rng.randint(1, 60))
-        hi = lo + Fraction(rng.randint(0, 40), rng.randint(1, 400))
-        got = uni.simplest_rational_in(lo, hi)
-        den = next(q for q in range(1, 10**6) if -((-lo * q) // 1) <= hi * q)
-        candidates = [
-            Fraction(k, den) for k in range(-((-lo * den) // 1), (hi * den) // 1 + 1)
-        ]
-        assert got == min(candidates, key=abs)
-
-
 integer_polys = st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=9).filter(
     lambda p: p[-1] != 0
 )
