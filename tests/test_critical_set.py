@@ -456,14 +456,10 @@ ELIMINATION_SHA256 = {
 }
 
 
-def critical_json(capsys, n, d, m):
-    assert cli.main(["critical", "--n", str(n), "--d", str(d), "--terms", str(m), "--json"]) == 0
-    return capsys.readouterr().out
-
-
 @pytest.mark.parametrize("n, d, m", POINT_COUNTS)
 def test_rational_points_print_the_bytes_of_elimination(n, d, m, capsys):
-    printed = critical_json(capsys, n, d, m)
+    assert cli.main(["critical", "--n", str(n), "--d", str(d), "--terms", str(m), "--json"]) == 0
+    printed = capsys.readouterr().out
     assert hashlib.sha256(printed.encode()).hexdigest() == ELIMINATION_SHA256[n, d, m]
 
 
