@@ -4,6 +4,9 @@
 # removed option and for malformed JSON, which must be refused with an
 # `error:` line and no traceback (a traceback exits 1 too); 2 for degenerate
 # input; 0 where a float form verifies or its moment matrix is in range.
+# Float input with a root difference (two exponents differing by e_i - e_j)
+# takes the Lie-algebra formula of the gradient; every other case here takes
+# the integer u-form or the float replay.
 # Run from any directory:
 #   sh ci/exit_codes.sh
 set -u
@@ -20,6 +23,17 @@ expect() {
     if [ "$got" -ne "$want" ]; then
         echo "momentforge $*: exit $got, expected $want" >&2
         cat err.txt >&2
+        exit 1
+    fi
+}
+
+# expect_stdout TEXT ARGS...: exit 0 with exactly TEXT on stdout
+expect_stdout() {
+    text=$1
+    shift
+    expect 0 "$@" > out.txt
+    if [ "$(cat out.txt)" != "$text" ]; then
+        echo "momentforge $*: printed $(cat out.txt), expected $text" >&2
         exit 1
     fi
 }
@@ -45,6 +59,8 @@ echo '{"n": 3, "d": 3, "terms": [{"exp": [3, 0, 0], "coeff": 1e-200}, {"exp": [0
 echo '{"n": 3, "d": 3, "terms": [{"exp": [3, 0, 0], "coeff": 1e155}, {"exp": [0, 3, 0], "coeff": 1e155}]}' > huge-cubic.json
 echo '{"n": 2, "d": 1100, "terms": [{"exp": [550, 550], "coeff": 1.0}]}' > underflowing-norm.json
 echo '{"n": 3, "d": 3, "terms": [{"exp": [3, 0, 0], "coeff": "1e-400"}, {"exp": [0, 3, 0], "coeff": "1e-400"}, {"exp": [1, 1, 1], "coeff": "1e-400"}]}' > tiny-exact-cubic.json
+echo '{"n": 3, "d": 3, "terms": [{"exp": [2, 1, 0], "coeff": 1.0}, {"exp": [2, 0, 1], "coeff": 1.0}]}' > rotated-monomial.json
+echo '{"n": 3, "d": 3, "terms": [{"exp": [3, 0, 0], "coeff": 5e-324}, {"exp": [2, 1, 0], "coeff": 5e-324}]}' > subnormal-root-pair.json
 
 expect 1 emit-points --poly x.json
 expect 1 verify --poly x.json --tol 0
@@ -67,9 +83,11 @@ done
 # u-form numerators is beyond the float range
 expect_error "the gradient is beyond the floating-point range" verify --poly tiny-exact-cubic.json
 expect_error "the gradient is beyond the floating-point range" verify --poly tiny-exact-cubic.json --json
-expect 0 verify --poly large-float.json > out.txt
-if [ "$(cat out.txt)" != 0 ]; then
-    echo "momentforge verify --poly large-float.json printed $(cat out.txt), expected 0" >&2
-    exit 1
-fi
+expect_stdout 0 verify --poly large-float.json
+# with a root difference: x^2 y + x^2 z = x^2 (y + z) is a rotated monomial
+# form, hence critical; the gradient of the least subnormal x^3 + x^2 y,
+# of degree -1 in the coefficients, is beyond the float range
+expect_stdout 0 verify --poly rotated-monomial.json
+expect_stdout "0.0 0.0 0.0 0.0 0.0 0.0 0.0 0.0 0.0 0.0" grad --poly rotated-monomial.json
+expect_error "the gradient is beyond the floating-point range" verify --poly subnormal-root-pair.json
 echo "exit codes ok"

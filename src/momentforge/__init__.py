@@ -5,7 +5,6 @@ filtering, and critical points of the moment-map square length."""
 from .critical import (
     AlgebraicNumber,
     CriticalSolution,
-    fixed_point_check,
     gradient_system,
     solve_family,
     solve_real,
@@ -14,7 +13,6 @@ from .critical import (
 )
 from .diagonal import DiagonalVerdict, diagonal_families, is_identically_diagonal
 from .moment import (
-    flow_derivative,
     gradient,
     gradient_symbolic,
     moment_matrix,

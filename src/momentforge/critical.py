@@ -89,7 +89,6 @@ from .moment import (
     _u_quotients,
     gradient,
     gradient_symbolic,
-    moment_matrix,
 )
 from .orbits import ParamFamily, Permutation, permute, permute_exponents, support_order_key
 from .polyring import (
@@ -179,44 +178,6 @@ def verify_critical(f: SparsePoly) -> float:
         return largest / denominator
     except OverflowError:
         raise ValueError("the gradient is beyond the floating-point range") from None
-
-
-# ---------------------------------------------------------------------------
-# fixed-point criterion: exp(m(f)) must fix f projectively
-
-
-def fixed_point_check(f: SparsePoly) -> bool:
-    """True iff the one-parameter subgroup generated by the (diagonal) moment
-    matrix fixes ``f`` in projective space.
-
-    The action scales the term ``x^a`` by ``e^(a . diag)``; after projective
-    normalization the form is fixed iff every support exponent pairs to the
-    same value.  Decided exactly for rational input, and within
-    ``RESIDUAL_TOL`` for float input.
-    """
-    if f.is_zero():
-        raise DegenerateInputError("zero polynomial")
-    m = moment_matrix(f)
-    exact = f.is_exact()
-    offdiag = [m[i][j] for i in range(f.n) for j in range(f.n) if i != j]
-    if exact:
-        if any(v != 0 for v in offdiag):
-            raise ValueError("fixed-point criterion needs a diagonal moment matrix")
-    elif any(abs(float(v)) > RESIDUAL_TOL for v in offdiag):
-        raise ValueError("fixed-point criterion needs a diagonal moment matrix")
-    lam = [m[i][i] for i in range(f.n)]
-    support = sorted(f.terms, key=canonical_key)
-    base = support[0]
-    mu0 = sum(e * l for e, l in zip(base, lam))
-    for alpha in support[1:]:
-        mu = sum(e * l for e, l in zip(alpha, lam))
-        delta = mu - mu0
-        if exact:
-            if delta != 0:
-                return False
-        elif abs(float(delta)) > RESIDUAL_TOL:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -18,28 +18,30 @@ families.  The numeric matrix divides each Gram entry by ``d |f|^2`` before
 it doubles and shifts it, ``2 (G_ij / scale - d/n)``, rather than dividing
 ``_moment_numerators`` once: for float input that order sets the rounding
 noise of the printed entries (a zero entry can come out as ``4.44e-16``).
-The engine is written with ``+`` and ``*`` alone, and relies on this
-contract of its coefficient type:
+The engine is written with ``+``, ``-`` and ``*`` alone over the plain
+scalars (``Fraction``, float or ``ParamPoly``): each supports them with
+itself, and ``*`` with a rational constant (an ``int`` or a ``Fraction``).
 
-* every coefficient type supports ``+`` and ``*`` with itself, and ``*``
-  with a rational constant (an ``int`` or a ``Fraction``);
-* the types are the plain scalars (``Fraction``, float or ``ParamPoly``),
-  for the moment matrices and the square length, and first-order jets over
-  a plain scalar (``_Jet``), for the coefficient gradient;
-* a jet times a rational constant scales the jet, and a float jet converts
-  that constant to float once, which gives the bits of multiplying every
-  part by the ``Fraction``.
+The gradient of ``|m|^2`` in the coefficients is the Lie-algebra action of
+the moment matrix on ``f`` (Kirwan, Ness: ``f`` is critical iff
+``m(f) . f = lambda f``).  With ``M`` the polynomial moment matrix below and
+``v = sum_ij M_ij x_i d_j f``, the entry of the coefficient ``c_a`` of
+``x^a`` is ``N_a / (d^2 norm2^3)`` with
 
-The gradient of ``|m|^2`` in every coefficient direction has three engines.
-All apply the quotient rule once at the very end, never numeric
-differentiation, and give exact results for exact and parametric input.
+    ``N_a = 8 d w(a) (v_a norm2 - <v, f> c_a)``,
 
-* The u-form takes exact and parametric input whose support has no two
-  exponents differing by a root ``e_i - e_j``: every identically diagonal
-  family, hence every family the solver sees.  There G is diagonal; with
-  ``u_a = w(a) c_a^2`` and ``s = sum_a u_a a``, the squared norm is
-  ``sum_a u_a``, ``G_ii = d s_i``, ``m(f) = 2 diag(s / norm2 - (d/n) 1)``,
-  and the gradient numerator is
+``<v, f> = sum_a w(a) v_a c_a`` the invariant inner product.
+``_lie_numerators`` computes it for every coefficient type, exactly for
+exact and parametric input, and is taken on every support with two exponents
+differing by a root ``e_i - e_j``.  Without such a pair ``M`` is diagonal,
+and two faster forms of the same formula take over:
+
+* The u-form takes exact and parametric input whose support has no root
+  difference: every identically diagonal family, hence every family the
+  solver sees.  There ``v_a = c_a <a, diag M>``; with ``u_a = w(a) c_a^2``
+  and ``s = sum_a u_a a``, the squared norm is ``sum_a u_a``,
+  ``G_ii = d s_i``, ``m(f) = 2 diag(s / norm2 - (d/n) 1)``, and the
+  numerator is
   ``N_a = 16 d^2 w(a) c_a (norm2 <a, s> - <s, s>)``
   ``= 16 d^2 w(a) c_a sum_{b,c} <a - b, c> u_b u_c`` on the support and 0
   off it.  It is computed in integers: over one common denominator D the
@@ -56,17 +58,16 @@ differentiation, and give exact results for exact and parametric input.
   once, at the end.  The sums (``_centroid_sums``) vanish exactly on the
   family's real critical set, which ``critical.critical_set`` gives in
   closed form and checks with them on an integer point.
-* Forward jets take every input with a root difference: exact, parametric
-  or float.  Only ``grad`` and ``verify`` on arbitrary input reach them.  A
-  closed form for it took 40-80% of the jets' time (CHANGES.md), but no
-  solver path ran it, so it did not pay for its code.
 * Float input with no root difference replays, over plain floats and a
-  plan cached per support, the float operations of jets seeded in every
-  basis direction, in their order (``_float_numerators``): the order of
-  summation sets the last bits of a float gradient, and with them the
-  residuals the solver reports.  The replay is bit-identical, signed zeros
-  and NaNs included.  There an off-diagonal ``M_ij`` is 0.0 with no parts,
-  which adds 0.0 to ``P`` and is all an off-support direction reaches (its
+  plan cached per support, the diagonal case in the order of operations of
+  first-order jets (value and derivative in every basis direction) carried
+  through the trace formula, with the quotient rule
+  ``N_a = P' norm2 - 2 P norm2'`` applied once (``_float_numerators``): the
+  order of summation sets the last bits of a float gradient, and with them
+  the residuals the solver reports.  The tests keep those jets as the
+  reference, and the replay matches them bit for bit, signed zeros and NaNs
+  included.  There an off-diagonal ``M_ij`` is 0.0 with no parts, which
+  adds 0.0 to ``P`` and is all an off-support direction reaches (its
   numerator is ``0.0 norm2 - 2 P 0.0``); jet products drop the parts of a
   zero coefficient and those of ``M_ii M_ii`` when ``M_ii == 0.0``.  Sums
   are explicit ``+`` folds, as ``sum`` of floats is compensated from
@@ -77,9 +78,6 @@ coefficients.  A power of two commutes with rounding, so m and |m|^2 (degree
 0 in the coefficients) keep the bits of the unscaled run wherever it stays in
 range, and so does each gradient entry (degree -1), multiplied back by 2^-e.
 Unscaled, ``1e63 y^3`` got a NaN gradient, ``1e-200 (x^3 + y^3)`` a zero norm.
-
-The flow construction differentiates the pulled-back norm along
-one-parameter subgroups independently of the engine.
 """
 
 from __future__ import annotations
@@ -107,7 +105,6 @@ __all__ = [
     "square_length_symbolic",
     "gradient",
     "gradient_symbolic",
-    "flow_derivative",
 ]
 
 
@@ -285,12 +282,7 @@ def square_length_symbolic(family: SparsePoly) -> tuple[ParamPoly, ParamPoly]:
 
 
 # ---------------------------------------------------------------------------
-# coefficient gradients
-#
-# With primes for the derivative along the coefficient c_a of x^a, the
-# quotient rule applied once gives
-#
-#   grad_a |m|^2 = (P' * norm2 - 2 P * norm2') / (d^2 * norm2^3).
+# coefficient gradients, over the common denominator d^2 norm2^3
 
 
 def _root_difference_free(support) -> bool:
@@ -298,20 +290,28 @@ def _root_difference_free(support) -> bool:
     return all(root_pair(a, b) is None for a, b in combinations(support, 2))
 
 
-def _jet_numerators(zero, coeffs, n: int, d: int):
-    """``(numerators, norm2)`` in canonical basis order from forward jets:
-    entry ``k`` of the gradient is ``numerators[k] / (d^2 norm2^3)``."""
-    # one jet per basis monomial, seeded with the direction of its basis index
-    basis = enumerate_monomials(n, d)
+def _lie_numerators(zero, coeffs, n: int, d: int):
+    """``(numerators, norm2)`` in canonical basis order: entry ``a`` of the
+    gradient is ``8 d w(a) (v_a norm2 - <v, f> c_a) / (d^2 norm2^3)`` with
+    ``v = sum_ij M_ij x_i d_j f``."""
     terms = dict(coeffs)
-    one = zero + 1
-    jets = [(alpha, _Jet(terms.get(alpha, zero), {k: one})) for k, alpha in enumerate(basis)]
-    p, norm2 = _trace_parts(_Jet(zero, {}), jets, n, d)
-    numerators = [
-        p.parts.get(k, zero) * norm2.value - 2 * p.value * norm2.parts.get(k, zero)
-        for k in range(len(basis))
-    ]
-    return numerators, norm2.value
+    norm2 = _norm2(zero, coeffs)
+    m = _moment_numerators(_inner_products(zero, coeffs, n), norm2, n, d)
+    # x_i d_j moves the term c x^alpha to alpha - e_j + e_i, times alpha_j
+    columns = [[(i, m[i][j]) for i in range(n) if not scalar_is_zero(m[i][j])] for j in range(n)]
+    v: dict = {}
+    for alpha, c in coeffs:
+        for j, k in enumerate(alpha):
+            if k:
+                lowered, ck = alpha[:j] + (k - 1,) + alpha[j + 1:], c * k
+                for i, m_ij in columns[j]:
+                    beta = lowered[:i] + (lowered[i] + 1,) + lowered[i + 1:]
+                    term = m_ij * ck
+                    v[beta] = v[beta] + term if beta in v else term
+    pairing = inner_product(SparsePoly(n, d, v), SparsePoly(n, d, terms))
+    numerators = [(v.get(a, zero) * norm2 - pairing * terms.get(a, zero)) * (8 * d * weight(a))
+                  if a in v or a in terms else zero for a in enumerate_monomials(n, d)]
+    return numerators, norm2
 
 
 # ---------------------------------------------------------------------------
@@ -390,57 +390,6 @@ def _centroid_sums(support, u) -> list:
     return sums
 
 
-# ---------------------------------------------------------------------------
-# forward jets
-
-
-class _Jet:
-    """A value and its first-order parts ``{direction: derivative}``.
-
-    Products keep only the first-order part, so the whole trace formula
-    stays polynomial.  A jet times a jet follows the product rule; a jet
-    times a rational constant scales value and parts.
-    """
-
-    __slots__ = ("value", "parts")
-
-    def __init__(self, value, parts: dict):
-        self.value = value
-        self.parts = parts
-
-    def __add__(self, other: _Jet) -> _Jet:
-        ad, bd = self.parts, other.parts
-        if not ad:
-            parts = bd
-        elif not bd:
-            parts = ad
-        else:
-            parts = dict(ad)
-            for k, v in bd.items():
-                parts[k] = parts[k] + v if k in parts else v
-        return _Jet(self.value + other.value, parts)
-
-    def __mul__(self, other) -> _Jet:
-        av, ad = self.value, self.parts
-        if not isinstance(other, _Jet):
-            # a float times a Fraction goes through Fraction.__rmul__, which
-            # returns float(v) * float(c): converting the constant once gives
-            # the same bits
-            if isinstance(av, float):
-                other = float(other)
-            return _Jet(av * other, {k: v * other for k, v in ad.items()})
-        bv, bd = other.value, other.parts
-        # parts multiplied by a zero value are dropped, not kept as zeros
-        parts: dict = {}
-        if ad and bv != 0:
-            for k, v in ad.items():
-                parts[k] = v * bv
-        if bd and av != 0:
-            for k, v in bd.items():
-                parts[k] = parts[k] + av * v if k in parts else av * v
-        return _Jet(av * bv, parts)
-
-
 @lru_cache(maxsize=256)
 def _float_plan(n: int, d: int, support: tuple[ExponentVector, ...]):
     """What the float replay needs of a support with no root difference
@@ -459,8 +408,9 @@ def _float_plan(n: int, d: int, support: tuple[ExponentVector, ...]):
 
 
 def _float_numerators(plan, coeffs: dict):
-    """``_jet_numerators`` of float coefficients, bit for bit, from the
-    ``_float_plan`` of their support."""
+    """``(numerators, norm2)`` of float coefficients on a support with no
+    root difference, from its ``_float_plan``: the diagonal case of
+    ``_lie_numerators`` in the order of operations of forward jets."""
     ordered, indices, weights, rows, shift, size = plan
     cs = [coeffs[a] for a in ordered]
     norm2 = 0.0
@@ -500,12 +450,12 @@ def gradient(f: SparsePoly) -> list:
             numerators, cube = quotients
             return [Fraction(numerators[a], cube) if a in numerators else Fraction(0)
                     for a in enumerate_monomials(f.n, f.d)]
-        numerators, norm2 = _jet_numerators(Fraction(0), list(f.terms.items()), f.n, f.d)
+        numerators, norm2 = _lie_numerators(Fraction(0), list(f.terms.items()), f.n, f.d)
     else:
         plan = _float_plan(f.n, f.d, tuple(f.terms))
         shift, coeffs = _float_scaled(f)
         numerators, norm2 = (_float_numerators(plan, coeffs) if plan is not None
-                             else _jet_numerators(0.0, coeffs.items(), f.n, f.d))
+                             else _lie_numerators(0.0, list(coeffs.items()), f.n, f.d))
     # a float norm2 can be nonzero while d^2 norm2^3 underflows to 0.0
     denom = f.d * f.d * norm2 * norm2 * norm2
     if scalar_is_zero(denom):
@@ -530,7 +480,7 @@ def gradient_symbolic(family: SparsePoly) -> tuple[list[ParamPoly], ParamPoly]:
     zero, coeffs = _parametric(family)
     n, d = family.n, family.d
     if not _root_difference_free(family.terms):
-        numerators, norm2 = _jet_numerators(zero, coeffs, n, d)
+        numerators, norm2 = _lie_numerators(zero, coeffs, n, d)
         return numerators, norm2 * norm2 * norm2 * (d * d)
     scale = lcm(*(v.denominator for _, c in coeffs for v in c.terms.values()))
     lifted = [(a, ParamPoly._trusted(zero.nsyms, {e: v.numerator * (scale // v.denominator)
@@ -542,33 +492,3 @@ def gradient_symbolic(family: SparsePoly) -> tuple[list[ParamPoly], ParamPoly]:
                   for a in enumerate_monomials(n, d)]
     return numerators, _divided(norm * norm * norm, d * d, cube * scale)
 
-
-# ---------------------------------------------------------------------------
-# flow construction: exact derivative of t -> |exp(t E_ij).f|^2 / |f|^2
-
-
-def flow_derivative(f: SparsePoly, i: int, j: int) -> Scalar:
-    """Derivative at ``t = 0`` of the normalized norm along ``exp(t E_ij)``.
-
-    The elementary matrix ``E_ij`` acts by the substitution
-    ``x_i -> x_i + t x_j`` for ``i != j`` (its exponential is ``I + t E_ij``)
-    and by ``x_i -> e^t x_i`` on the diagonal; either flow starts along the
-    velocity ``x_j d_i f``, so the derivative is ``2 <x_j d_i f, f> / |f|^2``.
-    This is ``2 H(f)_ij`` from the velocity ``x_j d_i f`` of ``exp(t E_ij)``,
-    worked out apart from the trace-formula engine; it ties Lie-algebra flows
-    to the hermitian-matrix construction.
-    """
-    _require_nonzero(f)
-    if f.is_parametric():
-        raise TypeError("flow_derivative expects a numeric polynomial")
-    if not (1 <= i <= f.n and 1 <= j <= f.n):
-        raise ValueError(f"indices ({i}, {j}) out of range 1..{f.n}")
-    ii, jj = i - 1, j - 1
-    velocity = {}
-    for alpha, c in f.terms.items():
-        if alpha[ii]:
-            beta = list(alpha)
-            beta[ii] -= 1
-            beta[jj] += 1
-            velocity[tuple(beta)] = alpha[ii] * c
-    return 2 * inner_product(SparsePoly(f.n, f.d, velocity), f) / inner_product(f, f)

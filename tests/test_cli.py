@@ -8,9 +8,10 @@ import pytest
 
 from conftest import random_rational_poly, reference_verify_critical, verify_outcome
 from momentforge import cli, reproduce
-from momentforge.critical import RESIDUAL_TOL, fixed_point_check, verify_critical
+from momentforge.critical import RESIDUAL_TOL, verify_critical
 from momentforge.fixtures import CRITICAL_CUBICS, critical_fixture_poly
 from momentforge.polyring import poly_to_json
+from oracles import fixed_point_check
 
 # sha256 of the stdout of `critical --n N --d D --terms T... --json`
 CRITICAL_JSON_SHA256 = {

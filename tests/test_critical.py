@@ -33,6 +33,7 @@ from momentforge.moment import gradient_symbolic
 from momentforge.orbits import permute, support_order_key
 from momentforge.polyring import ParamPoly, SparsePoly, canonical_key
 from momentforge.symd import enumerate_monomials
+from oracles import fixed_point_check
 
 # The reference sums with sum(), which adds floats left to right up to
 # CPython 3.11; from 3.12 on it compensates, and the kernel keeps the old order.
@@ -668,7 +669,7 @@ def test_verify_critical_rejects_a_non_finite_gradient(terms):
 
 
 @pytest.mark.parametrize("entry", [
-    critical.verify_critical, critical.fixed_point_check,
+    critical.verify_critical, fixed_point_check,
     moment.moment_matrix, moment.gradient, moment.square_length,
 ], ids=lambda entry: entry.__name__)
 def test_a_rational_beyond_the_float_range_beside_a_float(entry):

@@ -34,9 +34,6 @@ def test_import_loads_no_dataclasses_or_inspect():
 # exported or module-level names that nothing in the package calls, each kept
 # for a reason
 UNCALLED_EXPORTS = {
-    "flow_derivative": "the Lie-algebra oracle for H(f): 2 H(f)_ij from the velocity "
-                       "x_j d_i f of exp(t E_ij)",
-    "fixed_point_check": "the exact certificate that closed-form output will carry",
     "canonical_representative": "the definition of the orbit representatives "
                                 "that orbit_classes builds from bitmasks",
 }
