@@ -477,7 +477,7 @@ def critical_set(family: ParamFamily) -> CriticalSet:
     L^2 times its value at u and vanishes exactly when that does.
     """
     points = family.display_terms()
-    if not _root_difference_free(points):
+    if not _root_difference_free(tuple(points)):
         raise ValueError(f"{family}: two support exponents differ by a root")
     n, d = family.poly.n, family.poly.d
     base = points[0]

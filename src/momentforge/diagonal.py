@@ -17,19 +17,16 @@ that point witnesses it.
 
 ``diagonal_families`` builds no other family: it walks, depth first over
 bitmasks, the independent sets of the graph joining monomials that differ by
-a root.  A permutation of the variables maps roots to roots, so whole orbits
-lie in the walk, and it keeps a set iff its mask is the least of its images
-under the table of ``orbits``.  That is the least mask of the orbit, which
-``orbit_classes`` returns.
+a root, and ``orbits._representatives`` keeps one per orbit.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, compress
-from operator import add
+from itertools import combinations
 from typing import NamedTuple
 
-from .orbits import ParamFamily, _image_table, build_family, orbit_classes, uses_all_variables
+from .orbits import (ParamFamily, _image_table, _representatives, build_family, orbit_classes,
+                     uses_all_variables)
 from .symd import root_pair
 
 
@@ -71,19 +68,15 @@ def diagonal_families(n: int, d: int, m: int) -> list[ParamFamily]:
     # bit j of later[k]: j > k, and monomials k and j differ by no root
     later = [sum(1 << j for j in range(k + 1, len(basis)) if root_pair(a, basis[j]) is None)
              for k, a in enumerate(basis)]
-    with_variable = [sum(1 << k for k, a in enumerate(basis) if a[i]) for i in range(n)]
-    reps = []
 
-    def grow(mask, candidates, images, terms):
-        # images[s]: the image of mask under permutation s
-        while candidates.bit_count() >= m - terms:
+    def walk(mask, candidates, rows):
+        while candidates.bit_count() >= m - len(rows):
             low = candidates & -candidates
             candidates ^= low
             k = low.bit_length() - 1
-            if terms + 1 < m:
-                grow(mask | low, candidates & later[k], [*map(add, images, table[k])], terms + 1)
-            elif min(map(add, images, table[k])) == mask | low:
-                reps.append(mask | low)
-    grow(0, (1 << len(basis)) - 1, [0] * len(table[0]), 0)
-    return [build_family(compress(basis, map(int, bin(rep)[:1:-1])))
-            for rep in sorted(reps) if all(rep & v for v in with_variable)]
+            if len(rows) + 1 < m:
+                yield from walk(mask | low, candidates & later[k], (*rows, table[k]))
+            else:
+                yield mask | low, (*rows, table[k])
+    reps = _representatives(basis, walk(0, (1 << len(basis)) - 1, ()))
+    return [build_family(support) for support in reps if uses_all_variables(support)]

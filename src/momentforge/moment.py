@@ -285,8 +285,9 @@ def square_length_symbolic(family: SparsePoly) -> tuple[ParamPoly, ParamPoly]:
 # coefficient gradients, over the common denominator d^2 norm2^3
 
 
+@lru_cache(maxsize=256)
 def _root_difference_free(support) -> bool:
-    """No two exponents differ by a root ``e_i - e_j``, so G and M are diagonal."""
+    """No two exponents differ by a root ``e_i - e_j``, so G and M are diagonal (cached)."""
     return all(root_pair(a, b) is None for a, b in combinations(support, 2))
 
 
@@ -341,7 +342,7 @@ def _u_quotients(f: SparsePoly) -> tuple[dict, int] | None:
     ``f`` whose support has no root difference, else None.  Their quotient
     is the gradient entry ``N_a / (d^2 norm2^3)`` of each ``a`` on the
     support; the entries off it are 0."""
-    if not f.is_exact() or _float_plan(f.n, f.d, tuple(f.terms)) is None:
+    if not f.is_exact() or not _root_difference_free(tuple(f.terms)):
         return None
     scale = lcm(*(c.denominator for c in f.terms.values()))
     lifted = [(a, c.numerator * (scale // c.denominator)) for a, c in f.terms.items()]
@@ -479,7 +480,7 @@ def gradient_symbolic(family: SparsePoly) -> tuple[list[ParamPoly], ParamPoly]:
         raise TypeError("numeric input: use gradient")
     zero, coeffs = _parametric(family)
     n, d = family.n, family.d
-    if not _root_difference_free(family.terms):
+    if not _root_difference_free(tuple(family.terms)):
         numerators, norm2 = _lie_numerators(zero, coeffs, n, d)
         return numerators, norm2 * norm2 * norm2 * (d * d)
     scale = lcm(*(v.denominator for _, c in coeffs for v in c.terms.values()))

@@ -489,7 +489,7 @@ def test_centroid_sums_scale_by_the_square_of_an_integer_scaling(seed):
     basis = enumerate_monomials(n, d)
     while True:
         support = rng.sample(basis, rng.randint(2, min(6, len(basis))))
-        if _root_difference_free(support):
+        if _root_difference_free(tuple(support)):
             break
     u = [Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in support]
     scale = math.lcm(*(x.denominator for x in u))

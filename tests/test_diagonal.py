@@ -69,6 +69,10 @@ WALK_CASES = [
     (n, d, m)
     for n in (2, 3, 4) for d in range(1, 6) for m in range(2, 6)
     if m <= comb(n + d - 1, d) and (n, d, m) not in {(4, 4, 5), (4, 5, 5)}
+] + [
+    (n, d, m)
+    for n, d, top in ((5, 2, 5), (5, 3, 4), (5, 4, 3), (6, 2, 4), (6, 3, 3))
+    for m in range(2, top + 1)
 ]
 
 
@@ -81,6 +85,7 @@ def test_the_walk_keeps_the_diagonal_orbit_representatives(n, d, m):
 
 @pytest.mark.parametrize("n, d, m, count", [
     (3, 5, 5, 176), (3, 5, 6, 66), (3, 5, 7, 6), (3, 6, 5, 1976), (4, 4, 5, 1132),
+    (5, 3, 5, 124), (5, 3, 6, 72), (6, 3, 5, 454),
 ])
 def test_diagonal_family_counts_beyond_the_oracle(n, d, m, count):
     assert len(diagonal_families(n, d, m)) == count
