@@ -1,16 +1,16 @@
 """Time the two support enumerators in two source trees and write BENCH_walk.json.
 
-    python3 ci/bench_walk.py --parent DIR [--runs 5] [--out BENCH_walk.json]
+    python3 ci/bench_walk.py --parent DIR [--out BENCH_walk.json]
 
 DIR is a checkout of the parent commit; the change is the checkout this
 script sits in.  The cases are ``diagonal_families(n, d, m)`` on the
 ``DIAGONAL`` triples and the sweeps ``orbit_classes(n, d, m)`` over every
 ``m`` of the ``SWEEPS`` pairs.  Each run starts one interpreter per tree,
 the two trees in turn, and that interpreter times every case once; a
-case's time is the min over the runs, and every run's time is kept, so the
-parent's spread shows too.  Each case also records its count (families, or
-orbits summed over ``m``) and the sha256 of its output, which must agree
-between the trees.  Standard library only.
+case's time is the min over the ``RUNS`` runs, and every run's time is
+kept, so the parent's spread shows too.  Each case also records its count
+(families, or orbits summed over ``m``) and the sha256 of its output, which
+must agree between the trees.  Standard library only.
 """
 
 import argparse
@@ -26,6 +26,7 @@ ROOT = Path(__file__).resolve().parent.parent
 DIAGONAL = [(3, 5, 3), (4, 3, 3), (3, 5, 5), (3, 5, 6), (3, 5, 7), (3, 6, 5),
             (4, 4, 5), (5, 3, 5), (5, 3, 6), (6, 3, 5)]
 SWEEPS = [(3, 4), (4, 3)]
+RUNS = 5
 
 # run in a fresh interpreter with the tree's src/ on the path; prints one
 # JSON object {case: [seconds, count, sha256]}
@@ -71,15 +72,14 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True,
                         help="a checkout of the parent commit")
-    parser.add_argument("--runs", type=int, default=5)
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_walk.json")
     args = parser.parse_args(argv)
     trees = {"parent": args.parent.resolve(), "change": ROOT}
     runs = {label: [] for label in trees}
-    for k in range(args.runs):
+    for k in range(RUNS):
         for label, tree in trees.items():
             runs[label].append(run_once(tree))
-            print(f"run {k + 1}/{args.runs} {label} done", file=sys.stderr)
+            print(f"run {k + 1}/{RUNS} {label} done", file=sys.stderr)
     table, mismatched = [], []
     for name, _, _ in cases():
         row = {"case": name}
@@ -97,7 +97,7 @@ def main(argv=None) -> int:
                 "parent against change, min of the runs in seconds",
         "host": {"machine": platform.machine(), "cpus": os.cpu_count(),
                  "python": platform.python_version()},
-        "runs": args.runs,
+        "runs": RUNS,
         "outputs_match": not mismatched,
         "cases": table,
     }

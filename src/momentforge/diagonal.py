@@ -69,14 +69,13 @@ def diagonal_families(n: int, d: int, m: int) -> list[ParamFamily]:
     later = [sum(1 << j for j in range(k + 1, len(basis)) if root_pair(a, basis[j]) is None)
              for k, a in enumerate(basis)]
 
-    def walk(mask, candidates, rows):
-        while candidates.bit_count() >= m - len(rows):
+    def walk(mask, candidates, terms):
+        while candidates.bit_count() >= m - terms:
             low = candidates & -candidates
             candidates ^= low
-            k = low.bit_length() - 1
-            if len(rows) + 1 < m:
-                yield from walk(mask | low, candidates & later[k], (*rows, table[k]))
+            if terms + 1 < m:
+                yield from walk(mask | low, candidates & later[low.bit_length() - 1], terms + 1)
             else:
-                yield mask | low, (*rows, table[k])
-    reps = _representatives(basis, walk(0, (1 << len(basis)) - 1, ()))
+                yield mask | low
+    reps = _representatives(basis, table, walk(0, (1 << len(basis)) - 1, 0))
     return [build_family(support) for support in reps if uses_all_variables(support)]

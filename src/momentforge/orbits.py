@@ -14,13 +14,13 @@ bit ``k`` for the ``k``-th basis monomial in canonical order; for masks of
 equal size integer order is ``support_order_key`` order (both compare the
 largest monomial first), so an orbit's representative is its least image
 mask.  ``_image_table`` holds each monomial's image bit under each of the
-``n!`` permutations.  ``_representatives`` alone picks representatives,
-from each subset (mask and table rows) of a family closed under the
-permutations, given once: all size-``m`` subsets for ``orbit_classes``, the
-independent sets of the root graph for ``diagonal.diagonal_families``.  The
-least mask is not hereditary, so no orderly walk can prune with it: deleting
-the highest (lowest) bit of a representative leaves a non-representative in
-3 (7) of the 10 orbits of (3,3,2) and 425 (251) of the 716 of (4,3,5).
+``n!`` permutations.  ``_representatives`` alone picks representatives, from
+the masks of a family closed under the permutations, each given once: all
+size-``m`` subsets for ``orbit_classes``, the independent sets of the root
+graph for ``diagonal.diagonal_families``.  The least mask is not
+hereditary, so no orderly walk can prune with it: deleting the highest
+(lowest) bit of a representative leaves a non-representative in 3 (7) of
+the 10 orbits of (3,3,2) and 425 (251) of the 716 of (4,3,5).
 ``orbit_of`` and ``canonical_representative`` keep the definition on
 frozensets, which the tests hold ``orbit_classes`` to.
 """
@@ -45,6 +45,9 @@ SupportSet = frozenset[ExponentVector]
 
 Permutation = tuple[int, ...]
 
+# bin(mask)[:1:-1].encode().translate(_BITS) is the bits of mask, lowest first
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
 
 def permute_exponents(sigma: Permutation, alpha: ExponentVector) -> ExponentVector:
     """Rename variable ``i`` to ``sigma[i]`` inside one exponent vector."""
@@ -58,7 +61,9 @@ def permute(sigma: Permutation, f: SparsePoly) -> SparsePoly:
     """Apply a coordinate permutation to a polynomial, coefficients carried along."""
     if sorted(sigma) != list(range(f.n)):
         raise ValueError(f"{sigma} is not a permutation of 0..{f.n - 1}")
-    return SparsePoly(f.n, f.d, {permute_exponents(sigma, exp): c for exp, c in f.terms.items()})
+    return SparsePoly(
+        f.n, f.d, {permute_exponents(sigma, exp): c for exp, c in f.terms.items()}
+    )
 
 
 def support_order_key(support) -> tuple:
@@ -93,32 +98,29 @@ def _image_table(n: int, d: int, m: int) -> tuple[tuple[ExponentVector, ...], li
     return basis, [tuple(map(bit.__getitem__, permutations(alpha))) for alpha in basis]
 
 
-def _representatives(basis, subsets) -> list[SupportSet]:
-    """The representatives of the orbits of ``subsets`` (see the module docstring), sorted."""
+def _representatives(basis, table, masks) -> list[SupportSet]:
+    """The representatives of the orbits of ``masks`` (see the module docstring), sorted."""
     # the masks of orbits already built that the walk has not reached yet
     pending: set[int] = set()
     reps = []
-    for mask, columns in subsets:
+    for mask in masks:
         if mask in pending:
             pending.remove(mask)
             continue
-        images = set(map(sum, zip(*columns)))
+        images = set(map(sum, zip(*compress(table, bin(mask)[:1:-1].encode().translate(_BITS)))))
         reps.append(min(images))
         images.remove(mask)
         pending |= images
     reps.sort()
-    # bin(rep)[:1:-1] lists the bits of rep lowest first
-    return [frozenset(compress(basis, map(int, bin(rep)[:1:-1]))) for rep in reps]
+    return [frozenset(compress(basis, bin(rep)[:1:-1].encode().translate(_BITS))) for rep in reps]
 
 
 def orbit_classes(n: int, d: int, m: int) -> list[SupportSet]:
     """The canonical support set of every orbit of size-``m`` support sets,
     sorted by ``support_order_key``."""
-    basis, images_of = _image_table(n, d, m)
+    basis, table = _image_table(n, d, m)
     units = [1 << k for k in range(len(basis))]
-    # both walks list the size-m subsets of the basis in the same order
-    return _representatives(basis, zip(map(sum, combinations(units, m)),
-                                       combinations(images_of, m)))
+    return _representatives(basis, table, map(sum, combinations(units, m)))
 
 
 def uses_all_variables(support) -> bool:
