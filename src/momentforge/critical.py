@@ -64,13 +64,16 @@ is taken in b_k^2, as every equation is even in each b_k, and checked to
 vanish at q_k; its squarefree
 part in b_k is printed with the interval that holds the root, refined by
 bisecting against x^2 - q_k, as each holds one simple irrational root.  The
-patterns are merged, scored, verified and sorted as ``solve_real`` does.
-Pencils with an identically zero resultant go to ``solve_real``, and so do
-positive-dimensional sets and three unknowns.  A positive-dimensional set in
-two unknowns is always such a pencil: its equations have infinitely many
-real common zeros, so by Bezout they share a factor of positive degree.
-Every resultant in an unknown that this factor involves then vanishes
-identically, and no equation is free of that unknown.
+patterns are merged, scored, verified and sorted as ``solve_real`` does, but
+the magnitude step of ``torus_canonical`` reads only the exact absolute
+coefficients, so it runs once per distinct list of them: once for a rational
+point (an irrational +-sqrt(q_k) is two floats, refined apart, that need not
+be negatives).  Pencils with an identically zero resultant go to
+``solve_real``, and so do positive-dimensional sets and three unknowns.  A
+positive-dimensional set in two unknowns is always such a pencil: its
+equations have infinitely many real common zeros, so by Bezout they share a
+factor of positive degree.  Every resultant in an unknown that this factor
+involves then vanishes identically, and no equation is free of that unknown.
 """
 
 from __future__ import annotations
@@ -275,7 +278,8 @@ def torus_canonical(f: SparsePoly) -> SparsePoly:
     spent making the coefficient signs lexicographically as positive as
     possible.  Exact when the input is rational and the rescaling stays
     rational; float magnitudes otherwise, and ``ValueError`` when one of
-    those is beyond the float range.
+    those is beyond the float range.  Two steps: ``_torus_magnitudes`` reads
+    only the absolute coefficients, ``_torus_signs`` only the signs.
 
     The signs come from linear algebra over GF(2).  Flipping the signs of a
     set of coordinates and possibly of the whole form is a vector
@@ -302,13 +306,17 @@ def torus_canonical(f: SparsePoly) -> SparsePoly:
     support = tuple(sorted(f.terms, key=canonical_key))
     coeffs = [f.terms[a] for a in support]
     chosen, combos, parity = _torus_plan(support)
+    magnitudes = _torus_magnitudes(chosen, combos, coeffs)
+    return SparsePoly(f.n, f.d, _torus_signs(support, parity, coeffs, magnitudes))
 
-    exact_in = all(isinstance(c, Fraction) for c in coeffs)
-    magnitudes: list = [None] * len(support)
-    if exact_in:
+
+def _torus_magnitudes(chosen, combos, coeffs) -> list:
+    """``torus_canonical``'s magnitude step, from the absolute coefficients alone."""
+    if all(isinstance(c, Fraction) for c in coeffs):
+        magnitudes = []
         for j, combo in enumerate(combos):
             if combo is None:
-                magnitudes[j] = Fraction(1)
+                magnitudes.append(Fraction(1))
                 continue
             # |c_j| prod |c_t|^(-gamma_t) is rational iff the numerator and the
             # denominator of its k-th power, gamma = N / k in lowest terms,
@@ -319,31 +327,35 @@ def torus_canonical(f: SparsePoly) -> SparsePoly:
                 power /= abs(coeffs[t]) ** g
             num, den = _exact_root(power.numerator, k), _exact_root(power.denominator, k)
             if num is None or den is None:
-                exact_in = False
                 break
-            magnitudes[j] = Fraction(num, den)
-    if not exact_in:
-        # a rational's logarithm from its integers, which may be beyond the float range
-        logs = [math.log(abs(c.numerator)) - math.log(c.denominator) if isinstance(c, Fraction)
-                else math.log(abs(c)) for c in coeffs]
-        try:
-            magnitudes = [
-                1.0 if combo is None
-                else math.exp(logs[j] - sum(g / combo[1] * logs[t]
-                                            for t, g in zip(chosen, combo[0])))
-                for j, combo in enumerate(combos)
-            ]
-        except OverflowError:
-            magnitudes = [0.0]  # as for a magnitude that underflows
-        if 0.0 in magnitudes:
-            raise ValueError("a rescaled coefficient is beyond the floating-point range")
+            magnitudes.append(Fraction(num, den))
+        else:
+            return magnitudes
+    # a rational's logarithm from its integers, which may be beyond the float range
+    logs = [math.log(abs(c.numerator)) - math.log(c.denominator) if isinstance(c, Fraction)
+            else math.log(abs(c)) for c in coeffs]
+    try:
+        magnitudes = [
+            1.0 if combo is None
+            else math.exp(logs[j] - sum(g / combo[1] * logs[t]
+                                        for t, g in zip(chosen, combo[0])))
+            for j, combo in enumerate(combos)
+        ]
+    except OverflowError:
+        magnitudes = [0.0]  # as for a magnitude that underflows
+    if 0.0 in magnitudes:
+        raise ValueError("a rescaled coefficient is beyond the floating-point range")
+    return magnitudes
 
+
+def _torus_signs(support, parity, coeffs, magnitudes) -> dict:
+    """``torus_canonical``'s sign step: the GF(2) rule on the input signs."""
     negative = [not c > 0 for c in coeffs]
     terms = {}
     for j, (a, mag, combo) in enumerate(zip(support, magnitudes, parity)):
         flip = combo is not None and (negative[j] + sum(negative[t] for t in combo)) % 2
         terms[a] = -mag if flip else mag
-    return SparsePoly(f.n, f.d, terms)
+    return terms
 
 
 def polys_close(f: SparsePoly, g: SparsePoly) -> bool:
@@ -826,13 +838,21 @@ def _point_solutions(family: ParamFamily, cs: CriticalSet) -> list[CriticalSolut
                 return solve_real(family, equations)  # a degenerate pencil: Newton
         pairs = [pair or _signed_roots(p, q) for pair, p, q in zip(pairs, projections, squares)]
 
-    # solve_real's merge: the first torus class within RESIDUAL_TOL, and the least score
+    # solve_real's merge: the first torus class within RESIDUAL_TOL, and the
+    # least score; magnitudes once per distinct list of absolute coefficients
+    support = tuple(sorted(family.poly.terms, key=canonical_key))
+    chosen, combos, parity = _torus_plan(support)
+    seen: list[tuple] = []  # (absolute coefficients, magnitudes), each distinct once
     kept: list[tuple] = []  # (score, values, poly, canonical form) per class
     for values in product(*pairs):
         poly = _substitute_values(family, values)
-        canonical = torus_canonical(poly)
-        coeffs = tuple(float(poly.terms[a]) for a in sorted(poly.terms, key=canonical_key))
-        score = (0 if all(float(v) > 0 for v in values) else 1, coeffs)
+        coeffs = [poly.terms[a] for a in support]
+        absolute = [abs(c) for c in coeffs]
+        magnitudes = next((m for key, m in seen if key == absolute), None)
+        if magnitudes is None:
+            seen.append((absolute, magnitudes := _torus_magnitudes(chosen, combos, absolute)))
+        canonical = SparsePoly(poly.n, poly.d, _torus_signs(support, parity, coeffs, magnitudes))
+        score = (0 if all(float(v) > 0 for v in values) else 1, tuple(map(float, coeffs)))
         k = next((k for k, c in enumerate(kept) if polys_close(c[3], canonical)), len(kept))
         if k == len(kept) or score < kept[k][0]:
             kept[k:k + 1] = [(score, values, poly, canonical)]

@@ -421,17 +421,27 @@ def substitute_params(f: SparsePoly, values: Sequence) -> SparsePoly:
     """Replace parameter symbols by values.
 
     ``values`` holds one value per symbol, ``b1`` first.  Evaluation is exact
-    when all values are rational.
+    when all values are rational.  A one-term coefficient (each of a family's)
+    is computed directly, and equals what ``ParamPoly.subs`` gives bit for bit.
     """
     nsyms = parameter_symbols(f)
     if nsyms == 0:
         return f
     if len(values) != nsyms:
         raise ValueError(f"expected {nsyms} parameter values, got {len(values)}")
-    values = [v if isinstance(v, float) else Fraction(v) for v in values]
+    values = [v if isinstance(v, float) or type(v) is Fraction else Fraction(v) for v in values]
+    exact = all(_is_exact(v) for v in values)
     out: dict[ExponentVector, Scalar] = {}
     for exp, coeff in f.terms.items():
-        c = coeff.subs(values) if isinstance(coeff, ParamPoly) else coeff
+        if isinstance(coeff, ParamPoly) and len(coeff.terms) == 1 and coeff.nsyms == nsyms:
+            ((mono, c),) = coeff.terms.items()
+            c = (c if isinstance(c, Fraction) else Fraction(c)) if exact else float(c)
+            for e, v in zip(mono, values):
+                if e:
+                    power = v if e == 1 else v**e
+                    c = power if exact and c == 1 else c * power
+        else:
+            c = coeff.subs(values) if isinstance(coeff, ParamPoly) else coeff
         if not scalar_is_zero(c):
             out[exp] = c
     return SparsePoly(f.n, f.d, out)

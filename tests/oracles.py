@@ -1,11 +1,20 @@
 """Reference computations that share as little as possible with the code
 they check: forward jets through the trace formula, the derivative of the
-normalized norm along one-parameter subgroups, and the projective
-fixed-point criterion of diagonal moment matrices."""
+normalized norm along one-parameter subgroups, the projective fixed-point
+criterion of diagonal moment matrices, and the merge of a closed-form
+point's sign patterns with every pattern canonicalised on its own."""
 
 from __future__ import annotations
 
-from momentforge.critical import RESIDUAL_TOL
+from fractions import Fraction
+
+from momentforge.critical import (
+    RESIDUAL_TOL,
+    CriticalSolution,
+    polys_close,
+    torus_canonical,
+    verify_critical,
+)
 from momentforge.moment import _trace_parts, moment_matrix
 from momentforge.polyring import DegenerateInputError, SparsePoly, canonical_key
 from momentforge.symd import enumerate_monomials, inner_product
@@ -129,3 +138,27 @@ def fixed_point_check(f: SparsePoly) -> bool:
         elif abs(float(delta)) > RESIDUAL_TOL:
             return False
     return True
+
+
+def per_pattern_merge(family, patterns) -> list:
+    """The solutions that the sign patterns ``patterns`` (tuples of values,
+    in order) give the family: each pattern substituted by
+    ``ParamPoly.subs`` and canonicalised by ``torus_canonical`` on its own,
+    then merged into the first torus class within ``RESIDUAL_TOL`` by
+    ``polys_close`` when its score is lower (all values positive first, then
+    the float coefficients in canonical order), each class verified and the
+    classes sorted by their float values."""
+    kept = []  # (score, values, poly, canonical form) per class
+    for values in patterns:
+        subs = [v if isinstance(v, Fraction) else float(v) for v in values]
+        poly = SparsePoly(family.poly.n, family.poly.d,
+                          {a: c.subs(subs) for a, c in family.poly.terms.items()})
+        canonical = torus_canonical(poly)
+        coeffs = tuple(float(poly.terms[a]) for a in sorted(poly.terms, key=canonical_key))
+        score = (0 if all(float(v) > 0 for v in values) else 1, coeffs)
+        k = next((k for k, c in enumerate(kept) if polys_close(c[3], canonical)), len(kept))
+        if k == len(kept) or score < kept[k][0]:
+            kept[k:k + 1] = [(score, values, poly, canonical)]
+    solutions = [CriticalSolution(family, values, verify_critical(poly), canonical)
+                 for _, values, poly, canonical in kept]
+    return sorted(solutions, key=lambda s: tuple(map(float, s.values)))

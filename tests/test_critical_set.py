@@ -29,6 +29,7 @@ from momentforge.moment import _centroid_sums, _root_difference_free, square_len
 from momentforge.orbits import build_family
 from momentforge.polyring import ParamPoly, SparsePoly
 from momentforge.symd import enumerate_monomials, weight
+from oracles import per_pattern_merge
 
 # every identically diagonal family of these shapes and term counts
 CASES = [(3, 3, 2), (3, 3, 3), (3, 3, 4), (3, 4, 2), (3, 4, 3), (3, 4, 4),
@@ -332,6 +333,58 @@ def test_isolated_points_skip_the_candidate_grid(n, d, m, monkeypatch):
     for family in others:
         with pytest.raises(AssertionError, match="was called"):
             solve_family(family)
+
+
+# how many one-point families in at most two unknowns each case has, and how
+# many of those are rational; with four terms every family has three unknowns
+MERGE_COUNTS = {(3, 3, 2): (3, 2), (3, 3, 3): (4, 2), (3, 3, 4): (0, 0), (3, 4, 2): (11, 5),
+                (3, 4, 3): (17, 5), (3, 4, 4): (0, 0), (3, 5, 2): (22, 8), (3, 5, 3): (51, 5),
+                (4, 3, 2): (4, 2), (4, 3, 3): (12, 3), (3, 6, 3): (101, 9), (4, 4, 3): (81, 7)}
+
+
+def solution_bytes(solutions):
+    return [(s.values, s.residual, repr(s.canonical_form.terms)) for s in solutions]
+
+
+@pytest.mark.parametrize("n, d, m", MERGE_COUNTS)
+def test_the_merge_equals_canonicalising_every_pattern(n, d, m, monkeypatch):
+    # the magnitude step runs once per distinct list of absolute
+    # coefficients; the oracle runs torus_canonical on every pattern
+    patterns = []
+    substitute = critical._substitute_values
+
+    def recording(family, values):
+        patterns.append(values)
+        return substitute(family, values)
+
+    monkeypatch.setattr(critical, "_substitute_values", recording)
+    monkeypatch.setattr(critical, "solve_real", refuse("solve_real"))
+    families = point_families(n, d, m)
+    rational = 0
+    for family, cs in families:
+        patterns.clear()
+        got = critical._point_solutions(family, cs)
+        assert len(patterns) == 2 ** family.nparams, family
+        rational += all(isinstance(v, Fraction) for v in patterns[0])
+        assert solution_bytes(got) == solution_bytes(per_pattern_merge(family, patterns)), family
+    assert (len(families), rational) == MERGE_COUNTS[n, d, m]
+
+
+def test_a_rational_point_computes_its_magnitudes_once(monkeypatch):
+    family = next(f for f in rational_point_families(3, 4, 3) if f.nparams == 2)
+    calls = []
+    magnitudes = critical._torus_magnitudes
+
+    def counting(*args):
+        calls.append(args)
+        return magnitudes(*args)
+
+    monkeypatch.setattr(critical, "_torus_magnitudes", counting)
+    solutions = solve_family(family)
+    assert len(calls) == 1
+    # the four patterns still merge into their torus classes
+    assert [s.canonical_form for s in solutions] == [
+        critical.torus_canonical(s.polynomial()) for s in solutions]
 
 
 # _point_solutions takes its projections in the squares b_k^2, and refines

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -11,10 +12,13 @@ from momentforge.polyring import (
     SparsePoly,
     canonical_key,
     format_poly,
+    parameter_symbols,
     poly_from_json,
     poly_to_json,
+    scalar_is_zero,
     substitute_params,
 )
+from momentforge.symd import enumerate_monomials
 
 
 def P(**kw):
@@ -119,6 +123,92 @@ class TestSubstituteParams:
         fam = SparsePoly.make(3, 3, {mono("x3"): b1})
         with pytest.raises(ValueError):
             substitute_params(fam, [Fraction(1)])
+
+
+def reference_substitute_params(f, values):
+    """``substitute_params`` with ``ParamPoly.subs`` on every coefficient."""
+    nsyms = parameter_symbols(f)
+    if nsyms == 0:
+        return f
+    if len(values) != nsyms:
+        raise ValueError(f"expected {nsyms} parameter values, got {len(values)}")
+    values = [v if isinstance(v, float) else Fraction(v) for v in values]
+    out = {}
+    for exp, coeff in f.terms.items():
+        c = coeff.subs(values) if isinstance(coeff, ParamPoly) else coeff
+        if not scalar_is_zero(c):
+            out[exp] = c
+    return SparsePoly(f.n, f.d, out)
+
+
+def typed_terms(f):
+    # repr tells -0.0 from 0.0 and round-trips every other float bit for bit
+    return [(a, type(c), repr(c)) for a, c in f.terms.items()]
+
+
+class TestOneTermSubstitution:
+    def draw_family(self, rng, k):
+        """A cubic with one-term coefficients (symbols, the pinned 1, powers,
+        int constants) and now and then a sum of terms or a rational."""
+        support = rng.sample(enumerate_monomials(3, 3), rng.randint(1, 5))
+        terms = {}
+        for a in support:
+            exp = tuple(rng.choice([0, 0, 1, 2]) for _ in range(k))
+            kind = rng.randrange(6)
+            if kind == 0:
+                terms[a] = ParamPoly._trusted(k, {exp: rng.choice([1, -3])})  # int
+            elif kind == 1:
+                terms[a] = ParamPoly(k, {exp: 1, tuple(reversed(exp)): Fraction(1, 3)})
+            elif kind == 2:
+                terms[a] = Fraction(rng.randint(-5, 5) or 1, 3)
+            else:
+                terms[a] = ParamPoly(k, {exp: Fraction(rng.randint(-4, 4) or 1, rng.randint(1, 3))})
+        return SparsePoly(3, 3, terms)
+
+    def draw_value(self, rng):
+        return rng.choice([
+            Fraction(rng.randint(-9, 9), rng.randint(1, 7)), Fraction(0), 0.0, -0.0,
+            rng.uniform(-3, 3), -rng.uniform(1e-3, 1), rng.randint(-3, 3),
+        ])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_subs_on_every_coefficient(self, seed):
+        rng = random.Random(seed)
+        for _ in range(200):
+            k = rng.randint(1, 3)
+            f = self.draw_family(rng, k)
+            values = [self.draw_value(rng) for _ in range(k)]
+            if rng.random() < 0.3:  # all exact, so the exact path runs too
+                values = [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(k)]
+            got = substitute_params(f, values)
+            assert typed_terms(got) == typed_terms(reference_substitute_params(f, values))
+
+    def test_a_family_with_zero_values(self):
+        b1, b2 = ParamPoly.symbol(2, 0), ParamPoly.symbol(2, 1)
+        fam = SparsePoly.make(3, 3, {mono("x3"): b1, mono("y3"): b2,
+                                     mono("z3"): ParamPoly.const(2, 1)})
+        for values in ([Fraction(-3, 2), Fraction(5)], [-1.25, 0.1], [Fraction(0), Fraction(5)],
+                       [Fraction(2), -0.0], [0.0, Fraction(-1, 3)]):
+            got = substitute_params(fam, values)
+            assert typed_terms(got) == typed_terms(reference_substitute_params(fam, values))
+
+    @pytest.mark.parametrize("values", [
+        [Fraction(1)], [Fraction(1)] * 3, [None, Fraction(1)], ["x", Fraction(1)],
+        [Fraction(1), 1j],
+    ])
+    def test_errors_are_unchanged(self, values):
+        b1 = ParamPoly.symbol(2, 0)
+        fam = SparsePoly.make(3, 3, {mono("x3"): b1, mono("y3"): ParamPoly.const(2, 1)})
+        with pytest.raises((ValueError, TypeError)) as want:
+            reference_substitute_params(fam, values)
+        with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
+            substitute_params(fam, values)
+
+    def test_a_coefficient_in_another_ring_is_refused_by_subs(self):
+        fam = SparsePoly(3, 3, {mono("x3"): ParamPoly.symbol(2, 0),
+                                mono("y3"): ParamPoly.symbol(3, 1)})
+        with pytest.raises(ValueError, match="^wrong number of parameter values$"):
+            substitute_params(fam, [Fraction(1), Fraction(2)])
 
 
 class TestJsonFormat:
