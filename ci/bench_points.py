@@ -14,7 +14,13 @@ workload and kind: the first pass is the ``cold`` first call, the second
 the ``warm`` one.  A time is the min over the ``RUNS`` runs, and every
 run's time is kept, so the parent's spread shows too.  Each run also
 records the sha256 of ``critical --json`` for every case, which must agree
-between the trees.  Standard library only.
+between the trees.
+
+The ``closed_form`` section times ``critical_set`` alone, one call per
+family of each of ``CLOSED_FORM`` in every run, its families enumerated
+before the clock starts, and records the sha256 of the ``repr`` of the
+returned sets, which holds every field; those must agree between the trees
+too.  Standard library only.
 """
 
 import argparse
@@ -30,11 +36,12 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = {"paper": [(3, 3, 2), (3, 3, 3), (3, 4, 2), (3, 4, 3)],
              "beyond_paper": [(3, 5, 3), (4, 3, 3)]}
 KINDS = ("empty", "rational", "irrational", "newton")
+CLOSED_FORM = [(3, 5, 5), (3, 6, 5), (4, 4, 5), (6, 3, 5)]
 RUNS = 5
 
 # run in a fresh interpreter with the tree's src/ on the path; prints one
 # JSON object {"times": {workload: {kind: [count, cold_s, warm_s]}},
-# "sha256": {case: hex}}
+# "sha256": {case: hex}, "closed_form": {case: [count, seconds, hex]}}
 CHILD = """
 import contextlib, hashlib, io, json, math, sys, time
 from momentforge import cli
@@ -78,13 +85,21 @@ for cases in workloads.values():
         with contextlib.redirect_stdout(out):
             cli.main(["critical", "--n", str(n), "--d", str(d), "--terms", str(m), "--json"])
         shas[f"critical({n},{d},{m})"] = hashlib.sha256(out.getvalue().encode()).hexdigest()
-print(json.dumps({"times": times, "sha256": shas}))
+closed = {}
+for n, d, m in json.loads(sys.argv[2]):
+    fams = list(diagonal_families(n, d, m))
+    start = time.perf_counter()
+    sets = [critical_set(family) for family in fams]
+    seconds = time.perf_counter() - start
+    closed[f"({n},{d},{m})"] = [len(fams), seconds, hashlib.sha256(repr(sets).encode()).hexdigest()]
+print(json.dumps({"times": times, "sha256": shas, "closed_form": closed}))
 """
 
 
 def run_once(tree: Path) -> dict:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    proc = subprocess.run([sys.executable, "-c", CHILD, json.dumps(WORKLOADS)],
+    proc = subprocess.run([sys.executable, "-c", CHILD, json.dumps(WORKLOADS),
+                           json.dumps(CLOSED_FORM)],
                           env=env, check=True, capture_output=True, text=True)
     return json.loads(proc.stdout)
 
@@ -115,25 +130,43 @@ def main(argv=None) -> int:
                     row[f"{label}_{when}_ms"] = round(min(ms), 3)
                     row[f"{label}_{when}_runs_ms"] = [round(t, 3) for t in ms]
             table.append(row)
-    shas = {label: [run["sha256"] for run in runs[label]] for label in trees}
+    closed_form = []
+    for case in runs["parent"][0]["closed_form"]:
+        row = {"case": case, "families": runs["parent"][0]["closed_form"][case][0]}
+        for label in trees:
+            ms = [run["closed_form"][case][1] * 1000 for run in runs[label]]
+            row[f"{label}_ms"] = round(min(ms), 3)
+            row[f"{label}_runs_ms"] = [round(t, 3) for t in ms]
+        row["sha256"] = runs["change"][0]["closed_form"][case][2]
+        closed_form.append(row)
+    # every output hash of a run: critical --json per case, critical_set per case
+    shas = {label: [{**run["sha256"], **{f"critical_set{case}": v[2]
+                                         for case, v in run["closed_form"].items()}}
+                    for run in runs[label]] for label in trees}
     mismatched = sorted({case for label in trees for run in shas[label]
                          for case, sha in run.items() if sha != shas["parent"][0][case]})
     report = {
         "what": "solve_family per workload and kind of family, the sum over its families, "
                 "parent against change; cold is each family's first call in a fresh "
-                "interpreter, warm its second; min of the runs in milliseconds",
+                "interpreter, warm its second; closed_form is critical_set alone, one "
+                "call per family of each case, and the sha256 of the repr of its results; "
+                "min of the runs in milliseconds",
         "host": {"machine": platform.machine(), "cpus": os.cpu_count(),
                  "python": platform.python_version()},
         "runs": RUNS,
         "outputs_match": not mismatched,
-        "critical_json_sha256": shas["change"][0],
+        "critical_json_sha256": runs["change"][0]["sha256"],
         "kinds": table,
+        "closed_form": closed_form,
     }
     args.out.write_text(json.dumps(report, indent=2) + "\n")
     for row in table:
         print(f"{row['workload']:13} {row['kind']:10} {row['families']:>4}  cold parent "
               f"{row['parent_cold_ms']:8.2f} change {row['change_cold_ms']:8.2f} ms  warm parent "
               f"{row['parent_warm_ms']:8.2f} change {row['change_warm_ms']:8.2f} ms")
+    for row in closed_form:
+        print(f"closed_form {row['case']:9} {row['families']:>4}  critical_set parent "
+              f"{row['parent_ms']:8.2f} change {row['change_ms']:8.2f} ms")
     if mismatched:
         print("outputs differ: " + ", ".join(mismatched), file=sys.stderr)
         return 1

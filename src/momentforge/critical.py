@@ -56,8 +56,9 @@ residual check for the others, so this was also measured: the solver
 returned ``[]`` on each of the 128 empty sets among the 457 diagonal
 families of (3,3), (3,4), (3,5) and (4,3) with 2 to 4 terms).  Where the set
 is one point in at most two unknowns, each b_k^2 is
-q_k = (u_k / w(a_k)) / (u_pin / w(pin)), so the points are the sign patterns
-of b_k = +-sqrt(q_k).  A rational sqrt(q_k) is a ``Fraction``.  An irrational
+q_k = (u_k / w(a_k)) / (u_pin / w(pin)) = u_k pin! / (u_pin a_k!), one
+``Fraction`` each, so the points are the sign patterns of b_k = +-sqrt(q_k).
+A rational sqrt(q_k) is a ``Fraction``.  An irrational
 one is an ``AlgebraicNumber``, in the spelling that the ``critical --json``
 gates pin: the projection (the one equation, or the first nonzero resultant)
 is taken in b_k^2, as every equation is even in each b_k, and checked to
@@ -65,10 +66,11 @@ vanish at q_k; its squarefree
 part in b_k is printed with the interval that holds the root, refined by
 bisecting against x^2 - q_k, as each holds one simple irrational root.  The
 patterns are merged, scored, verified and sorted as ``solve_real`` does, but
-the magnitude step of ``torus_canonical`` reads only the exact absolute
-coefficients, so it runs once per distinct list of them: once for a rational
-point (an irrational +-sqrt(q_k) is two floats, refined apart, that need not
-be negatives).  Pencils with an identically zero resultant go to
+the magnitude step of ``torus_canonical`` runs once per exactness of the
+coefficients: a one-point support is affinely independent, so every
+magnitude is 1 (``Fraction(1)`` if every coefficient is a ``Fraction``, else
+1.0) whatever the values, and a combination in its plan raises
+``ArithmeticError``.  Pencils with an identically zero resultant go to
 ``solve_real``, and so do positive-dimensional sets and three unknowns.  A
 positive-dimensional set in two unknowns is always such a pencil: its
 equations have infinitely many real common zeros, so by Bezout they share a
@@ -81,8 +83,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations, product, zip_longest
-from math import gcd, lcm
+from itertools import combinations, permutations, product
+from math import factorial, gcd, lcm, prod
+from operator import mul, sub
 from typing import NamedTuple
 
 from . import univariate as uni
@@ -102,7 +105,6 @@ from .polyring import (
     canonical_key,
     substitute_params,
 )
-from .symd import weight
 
 RESIDUAL_TOL = 1e-9  # the largest accepted residual, and the merge distance
 INTERVAL_WIDTH = Fraction(1, 10**12)
@@ -205,15 +207,17 @@ def _greedy_basis(vectors) -> tuple[tuple[int, ...], tuple]:
     vectors before it: the integers ``(N, D)`` in lowest terms, ``D > 0``,
     with ``sum_t N_t v_t = D v``.
 
-    One fraction-free echelon of the taken vectors is kept, in pivot order:
-    each row is an integer vector, zero before its pivot (its first nonzero
-    entry), with its integer combination of the taken vectors.  A new
-    vector ``v`` is reduced once, row by row, to ``D v - sum_t N_t v_t``,
-    which is zero at every pivot: zero iff ``v`` lies in their span, else
-    the row that ``v`` adds."""
+    One fraction-free echelon of the taken vectors is kept, in the order
+    taken: each row is an integer vector, zero before its pivot (its first
+    nonzero entry) and at the pivots of the rows before it, with its integer
+    combination of the taken vectors.  A new vector ``v`` is reduced once,
+    row by row in that order, to ``D v - sum_t N_t v_t``, which is zero at
+    every pivot: zero iff ``v`` lies in their span, else the row that ``v``
+    adds.  The combinations are unique: dividing out contents only keeps
+    the integers small."""
     chosen: list[int] = []
     combos: list = []
-    rows: list = []  # (pivot, row, combination), by pivot
+    rows: list = []  # (pivot, row, combination), in the order taken
     for j, v in enumerate(vectors):
         denominator, numerators = 1, [0] * len(chosen)
         for pivot, row, combination in rows:
@@ -222,19 +226,23 @@ def _greedy_basis(vectors) -> tuple[tuple[int, ...], tuple]:
                 y = row[pivot]
                 v = [y * a - x * b for a, b in zip(v, row)]
                 denominator *= y
-                numerators = [y * a + x * b
-                              for a, b in zip_longest(numerators, combination, fillvalue=0)]
+                if y != 1:
+                    numerators = [y * a for a in numerators]
+                for i, b in enumerate(combination):  # never longer than numerators
+                    numerators[i] += x * b
         if any(v):
             combination = [-a for a in numerators] + [denominator]
             common = gcd(*v, *combination)
-            pivot = next(i for i, a in enumerate(v) if a)
-            rows.append((pivot, [a // common for a in v], [a // common for a in combination]))
-            rows.sort(key=lambda r: r[0])
+            if common != 1:
+                v, combination = [a // common for a in v], [a // common for a in combination]
+            rows.append((v.index(next(filter(None, v))), v, combination))
             chosen.append(j)
             combos.append(None)
         else:
             common = gcd(denominator, *numerators) * (1 if denominator > 0 else -1)
-            combos.append((tuple(a // common for a in numerators), denominator // common))
+            if common != 1:
+                numerators, denominator = [a // common for a in numerators], denominator // common
+            combos.append((tuple(numerators), denominator))
     return tuple(chosen), tuple(combos)
 
 
@@ -426,7 +434,7 @@ class CriticalSet(NamedTuple):
 
 
 def _dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def _strictly_feasible(rows: list, k: int) -> list[Fraction] | None:
@@ -472,63 +480,69 @@ def critical_set(family: ParamFamily) -> CriticalSet:
     p_S solves the normal equations over B.  A u with sum 1 and centroid
     p_S then has one free coordinate per dependent difference, and each
     coordinate of B is affine in them, so strict positivity is decided, and
-    a point found, by Fourier-Motzkin over the |S| - 1 - r free coordinates
-    (none when S is affinely independent: the barycentric coordinates of p_S).
+    a point found, by Fourier-Motzkin over the |S| - 1 - r free coordinates.
 
-    The support data stay integers: the differences, the Gram matrix of B
-    and n (t - a_0) = d 1 - n a_0.  The normal equations are solved without
-    fractions, as N / D with the Gram matrix times N equal to D times the
-    right-hand side, so p_S = a_0 + sum_j N_j B_j / (n D) and
-    |m|^2 = 4 |n D (p_S - t)|^2 / (n D)^2 each take one division.  The rows
-    of u > 0 stay integers too (n D u, in free coordinates scaled to integer
-    coefficients): on a bounded set, ``_strictly_feasible`` picks midpoints
-    alone, which positive scalings do not move.  The point is checked
-    exactly against the gradient's own u-form sums, on the integer vector
-    L u, L the least common multiple of its denominators: every sum is a
-    quadratic form in u, ``norm2 <a, s> - <s, s>`` in integers, so it is
-    L^2 times its value at u and vanishes exactly when that does.
+    Integers throughout: the differences, the Gram matrix of B,
+    n (t - a_0) = d 1 - n a_0, the solution N / D of the normal equations
+    (Gram matrix times N = D times the right side), n D (p_S - a_0) =
+    sum_j N_j B_j and the rows n D u of u > 0 (free coordinates scaled to
+    integer coefficients: on a bounded set, ``_strictly_feasible`` picks
+    midpoints alone, which positive scalings do not move).  ``Fraction``s
+    are built only by Fourier-Motzkin's back-substitution and for the
+    fields, one division each.  The point is checked exactly against the
+    gradient's u-form sums ``norm2 <a, s> - <s, s>``, in integers at a
+    multiple t u: as quadratic forms they are t^2 times their values at u.
+    With no free coordinate (S affinely independent, as every one-point set
+    is) t u is the row constants c = n D u, and no ``Fraction`` of u is
+    reduced and rescaled; otherwise t is the lcm of u's denominators.
     """
     points = family.display_terms()
     if not _root_difference_free(tuple(points)):
         raise ValueError(f"{family}: two support exponents differ by a root")
     n, d = family.poly.n, family.poly.d
     base = points[0]
-    diffs = [tuple(x - y for x, y in zip(a, base)) for a in points[1:]]
+    diffs = [tuple(map(sub, a, base)) for a in points[1:]]
     chosen, combos = _greedy_basis(diffs)
     basis = [diffs[j] for j in chosen]
     rank = len(basis)
-    gram = [tuple(_dot(b, c) for c in basis) for b in basis]
+    gram = [[_dot(b, c) for c in basis] for b in basis]
     target = [d - n * x for x in base]  # n (t - a_0)
     # the Gram matrix is symmetric and invertible: the right side is a combination of its rows
     numerators, denominator = _greedy_basis(gram + [[_dot(b, target) for b in basis]])[1][-1]
     scale = n * denominator
     # offset = n D (p_S - a_0), so n D (p_S - t) = offset - D n (t - a_0)
-    offset = [sum(y * b[i] for y, b in zip(numerators, basis)) for i in range(n)]
+    offset = [_dot(numerators, column) for column in zip(*basis)]
     projection = tuple(Fraction(scale * x + o, scale) for x, o in zip(base, offset))
     square_length = Fraction(
         4 * sum((o - denominator * e) ** 2 for o, e in zip(offset, target)), scale * scale
     )
 
-    # n D sum_k u_k (a_k - a_0) = sum_j N_j B_j, with u_k = D_v w_v / (n D) free
-    # for the v-th dependent difference, D_v (a_k - a_0) = sum_j g_vj B_j: the
-    # row of B_j is N_j - sum_v g_vj w_v, and n D u_0 is n D minus all others
     free = [k for k, combo in enumerate(combos) if combo is not None]
-    rows = [None] * len(diffs)
-    for j, k in enumerate(chosen):
-        rows[k] = (numerators[j], tuple(-combos[f][0][j] if j < len(combos[f][0]) else 0
-                                        for f in free))
-    for v, k in enumerate(free):
-        rows[k] = (0, tuple(combos[k][1] if v == w else 0 for w in range(len(free))))
-    first = (scale - sum(c for c, _ in rows), tuple(-sum(x) for x in zip(*(a for _, a in rows))))
-    rows.insert(0, first)
-    w = _strictly_feasible(rows, len(free))
     point = None
-    if w is not None:
-        point = tuple(Fraction(c + _dot(a, w), scale) for c, a in rows)
-        common = lcm(*(u.denominator for u in point))
-        scaled = [u.numerator * (common // u.denominator) for u in point]
-        if any(_centroid_sums(points, scaled)):
-            raise ArithmeticError(f"{family}: the closed-form point is not critical")
+    if not free:
+        # the barycentric coordinates of p_S: n D u = (n D - sum N, N)
+        certificate = [scale - sum(numerators), *numerators]
+        if min(certificate) > 0:
+            point = tuple(Fraction(c, scale) for c in certificate)
+    else:
+        # n D sum_k u_k (a_k - a_0) = sum_j N_j B_j, with u_k = D_v w_v / (n D) free
+        # for the v-th dependent difference, D_v (a_k - a_0) = sum_j g_vj B_j: the
+        # row of B_j is N_j - sum_v g_vj w_v, and n D u_0 is n D minus all others
+        rows = [None] * len(diffs)
+        for j, k in enumerate(chosen):
+            rows[k] = (numerators[j], tuple(-combos[f][0][j] if j < len(combos[f][0]) else 0
+                                            for f in free))
+        for v, k in enumerate(free):
+            rows[k] = (0, tuple(combos[k][1] if v == w else 0 for w in range(len(free))))
+        rows.insert(0, (scale - sum(c for c, _ in rows),
+                        tuple(-sum(x) for x in zip(*(a for _, a in rows)))))
+        w = _strictly_feasible(rows, len(free))
+        if w is not None:
+            point = tuple(Fraction(c + _dot(a, w), scale) for c, a in rows)
+            common = lcm(*(u.denominator for u in point))
+            certificate = [u.numerator * (common // u.denominator) for u in point]
+    if point is not None and any(_centroid_sums(points, certificate)):
+        raise ArithmeticError(f"{family}: the closed-form point is not critical")
     return CriticalSet(family, rank, projection, len(free), square_length, point)
 
 
@@ -817,8 +831,11 @@ def _point_solutions(family: ParamFamily, cs: CriticalSet) -> list[CriticalSolut
     """``solve_real``'s output at a one-point critical set in at most two
     unknowns, from b_k^2 = q_k (see the module docstring); projections are
     taken in b_k^2, as Res_y(F(x^2, y^2), G(x^2, y^2)) = Res(F, G)(x^2)^2."""
-    c2 = [u / weight(a) for u, a in zip(cs.point, family.display_terms())]
-    squares = [c / c2[-1] for c in c2[:-1]]
+    terms = family.display_terms()
+    # q_k = u_k pin! / (u_pin a_k!), as w(a) = a! / d!: one Fraction each
+    (top, bottom), pin = cs.point[-1].as_integer_ratio(), prod(map(factorial, terms[-1]))
+    squares = [Fraction(u.numerator * bottom * pin, u.denominator * top * prod(map(factorial, a)))
+               for u, a in zip(cs.point, terms[:-1])]
     roots = [(_exact_root(q.numerator, 2), _exact_root(q.denominator, 2)) for q in squares]
     pairs = [None if None in r else (-Fraction(*r), Fraction(*r)) for r in roots]
     if None in pairs:
@@ -839,19 +856,20 @@ def _point_solutions(family: ParamFamily, cs: CriticalSet) -> list[CriticalSolut
         pairs = [pair or _signed_roots(p, q) for pair, p, q in zip(pairs, projections, squares)]
 
     # solve_real's merge: the first torus class within RESIDUAL_TOL, and the
-    # least score; magnitudes once per distinct list of absolute coefficients
+    # least score; magnitudes once per exactness of the coefficients
     support = tuple(sorted(family.poly.terms, key=canonical_key))
     chosen, combos, parity = _torus_plan(support)
-    seen: list[tuple] = []  # (absolute coefficients, magnitudes), each distinct once
+    if any(combo is not None for combo in combos):
+        raise ArithmeticError(f"{family}: a one-point support is affinely dependent")
+    ones: dict[bool, list] = {}  # the magnitudes, all 1, by exactness
     kept: list[tuple] = []  # (score, values, poly, canonical form) per class
     for values in product(*pairs):
         poly = _substitute_values(family, values)
         coeffs = [poly.terms[a] for a in support]
-        absolute = [abs(c) for c in coeffs]
-        magnitudes = next((m for key, m in seen if key == absolute), None)
-        if magnitudes is None:
-            seen.append((absolute, magnitudes := _torus_magnitudes(chosen, combos, absolute)))
-        canonical = SparsePoly(poly.n, poly.d, _torus_signs(support, parity, coeffs, magnitudes))
+        exact = all(isinstance(c, Fraction) for c in coeffs)
+        if exact not in ones:
+            ones[exact] = _torus_magnitudes(chosen, combos, coeffs)
+        canonical = SparsePoly(poly.n, poly.d, _torus_signs(support, parity, coeffs, ones[exact]))
         score = (0 if all(float(v) > 0 for v in values) else 1, tuple(map(float, coeffs)))
         k = next((k for k, c in enumerate(kept) if polys_close(c[3], canonical)), len(kept))
         if k == len(kept) or score < kept[k][0]:

@@ -86,6 +86,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import factorial, frexp, gcd, lcm, ldexp, prod
+from operator import mul
 
 from .polyring import (
     DegenerateInputError,
@@ -361,9 +362,9 @@ def _centroid_sums(support, u) -> list:
     dict, with the term order of the rational computation, which the
     solver's float residuals sum in."""
     if not isinstance(u[0], ParamPoly):
-        s = [sum(x * b[i] for x, b in zip(u, support)) for i in range(len(support[0]))]
-        norm2, s_dot_s = sum(u), sum(x * x for x in s)
-        return [norm2 * sum(x * y for x, y in zip(a, s)) - s_dot_s for a in support]
+        s = [sum(map(mul, u, column)) for column in zip(*support)]
+        norm2, s_dot_s = sum(u), sum(map(mul, s, s))
+        return [norm2 * sum(map(mul, a, s)) - s_dot_s for a in support]
     # u_b u_c once per unordered pair, with the integer products <b, c>
     pairs = [
         (j, k, sum(x * y for x, y in zip(support[j], support[k])), u[j] * u[k])

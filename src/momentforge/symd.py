@@ -34,7 +34,8 @@ def enumerate_monomials(n: int, d: int) -> tuple[ExponentVector, ...]:
         raise ValueError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
     exponents = (a for a in product(range(d + 1), repeat=n) if sum(a) == d)
     basis = tuple(sorted(exponents, key=canonical_key))
-    assert len(basis) == comb(n + d - 1, d)
+    if len(basis) != comb(n + d - 1, d):
+        raise ArithmeticError(f"{len(basis)} monomials of degree {d} in {n} variables")
     return basis
 
 

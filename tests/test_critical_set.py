@@ -29,7 +29,7 @@ from momentforge.moment import _centroid_sums, _root_difference_free, square_len
 from momentforge.orbits import build_family
 from momentforge.polyring import ParamPoly, SparsePoly
 from momentforge.symd import enumerate_monomials, weight
-from oracles import per_pattern_merge
+from oracles import fraction_centroid_sums, fraction_critical_set, per_pattern_merge
 
 # every identically diagonal family of these shapes and term counts
 CASES = [(3, 3, 2), (3, 3, 3), (3, 3, 4), (3, 4, 2), (3, 4, 3), (3, 4, 4),
@@ -225,6 +225,33 @@ def test_closed_forms_are_pinned():
     ]
     assert len(rows) == 457
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == CLOSED_FORMS_SHA256
+
+
+# empty sets, points and Fourier-Motzkin with up to four free coordinates
+ORACLE_CASES = [(3, 3, m) for m in (2, 3, 4)] + [(n, d, m) for n, d in [(3, 4), (3, 5), (4, 3)]
+                                                 for m in (2, 3, 4, 5)] + [(5, 3, 5)]
+
+
+def test_critical_set_equals_the_fraction_oracle():
+    # repr per field, so that an int where a Fraction was (or the reverse) fails
+    count = 0
+    for case in ORACLE_CASES:
+        for family in diagonal_families(*case):
+            got, expected = critical_set(family), fraction_critical_set(family)
+            assert list(map(repr, got)) == list(map(repr, expected)), family
+            count += 1
+    assert count == 771
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_centroid_sums_equal_the_fraction_oracle(seed):
+    rng = random.Random(seed)
+    for _ in range(50):
+        n, d = rng.choice([(2, 5), (3, 3), (3, 4), (3, 5), (4, 3), (5, 3)])
+        support = rng.sample(enumerate_monomials(n, d), rng.randint(1, 6))
+        u = [rng.choice([0, rng.randint(-10**6, 10**6)]) for _ in support]
+        got, expected = _centroid_sums(support, u), fraction_centroid_sums(support, u)
+        assert repr(got) == repr(expected), (support, u)
 
 
 def test_two_free_coordinates():

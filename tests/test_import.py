@@ -1,5 +1,5 @@
-"""What importing the package loads, in a fresh interpreter, and what it
-exports."""
+"""What importing the package loads, in a fresh interpreter, what it
+exports, and that none of its checks is an ``assert``."""
 
 import ast
 import os
@@ -58,6 +58,14 @@ def test_every_function_and_class_has_a_caller_or_a_reason():
                     used.add(node.attr)
     assert sorted(names - used - UNCALLED_EXPORTS.keys()) == []
     assert sorted(UNCALLED_EXPORTS.keys() - names) == []
+
+
+def test_no_check_is_an_assert():
+    # ``python -O`` drops every assert statement, and the check with it
+    package = Path(momentforge.__file__).resolve().parent
+    asserts = [f"{path.name}:{node.lineno}" for path in sorted(package.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Assert)]
+    assert asserts == []
 
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
