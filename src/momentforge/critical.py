@@ -58,19 +58,20 @@ families of (3,3), (3,4), (3,5) and (4,3) with 2 to 4 terms).  Where the set
 is one point in at most two unknowns, each b_k^2 is
 q_k = (u_k / w(a_k)) / (u_pin / w(pin)) = u_k pin! / (u_pin a_k!), one
 ``Fraction`` each, so the points are the sign patterns of b_k = +-sqrt(q_k).
-A rational sqrt(q_k) is a ``Fraction``.  An irrational
-one is an ``AlgebraicNumber``, in the spelling that the ``critical --json``
-gates pin: the projection (the one equation, or the first nonzero resultant)
-is taken in b_k^2, as every equation is even in each b_k, and checked to
-vanish at q_k; its squarefree
-part in b_k is printed with the interval that holds the root, refined by
-bisecting against x^2 - q_k, as each holds one simple irrational root.  The
-patterns are merged, scored, verified and sorted as ``solve_real`` does, but
-the magnitude step of ``torus_canonical`` runs once per exactness of the
-coefficients: a one-point support is affinely independent, so every
-magnitude is 1 (``Fraction(1)`` if every coefficient is a ``Fraction``, else
-1.0) whatever the values, and a combination in its plan raises
-``ArithmeticError``.  Pencils with an identically zero resultant go to
+A rational sqrt(q_k) is a ``Fraction``.  An irrational one is an
+``AlgebraicNumber``, in the spelling that the ``critical --json`` gates pin:
+the projection (the one equation, or the first nonzero resultant) is taken
+in b_k^2, as every equation is even in each b_k, and checked to vanish at
+q_k; its squarefree part in b_k is printed with the interval that holds the
+root, refined by bisecting against x^2 - q_k, as each holds one simple
+irrational root.  The patterns are merged, scored, verified and sorted as
+``solve_real`` does, but by sign class: a one-point support is affinely
+independent (a combination in its plan raises ``ArithmeticError``), so
+every magnitude is 1, and a pattern's canonical form is +-1 (``Fraction(1)``
+when every value is rational, else 1.0) with the signs of the GF(2) rule
+(``_sign_flips``).  ``polys_close`` on two such forms is equality of their
+flips, so the flips key the classes, and only the least pattern of each is
+substituted and verified.  Pencils with an identically zero resultant go to
 ``solve_real``, and so do positive-dimensional sets and three unknowns.  A
 positive-dimensional set in two unknowns is always such a pencil: its
 equations have infinitely many real common zeros, so by Bezout they share a
@@ -287,7 +288,7 @@ def torus_canonical(f: SparsePoly) -> SparsePoly:
     possible.  Exact when the input is rational and the rescaling stays
     rational; float magnitudes otherwise, and ``ValueError`` when one of
     those is beyond the float range.  Two steps: ``_torus_magnitudes`` reads
-    only the absolute coefficients, ``_torus_signs`` only the signs.
+    only the absolute coefficients, ``_sign_flips`` only the signs.
 
     The signs come from linear algebra over GF(2).  Flipping the signs of a
     set of coordinates and possibly of the whole form is a vector
@@ -315,7 +316,9 @@ def torus_canonical(f: SparsePoly) -> SparsePoly:
     coeffs = [f.terms[a] for a in support]
     chosen, combos, parity = _torus_plan(support)
     magnitudes = _torus_magnitudes(chosen, combos, coeffs)
-    return SparsePoly(f.n, f.d, _torus_signs(support, parity, coeffs, magnitudes))
+    flips = _sign_flips(parity, [not c > 0 for c in coeffs])
+    terms = {a: -mag if flip else mag for a, mag, flip in zip(support, magnitudes, flips)}
+    return SparsePoly(f.n, f.d, terms)
 
 
 def _torus_magnitudes(chosen, combos, coeffs) -> list:
@@ -356,14 +359,11 @@ def _torus_magnitudes(chosen, combos, coeffs) -> list:
     return magnitudes
 
 
-def _torus_signs(support, parity, coeffs, magnitudes) -> dict:
-    """``torus_canonical``'s sign step: the GF(2) rule on the input signs."""
-    negative = [not c > 0 for c in coeffs]
-    terms = {}
-    for j, (a, mag, combo) in enumerate(zip(support, magnitudes, parity)):
-        flip = combo is not None and (negative[j] + sum(negative[t] for t in combo)) % 2
-        terms[a] = -mag if flip else mag
-    return terms
+def _sign_flips(parity, negative) -> tuple:
+    """The GF(2) sign rule of ``torus_canonical``: whether each term flips,
+    from the terms' negativities and ``_parity_combinations``."""
+    return tuple(combo is not None and (negative[j] + sum(negative[t] for t in combo)) % 2
+                 for j, combo in enumerate(parity))
 
 
 def polys_close(f: SparsePoly, g: SparsePoly) -> bool:
@@ -437,10 +437,11 @@ def _dot(a, b):
     return sum(map(mul, a, b))
 
 
-def _strictly_feasible(rows: list, k: int) -> list[Fraction] | None:
-    """A rational ``z`` with ``c + <a, z> > 0`` for every row ``(c, a)`` over
-    ``k`` unknowns, or None: Fourier-Motzkin elimination (exact for strict
-    inequalities), last unknown first, then back-substitution."""
+def _strictly_feasible(rows: list, k: int) -> tuple[list[int], int] | None:
+    """Integers ``(z, D)``, ``D > 0``, with ``c + <a, z / D> > 0`` for every
+    integer row ``(c, a)`` over ``k`` unknowns, or None: Fourier-Motzkin
+    elimination (exact for strict inequalities), last unknown first, then
+    back-substitution over one common denominator."""
     levels = []
     for v in reversed(range(k)):
         lower = [row for row in rows if row[1][v] > 0]
@@ -455,18 +456,21 @@ def _strictly_feasible(rows: list, k: int) -> list[Fraction] | None:
         levels.append((v, lower, upper))
     if any(c <= 0 for c, _ in rows):
         return None
-    z = [Fraction(0)] * k
+    z, denominator = [0] * k, 1
     for v, lower, upper in reversed(levels):
-        # z_v and the unknowns after it are still 0 here
-        lo = max((Fraction(-(c + _dot(a, z)), a[v]) for c, a in lower), default=None)
-        hi = min((Fraction(-(c + _dot(a, z)), a[v]) for c, a in upper), default=None)
+        # z_v and the unknowns after it are still 0 here; over D step
+        # (step = 2 lcm |a_v|) each bound on z_v has an even numerator
+        step = 2 * lcm(*(a[v] for _, a in lower + upper))
+        lo = max((-(c * denominator + _dot(a, z)) * (step // a[v]) for c, a in lower), default=None)
+        hi = min((-(c * denominator + _dot(a, z)) * (step // a[v]) for c, a in upper), default=None)
+        z, denominator = [x * step for x in z], denominator * step
         if lo is not None and hi is not None:
-            z[v] = (lo + hi) / 2
+            z[v] = (lo + hi) // 2
         elif lo is not None:
-            z[v] = lo + 1
+            z[v] = lo + denominator
         elif hi is not None:
-            z[v] = hi - 1
-    return z
+            z[v] = hi - denominator
+    return z, denominator
 
 
 def critical_set(family: ParamFamily) -> CriticalSet:
@@ -485,19 +489,19 @@ def critical_set(family: ParamFamily) -> CriticalSet:
     Integers throughout: the differences, the Gram matrix of B,
     n (t - a_0) = d 1 - n a_0, the solution N / D of the normal equations
     (Gram matrix times N = D times the right side), n D (p_S - a_0) =
-    sum_j N_j B_j and the rows n D u of u > 0 (free coordinates scaled to
+    sum_j N_j B_j, the rows n D u of u > 0 (free coordinates scaled to
     integer coefficients: on a bounded set, ``_strictly_feasible`` picks
-    midpoints alone, which positive scalings do not move).  ``Fraction``s
-    are built only by Fourier-Motzkin's back-substitution and for the
-    fields, one division each.  The point is checked exactly against the
-    gradient's u-form sums ``norm2 <a, s> - <s, s>``, in integers at a
-    multiple t u: as quadratic forms they are t^2 times their values at u.
-    With no free coordinate (S affinely independent, as every one-point set
-    is) t u is the row constants c = n D u, and no ``Fraction`` of u is
-    reduced and rescaled; otherwise t is the lcm of u's denominators.
+    midpoints alone, which positive scalings do not move) and the free
+    coordinates it picks, over one common denominator E.  ``Fraction``s are
+    built only for the fields, one division each.  The point is checked
+    exactly against the gradient's u-form sums ``norm2 <a, s> - <s, s>``,
+    in integers at a multiple t u: as quadratic forms they are t^2 times
+    their values at u.  With no free coordinate (S affinely independent, as
+    every one-point set is) t u is the row constants c = n D u; otherwise
+    t = n D E, and row (c, a) of t u is c E + <a, z>, z the numerators.
     """
     points = family.display_terms()
-    if not _root_difference_free(tuple(points)):
+    if not _root_difference_free(points):
         raise ValueError(f"{family}: two support exponents differ by a root")
     n, d = family.poly.n, family.poly.d
     base = points[0]
@@ -536,11 +540,11 @@ def critical_set(family: ParamFamily) -> CriticalSet:
             rows[k] = (0, tuple(combos[k][1] if v == w else 0 for w in range(len(free))))
         rows.insert(0, (scale - sum(c for c, _ in rows),
                         tuple(-sum(x) for x in zip(*(a for _, a in rows)))))
-        w = _strictly_feasible(rows, len(free))
-        if w is not None:
-            point = tuple(Fraction(c + _dot(a, w), scale) for c, a in rows)
-            common = lcm(*(u.denominator for u in point))
-            certificate = [u.numerator * (common // u.denominator) for u in point]
+        feasible = _strictly_feasible(rows, len(free))
+        if feasible is not None:
+            z, common = feasible  # the point is w = z / common: n D common u = c common + <a, z>
+            certificate = [c * common + _dot(a, z) for c, a in rows]
+            point = tuple(Fraction(x, common * scale) for x in certificate)
     if point is not None and any(_centroid_sums(points, certificate)):
         raise ArithmeticError(f"{family}: the closed-form point is not critical")
     return CriticalSet(family, rank, projection, len(free), square_length, point)
@@ -855,31 +859,29 @@ def _point_solutions(family: ParamFamily, cs: CriticalSet) -> list[CriticalSolut
                 return solve_real(family, equations)  # a degenerate pencil: Newton
         pairs = [pair or _signed_roots(p, q) for pair, p, q in zip(pairs, projections, squares)]
 
-    # solve_real's merge: the first torus class within RESIDUAL_TOL, and the
-    # least score; magnitudes once per exactness of the coefficients
-    support = tuple(sorted(family.poly.terms, key=canonical_key))
-    chosen, combos, parity = _torus_plan(support)
+    # solve_real's merge with no polynomial per pattern: the support is
+    # affinely independent, so a canonical form is +-1 by the flips alone
+    support = tuple(reversed(terms))  # canonical order: the pinned term, then b_m .. b_1
+    _, combos, parity = _torus_plan(support)
     if any(combo is not None for combo in combos):
         raise ArithmeticError(f"{family}: a one-point support is affinely dependent")
-    ones: dict[bool, list] = {}  # the magnitudes, all 1, by exactness
-    kept: list[tuple] = []  # (score, values, poly, canonical form) per class
+    exact = all(isinstance(v, Fraction) for pair in pairs for v in pair)
+    one = Fraction(1) if exact else 1.0
+    best: dict[tuple, tuple] = {}  # the least (score, values) of each class, by its flips
     for values in product(*pairs):
-        poly = _substitute_values(family, values)
-        coeffs = [poly.terms[a] for a in support]
-        exact = all(isinstance(c, Fraction) for c in coeffs)
-        if exact not in ones:
-            ones[exact] = _torus_magnitudes(chosen, combos, coeffs)
-        canonical = SparsePoly(poly.n, poly.d, _torus_signs(support, parity, coeffs, ones[exact]))
-        score = (0 if all(float(v) > 0 for v in values) else 1, tuple(map(float, coeffs)))
-        k = next((k for k, c in enumerate(kept) if polys_close(c[3], canonical)), len(kept))
-        if k == len(kept) or score < kept[k][0]:
-            kept[k:k + 1] = [(score, values, poly, canonical)]
+        floats = (1.0, *map(float, reversed(values)))  # the coefficients in canonical order
+        key = _sign_flips(parity, [c <= 0 for c in ((1, *reversed(values)) if exact else floats)])
+        score = (0 if min(floats) > 0 else 1, floats)
+        if key not in best or score < best[key][0]:
+            best[key] = (score, values)
     solutions = []
-    for _, values, poly, canonical in kept:
-        residual = verify_critical(poly)
-        if residual > (0.0 if all(isinstance(v, Fraction) for v in values) else RESIDUAL_TOL):
+    for key, (_, values) in best.items():
+        residual = verify_critical(_substitute_values(family, values))
+        if residual > (0.0 if exact else RESIDUAL_TOL):
             raise ArithmeticError(f"{family}: a closed-form point is not critical")
-        solutions.append(CriticalSolution(family, values, residual, canonical))
+        form = {a: -one if flip else one for a, flip in zip(support, key)}
+        solutions.append(CriticalSolution(family, values, residual,
+                                          SparsePoly(family.poly.n, family.poly.d, form)))
     return sorted(solutions, key=lambda s: tuple(map(float, s.values)))
 
 

@@ -28,6 +28,7 @@ frozensets, which the tests hold ``orbit_classes`` to.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, compress, permutations
 from typing import NamedTuple
 
@@ -143,8 +144,9 @@ class ParamFamily(NamedTuple):
     poly: SparsePoly
     nparams: int
 
-    def display_terms(self) -> list[ExponentVector]:
-        return sorted(self.support, key=display_key)
+    def display_terms(self) -> tuple[ExponentVector, ...]:
+        """The support in display order, sorted once per support (``_display_order``)."""
+        return _display_order(self.support)
 
     def __str__(self):
         parts = []
@@ -154,12 +156,17 @@ class ParamFamily(NamedTuple):
         return " + ".join(parts)
 
 
+@lru_cache(maxsize=256)
+def _display_order(support: SupportSet) -> tuple[ExponentVector, ...]:
+    return tuple(sorted(support, key=display_key))
+
+
 def build_family(support) -> ParamFamily:
     """Attach parameters to a support set of at least two monomials."""
     support = frozenset(support)
     if len(support) < 2:
         raise ValueError("a one-term support needs no parameters; monomials are handled directly")
-    ordered = sorted(support, key=display_key)
+    ordered = _display_order(support)
     nparams = len(ordered) - 1
     n = len(ordered[0])
     terms = {}

@@ -15,7 +15,6 @@ from momentforge.critical import (
     RESIDUAL_TOL,
     CriticalSet,
     CriticalSolution,
-    _strictly_feasible,
     polys_close,
     torus_canonical,
     verify_critical,
@@ -174,7 +173,8 @@ def per_pattern_merge(family, patterns) -> list:
 # the closed-form critical set through Fraction points: ``critical._greedy_basis``,
 # ``critical._dot``, ``critical.critical_set`` and the exact branch of
 # ``moment._centroid_sums`` as they were before the kernel ran in integers from
-# input to output, copied unchanged
+# input to output, and ``critical._strictly_feasible`` as it was before its
+# back-substitution did (here ``fraction_strictly_feasible``), copied unchanged
 
 
 def _greedy_basis(vectors) -> tuple[tuple[int, ...], tuple]:
@@ -220,6 +220,38 @@ def _dot(a, b):
     return sum(x * y for x, y in zip(a, b))
 
 
+def fraction_strictly_feasible(rows: list, k: int) -> list[Fraction] | None:
+    """A rational ``z`` with ``c + <a, z> > 0`` for every row ``(c, a)`` over
+    ``k`` unknowns, or None: Fourier-Motzkin elimination (exact for strict
+    inequalities), last unknown first, then back-substitution."""
+    levels = []
+    for v in reversed(range(k)):
+        lower = [row for row in rows if row[1][v] > 0]
+        upper = [row for row in rows if row[1][v] < 0]
+        rows = [row for row in rows if row[1][v] == 0]
+        # z_v lies above each lower bound and below each upper one: both
+        # rows scaled positively so that z_v cancels, their sum is positive
+        for cp, ap in lower:
+            for cq, aq in upper:
+                p, q = -aq[v], ap[v]
+                rows.append((p * cp + q * cq, tuple(p * x + q * y for x, y in zip(ap, aq))))
+        levels.append((v, lower, upper))
+    if any(c <= 0 for c, _ in rows):
+        return None
+    z = [Fraction(0)] * k
+    for v, lower, upper in reversed(levels):
+        # z_v and the unknowns after it are still 0 here
+        lo = max((Fraction(-(c + _dot(a, z)), a[v]) for c, a in lower), default=None)
+        hi = min((Fraction(-(c + _dot(a, z)), a[v]) for c, a in upper), default=None)
+        if lo is not None and hi is not None:
+            z[v] = (lo + hi) / 2
+        elif lo is not None:
+            z[v] = lo + 1
+        elif hi is not None:
+            z[v] = hi - 1
+    return z
+
+
 def fraction_centroid_sums(support, u) -> list:
     """``sum_{b,c} <a - b, c> u_b u_c = norm2 <a, s> - <s, s>`` for each
     ``a`` of the support, with ``s = sum_b u_b b``, for exact ``u``: the
@@ -249,8 +281,8 @@ def fraction_critical_set(family: ParamFamily) -> CriticalSet:
     right-hand side, so p_S = a_0 + sum_j N_j B_j / (n D) and
     |m|^2 = 4 |n D (p_S - t)|^2 / (n D)^2 each take one division.  The rows
     of u > 0 stay integers too (n D u, in free coordinates scaled to integer
-    coefficients): on a bounded set, ``_strictly_feasible`` picks midpoints
-    alone, which positive scalings do not move.  The point is checked
+    coefficients): on a bounded set, ``fraction_strictly_feasible`` picks
+    midpoints alone, which positive scalings do not move.  The point is checked
     exactly against the gradient's own u-form sums, on the integer vector
     L u, L the least common multiple of its denominators: every sum is a
     quadratic form in u, ``norm2 <a, s> - <s, s>`` in integers, so it is
@@ -289,7 +321,7 @@ def fraction_critical_set(family: ParamFamily) -> CriticalSet:
         rows[k] = (0, tuple(combos[k][1] if v == w else 0 for w in range(len(free))))
     first = (scale - sum(c for c, _ in rows), tuple(-sum(x) for x in zip(*(a for _, a in rows))))
     rows.insert(0, first)
-    w = _strictly_feasible(rows, len(free))
+    w = fraction_strictly_feasible(rows, len(free))
     point = None
     if w is not None:
         point = tuple(Fraction(c + _dot(a, w), scale) for c, a in rows)

@@ -6,6 +6,7 @@ import hashlib
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 import sympy
@@ -29,7 +30,12 @@ from momentforge.moment import _centroid_sums, _root_difference_free, square_len
 from momentforge.orbits import build_family
 from momentforge.polyring import ParamPoly, SparsePoly
 from momentforge.symd import enumerate_monomials, weight
-from oracles import fraction_centroid_sums, fraction_critical_set, per_pattern_merge
+from oracles import (
+    fraction_centroid_sums,
+    fraction_critical_set,
+    fraction_strictly_feasible,
+    per_pattern_merge,
+)
 
 # every identically diagonal family of these shapes and term counts
 CASES = [(3, 3, 2), (3, 3, 3), (3, 3, 4), (3, 4, 2), (3, 4, 3), (3, 4, 4),
@@ -373,18 +379,24 @@ def solution_bytes(solutions):
     return [(s.values, s.residual, repr(s.canonical_form.terms)) for s in solutions]
 
 
+def recording_patterns(monkeypatch):
+    """The sign patterns that ``_point_solutions`` enumerates, in order."""
+    patterns = []
+
+    def recording(*pairs):
+        for values in product(*pairs):
+            patterns.append(values)
+            yield values
+
+    monkeypatch.setattr(critical, "product", recording)
+    return patterns
+
+
 @pytest.mark.parametrize("n, d, m", MERGE_COUNTS)
 def test_the_merge_equals_canonicalising_every_pattern(n, d, m, monkeypatch):
-    # the magnitude step runs once per distinct list of absolute
-    # coefficients; the oracle runs torus_canonical on every pattern
-    patterns = []
-    substitute = critical._substitute_values
-
-    def recording(family, values):
-        patterns.append(values)
-        return substitute(family, values)
-
-    monkeypatch.setattr(critical, "_substitute_values", recording)
+    # the merge keys each pattern by its sign class; the oracle runs
+    # torus_canonical on every pattern and compares with polys_close
+    patterns = recording_patterns(monkeypatch)
     monkeypatch.setattr(critical, "solve_real", refuse("solve_real"))
     families = point_families(n, d, m)
     rational = 0
@@ -397,21 +409,52 @@ def test_the_merge_equals_canonicalising_every_pattern(n, d, m, monkeypatch):
     assert (len(families), rational) == MERGE_COUNTS[n, d, m]
 
 
-def test_a_rational_point_computes_its_magnitudes_once(monkeypatch):
-    family = next(f for f in rational_point_families(3, 4, 3) if f.nparams == 2)
+@pytest.mark.parametrize("n, d, m", MERGE_COUNTS)
+def test_a_sign_class_form_is_the_canonical_form(n, d, m, monkeypatch):
+    # the fact the merge rests on: at every sign pattern of +-sqrt(q_k), the
+    # floats of the irrational branch included, torus_canonical gives the
+    # +-1 form that _point_solutions builds from the pattern's class key,
+    # which is the form it reports when that pattern is the only one
+    patterns = recording_patterns(monkeypatch)
+    monkeypatch.setattr(critical, "solve_real", refuse("solve_real"))
+    families = []
+    for family, cs in point_families(n, d, m):
+        patterns.clear()
+        critical._point_solutions(family, cs)
+        families.append((family, cs, list(patterns)))
+    checked = 0
+    for family, cs, family_patterns in families:
+        for values in family_patterns:
+            monkeypatch.setattr(critical, "product", lambda *pairs, values=values: [values])
+            (alone,) = critical._point_solutions(family, cs)
+            expected = critical.torus_canonical(critical._substitute_values(family, values))
+            assert repr(alone.canonical_form.terms) == repr(expected.terms), (family, values)
+            checked += 1
+    assert checked == sum(2 ** family.nparams for family, _, _ in families)
+
+
+def test_the_point_path_builds_one_polynomial_per_solution(monkeypatch):
+    # no pattern is canonicalised: the classes come from the GF(2) flips, and
+    # each kept one is substituted once, for its verification
+    rationals = rational_point_families(3, 4, 3)
+    rational = next(f for f in rationals if f.nparams == 2)
+    irrational = next(f for f, _ in point_families(3, 4, 3) if f not in rationals)
+    for name in ("_torus_magnitudes", "torus_canonical", "polys_close"):
+        monkeypatch.setattr(critical, name, refuse(name))
     calls = []
-    magnitudes = critical._torus_magnitudes
+    substitute = critical._substitute_values
 
-    def counting(*args):
-        calls.append(args)
-        return magnitudes(*args)
+    def recording(family, values):
+        calls.append(values)
+        return substitute(family, values)
 
-    monkeypatch.setattr(critical, "_torus_magnitudes", counting)
-    solutions = solve_family(family)
-    assert len(calls) == 1
-    # the four patterns still merge into their torus classes
-    assert [s.canonical_form for s in solutions] == [
-        critical.torus_canonical(s.polynomial()) for s in solutions]
+    monkeypatch.setattr(critical, "_substitute_values", recording)
+    for family, exact in ((rational, True), (irrational, False)):
+        calls.clear()
+        solutions = solve_family(family)
+        assert len(calls) == len(solutions) > 0, family
+        assert set(calls) == {s.values for s in solutions}, family
+        assert all(isinstance(v, Fraction) for s in solutions for v in s.values) == exact
 
 
 # _point_solutions takes its projections in the squares b_k^2, and refines
@@ -548,16 +591,20 @@ def test_fourier_motzkin_against_an_exact_lp(seed):
     rng = random.Random(seed)
     k = rng.choice([1, 2, 3])
     rows = [
-        (Fraction(rng.randint(-4, 4)), tuple(Fraction(rng.randint(-3, 3)) for _ in range(k)))
+        (rng.randint(-4, 4), tuple(rng.randint(-3, 3) for _ in range(k)))
         for _ in range(rng.randint(2, 6))
     ]
     # c + <a, z> >= eps with z = z+ - z-, as -<a, z+> + <a, z-> + eps <= c
     a_ub = sympy.Matrix([[-x for x in a] + list(a) + [1] for _, a in rows])
     expected = positive_margin(a_ub, sympy.Matrix([c for c, _ in rows]))
-    point = _strictly_feasible(rows, k)
-    assert (point is not None) == expected, rows
-    if point is not None:
-        assert all(c + sum(x * zi for x, zi in zip(a, point)) > 0 for c, a in rows), rows
+    feasible = _strictly_feasible(rows, k)
+    assert (feasible is not None) == expected, rows
+    if feasible is not None:
+        z, denominator = feasible
+        assert denominator > 0 and all(type(x) is int for x in (*z, denominator)), rows
+        # the same point as the Fraction back-substitution it replaced
+        assert [Fraction(x, denominator) for x in z] == fraction_strictly_feasible(rows, k), rows
+        assert all(c * denominator + sum(x * zi for x, zi in zip(a, z)) > 0 for c, a in rows), rows
 
 
 @pytest.mark.parametrize("seed", range(12))
