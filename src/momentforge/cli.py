@@ -30,6 +30,7 @@ from .polyring import (
     DegenerateInputError,
     SparsePoly,
     canonical_key,
+    check_digits,
     format_monomial,
     format_scalar,
     poly_from_json,
@@ -68,15 +69,31 @@ def _dump_json(payload) -> None:
     print(json.dumps(payload, sort_keys=True))
 
 
+def _json_int(text: str) -> int:
+    check_digits(text, "integer")
+    return int(text)
+
+
 def _load_poly(path: str) -> SparsePoly:
     with open(path, "r", encoding="utf-8") as fh:
-        return poly_from_json(json.load(fh))
+        return poly_from_json(json.load(fh, parse_int=_json_int))
 
 
-def _scalar_out(value, as_float: bool):
+def _exact_out(value, what: str, hint: str = "") -> str:
+    """``value`` printed exactly.  The interpreter refuses to print an int of
+    more digits than ``sys.get_int_max_str_digits()``, and its error names
+    no value; this one names ``what``."""
+    try:
+        return format_scalar(value)
+    except ValueError:
+        raise ValueError(f"{what} has a number of more than {sys.get_int_max_str_digits()} "
+                         f"digits, too many to print{hint}") from None
+
+
+def _scalar_out(value, as_float: bool, what: str):
     if as_float or isinstance(value, float):
         return _fmt_float(value)
-    return format_scalar(value)
+    return _exact_out(value, what, "; --float prints the result")
 
 
 def _print_matrix(rows) -> None:
@@ -102,14 +119,17 @@ def _cmd_moment(args) -> int:
     f = _load_poly(args.poly)
     if f.is_parametric():
         numerators, denom = symbolic_moment_matrix(f)
-        rows = [[str(e) for e in row] for row in numerators]
+        rows = [[_exact_out(e, f"moment-matrix numerator ({i}, {j})") for j, e in enumerate(row, 1)]
+                for i, row in enumerate(numerators, 1)]
+        denom = _exact_out(denom, "the moment-matrix denominator")
         if args.json:
-            _dump_json({"denominator": str(denom), "numerators": rows})
+            _dump_json({"denominator": denom, "numerators": rows})
         else:
             print(f"denominator: {denom}")
             _print_matrix(rows)
         return 0
-    rows = [[_scalar_out(v, args.float) for v in row] for row in moment_matrix(f)]
+    rows = [[_scalar_out(v, args.float, f"moment-matrix entry ({i}, {j})")
+             for j, v in enumerate(row, 1)] for i, row in enumerate(moment_matrix(f), 1)]
     if args.json:
         _dump_json({"entries": rows, "n": f.n})
     else:
@@ -121,9 +141,11 @@ def _cmd_sqlength(args) -> int:
     f = _load_poly(args.poly)
     if f.is_parametric():
         numer, denom = square_length_symbolic(f)
-        value = str(numer) if denom == 1 else f"({numer}) / ({denom})"
+        value = _exact_out(numer, "the square length")
+        if denom != 1:
+            value = f"({value}) / ({_exact_out(denom, 'the denominator of the square length')})"
     else:
-        value = _scalar_out(square_length(f), args.float)
+        value = _scalar_out(square_length(f), args.float, "the square length")
     if args.json:
         _dump_json({"square_length": value})
     else:
@@ -135,16 +157,17 @@ def _cmd_grad(args) -> int:
     f = _load_poly(args.poly)
     if f.is_parametric():
         numerators, denom = gradient_symbolic(f)
+        numerators = [_exact_out(e, f"gradient numerator {k}") for k, e in enumerate(numerators, 1)]
+        denom = _exact_out(denom, "the gradient denominator")
         if args.json:
-            _dump_json(
-                {"denominator": str(denom), "numerators": [str(e) for e in numerators]}
-            )
+            _dump_json({"denominator": denom, "numerators": numerators})
         else:
             print(f"denominator: {denom}")
             for e in numerators:
                 print(e)
         return 0
-    grad = [_scalar_out(v, args.float) for v in gradient(f)]
+    grad = [_scalar_out(v, args.float, f"gradient entry {k}")
+            for k, v in enumerate(gradient(f), 1)]
     if args.json:
         _dump_json({"gradient": grad})
     else:

@@ -19,6 +19,8 @@ functions are pure.
 
 from __future__ import annotations
 
+import re
+import sys
 from fractions import Fraction
 from math import gcd, isfinite, lcm
 from operator import add
@@ -490,7 +492,20 @@ def _terms_from_json(entries, coeff_from_json) -> dict:
     return terms
 
 
+def check_digits(text: str, what: str) -> None:
+    """Refuse ``text``, named ``what``, if a run of its decimal digits is longer
+    than the interpreter converts to an int; its own error names no value."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    longest = max(map(len, re.findall(r"\d+", text)), default=0)
+    if limit and longest > limit:
+        shown = text if len(text) <= 30 else f"{text[:12]}...{text[-12:]}"
+        raise ValueError(f"{what} {shown} is too long: {longest} digits, "
+                         f"more than the {limit} that can be read")
+
+
 def _fraction_from_json(obj) -> Fraction:
+    if isinstance(obj, str):
+        check_digits(obj, "coefficient")
     try:
         return Fraction(obj)
     except (ZeroDivisionError, OverflowError):

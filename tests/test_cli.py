@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import random
+import sys
 
 import pytest
 
@@ -555,3 +556,67 @@ def test_failed_check_is_a_fixture_mismatch(monkeypatch, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "MISMATCH: bases"
     assert all(line.startswith("ok: ") for line in out[1:]) and len(out) == 6
+
+
+@pytest.fixture
+def digit_limit():
+    """The interpreter's default cap on the digits of an int it converts
+    to or from a string, which the environment may have lifted."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter converts ints of any length")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("command", NUMERIC_COMMANDS)
+@pytest.mark.parametrize("coeff, named", [
+    ("1" * 5001, "integer 111111111111...111111111111"),
+    ('"%s"' % ("1" * 5001), "coefficient 111111111111...111111111111"),
+    ('"1/%s"' % ("3" * 5001), "coefficient 1/3333333333...333333333333"),
+])
+def test_a_coefficient_too_long_to_read_is_named(tmp_path, capsys, digit_limit, command,
+                                                 coeff, named):
+    # each used to print the interpreter's advice to call sys.set_int_max_str_digits()
+    path = tmp_path / "poly.json"
+    path.write_text('{"n": 3, "d": 3, "terms": [{"exp": [3, 0, 0], "coeff": %s}, '
+                    '{"exp": [0, 3, 0], "coeff": 1}]}' % coeff)
+    assert cli.main([command, "--poly", str(path)]) == cli.USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {named} is too long: 5001 digits, "
+                            f"more than the {digit_limit} that can be read\n")
+
+
+HUGE_PARAM = {"nsyms": 1, "params": [{"exp": [1], "coeff": "1e5000"}]}
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+@pytest.mark.parametrize("command, coeff, named, hint", [
+    ("moment", "1e5000", "moment-matrix entry (1, 1)", "; --float prints the result"),
+    ("sqlength", "1e5000", "the square length", "; --float prints the result"),
+    ("grad", "1e5000", "gradient entry 1", "; --float prints the result"),
+    ("moment", HUGE_PARAM, "moment-matrix numerator (1, 1)", ""),
+    ("sqlength", HUGE_PARAM, "the square length", ""),
+    ("grad", HUGE_PARAM, "gradient numerator 1", ""),
+])
+def test_an_exact_result_too_long_to_print_is_named(tmp_path, capsys, digit_limit, flags,
+                                                    command, coeff, named, hint):
+    # 10^5000 x^3 + y^3 (or b1 10^5000 x^3 + y^3) reads, but its exact results
+    # have more digits than the interpreter prints
+    path = tmp_path / "poly.json"
+    path.write_text(json.dumps(cubic(([3, 0, 0], coeff), ([0, 3, 0], 1))))
+    assert cli.main([command, "--poly", str(path), *flags]) == cli.USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {named} has a number of more than {digit_limit} digits, "
+                            f"too many to print{hint}\n")
+
+
+def test_float_prints_an_exact_result_too_long_to_print(tmp_path, capsys, digit_limit):
+    path = tmp_path / "poly.json"
+    path.write_text(json.dumps(cubic(([3, 0, 0], "1e5000"), ([0, 3, 0], 1))))
+    assert cli.main(["moment", "--poly", str(path), "--float", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["entries"] == [
+        [4.0, 0.0, 0.0], [0.0, -2.0, 0.0], [0.0, 0.0, -2.0]]
