@@ -1,4 +1,4 @@
-"""Time the enumerators, solve_family and the closed forms in two source trees and write BENCH_ab.json.
+"""Time the enumerators, solve_family, the closed forms, reproduce-paper and the trace engine in two source trees and write BENCH_ab.json.
 
     python3 ci/bench_ab.py --parent DIR [--out BENCH_ab.json]
 
@@ -22,6 +22,13 @@ turn, and that interpreter (``measure``) computes every section once:
   sha256 is of the ``repr`` of the returned sets, which holds every field.
 - ``critical_json``: the sha256 of what ``critical --json`` prints for each
   workload case.
+- ``reproduce``: ``reproduce.run_case`` on each paper case, the min of
+  ``REPEATS`` calls, with the sha256 of its ``(name, ok, detail)`` rows.
+- ``engine``: on the shape ``ENGINE``, ``gradient`` of every form of the
+  paper's set (nonzero coefficients all 1) whose support has a root
+  difference, and ``symbolic_moment_matrix`` of the general form (one
+  parameter per coefficient), the min of ``REPEATS`` calls, each with the
+  sha256 of its output; the forms are built before the clock starts.
 
 A time is in milliseconds, the min over the ``RUNS`` runs, and every run's
 time is kept, so the parent's spread shows too.  Every other field of a row,
@@ -46,8 +53,11 @@ WORKLOADS = {"paper": [(3, 3, 2), (3, 3, 3), (3, 4, 2), (3, 4, 3)],
              "beyond_paper": [(3, 5, 3), (4, 3, 3)]}
 KINDS = ("empty", "rational", "irrational", "newton")
 CLOSED_FORM = [(3, 5, 5), (3, 6, 5), (4, 4, 5), (6, 3, 5)]
+REPRODUCE = ("cubics", "quartics")
+ENGINE = (3, 4)
 RUNS = 5
-SECTIONS = ("enumerators", "kinds", "closed_form", "critical_json")
+REPEATS = 5
+SECTIONS = ("enumerators", "kinds", "closed_form", "critical_json", "reproduce", "engine")
 
 
 def measure() -> None:
@@ -59,11 +69,15 @@ def measure() -> None:
     import math
     import time
 
-    from momentforge import cli
+    from fractions import Fraction
+
+    from momentforge import cli, reproduce
     from momentforge.critical import critical_set, solve_family
     from momentforge.diagonal import diagonal_families
+    from momentforge.moment import gradient, symbolic_moment_matrix
     from momentforge.orbits import orbit_classes
-    from momentforge.symd import weight
+    from momentforge.polyring import ParamPoly, SparsePoly
+    from momentforge.symd import enumerate_monomials, root_pair, weight
 
     def sha(text):
         return hashlib.sha256(text.encode()).hexdigest()
@@ -122,6 +136,26 @@ def measure() -> None:
         sets, ms = timed(lambda: [critical_set(f) for f in fams])
         out["closed_form"][f"critical_set({n},{d},{m})"] = {
             "families": len(fams), "sha256": sha(repr(sets)), "ms": ms}
+
+    for case in REPRODUCE:
+        times = [timed(reproduce.run_case, case) for _ in range(REPEATS)]
+        rows = [tuple(check) for check in times[0][0]]
+        out["reproduce"][f"run_case({case})"] = {
+            "checks": len(rows), "sha256": sha(repr(rows)), "ms": min(t for _, t in times)}
+
+    n, d = ENGINE
+    basis = enumerate_monomials(n, d)
+    forms = [SparsePoly(n, d, dict.fromkeys(support, Fraction(1)))
+             for m in range(1, len(basis) + 1) for support in orbit_classes(n, d, m)]
+    forms = [f for f in forms if any(root_pair(a, b) for a in f.terms for b in f.terms)]
+    grads, ms = timed(lambda: [gradient(f) for f in forms])
+    out["engine"][f"gradient({n},{d} paper set, root difference)"] = {
+        "count": len(forms), "sha256": sha("\n".join(" ".join(map(str, g)) for g in grads)),
+        "ms": ms}
+    general = SparsePoly(n, d, {a: ParamPoly.symbol(len(basis), k) for k, a in enumerate(basis)})
+    times = [timed(symbolic_moment_matrix, general) for _ in range(REPEATS)]
+    out["engine"][f"symbolic_moment_matrix(general {n},{d})"] = {
+        "count": len(basis), "sha256": sha(str(times[0][0])), "ms": min(t for _, t in times)}
     print(json.dumps(out))
 
 
@@ -172,8 +206,10 @@ def main(argv=None) -> int:
         "what": "parent against change, min of the runs in milliseconds: the "
                 "enumerators; solve_family per workload and kind of family, summed "
                 "over its families, cold the first call in a fresh interpreter and "
-                "warm the second; critical_set alone per closed_form case; and the "
-                "sha256 of critical --json per workload case",
+                "warm the second; critical_set alone per closed_form case; the "
+                "sha256 of critical --json per workload case; reproduce.run_case per "
+                "paper case; and gradient over the (3,4) paper-set forms with a root "
+                "difference and symbolic_moment_matrix of the general quartic",
         "host": {"machine": platform.machine(), "cpus": os.cpu_count(),
                  "python": platform.python_version()},
         "runs": RUNS,
@@ -184,7 +220,7 @@ def main(argv=None) -> int:
         for row in report[section]:
             times = "  ".join(f"{t} {row['parent_' + t]:9.2f} -> {row['change_' + t]:9.2f}"
                               for t in ("ms", "cold_ms", "warm_ms") if "parent_" + t in row)
-            count = row.get("count", row.get("families", ""))
+            count = row.get("count", row.get("families", row.get("checks", "")))
             print(f"{section:13} {row['case']:30} {count:>6}  {times or row['sha256']}")
     if report["mismatched"]:
         print("outputs differ: " + ", ".join(report["mismatched"]), file=sys.stderr)

@@ -61,6 +61,7 @@ echo '{"n": 2, "d": 1100, "terms": [{"exp": [550, 550], "coeff": 1.0}]}' > under
 echo '{"n": 3, "d": 3, "terms": [{"exp": [3, 0, 0], "coeff": "1e-400"}, {"exp": [0, 3, 0], "coeff": "1e-400"}, {"exp": [1, 1, 1], "coeff": "1e-400"}]}' > tiny-exact-cubic.json
 echo '{"n": 3, "d": 3, "terms": [{"exp": [2, 1, 0], "coeff": 1.0}, {"exp": [2, 0, 1], "coeff": 1.0}]}' > rotated-monomial.json
 echo '{"n": 3, "d": 3, "terms": [{"exp": [3, 0, 0], "coeff": 5e-324}, {"exp": [2, 1, 0], "coeff": 5e-324}]}' > subnormal-root-pair.json
+echo '{"n": 3, "d": 3, "terms": [{"exp": [3, 0, 0], "coeff": "1e1000000"}, {"exp": [0, 3, 0], "coeff": "1"}]}' > huge-exponent.json
 
 expect 1 emit-points --poly x.json
 expect 1 verify --poly x.json --tol 0
@@ -72,6 +73,8 @@ for command in moment sqlength grad verify; do
     expect_error "a rational coefficient beside a float" "$command" --poly mixed-range.json
 done
 expect 2 verify --poly zero.json
+# ten characters whose value has a million digits: refused before it is built
+expect_error "coefficient 1e1000000 is too long" sqlength --float --poly huge-exponent.json
 # |m|^2 and m have degree 0 in the coefficients, so the float range of the
 # coefficients does not matter; only a weight that underflows does
 for command in moment sqlength; do

@@ -14,13 +14,31 @@ polynomial moment matrix (``_moment_numerators``) and the trace product
 (``_trace_product``).  The numeric and symbolic moment matrices, the square
 length (numeric and symbolic) and the gradient all come from it, as plain
 values: rows of scalars, and ``(numerators, denominator)`` pairs for
-families.  The numeric matrix divides each Gram entry by ``d |f|^2`` before
-it doubles and shifts it, ``2 (G_ij / scale - d/n)``, rather than dividing
-``_moment_numerators`` once: for float input that order sets the rounding
-noise of the printed entries (a zero entry can come out as ``4.44e-16``).
-The engine is written with ``+``, ``-`` and ``*`` alone over the plain
-scalars (``Fraction``, float or ``ParamPoly``): each supports them with
-itself, and ``*`` with a rational constant (an ``int`` or a ``Fraction``).
+families.  The engine is written with ``+``, ``-`` and ``*`` alone over the
+plain scalars (``int``, ``Fraction``, float or ``ParamPoly``): each supports
+them with itself, and ``*`` with a rational constant (an ``int`` or a
+``Fraction``).
+
+Which input takes which path:
+
+* Exact and parametric input are lifted (``_lift``): over the common
+  denominator D of their rationals the coefficients ``c'_a = D c_a`` are
+  ints, or ``ParamPoly`` with int coefficients, and the engine runs on them
+  with the integer weights ``a! = d! w(a)`` in place of ``w(a)``
+  (``lifted``), fraction-free as in Geddes, Czapor and Labahn, *Algorithms
+  for Computer Algebra* (1992).  Each entry point divides once, at the end:
+  the moment matrix is ``M' / (n d norm')``, ``|m|^2`` is
+  ``P' / (n d norm')^2`` and a gradient entry ``8 D K_a / (n d norm'^3)``
+  (below).  The values are those of the rational computation, exactly, and
+  the symbolic pairs are put in the same normal forms, so every output
+  prints as it did in ``Fraction`` arithmetic.
+* Float input keeps the rational weights and its order of operations, since
+  its printed bits follow that order: the numeric matrix divides each Gram
+  entry by ``d |f|^2`` before it doubles and shifts it,
+  ``2 (G_ij / scale - d/n)``, rather than dividing ``_moment_numerators``
+  once, and that sets the rounding noise of the printed entries (a zero
+  entry can come out as ``4.44e-16``); the gradient follows the replay or
+  the Lie-algebra formula below.
 
 The gradient of ``|m|^2`` in the coefficients is the Lie-algebra action of
 the moment matrix on ``f`` (Kirwan, Ness: ``f`` is critical iff
@@ -30,9 +48,12 @@ the moment matrix on ``f`` (Kirwan, Ness: ``f`` is critical iff
 
     ``N_a = 8 d w(a) (v_a norm2 - <v, f> c_a)``,
 
-``<v, f> = sum_a w(a) v_a c_a`` the invariant inner product.
-``_lie_numerators`` computes it for every coefficient type, exactly for
-exact and parametric input, and is taken on every support with two exponents
+``<v, f> = sum_a w(a) v_a c_a`` the invariant inner product.  Over lifted
+coefficients, with ``M' = n d! D^2 M``, ``v' = sum_ij M'_ij x_i d_j f'`` and
+``<v', f'>' = sum_a a! v'_a c'_a``, it is ``8 D K_a / (n d norm'^3)`` with
+``K_a = a! (v'_a norm' - <v', f'>' c'_a)``, all integers.
+``_lie_numerators`` computes it for every coefficient type, lifted for exact
+and parametric input, and is taken on every support with two exponents
 differing by a root ``e_i - e_j``.  Without such a pair ``M`` is diagonal,
 and two faster forms of the same formula take over:
 
@@ -122,17 +143,29 @@ def _require_nonzero(f: SparsePoly):
 # M = 2 G - (2 d^2 / n) norm2 I, where G[i][j] = <d_j f, d_i f>, the moment
 # matrix is M / (d * norm2) and |m|^2 = P / (d^2 * norm2^2) with
 # P = sum_ij M[i][j] M[j][i], so no division happens until a caller
-# assembles its quotient.
+# assembles its quotient.  ``lifted`` coefficients (``_lift``) take the
+# integer weights a! = d! w(a) in place of w(a), and give
+# norm' = sum_a a! c'_a^2, G'[i][j] = sum_b b! (b_i + 1)(b_j + 1) c'_{b+e_i} c'_{b+e_j}
+# and M' = 2 n d G' - 2 d^2 norm' I = n d! D^2 M, so the moment matrix is
+# M' / (n d norm') and |m|^2 = P' / (n d norm')^2.
 
 
-def _norm2(zero, coeffs):
+@lru_cache(maxsize=None)
+def _factorials(alpha: ExponentVector) -> int:
+    """``a! = a_1! ... a_n!``, the weight of lifted coefficients."""
+    return prod(map(factorial, alpha))
+
+
+def _norm2(zero, coeffs, lifted: bool = False):
+    w = _factorials if lifted else weight
     total = zero
     for alpha, c in coeffs:
-        total = total + c * c * weight(alpha)
+        total = total + c * c * w(alpha)
     return total
 
 
-def _inner_products(zero, coeffs, n: int) -> list[list]:
+def _inner_products(zero, coeffs, n: int, lifted: bool = False) -> list[list]:
+    w = _factorials if lifted else weight
     # derivative polynomials as maps exponent -> coefficient
     derivs: list[dict] = []
     for i in range(n):
@@ -141,7 +174,7 @@ def _inner_products(zero, coeffs, n: int) -> list[list]:
             k = alpha[i]
             if k:
                 beta = alpha[:i] + (k - 1,) + alpha[i + 1:]
-                dmap[beta] = c if k == 1 else c * Fraction(k)
+                dmap[beta] = c if k == 1 else c * k
         derivs.append(dmap)
 
     g = [[None] * n for _ in range(n)]
@@ -154,17 +187,18 @@ def _inner_products(zero, coeffs, n: int) -> list[list]:
             for beta, c in small.items():
                 other = large.get(beta)
                 if other is not None:
-                    s = s + c * other * weight(beta)
+                    s = s + c * other * w(beta)
             g[i][j] = g[j][i] = s
     return g
 
 
-def _moment_numerators(g, norm2, n: int, d: int) -> list[list]:
-    shifted = norm2 * Fraction(-2 * d * d, n)
+def _moment_numerators(g, norm2, n: int, d: int, lifted: bool = False) -> list[list]:
+    two, shift = (2 * n * d, -2 * d * d) if lifted else (2, Fraction(-2 * d * d, n))
+    shifted = norm2 * shift
     m = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            entry = g[i][j] * 2
+            entry = g[i][j] * two
             if i == j:
                 entry = entry + shifted
             m[i][j] = m[j][i] = entry
@@ -179,10 +213,10 @@ def _trace_product(zero, m, n: int):
     return p
 
 
-def _trace_parts(zero, coeffs, n: int, d: int):
+def _trace_parts(zero, coeffs, n: int, d: int, lifted: bool = False):
     """``(P, norm2)``: numerator of ``|m|^2`` and the squared norm."""
-    norm2 = _norm2(zero, coeffs)
-    m = _moment_numerators(_inner_products(zero, coeffs, n), norm2, n, d)
+    norm2 = _norm2(zero, coeffs, lifted)
+    m = _moment_numerators(_inner_products(zero, coeffs, n, lifted), norm2, n, d, lifted)
     return _trace_product(zero, m, n), norm2
 
 
@@ -195,6 +229,27 @@ def _parametric(f: SparsePoly) -> tuple[ParamPoly, list]:
             raise TypeError("cannot mix float coefficients with parameters")
         coeffs.append((alpha, c if isinstance(c, ParamPoly) else ParamPoly.const(nsyms, c)))
     return ParamPoly(nsyms), coeffs
+
+
+def _lift(zero, coeffs) -> tuple[int, list]:
+    """``(D, [(a, D c_a)])``: exact ``coeffs`` times the common denominator D
+    of their rationals, as ints, or as ``ParamPoly`` with int coefficients
+    when ``zero`` is a ``ParamPoly``."""
+    if isinstance(zero, ParamPoly):
+        scale = lcm(*(v.denominator for _, c in coeffs for v in c.terms.values()))
+        return scale, [(a, ParamPoly._trusted(zero.nsyms, {e: v.numerator * (scale // v.denominator)
+                                                            for e, v in c.terms.items()}))
+                       for a, c in coeffs]
+    scale = lcm(*(c.denominator for _, c in coeffs))
+    return scale, [(a, c.numerator * (scale // c.denominator)) for a, c in coeffs]
+
+
+def _lifted_moment(zero, coeffs, n: int, d: int) -> tuple:
+    """``(M', n d norm')`` of exact or parametric ``coeffs``, lifted: their
+    quotient is the moment matrix."""
+    lifted = _lift(zero, coeffs)[1]
+    norm = _norm2(zero, lifted, True)
+    return _moment_numerators(_inner_products(zero, lifted, n, True), norm, n, d, True), norm * (n * d)
 
 
 def _float_scaled(f: SparsePoly) -> tuple[int, dict]:
@@ -214,7 +269,10 @@ def moment_matrix(f: SparsePoly) -> tuple[tuple[Scalar, ...], ...]:
     _require_nonzero(f)
     if f.is_parametric():
         raise TypeError("parametric input: use symbolic_moment_matrix")
-    coeffs = list((f.terms if f.is_exact() else _float_scaled(f)[1]).items())
+    if f.is_exact():
+        m, scale = _lifted_moment(0, f.terms.items(), f.n, f.d)
+        return tuple(tuple(Fraction(e, scale) for e in row) for row in m)
+    coeffs = list(_float_scaled(f)[1].items())
     g = _inner_products(Fraction(0), coeffs, f.n)
     scale = _norm2(Fraction(0), coeffs) * f.d
     if scale == 0:
@@ -231,6 +289,9 @@ def moment_matrix(f: SparsePoly) -> tuple[tuple[Scalar, ...], ...]:
 
 def square_length(f: SparsePoly) -> Scalar:
     """``Re Tr(m . m)``; non-negative, and zero exactly at the minimal orbits."""
+    if f.is_exact() and not f.is_zero():
+        m, scale = _lifted_moment(0, f.terms.items(), f.n, f.d)
+        return Fraction(_trace_product(0, m, f.n), scale * scale)
     return _trace_product(Fraction(0), moment_matrix(f), f.n)
 
 
@@ -246,17 +307,10 @@ def symbolic_moment_matrix(
     """
     _require_nonzero(family)
     zero, coeffs = _parametric(family)
-    norm2 = _norm2(zero, coeffs)
-    gram = _inner_products(zero, coeffs, family.n)
-    m = _moment_numerators(gram, norm2, family.n, family.d)
-    denom = norm2 * family.d
-    # divide by the content of the whole collection: the gcd of the contents'
-    # numerators over the lcm of their denominators
-    contents = [p.content() for p in [denom] + [e for row in m for e in row]]
-    scale = Fraction(
-        lcm(*(c.denominator for c in contents)), gcd(*(c.numerator for c in contents))
-    )
-    return tuple(tuple(e * scale for e in row) for row in m), denom * scale
+    m, denom = _lifted_moment(zero, coeffs, family.n, family.d)
+    # the lifted collection is integral: divide it by the gcd of its coefficients
+    content = gcd(*(v for p in [denom] + [e for row in m for e in row] for v in p.terms.values()))
+    return tuple(tuple(_divided(e, 1, content) for e in row) for row in m), _divided(denom, 1, content)
 
 
 def square_length_symbolic(family: SparsePoly) -> tuple[ParamPoly, ParamPoly]:
@@ -271,12 +325,12 @@ def square_length_symbolic(family: SparsePoly) -> tuple[ParamPoly, ParamPoly]:
     if parameter_symbols(family) == 0:
         raise TypeError("numeric input: use square_length")
     zero, coeffs = _parametric(family)
-    p, norm2 = _trace_parts(zero, coeffs, family.n, family.d)
+    p, norm = _trace_parts(zero, _lift(zero, coeffs)[1], family.n, family.d, True)
     if p.is_zero():
         return p, zero + 1
     # a square: its leading coefficient, and that of any monomial quotient of
     # it, is positive, so dividing by the content fixes the sign as well
-    r = norm2 * norm2 * (family.d * family.d)
+    r = norm * norm * (family.n * family.n * family.d * family.d)
     shift = tuple(min(a, b) for a, b in zip(p.monomial_gcd(), r.monomial_gcd()))
     scale = 1 / r.content()
     return p.shift_down(shift) * scale, r.shift_down(shift) * scale
@@ -292,13 +346,15 @@ def _root_difference_free(support) -> bool:
     return all(root_pair(a, b) is None for a, b in combinations(support, 2))
 
 
-def _lie_numerators(zero, coeffs, n: int, d: int):
+def _lie_numerators(zero, coeffs, n: int, d: int, lifted: bool = False):
     """``(numerators, norm2)`` in canonical basis order: entry ``a`` of the
     gradient is ``8 d w(a) (v_a norm2 - <v, f> c_a) / (d^2 norm2^3)`` with
-    ``v = sum_ij M_ij x_i d_j f``."""
+    ``v = sum_ij M_ij x_i d_j f``.  Over ``lifted`` coefficients, with the
+    weights a!, M' and norm', it is ``numerators[a] D / (n d^2 norm'^3)``."""
+    w = _factorials if lifted else weight
     terms = dict(coeffs)
-    norm2 = _norm2(zero, coeffs)
-    m = _moment_numerators(_inner_products(zero, coeffs, n), norm2, n, d)
+    norm2 = _norm2(zero, coeffs, lifted)
+    m = _moment_numerators(_inner_products(zero, coeffs, n, lifted), norm2, n, d, lifted)
     # x_i d_j moves the term c x^alpha to alpha - e_j + e_i, times alpha_j
     columns = [[(i, m[i][j]) for i in range(n) if not scalar_is_zero(m[i][j])] for j in range(n)]
     v: dict = {}
@@ -310,8 +366,8 @@ def _lie_numerators(zero, coeffs, n: int, d: int):
                     beta = lowered[:i] + (lowered[i] + 1,) + lowered[i + 1:]
                     term = m_ij * ck
                     v[beta] = v[beta] + term if beta in v else term
-    pairing = inner_product(SparsePoly(n, d, v), SparsePoly(n, d, terms))
-    numerators = [(v.get(a, zero) * norm2 - pairing * terms.get(a, zero)) * (8 * d * weight(a))
+    pairing = inner_product(SparsePoly(n, d, v), SparsePoly(n, d, terms), w)
+    numerators = [(v.get(a, zero) * norm2 - pairing * terms.get(a, zero)) * (8 * d * w(a))
                   if a in v or a in terms else zero for a in enumerate_monomials(n, d)]
     return numerators, norm2
 
@@ -332,7 +388,7 @@ def _u_form(lifted) -> tuple:
     """``(sum_a u'_a, {a: a! c'_a S'_a})`` from the lifted coefficients
     ``(a, c'_a)`` of a support with no root difference."""
     support = [alpha for alpha, _ in lifted]
-    factorials = [prod(map(factorial, alpha)) for alpha in support]
+    factorials = [_factorials(alpha) for alpha in support]
     u = [c * c * k for (_, c), k in zip(lifted, factorials)]
     sums = _centroid_sums(support, u)
     return sum(u), {a: c * k * s for (a, c), k, s in zip(lifted, factorials, sums)}
@@ -345,8 +401,7 @@ def _u_quotients(f: SparsePoly) -> tuple[dict, int] | None:
     support; the entries off it are 0."""
     if not f.is_exact() or not _root_difference_free(tuple(f.terms)):
         return None
-    scale = lcm(*(c.denominator for c in f.terms.values()))
-    lifted = [(a, c.numerator * (scale // c.denominator)) for a, c in f.terms.items()]
+    scale, lifted = _lift(0, f.terms.items())
     norm, parts = _u_form(lifted)
     return {a: 16 * scale * p for a, p in parts.items()}, norm**3
 
@@ -452,18 +507,18 @@ def gradient(f: SparsePoly) -> list:
             numerators, cube = quotients
             return [Fraction(numerators[a], cube) if a in numerators else Fraction(0)
                     for a in enumerate_monomials(f.n, f.d)]
-        numerators, norm2 = _lie_numerators(Fraction(0), list(f.terms.items()), f.n, f.d)
-    else:
-        plan = _float_plan(f.n, f.d, tuple(f.terms))
-        shift, coeffs = _float_scaled(f)
-        numerators, norm2 = (_float_numerators(plan, coeffs) if plan is not None
-                             else _lie_numerators(0.0, list(coeffs.items()), f.n, f.d))
+        scale, lifted = _lift(0, f.terms.items())
+        numerators, norm = _lie_numerators(0, lifted, f.n, f.d, True)
+        denom = f.n * f.d * f.d * norm**3
+        return [Fraction(numer * scale, denom) for numer in numerators]
+    plan = _float_plan(f.n, f.d, tuple(f.terms))
+    shift, coeffs = _float_scaled(f)
+    numerators, norm2 = (_float_numerators(plan, coeffs) if plan is not None
+                         else _lie_numerators(0.0, list(coeffs.items()), f.n, f.d))
     # a float norm2 can be nonzero while d^2 norm2^3 underflows to 0.0
     denom = f.d * f.d * norm2 * norm2 * norm2
-    if scalar_is_zero(denom):
+    if denom == 0:
         raise DegenerateInputError("squared norm vanishes or underflows at the evaluation point")
-    if f.is_exact():
-        return [numer / denom for numer in numerators]
     try:
         return [ldexp(numer / denom, -shift) for numer in numerators]
     except OverflowError:
@@ -481,16 +536,16 @@ def gradient_symbolic(family: SparsePoly) -> tuple[list[ParamPoly], ParamPoly]:
         raise TypeError("numeric input: use gradient")
     zero, coeffs = _parametric(family)
     n, d = family.n, family.d
-    if not _root_difference_free(tuple(family.terms)):
-        numerators, norm2 = _lie_numerators(zero, coeffs, n, d)
-        return numerators, norm2 * norm2 * norm2 * (d * d)
-    scale = lcm(*(v.denominator for _, c in coeffs for v in c.terms.values()))
-    lifted = [(a, ParamPoly._trusted(zero.nsyms, {e: v.numerator * (scale // v.denominator)
-                                                  for e, v in c.terms.items()}))
-              for a, c in coeffs]
-    norm, parts = _u_form(lifted)
+    scale, lifted = _lift(zero, coeffs)
+    # N_a / (d^2 norm2^3): over norm2 = norm' / (d! D^2), either numerator is
+    # an integer polynomial over d!^3 D^5
     cube = factorial(d) ** 3 * scale**5
-    numerators = [_divided(parts[a], 16 * d * d, cube) if a in parts else zero
-                  for a in enumerate_monomials(n, d)]
+    if _root_difference_free(tuple(family.terms)):
+        norm, parts = _u_form(lifted)
+        numerators = [_divided(parts[a], 16 * d * d, cube) if a in parts else zero
+                      for a in enumerate_monomials(n, d)]
+    else:
+        lie, norm = _lie_numerators(zero, lifted, n, d, True)
+        numerators = [_divided(p, 1, n * cube) for p in lie]
     return numerators, _divided(norm * norm * norm, d * d, cube * scale)
 

@@ -80,7 +80,8 @@ class ParamPoly:
         if terms:
             for exp, coeff in terms.items():
                 if len(exp) != nsyms:
-                    raise ValueError(f"exponent tuple {exp} has wrong length, expected {nsyms}")
+                    raise ValueError(f"exponent tuple {_shown(str(exp))} has wrong length, "
+                                     f"expected {nsyms}")
                 coeff = Fraction(coeff)
                 if coeff != 0:
                     clean[tuple(exp)] = coeff
@@ -328,9 +329,9 @@ class SparsePoly:
         for exp, coeff in terms.items():
             exp = tuple(exp)
             if len(exp) != n or any(e < 0 for e in exp):
-                raise ValueError(f"bad exponent vector {exp} for n={n}")
+                raise ValueError(f"bad exponent vector {_shown(str(exp))} for n={n}")
             if degree(exp) != d:
-                raise ValueError(f"term {exp} breaks homogeneity of degree {d}")
+                raise ValueError(f"term {_shown(str(exp))} breaks homogeneity of degree {d}")
             if not scalar_is_zero(coeff):
                 clean[exp] = coeff if isinstance(coeff, (float, ParamPoly)) else Fraction(coeff)
         return SparsePoly(n, d, clean)
@@ -473,10 +474,15 @@ def _coeff_to_json(c: Scalar):
     }
 
 
+def _shown(text: str) -> str:
+    """``text`` for an error message: whole when short, else its two ends."""
+    return text if len(text) <= 30 else f"{text[:12]}...{text[-12:]}"
+
+
 def _int_from_json(obj, least: int, what: str) -> int:
     # bool subclasses int, and int() would truncate 3.7 and parse "3"
     if type(obj) is not int or obj < least:
-        raise ValueError(f"{what} must be an integer >= {least}, got {obj!r}")
+        raise ValueError(f"{what} must be an integer >= {least}, got {_shown(repr(obj))}")
     return obj
 
 
@@ -487,47 +493,68 @@ def _terms_from_json(entries, coeff_from_json) -> dict:
     for t in entries:
         exp = tuple(_int_from_json(e, 0, "an exponent") for e in t["exp"])
         if exp in terms:
-            raise ValueError(f"exponent {list(exp)} is listed twice")
+            raise ValueError(f"exponent {_shown(str(list(exp)))} is listed twice")
         terms[exp] = coeff_from_json(t["coeff"])
     return terms
 
 
+def _digit_limit() -> int:
+    """The most digits the interpreter converts between int and str; 0 for no limit."""
+    return sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+
+
 def check_digits(text: str, what: str) -> None:
     """Refuse ``text``, named ``what``, if a run of its decimal digits is longer
-    than the interpreter converts to an int; its own error names no value."""
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
-    longest = max(map(len, re.findall(r"\d+", text)), default=0)
+    than the interpreter converts to an int; its own error names no value.
+    Underscores, which ``int`` and ``Fraction`` read between digits, do not
+    end a run."""
+    limit = _digit_limit()
+    longest = max(map(len, re.findall(r"\d+", text.replace("_", ""))), default=0)
     if limit and longest > limit:
-        shown = text if len(text) <= 30 else f"{text[:12]}...{text[-12:]}"
-        raise ValueError(f"{what} {shown} is too long: {longest} digits, "
+        raise ValueError(f"{what} {_shown(text)} is too long: {longest} digits, "
                          f"more than the {limit} that can be read")
+
+
+# a decimal with an exponent, underscores removed: digits, fraction digits, exponent
+_EXPONENT_FORM = re.compile(r"\s*[-+]?(\d*)(?:\.(\d*))?[eE]([-+]?\d+)\s*")
 
 
 def _fraction_from_json(obj) -> Fraction:
     if isinstance(obj, str):
         check_digits(obj, "coefficient")
+        # ``Fraction`` multiplies by 10^|exponent|, so "1e1000000" (10
+        # characters) would build a million-digit integer
+        match = _EXPONENT_FORM.fullmatch(obj.replace("_", ""))
+        limit = _digit_limit()
+        if match and limit:
+            whole, fraction, exponent = match.groups("")
+            shift = int(exponent) - len(fraction)
+            digits = len((whole + fraction).lstrip("0")) + shift if shift >= 0 else 1 - shift
+            if digits > limit:
+                raise ValueError(f"coefficient {_shown(obj)} is too long: {digits} digits "
+                                 f"with its exponent, more than the {limit} that can be read")
     try:
         return Fraction(obj)
-    except (ZeroDivisionError, OverflowError):
-        raise ValueError(f"coefficient {obj!r} is not a finite rational") from None
+    except (ValueError, ZeroDivisionError, OverflowError):
+        raise ValueError(f"coefficient {_shown(repr(obj))} is not a finite rational") from None
 
 
 def _coeff_from_json(obj) -> Scalar:
     if isinstance(obj, str):
         return _fraction_from_json(obj)
     if isinstance(obj, bool):  # JSON true/false; bool subclasses int
-        raise ValueError(f"boolean is not a coefficient: {obj!r}")
+        raise ValueError(f"boolean is not a coefficient: {_shown(repr(obj))}")
     if isinstance(obj, int):
         return Fraction(obj)
     if isinstance(obj, float):
         # Python's json reads NaN and Infinity
         if not isfinite(obj):
-            raise ValueError(f"coefficient {obj!r} is not finite")
+            raise ValueError(f"coefficient {_shown(repr(obj))} is not finite")
         return obj
     if isinstance(obj, dict) and "params" in obj:
         nsyms = _int_from_json(obj["nsyms"], 1, "nsyms")
         return ParamPoly(nsyms, _terms_from_json(obj["params"], _fraction_from_json))
-    raise ValueError(f"unrecognized coefficient encoding: {obj!r}")
+    raise ValueError(f"unrecognized coefficient encoding: {_shown(repr(obj))}")
 
 
 def poly_to_json(f: SparsePoly) -> dict:

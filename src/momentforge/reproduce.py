@@ -2,13 +2,13 @@
 
 Each check compares a freshly computed pipeline stage against the embedded
 fixtures and reports one line.  Checks are hermetic (no I/O).  A case
-enumerates its diagonal families once, and the family-table check and the
-solver check read the same lists; every other check stands alone.
+enumerates its diagonal families and parses its published forms once: the
+family-table check and the solver check read the same family lists, and the
+quartic verification and the solver check the same parsed forms.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple
 
 from . import critical, fixtures
@@ -16,7 +16,7 @@ from .critical import polys_close, solve_family, verify_critical
 from .diagonal import diagonal_families
 from .fixtures import critical_fixture_poly, mono, support
 from .moment import moment_matrix, symbolic_moment_matrix
-from .orbits import orbit_classes
+from .orbits import orbit_classes, orbit_of
 from .polyring import ParamPoly, SparsePoly
 from .symd import enumerate_monomials
 
@@ -43,11 +43,24 @@ def _monomials_critical(name: str, d: int) -> CheckResult:
     return CheckResult(name, not bad, str(bad) if bad else "")
 
 
+def _target_orbits(targets) -> set:
+    """Every support in the S_n orbit of some target's support."""
+    return set().union(*(orbit_of(target.terms) for _, target in targets))
+
+
 def _missing_targets(produced: list[SparsePoly], targets) -> list[int]:
     """Numbers of the (number, polynomial) targets equivalent to no produced
-    polynomial modulo torus rescaling and coordinate permutation."""
+    polynomial modulo torus rescaling and coordinate permutation.
+
+    Only the produced polynomials whose support lies in the S_n orbit of a
+    target's support are canonicalised, which loses no match:
+    ``orbit_torus_canonical`` keeps the least support of the orbit, so two
+    canonical forms have equal supports only when the supports lie in one
+    orbit, and ``polys_close`` is False on unequal supports."""
+    orbits = _target_orbits(targets)
     # each polynomial is canonicalized once, not once per compared pair
-    canonical = [critical.orbit_torus_canonical(p) for p in produced]
+    canonical = [critical.orbit_torus_canonical(p) for p in produced
+                 if frozenset(p.terms) in orbits]
     missing = []
     for number, target in targets:
         key = critical.orbit_torus_canonical(target)
@@ -56,12 +69,18 @@ def _missing_targets(produced: list[SparsePoly], targets) -> list[int]:
     return missing
 
 
-def _recovered(name: str, families, entries) -> CheckResult:
-    """Whether the solutions of the families hold each published (number, entry)."""
-    produced = [sol.polynomial() for family in families for sol in solve_family(family)]
-    targets = [(number, critical_fixture_poly(entry)) for number, entry in entries]
+def _recovered(name: str, families, targets) -> CheckResult:
+    """Whether the solutions of the families hold each published (number,
+    polynomial).  A solution has its family's support, since every parameter
+    of a solution is nonzero, so only the families whose support lies in a
+    target's orbit (``_missing_targets``) have their solutions substituted."""
+    solved = [(family, solve_family(family)) for family in families]
+    orbits = _target_orbits(targets)
+    produced = [sol.polynomial() for family, solutions in solved if family.support in orbits
+                for sol in solutions]
     missing = _missing_targets(produced, targets)
-    detail = f"missing entries {missing}" if missing else f"{len(produced)} solutions"
+    count = sum(len(solutions) for _, solutions in solved)
+    detail = f"missing entries {missing}" if missing else f"{count} solutions"
     return CheckResult(name, not missing, detail)
 
 
@@ -115,14 +134,14 @@ def check_quartic_symbolic_matrix() -> CheckResult:
     numerators, denom = symbolic_moment_matrix(general)
 
     def expand(entries):
-        want = ParamPoly(size)
+        terms: dict = {}
         for coeff, sub_a, sub_b in entries:
-            ka, kb = basis.index(sub_a), basis.index(sub_b)
             exp = [0] * size
-            exp[ka] += 1
-            exp[kb] += 1
-            want = want + ParamPoly(size, {tuple(exp): Fraction(coeff)})
-        return want
+            exp[basis.index(sub_a)] += 1
+            exp[basis.index(sub_b)] += 1
+            exp = tuple(exp)
+            terms[exp] = terms.get(exp, 0) + coeff
+        return ParamPoly(size, terms)
 
     bad = []
     if denom != expand(fixtures.QUARTIC_R_DENOMINATOR):
@@ -133,12 +152,10 @@ def check_quartic_symbolic_matrix() -> CheckResult:
     return CheckResult("symbolic quartic moment matrix", not bad, ", ".join(bad))
 
 
-def check_quartic_list_verifies() -> CheckResult:
+def check_quartic_list_verifies(quartics: list[SparsePoly]) -> CheckResult:
     worst = 0.0
     bad = []
-    residuals = [
-        verify_critical(critical_fixture_poly(entry)) for entry in fixtures.CRITICAL_QUARTICS
-    ]
+    residuals = [verify_critical(f) for f in quartics]
     for k, res in enumerate(residuals):
         worst = max(worst, res)
         if res > critical.RESIDUAL_TOL:
@@ -151,8 +168,8 @@ def check_quartic_list_verifies() -> CheckResult:
 
 
 def run_case(case: str) -> list[CheckResult]:
-    cubics, quartics = fixtures.CRITICAL_CUBICS, fixtures.CRITICAL_QUARTICS
     if case == "cubics":
+        cubics = [critical_fixture_poly(entry) for entry in fixtures.CRITICAL_CUBICS]
         two, three, four = (diagonal_families(3, 3, m) for m in (2, 3, 4))
         return [
             check_bases(),
@@ -163,13 +180,15 @@ def run_case(case: str) -> list[CheckResult]:
             ),
             _monomials_critical("all 10 cubic monomials critical", 3),
             _recovered(
-                "six published critical cubics recovered", two + three, enumerate(cubics, 1)
+                "six published critical cubics recovered", two + three,
+                list(enumerate(cubics, 1)),
             ),
         ]
     if case == "quartics":
         two, three = (diagonal_families(3, 4, m) for m in (2, 3))
-        # entries with irrational coefficients are verification-only
-        rational = [(k, e) for k, e in enumerate(quartics, 1) if all(r == 1 for _, r, _ in e)]
+        quartics = [critical_fixture_poly(entry) for entry in fixtures.CRITICAL_QUARTICS]
+        # entries with irrational coefficients are float, and verification-only
+        rational = [(k, f) for k, f in enumerate(quartics, 1) if f.is_exact()]
         return [
             check_quartic_orbit_pairs(),
             _diagonal_families(
@@ -177,7 +196,7 @@ def run_case(case: str) -> list[CheckResult]:
             ),
             check_quartic_symbolic_matrix(),
             _monomials_critical("all 15 quartic monomials critical", 4),
-            check_quartic_list_verifies(),
+            check_quartic_list_verifies(quartics),
             _recovered(
                 "rational critical quartics rediscovered by the solver", two + three, rational
             ),

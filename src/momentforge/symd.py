@@ -48,20 +48,21 @@ def weight(alpha: ExponentVector) -> Fraction:
     return Fraction(num, factorial(degree(alpha)))
 
 
-def inner_product(f: SparsePoly, g: SparsePoly) -> Scalar:
+def inner_product(f: SparsePoly, g: SparsePoly, w=weight) -> Scalar:
     """Invariant hermitian product; conjugation is the identity on real scalars.
 
-    Computed as ``sum_a conj(f_a) g_a w(a)`` with exact rational weights.
+    Computed as ``sum_a conj(f_a) g_a w(a)`` with exact rational weights; the
+    integer trace engine passes ``w(a) = a!``, d! times the invariant weight.
     """
     if (f.n, f.d) != (g.n, g.d):
         raise ValueError(f"inner product needs equal shapes, got {(f.n, f.d)} and {(g.n, g.d)}")
-    total: Scalar = Fraction(0)
+    total: Scalar = 0  # an int, so that integer terms sum to an int
     small, large = (f, g) if len(f.terms) <= len(g.terms) else (g, f)
     for exp, c in small.terms.items():
         other = large.terms.get(exp)
         if other is None:
             continue
-        total = total + c * other * weight(exp)
+        total = total + c * other * w(exp)
     return total
 
 

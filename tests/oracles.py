@@ -1,9 +1,11 @@
 """Reference computations that share as little as possible with the code
-they check: forward jets through the trace formula, the derivative of the
-normalized norm along one-parameter subgroups, the projective fixed-point
-criterion of diagonal moment matrices, the merge of a closed-form
-point's sign patterns with every pattern canonicalised on its own, and the
-closed-form critical set as it was computed through ``Fraction`` points."""
+they check: the trace formula in ``Fraction`` arithmetic and forward jets
+through it, the derivative of the normalized norm along one-parameter
+subgroups, the projective fixed-point criterion of diagonal moment
+matrices, the merge of a closed-form point's sign patterns with every
+pattern canonicalised on its own, the closed-form critical set as it was
+computed through ``Fraction`` points, and the published-list comparison
+that canonicalises every produced form."""
 
 from __future__ import annotations
 
@@ -15,14 +17,189 @@ from momentforge.critical import (
     RESIDUAL_TOL,
     CriticalSet,
     CriticalSolution,
+    orbit_torus_canonical,
     polys_close,
     torus_canonical,
     verify_critical,
 )
-from momentforge.moment import _root_difference_free, _trace_parts, moment_matrix
+from momentforge.moment import _root_difference_free, moment_matrix
 from momentforge.orbits import ParamFamily
-from momentforge.polyring import DegenerateInputError, SparsePoly, canonical_key
-from momentforge.symd import enumerate_monomials, inner_product
+from momentforge.polyring import (
+    DegenerateInputError,
+    ParamPoly,
+    SparsePoly,
+    canonical_key,
+    parameter_symbols,
+    scalar_is_zero,
+)
+from momentforge.symd import enumerate_monomials, inner_product, weight
+
+# ---------------------------------------------------------------------------
+# the trace-formula engine in the coefficients' own ring (``Fraction``, float,
+# ``ParamPoly`` or a jet): ``moment._norm2`` to ``moment._parametric`` and
+# ``moment._lie_numerators`` as they were before exact and parametric input
+# were lifted to integers, copied unchanged; the ``fraction_*`` functions are
+# the exact and parametric branches of the entry points as they were then
+
+
+def _norm2(zero, coeffs):
+    total = zero
+    for alpha, c in coeffs:
+        total = total + c * c * weight(alpha)
+    return total
+
+
+def _inner_products(zero, coeffs, n: int) -> list[list]:
+    # derivative polynomials as maps exponent -> coefficient
+    derivs: list[dict] = []
+    for i in range(n):
+        dmap: dict = {}
+        for alpha, c in coeffs:
+            k = alpha[i]
+            if k:
+                beta = alpha[:i] + (k - 1,) + alpha[i + 1:]
+                dmap[beta] = c if k == 1 else c * Fraction(k)
+        derivs.append(dmap)
+
+    g = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            small, large = derivs[i], derivs[j]
+            if len(large) < len(small):
+                small, large = large, small
+            s = zero
+            for beta, c in small.items():
+                other = large.get(beta)
+                if other is not None:
+                    s = s + c * other * weight(beta)
+            g[i][j] = g[j][i] = s
+    return g
+
+
+def _moment_numerators(g, norm2, n: int, d: int) -> list[list]:
+    shifted = norm2 * Fraction(-2 * d * d, n)
+    m = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            entry = g[i][j] * 2
+            if i == j:
+                entry = entry + shifted
+            m[i][j] = m[j][i] = entry
+    return m
+
+
+def _trace_product(zero, m, n: int):
+    p = zero
+    for i in range(n):
+        for j in range(n):
+            p = p + m[i][j] * m[j][i]
+    return p
+
+
+def _trace_parts(zero, coeffs, n: int, d: int):
+    """``(P, norm2)``: numerator of ``|m|^2`` and the squared norm."""
+    norm2 = _norm2(zero, coeffs)
+    m = _moment_numerators(_inner_products(zero, coeffs, n), norm2, n, d)
+    return _trace_product(zero, m, n), norm2
+
+
+def _parametric(f: SparsePoly) -> tuple[ParamPoly, list]:
+    """The zero of the parameter ring, and every coefficient lifted into it."""
+    nsyms = parameter_symbols(f)
+    coeffs = []
+    for alpha, c in f.terms.items():
+        if isinstance(c, float):
+            raise TypeError("cannot mix float coefficients with parameters")
+        coeffs.append((alpha, c if isinstance(c, ParamPoly) else ParamPoly.const(nsyms, c)))
+    return ParamPoly(nsyms), coeffs
+
+
+
+def _lie_numerators(zero, coeffs, n: int, d: int):
+    """``(numerators, norm2)`` in canonical basis order: entry ``a`` of the
+    gradient is ``8 d w(a) (v_a norm2 - <v, f> c_a) / (d^2 norm2^3)`` with
+    ``v = sum_ij M_ij x_i d_j f``."""
+    terms = dict(coeffs)
+    norm2 = _norm2(zero, coeffs)
+    m = _moment_numerators(_inner_products(zero, coeffs, n), norm2, n, d)
+    # x_i d_j moves the term c x^alpha to alpha - e_j + e_i, times alpha_j
+    columns = [[(i, m[i][j]) for i in range(n) if not scalar_is_zero(m[i][j])] for j in range(n)]
+    v: dict = {}
+    for alpha, c in coeffs:
+        for j, k in enumerate(alpha):
+            if k:
+                lowered, ck = alpha[:j] + (k - 1,) + alpha[j + 1:], c * k
+                for i, m_ij in columns[j]:
+                    beta = lowered[:i] + (lowered[i] + 1,) + lowered[i + 1:]
+                    term = m_ij * ck
+                    v[beta] = v[beta] + term if beta in v else term
+    pairing = inner_product(SparsePoly(n, d, v), SparsePoly(n, d, terms))
+    numerators = [(v.get(a, zero) * norm2 - pairing * terms.get(a, zero)) * (8 * d * weight(a))
+                  if a in v or a in terms else zero for a in enumerate_monomials(n, d)]
+    return numerators, norm2
+
+
+def fraction_moment_matrix(f: SparsePoly) -> tuple:
+    coeffs = list(f.terms.items())
+    g = _inner_products(Fraction(0), coeffs, f.n)
+    scale = _norm2(Fraction(0), coeffs) * f.d
+    shift = Fraction(f.d, f.n)
+    return tuple(
+        tuple(
+            2 * (g[i][j] / scale - shift) if i == j else 2 * (g[i][j] / scale)
+            for j in range(f.n)
+        )
+        for i in range(f.n)
+    )
+
+
+def fraction_square_length(f: SparsePoly) -> Fraction:
+    return _trace_product(Fraction(0), fraction_moment_matrix(f), f.n)
+
+
+def fraction_symbolic_moment_matrix(family: SparsePoly) -> tuple:
+    zero, coeffs = _parametric(family)
+    norm2 = _norm2(zero, coeffs)
+    gram = _inner_products(zero, coeffs, family.n)
+    m = _moment_numerators(gram, norm2, family.n, family.d)
+    denom = norm2 * family.d
+    # divide by the content of the whole collection: the gcd of the contents'
+    # numerators over the lcm of their denominators
+    contents = [p.content() for p in [denom] + [e for row in m for e in row]]
+    scale = Fraction(
+        lcm(*(c.denominator for c in contents)), gcd(*(c.numerator for c in contents))
+    )
+    return tuple(tuple(e * scale for e in row) for row in m), denom * scale
+
+
+def fraction_square_length_symbolic(family: SparsePoly) -> tuple:
+    zero, coeffs = _parametric(family)
+    p, norm2 = _trace_parts(zero, coeffs, family.n, family.d)
+    if p.is_zero():
+        return p, zero + 1
+    # a square: its leading coefficient, and that of any monomial quotient of
+    # it, is positive, so dividing by the content fixes the sign as well
+    r = norm2 * norm2 * (family.d * family.d)
+    shift = tuple(min(a, b) for a, b in zip(p.monomial_gcd(), r.monomial_gcd()))
+    scale = 1 / r.content()
+    return p.shift_down(shift) * scale, r.shift_down(shift) * scale
+
+
+def fraction_gradient(f: SparsePoly) -> list:
+    """The Lie-algebra formula on any support, as ``gradient`` took it
+    where two exponents differ by a root."""
+    numerators, norm2 = _lie_numerators(Fraction(0), list(f.terms.items()), f.n, f.d)
+    denom = f.d * f.d * norm2 * norm2 * norm2
+    return [numer / denom for numer in numerators]
+
+
+def fraction_gradient_symbolic(family: SparsePoly) -> tuple:
+    """The Lie-algebra formula on any support, as ``gradient_symbolic``
+    took it where two exponents differ by a root."""
+    zero, coeffs = _parametric(family)
+    numerators, norm2 = _lie_numerators(zero, coeffs, family.n, family.d)
+    return numerators, norm2 * norm2 * norm2 * (family.d * family.d)
+
 
 
 class Jet:
@@ -143,6 +320,18 @@ def fixed_point_check(f: SparsePoly) -> bool:
         elif abs(float(delta)) > RESIDUAL_TOL:
             return False
     return True
+
+
+def full_missing_targets(produced: list[SparsePoly], targets) -> list[int]:
+    """``reproduce._missing_targets`` as it was before it canonicalised only
+    the produced forms in a target's orbit: every produced form is."""
+    canonical = [orbit_torus_canonical(p) for p in produced]
+    missing = []
+    for number, target in targets:
+        key = orbit_torus_canonical(target)
+        if not any(polys_close(c, key) for c in canonical):
+            missing.append(number)
+    return missing
 
 
 def per_pattern_merge(family, patterns) -> list:

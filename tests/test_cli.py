@@ -575,6 +575,8 @@ def digit_limit():
     ("1" * 5001, "integer 111111111111...111111111111"),
     ('"%s"' % ("1" * 5001), "coefficient 111111111111...111111111111"),
     ('"1/%s"' % ("3" * 5001), "coefficient 1/3333333333...333333333333"),
+    # Fraction reads underscores between digits, as int does
+    ('"%s1"' % ("1_" * 5000), "coefficient 1_1_1_1_1_1_..._1_1_1_1_1_1"),
 ])
 def test_a_coefficient_too_long_to_read_is_named(tmp_path, capsys, digit_limit, command,
                                                  coeff, named):
@@ -589,21 +591,83 @@ def test_a_coefficient_too_long_to_read_is_named(tmp_path, capsys, digit_limit, 
                             f"more than the {digit_limit} that can be read\n")
 
 
-HUGE_PARAM = {"nsyms": 1, "params": [{"exp": [1], "coeff": "1e5000"}]}
+@pytest.mark.parametrize("command", NUMERIC_COMMANDS)
+@pytest.mark.parametrize("coeff, named, digits", [
+    ('"1e1000000"', "coefficient 1e1000000", 1000001),
+    ('"-2.5E-1_000_000"', "coefficient -2.5E-1_000_000", 1000002),
+    ('"1e4300"', "coefficient 1e4300", 4301),
+    ('{"nsyms": 1, "params": [{"exp": [1], "coeff": "0.01e1000000"}]}',
+     "coefficient 0.01e1000000", 999999),
+])
+def test_a_coefficient_whose_exponent_is_too_large_is_refused(tmp_path, capsys, digit_limit,
+                                                              command, coeff, named, digits):
+    # Fraction multiplies by 10^exponent: sqlength --float on "1e1000000" x^3 + y^3
+    # ran without bound
+    path = tmp_path / "poly.json"
+    path.write_text('{"n": 3, "d": 3, "terms": [{"exp": [3, 0, 0], "coeff": %s}, '
+                    '{"exp": [0, 3, 0], "coeff": 1}]}' % coeff)
+    flags = [] if command == "verify" else ["--float"]
+    assert cli.main([command, "--poly", str(path), *flags]) == cli.USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {named} is too long: {digits} digits with its exponent, "
+                            f"more than the {digit_limit} that can be read\n")
+
+
+def test_an_exponent_within_the_digit_limit_reads(tmp_path, capsys, digit_limit):
+    # 15 * 10^4298 has 4300 digits, and 10^-4299 a denominator of 4300
+    path = tmp_path / "poly.json"
+    path.write_text(json.dumps(cubic(([3, 0, 0], "1.5e4299"), ([0, 3, 0], "1e-4299"))))
+    assert cli.main(["sqlength", "--poly", str(path), "--float"]) == 0
+    assert capsys.readouterr().out == "24.0\n"
+
+
+LONG = 4000
+
+
+@pytest.mark.parametrize("command", NUMERIC_COMMANDS)
+@pytest.mark.parametrize("body", [
+    # a zero denominator, plain and in a parametric coefficient
+    cubic(([3, 0, 0], "1/" + "0" * LONG)),
+    cubic(([3, 0, 0], {"nsyms": 1, "params": [{"exp": [1], "coeff": "1/" + "0" * LONG}]})),
+    # no number at all, and no coefficient encoding
+    cubic(([3, 0, 0], "x" * LONG)),
+    cubic(([3, 0, 0], [1] * LONG)),
+    # integers that are not integers, and an exponent listed twice
+    {**cubic(*FERMAT), "n": "3" * LONG},
+    cubic(([3, 0, 0], {"nsyms": [1] * LONG, "params": []})),
+    {"n": LONG, "d": 3, "terms": [{"exp": [3] + [0] * (LONG - 1), "coeff": "1"}] * 2},
+    # exponent vectors of the wrong length or degree
+    cubic(([3] + [0] * LONG, "1")),
+    cubic(([1, 1, 1], {"nsyms": 1, "params": [{"exp": [1] + [0] * LONG, "coeff": "1"}]})),
+    {"n": LONG, "d": 3, "terms": [{"exp": [2] + [0] * (LONG - 1), "coeff": "1"}]},
+])
+def test_error_messages_abbreviate_the_input(tmp_path, capsys, command, body):
+    # each echoed the offending value whole: "1/" and 4,000 zeros gave 4,049
+    # bytes, and an exponent vector of 4,001 entries 12,039
+    path = tmp_path / "poly.json"
+    path.write_text(json.dumps(body))
+    assert cli.main([command, "--poly", str(path)]) == cli.USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert len(captured.err.encode()) < 200, captured.err
+
+
+HUGE_PARAM = {"nsyms": 1, "params": [{"exp": [1], "coeff": "1e3000"}]}
 
 
 @pytest.mark.parametrize("flags", [[], ["--json"]])
 @pytest.mark.parametrize("command, coeff, named, hint", [
-    ("moment", "1e5000", "moment-matrix entry (1, 1)", "; --float prints the result"),
-    ("sqlength", "1e5000", "the square length", "; --float prints the result"),
-    ("grad", "1e5000", "gradient entry 1", "; --float prints the result"),
+    ("moment", "1e3000", "moment-matrix entry (1, 1)", "; --float prints the result"),
+    ("sqlength", "1e3000", "the square length", "; --float prints the result"),
+    ("grad", "1e3000", "gradient entry 1", "; --float prints the result"),
     ("moment", HUGE_PARAM, "moment-matrix numerator (1, 1)", ""),
     ("sqlength", HUGE_PARAM, "the square length", ""),
     ("grad", HUGE_PARAM, "gradient numerator 1", ""),
 ])
 def test_an_exact_result_too_long_to_print_is_named(tmp_path, capsys, digit_limit, flags,
                                                     command, coeff, named, hint):
-    # 10^5000 x^3 + y^3 (or b1 10^5000 x^3 + y^3) reads, but its exact results
+    # 10^3000 x^3 + y^3 (or b1 10^3000 x^3 + y^3) reads, but its exact results
     # have more digits than the interpreter prints
     path = tmp_path / "poly.json"
     path.write_text(json.dumps(cubic(([3, 0, 0], coeff), ([0, 3, 0], 1))))
@@ -616,7 +680,7 @@ def test_an_exact_result_too_long_to_print_is_named(tmp_path, capsys, digit_limi
 
 def test_float_prints_an_exact_result_too_long_to_print(tmp_path, capsys, digit_limit):
     path = tmp_path / "poly.json"
-    path.write_text(json.dumps(cubic(([3, 0, 0], "1e5000"), ([0, 3, 0], 1))))
+    path.write_text(json.dumps(cubic(([3, 0, 0], "1e3000"), ([0, 3, 0], 1))))
     assert cli.main(["moment", "--poly", str(path), "--float", "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["entries"] == [
         [4.0, 0.0, 0.0], [0.0, -2.0, 0.0], [0.0, 0.0, -2.0]]

@@ -40,7 +40,17 @@ from momentforge.polyring import (
     substitute_params,
 )
 from momentforge.symd import enumerate_monomials, root_pair, weight
-from oracles import Jet, flow_derivative, jet_numerators
+from oracles import (
+    Jet,
+    flow_derivative,
+    fraction_gradient,
+    fraction_gradient_symbolic,
+    fraction_moment_matrix,
+    fraction_square_length,
+    fraction_square_length_symbolic,
+    fraction_symbolic_moment_matrix,
+    jet_numerators,
+)
 
 
 def P(**kw):
@@ -369,6 +379,83 @@ class TestClosedFormGradient:
         for _ in range(5):
             f = random_rational_poly(rng, n, d, density=0.5)
             assert trace(Fraction(0), list(f.terms.items())) == 0
+
+
+def random_support(rng, n, d, free):
+    """A random support of one to six exponents, with no root difference
+    when ``free``; otherwise one with at least one."""
+    basis = enumerate_monomials(n, d)
+    while True:
+        support = rng.sample(basis, rng.randint(1 if free else 2, min(6, len(basis))))
+        if _root_difference_free(tuple(support)) == free:
+            return support
+
+
+def random_rational(rng):
+    """A nonzero rational, most often with a denominator, sometimes a long one."""
+    den = rng.choice([1, rng.randint(2, 12), rng.randint(2, 10**rng.randint(3, 25))])
+    return Fraction(rng.choice([-1, 1]) * rng.randint(1, 10**rng.randint(1, 12)), den)
+
+
+def has_fraction_terms(value):
+    if isinstance(value, ParamPoly):
+        return all(type(v) is Fraction for v in value.terms.values())
+    return all(map(has_fraction_terms, value))
+
+
+class TestLiftedEngine:
+    """Exact and parametric input run the trace formula in integers over one
+    common denominator; every entry point equals the ``Fraction`` engine of
+    ``oracles`` exactly, on supports with and without a root difference, and
+    returns ``Fraction`` values (or ``ParamPoly`` with ``Fraction`` terms),
+    which print as before."""
+
+    SHAPES = [(2, 3), (3, 3), (3, 4), (4, 3), (3, 5)]
+
+    @pytest.mark.parametrize("n, d", SHAPES)
+    def test_exact_input(self, n, d):
+        rng = random.Random(f"lifted exact {n} {d}")
+        kinds = set()
+        for k in range(24):
+            support = random_support(rng, n, d, free=k % 3 == 0)
+            f = SparsePoly.make(n, d, {a: random_rational(rng) for a in support})
+            kinds.add((_root_difference_free(tuple(f.terms)),
+                       all(c.denominator == 1 for c in f.terms.values())))
+            assert moment_matrix(f) == fraction_moment_matrix(f), f
+            assert square_length(f) == fraction_square_length(f), f
+            assert gradient(f) == fraction_gradient(f), f
+            assert all(type(v) is Fraction for row in moment_matrix(f) for v in row)
+            assert type(square_length(f)) is Fraction
+        assert {(True, False), (False, False)} <= kinds
+
+    @pytest.mark.parametrize("n, d", SHAPES)
+    def test_parametric_input(self, n, d):
+        rng = random.Random(f"lifted parametric {n} {d}")
+        kinds = set()
+        for k in range(12):
+            support = random_support(rng, n, d, free=k % 3 == 0)
+            nsyms = rng.randint(1, 3)
+            family = SparsePoly.make(n, d, {
+                a: random_parametric_coefficient(rng, nsyms) for a in support})
+            if parameter_symbols(family) == 0:
+                continue
+            kinds.add(_root_difference_free(tuple(family.terms)))
+            got = symbolic_moment_matrix(family)
+            assert got == fraction_symbolic_moment_matrix(family), family
+            assert has_fraction_terms(got[0]) and has_fraction_terms([got[1]])
+            got = square_length_symbolic(family)
+            assert got == fraction_square_length_symbolic(family), family
+            assert has_fraction_terms(got)
+            got = gradient_symbolic(family)
+            assert got == fraction_gradient_symbolic(family), family
+            assert has_fraction_terms(got[0]) and has_fraction_terms([got[1]])
+        assert kinds == {True, False}
+
+    def test_the_general_quartic(self):
+        basis = enumerate_monomials(3, 4)
+        general = SparsePoly.make(3, 4, {a: ParamPoly.symbol(len(basis), k)
+                                         for k, a in enumerate(basis)})
+        assert symbolic_moment_matrix(general) == fraction_symbolic_moment_matrix(general)
 
 
 def to_sympy(c, symbols):
