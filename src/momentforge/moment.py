@@ -213,13 +213,6 @@ def _trace_product(zero, m, n: int):
     return p
 
 
-def _trace_parts(zero, coeffs, n: int, d: int, lifted: bool = False):
-    """``(P, norm2)``: numerator of ``|m|^2`` and the squared norm."""
-    norm2 = _norm2(zero, coeffs, lifted)
-    m = _moment_numerators(_inner_products(zero, coeffs, n, lifted), norm2, n, d, lifted)
-    return _trace_product(zero, m, n), norm2
-
-
 def _parametric(f: SparsePoly) -> tuple[ParamPoly, list]:
     """The zero of the parameter ring, and every coefficient lifted into it."""
     nsyms = parameter_symbols(f)
@@ -325,12 +318,13 @@ def square_length_symbolic(family: SparsePoly) -> tuple[ParamPoly, ParamPoly]:
     if parameter_symbols(family) == 0:
         raise TypeError("numeric input: use square_length")
     zero, coeffs = _parametric(family)
-    p, norm = _trace_parts(zero, _lift(zero, coeffs)[1], family.n, family.d, True)
+    m, denom = _lifted_moment(zero, coeffs, family.n, family.d)
+    p = _trace_product(zero, m, family.n)
     if p.is_zero():
         return p, zero + 1
     # a square: its leading coefficient, and that of any monomial quotient of
     # it, is positive, so dividing by the content fixes the sign as well
-    r = norm * norm * (family.n * family.n * family.d * family.d)
+    r = denom * denom
     shift = tuple(min(a, b) for a, b in zip(p.monomial_gcd(), r.monomial_gcd()))
     scale = 1 / r.content()
     return p.shift_down(shift) * scale, r.shift_down(shift) * scale
@@ -388,7 +382,7 @@ def _u_form(lifted) -> tuple:
     """``(sum_a u'_a, {a: a! c'_a S'_a})`` from the lifted coefficients
     ``(a, c'_a)`` of a support with no root difference."""
     support = [alpha for alpha, _ in lifted]
-    factorials = [_factorials(alpha) for alpha in support]
+    factorials = [prod(map(factorial, alpha)) for alpha in support]
     u = [c * c * k for (_, c), k in zip(lifted, factorials)]
     sums = _centroid_sums(support, u)
     return sum(u), {a: c * k * s for (a, c), k, s in zip(lifted, factorials, sums)}
@@ -401,7 +395,8 @@ def _u_quotients(f: SparsePoly) -> tuple[dict, int] | None:
     support; the entries off it are 0."""
     if not f.is_exact() or not _root_difference_free(tuple(f.terms)):
         return None
-    scale, lifted = _lift(0, f.terms.items())
+    scale = lcm(*(c.denominator for c in f.terms.values()))
+    lifted = [(a, c.numerator * (scale // c.denominator)) for a, c in f.terms.items()]
     norm, parts = _u_form(lifted)
     return {a: 16 * scale * p for a, p in parts.items()}, norm**3
 

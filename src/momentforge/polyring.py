@@ -515,8 +515,16 @@ def check_digits(text: str, what: str) -> None:
                          f"more than the {limit} that can be read")
 
 
-# a decimal with an exponent, underscores removed: digits, fraction digits, exponent
-_EXPONENT_FORM = re.compile(r"\s*[-+]?(\d*)(?:\.(\d*))?[eE]([-+]?\d+)\s*")
+# the interpreter's default digit limit; it bounds exponents also where the
+# interpreter sets no limit, since the value costs the same to build
+_DEFAULT_DIGITS = 4300
+
+# a decimal with an exponent as ``Fraction`` reads it, digits possibly joined
+# by single underscores: the digits, the fraction digits and the exponent
+_DIGITS = r"(\d*|\d+(?:_\d+)*)"
+_EXPONENT_FORM = re.compile(
+    rf"\s*[-+]?(?=\d|\.\d){_DIGITS}(?:\.{_DIGITS})?[eE]([-+]?\d+(?:_\d+)*)\s*"
+)
 
 
 def _fraction_from_json(obj) -> Fraction:
@@ -524,12 +532,16 @@ def _fraction_from_json(obj) -> Fraction:
         check_digits(obj, "coefficient")
         # ``Fraction`` multiplies by 10^|exponent|, so "1e1000000" (10
         # characters) would build a million-digit integer
-        match = _EXPONENT_FORM.fullmatch(obj.replace("_", ""))
-        limit = _digit_limit()
-        if match and limit:
-            whole, fraction, exponent = match.groups("")
+        match = _EXPONENT_FORM.fullmatch(obj)
+        if match:
+            whole, fraction, exponent = (g.replace("_", "") for g in match.groups(""))
+            significant = (whole + fraction).lstrip("0")
+            if not significant:
+                # zero, whose power of ten ``Fraction`` would build all the same
+                return Fraction(0)
             shift = int(exponent) - len(fraction)
-            digits = len((whole + fraction).lstrip("0")) + shift if shift >= 0 else 1 - shift
+            digits = len(significant) + shift if shift >= 0 else 1 - shift
+            limit = _digit_limit() or _DEFAULT_DIGITS
             if digits > limit:
                 raise ValueError(f"coefficient {_shown(obj)} is too long: {digits} digits "
                                  f"with its exponent, more than the {limit} that can be read")

@@ -48,7 +48,7 @@ def _target_orbits(targets) -> set:
     return set().union(*(orbit_of(target.terms) for _, target in targets))
 
 
-def _missing_targets(produced: list[SparsePoly], targets) -> list[int]:
+def _missing_targets(produced: list[SparsePoly], targets, orbits: set | None = None) -> list[int]:
     """Numbers of the (number, polynomial) targets equivalent to no produced
     polynomial modulo torus rescaling and coordinate permutation.
 
@@ -56,8 +56,10 @@ def _missing_targets(produced: list[SparsePoly], targets) -> list[int]:
     target's support are canonicalised, which loses no match:
     ``orbit_torus_canonical`` keeps the least support of the orbit, so two
     canonical forms have equal supports only when the supports lie in one
-    orbit, and ``polys_close`` is False on unequal supports."""
-    orbits = _target_orbits(targets)
+    orbit, and ``polys_close`` is False on unequal supports.  ``orbits`` is
+    ``_target_orbits(targets)``, built here when not given."""
+    if orbits is None:
+        orbits = _target_orbits(targets)
     # each polynomial is canonicalized once, not once per compared pair
     canonical = [critical.orbit_torus_canonical(p) for p in produced
                  if frozenset(p.terms) in orbits]
@@ -78,7 +80,7 @@ def _recovered(name: str, families, targets) -> CheckResult:
     orbits = _target_orbits(targets)
     produced = [sol.polynomial() for family, solutions in solved if family.support in orbits
                 for sol in solutions]
-    missing = _missing_targets(produced, targets)
+    missing = _missing_targets(produced, targets, orbits)
     count = sum(len(solutions) for _, solutions in solved)
     detail = f"missing entries {missing}" if missing else f"{count} solutions"
     return CheckResult(name, not missing, detail)

@@ -614,6 +614,36 @@ def test_a_coefficient_whose_exponent_is_too_large_is_refused(tmp_path, capsys, 
                             f"more than the {digit_limit} that can be read\n")
 
 
+@pytest.mark.parametrize("command", NUMERIC_COMMANDS)
+def test_an_exponent_is_bounded_where_the_interpreter_sets_no_limit(tmp_path, capsys,
+                                                                     command):
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no digit limit to lift")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        path = tmp_path / "poly.json"
+        path.write_text(json.dumps(cubic(([3, 0, 0], "1e1000000"), ([0, 3, 0], "1"))))
+        flags = [] if command == "verify" else ["--float"]
+        assert cli.main([command, "--poly", str(path), *flags]) == cli.USAGE_ERROR
+    finally:
+        sys.set_int_max_str_digits(limit)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: coefficient 1e1000000 is too long: 1000001 digits with its "
+                            "exponent, more than the 4300 that can be read\n")
+
+
+@pytest.mark.parametrize("zero", ["0e1000000", "0.0e5000", "-0.000e-1_000_000_000"])
+def test_a_zero_with_any_exponent_reads(tmp_path, capsys, digit_limit, zero):
+    # the exponent guard counted the bare exponent for a mantissa of zeros and
+    # refused "0e1000000"; the value is 0, and no power of ten is built
+    path = tmp_path / "poly.json"
+    path.write_text(json.dumps(cubic(([3, 0, 0], zero), ([0, 3, 0], "1"))))
+    assert cli.main(["sqlength", "--poly", str(path)]) == 0
+    assert capsys.readouterr().out == "24\n"
+
+
 def test_an_exponent_within_the_digit_limit_reads(tmp_path, capsys, digit_limit):
     # 15 * 10^4298 has 4300 digits, and 10^-4299 a denominator of 4300
     path = tmp_path / "poly.json"

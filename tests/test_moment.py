@@ -22,7 +22,7 @@ from momentforge.moment import (
     _norm2,
     _parametric,
     _root_difference_free,
-    _trace_parts,
+    _trace_product,
     _u_quotients,
     gradient,
     gradient_symbolic,
@@ -150,6 +150,14 @@ class TestSquareLength:
             assert square_length(random_rational_poly(rng, 3, 3, density=0.4)) >= 0
 
 
+def trace_parts(zero, coeffs, n, d):
+    """``(P, norm2)`` from the engine with the rational weights: the numerator
+    of ``|m|^2`` and the squared norm."""
+    norm2 = _norm2(zero, coeffs)
+    m = _moment_numerators(_inner_products(zero, coeffs, n), norm2, n, d)
+    return _trace_product(zero, m, n), norm2
+
+
 def quotient_at(pair, point):
     numer, denom = pair
     return numer.subs(point) / denom.subs(point)
@@ -178,7 +186,7 @@ class TestSquareLengthSymbolic:
         # and its denominator is primitive with a positive leading term
         for fam in reduction_families():
             numer, denom = square_length_symbolic(fam)
-            p, norm2 = _trace_parts(*_parametric(fam), fam.n, fam.d)
+            p, norm2 = trace_parts(*_parametric(fam), fam.n, fam.d)
             assert numer * norm2 * norm2 * (fam.d * fam.d) == p * denom
             assert all(min(a, b) == 0 for a, b in zip(numer.monomial_gcd(), denom.monomial_gcd()))
             assert denom.content() == 1 and denom.terms[max(denom.terms)] > 0
@@ -765,7 +773,7 @@ def all_directions_gradient(f):
     """Float reference: jets in every basis direction through the engine."""
     basis = enumerate_monomials(f.n, f.d)
     jets = [(a, Jet(float(f.terms.get(a, 0.0)), {k: 1.0})) for k, a in enumerate(basis)]
-    p, norm2 = _trace_parts(Jet(0.0, {}), jets, f.n, f.d)
+    p, norm2 = trace_parts(Jet(0.0, {}), jets, f.n, f.d)
     return float_quotients(p, norm2, f.d, len(basis))
 
 
