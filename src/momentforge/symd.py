@@ -56,7 +56,8 @@ def inner_product(f: SparsePoly, g: SparsePoly, w=weight) -> Scalar:
     """
     if (f.n, f.d) != (g.n, g.d):
         raise ValueError(f"inner product needs equal shapes, got {(f.n, f.d)} and {(g.n, g.d)}")
-    total: Scalar = 0  # an int, so that integer terms sum to an int
+    # an int start under integer weights, so that integer terms sum to an int
+    total: Scalar = Fraction(0) if w is weight else 0
     small, large = (f, g) if len(f.terms) <= len(g.terms) else (g, f)
     for exp, c in small.terms.items():
         other = large.terms.get(exp)

@@ -56,6 +56,10 @@ class TestInnerProduct:
         f = SparsePoly.make(3, 3, {mono("x3"): Fraction(1), mono("y3"): Fraction(1)})
         assert inner_product(f, SparsePoly.monomial(3, (3, 0, 0))) == 1
 
+    def test_disjoint_supports_give_a_fraction_zero(self):
+        zero = inner_product(SparsePoly.monomial(3, (3, 0, 0)), SparsePoly.monomial(3, (0, 3, 0)))
+        assert type(zero) is Fraction and zero == 0
+
     def test_weighted(self):
         f = SparsePoly.make(3, 2, {mono("xy"): Fraction(2)})
         g = SparsePoly.make(3, 2, {mono("xy"): Fraction(3)})
