@@ -520,11 +520,10 @@ def check_digits(text: str, what: str) -> None:
 _DEFAULT_DIGITS = 4300
 
 # a decimal with an exponent as ``Fraction`` reads it, digits possibly joined
-# by single underscores: the digits, the fraction digits and the exponent
+# by single underscores: the digits, the fraction digits and the exponent;
+# ``re`` compiles it on first use, not on import
 _DIGITS = r"(\d*|\d+(?:_\d+)*)"
-_EXPONENT_FORM = re.compile(
-    rf"\s*[-+]?(?=\d|\.\d){_DIGITS}(?:\.{_DIGITS})?[eE]([-+]?\d+(?:_\d+)*)\s*"
-)
+_EXPONENT_FORM = rf"\s*[-+]?(?=\d|\.\d){_DIGITS}(?:\.{_DIGITS})?[eE]([-+]?\d+(?:_\d+)*)\s*"
 
 
 def _fraction_from_json(obj) -> Fraction:
@@ -532,7 +531,7 @@ def _fraction_from_json(obj) -> Fraction:
         check_digits(obj, "coefficient")
         # ``Fraction`` multiplies by 10^|exponent|, so "1e1000000" (10
         # characters) would build a million-digit integer
-        match = _EXPONENT_FORM.fullmatch(obj)
+        match = re.fullmatch(_EXPONENT_FORM, obj)
         if match:
             whole, fraction, exponent = (g.replace("_", "") for g in match.groups(""))
             significant = (whole + fraction).lstrip("0")
