@@ -14,9 +14,12 @@ turn, and that interpreter (``measure``) computes every section once:
   and ``beyond_paper`` workloads (``WORKLOADS``), summed per workload and
   kind of family by its closed-form critical set: ``empty``, a one-point set
   in at most two unknowns whose square roots are all ``rational`` or not
-  (``irrational``), and ``newton`` for every other.  Every family's first
-  call (``cold``) comes before any second (``warm``), and the kinds are found
-  after the timing, so that no first call finds a cache filled.
+  (``irrational``), and ``newton`` for every other; beside each sum, the
+  median over the kind's families (``*_median_ms``), the in-isolation time
+  to read a ``family_ms.p50`` against when the median solve is of that kind.
+  Every family's first call (``cold``) comes before any second (``warm``),
+  and the kinds are found after the timing, so that no first call finds a
+  cache filled.
 - ``closed_form``: ``critical_set`` alone, one call per family of each
   ``CLOSED_FORM`` case, its families enumerated before the clock starts; the
   sha256 is of the ``repr`` of the returned sets, which holds every field.
@@ -40,6 +43,7 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -118,12 +122,7 @@ def measure() -> None:
         for w, fams in families.items():
             calls[w][call].extend(timed(solve_family, f)[1] for f in fams)
     for w, fams in families.items():
-        rows = {k: {"families": 0, "cold_ms": 0.0, "warm_ms": 0.0} for k in KINDS}
-        for family, cold, warm in zip(fams, *calls[w]):
-            row = rows[kind(family)]
-            row["families"] += 1
-            row["cold_ms"] += cold
-            row["warm_ms"] += warm
+        rows = kind_rows(map(kind, fams), *calls[w])
         out["kinds"].update((f"{w} {k}", row) for k, row in rows.items())
         for n, d, m in WORKLOADS[w]:
             text = io.StringIO()
@@ -157,6 +156,19 @@ def measure() -> None:
     out["engine"][f"symbolic_moment_matrix(general {n},{d})"] = {
         "count": len(basis), "sha256": sha(str(times[0][0])), "ms": min(t for _, t in times)}
     print(json.dumps(out))
+
+
+def kind_rows(kinds, colds, warms) -> dict:
+    """The ``kinds`` row of each of ``KINDS`` from every family's kind and
+    times: the count, the sums and the per-family medians (0 for no family)."""
+    times = {k: ([], []) for k in KINDS}
+    for k, cold, warm in zip(kinds, colds, warms):
+        times[k][0].append(cold)
+        times[k][1].append(warm)
+    return {k: {"families": len(c), "cold_ms": sum(c, 0.0), "warm_ms": sum(w, 0.0),
+                "cold_median_ms": statistics.median(c or [0.0]),
+                "warm_median_ms": statistics.median(w or [0.0])}
+            for k, (c, w) in times.items()}
 
 
 def run_once(tree: Path) -> dict:
@@ -205,9 +217,9 @@ def main(argv=None) -> int:
     report = {
         "what": "parent against change, min of the runs in milliseconds: the "
                 "enumerators; solve_family per workload and kind of family, summed "
-                "over its families, cold the first call in a fresh interpreter and "
-                "warm the second; critical_set alone per closed_form case; the "
-                "sha256 of critical --json per workload case; reproduce.run_case per "
+                "over its families and their median, cold the first call in a fresh "
+                "interpreter and warm the second; critical_set alone per closed_form "
+                "case; the sha256 of critical --json per workload case; reproduce.run_case per "
                 "paper case; and gradient over the (3,4) paper-set forms with a root "
                 "difference and symbolic_moment_matrix of the general quartic",
         "host": {"machine": platform.machine(), "cpus": os.cpu_count(),
@@ -219,7 +231,8 @@ def main(argv=None) -> int:
     for section in SECTIONS:
         for row in report[section]:
             times = "  ".join(f"{t} {row['parent_' + t]:9.2f} -> {row['change_' + t]:9.2f}"
-                              for t in ("ms", "cold_ms", "warm_ms") if "parent_" + t in row)
+                              for t in ("ms", "cold_ms", "warm_ms", "cold_median_ms",
+                                        "warm_median_ms") if "parent_" + t in row)
             count = row.get("count", row.get("families", row.get("checks", "")))
             print(f"{section:13} {row['case']:30} {count:>6}  {times or row['sha256']}")
     if report["mismatched"]:

@@ -85,13 +85,14 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
-from math import factorial, gcd, lcm, prod
+from math import gcd, lcm
 from operator import mul, sub
 from typing import NamedTuple
 
 from . import univariate as uni
 from .moment import (
     _centroid_sums,
+    _factorials,
     _root_difference_free,
     _u_quotients,
     gradient,
@@ -473,6 +474,20 @@ def _strictly_feasible(rows: list, k: int) -> tuple[list[int], int] | None:
     return z, denominator
 
 
+def _normal_solution(gram: list, rhs: list) -> tuple[tuple[int, ...], int]:
+    """Integers ``(N, D)`` in lowest terms, ``D > 0``, with ``gram N = D rhs``:
+    fraction-free Gauss-Jordan (Bareiss, Math. Comp. 22, 1968), unpivoted, as
+    the Gram matrix of independent vectors has positive leading minors."""
+    rows, previous = [[*row, b] for row, b in zip(gram, rhs)], 1
+    for k in range(len(rows)):
+        pivot_row, pivot = rows[k], rows[k][k]
+        rows = [row if row is pivot_row else [(pivot * a - row[k] * b) // previous
+                                              for a, b in zip(row, pivot_row)] for row in rows]
+        previous = pivot
+    common = gcd(previous, *(row[-1] for row in rows))
+    return tuple(row[-1] // common for row in rows), previous // common
+
+
 def critical_set(family: ParamFamily) -> CriticalSet:
     """The family's real critical set in closed form (see ``CriticalSet``).
 
@@ -481,10 +496,11 @@ def critical_set(family: ParamFamily) -> CriticalSet:
     are taken greedily into an independent set B, in one pass over one
     fraction-free echelon (``_greedy_basis``), which also gives each other
     difference as an integer combination of B over a common denominator;
-    p_S solves the normal equations over B.  A u with sum 1 and centroid
-    p_S then has one free coordinate per dependent difference, and each
-    coordinate of B is affine in them, so strict positivity is decided, and
-    a point found, by Fourier-Motzkin over the |S| - 1 - r free coordinates.
+    p_S solves the normal equations over B by fraction-free Gauss-Jordan
+    (Bareiss, ``_normal_solution``).  A u with sum 1 and centroid p_S then
+    has one free coordinate per dependent difference, and each coordinate
+    of B is affine in them, so strict positivity is decided, and a point
+    found, by Fourier-Motzkin over the |S| - 1 - r free coordinates.
 
     Integers throughout: the differences, the Gram matrix of B,
     n (t - a_0) = d 1 - n a_0, the solution N / D of the normal equations
@@ -511,8 +527,7 @@ def critical_set(family: ParamFamily) -> CriticalSet:
     rank = len(basis)
     gram = [[_dot(b, c) for c in basis] for b in basis]
     target = [d - n * x for x in base]  # n (t - a_0)
-    # the Gram matrix is symmetric and invertible: the right side is a combination of its rows
-    numerators, denominator = _greedy_basis(gram + [[_dot(b, target) for b in basis]])[1][-1]
+    numerators, denominator = _normal_solution(gram, [_dot(b, target) for b in basis])
     scale = n * denominator
     # offset = n D (p_S - a_0), so n D (p_S - t) = offset - D n (t - a_0)
     offset = [_dot(numerators, column) for column in zip(*basis)]
@@ -834,11 +849,13 @@ def _signed_roots(projection: uni.UPoly, q: Fraction) -> list[AlgebraicNumber]:
 def _point_solutions(family: ParamFamily, cs: CriticalSet) -> list[CriticalSolution]:
     """``solve_real``'s output at a one-point critical set in at most two
     unknowns, from b_k^2 = q_k (see the module docstring); projections are
-    taken in b_k^2, as Res_y(F(x^2, y^2), G(x^2, y^2)) = Res(F, G)(x^2)^2."""
+    taken in b_k^2, as Res_y(F(x^2, y^2), G(x^2, y^2)) = Res(F, G)(x^2)^2.
+    Values, floats and signs are read once per unknown; each class's least
+    pattern is verified on the polynomial ``substitute_params`` gives it."""
     terms = family.display_terms()
     # q_k = u_k pin! / (u_pin a_k!), as w(a) = a! / d!: one Fraction each
-    (top, bottom), pin = cs.point[-1].as_integer_ratio(), prod(map(factorial, terms[-1]))
-    squares = [Fraction(u.numerator * bottom * pin, u.denominator * top * prod(map(factorial, a)))
+    (top, bottom), pin = cs.point[-1].as_integer_ratio(), _factorials(terms[-1])
+    squares = [Fraction(u.numerator * bottom * pin, u.denominator * top * _factorials(a))
                for u, a in zip(cs.point, terms[:-1])]
     roots = [(_exact_root(q.numerator, 2), _exact_root(q.denominator, 2)) for q in squares]
     pairs = [None if None in r else (-Fraction(*r), Fraction(*r)) for r in roots]
@@ -867,22 +884,24 @@ def _point_solutions(family: ParamFamily, cs: CriticalSet) -> list[CriticalSolut
         raise ArithmeticError(f"{family}: a one-point support is affinely dependent")
     exact = all(isinstance(v, Fraction) for pair in pairs for v in pair)
     one = Fraction(1) if exact else 1.0
-    best: dict[tuple, tuple] = {}  # the least (score, values) of each class, by its flips
-    for values in product(*pairs):
-        floats = (1.0, *map(float, reversed(values)))  # the coefficients in canonical order
-        key = _sign_flips(parity, [c <= 0 for c in ((1, *reversed(values)) if exact else floats)])
-        score = (0 if min(floats) > 0 else 1, floats)
+    choices = [[(v, float(v), (v.numerator if exact else float(v)) <= 0) for v in p] for p in pairs]
+    best: dict[tuple, tuple] = {}  # the least (score, values, floats) of each class, by its flips
+    for pattern in product(*choices):
+        values, floats, negative = zip(*pattern)
+        key = _sign_flips(parity, (False, *reversed(negative)))  # canonical order
+        score = (0 if min(floats) > 0 else 1, (1.0, *reversed(floats)))
         if key not in best or score < best[key][0]:
-            best[key] = (score, values)
+            best[key] = (score, values, floats)
+    n, d = family.poly.n, family.poly.d
     solutions = []
-    for key, (_, values) in best.items():
-        residual = verify_critical(_substitute_values(family, values))
+    for key, (_, values, floats) in sorted(best.items(), key=lambda item: item[1][2]):
+        coeffs = (*(values if exact else floats), one)
+        residual = verify_critical(SparsePoly(n, d, dict(zip(terms, coeffs))))
         if residual > (0.0 if exact else RESIDUAL_TOL):
             raise ArithmeticError(f"{family}: a closed-form point is not critical")
         form = {a: -one if flip else one for a, flip in zip(support, key)}
-        solutions.append(CriticalSolution(family, values, residual,
-                                          SparsePoly(family.poly.n, family.poly.d, form)))
-    return sorted(solutions, key=lambda s: tuple(map(float, s.values)))
+        solutions.append(CriticalSolution(family, values, residual, SparsePoly(n, d, form)))
+    return solutions
 
 
 def solve_family(family: ParamFamily) -> list[CriticalSolution]:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import combinations
 from math import comb, factorial
 
 from .polyring import (
@@ -29,10 +29,11 @@ from .polyring import (
 @lru_cache(maxsize=None)
 def enumerate_monomials(n: int, d: int) -> tuple[ExponentVector, ...]:
     """The degree-``d`` exponent vectors in ``n`` variables, canonically
-    ordered; there are binomial(n+d-1, d) of them."""
+    ordered: the binomial(n+d-1, d) gaps between n - 1 bars in d + n - 1 slots."""
     if n < 1 or d < 1:
         raise ValueError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
-    exponents = (a for a in product(range(d + 1), repeat=n) if sum(a) == d)
+    bars = ((-1, *c, d + n - 1) for c in combinations(range(d + n - 1), n - 1))
+    exponents = (tuple(b - a - 1 for a, b in zip(c, c[1:])) for c in bars)
     basis = tuple(sorted(exponents, key=canonical_key))
     if len(basis) != comb(n + d - 1, d):
         raise ArithmeticError(f"{len(basis)} monomials of degree {d} in {n} variables")

@@ -4,8 +4,9 @@ through it, the derivative of the normalized norm along one-parameter
 subgroups, the projective fixed-point criterion of diagonal moment
 matrices, the merge of a closed-form point's sign patterns with every
 pattern canonicalised on its own, the closed-form critical set as it was
-computed through ``Fraction`` points, and the published-list comparison
-that canonicalises every produced form."""
+computed through ``Fraction`` points, its normal equations as a greedy
+echelon solved them, and the published-list comparison that canonicalises
+every produced form."""
 
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, lcm
 
+from momentforge import critical
 from momentforge.critical import (
     RESIDUAL_TOL,
     CriticalSet,
@@ -356,6 +358,14 @@ def per_pattern_merge(family, patterns) -> list:
     solutions = [CriticalSolution(family, values, verify_critical(poly), canonical)
                  for _, values, poly, canonical in kept]
     return sorted(solutions, key=lambda s: tuple(map(float, s.values)))
+
+
+def echelon_normal_solution(gram: list, rhs: list) -> tuple:
+    """``critical_set``'s normal equations ``gram N = D rhs`` solved as they
+    were before Bareiss: a second ``critical._greedy_basis`` pass, over the
+    Gram rows and the right side, gives the right side as the combination
+    ``(N, D)`` of the rows, which is N as the Gram matrix is symmetric."""
+    return critical._greedy_basis(gram + [rhs])[1][-1]
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ component, and against an exact LP (sympy) that knows nothing of p_S."""
 import hashlib
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -31,6 +32,7 @@ from momentforge.orbits import build_family
 from momentforge.polyring import ParamPoly, SparsePoly
 from momentforge.symd import enumerate_monomials, weight
 from oracles import (
+    echelon_normal_solution,
     fraction_centroid_sums,
     fraction_critical_set,
     fraction_strictly_feasible,
@@ -233,6 +235,42 @@ def test_closed_forms_are_pinned():
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == CLOSED_FORMS_SHA256
 
 
+# the same rows over every family of the closed_form cases of ci/bench_ab.py,
+# whose normal equations reach rank 3 and 4, as the greedy echelon gave them
+CLOSED_FORM_CASES = {(3, 5, 5): 176, (3, 6, 5): 1976, (4, 4, 5): 1132, (6, 3, 5): 454}
+CLOSED_FORM_CASES_SHA256 = "c5723ff50059dc98f1d4ed9ac90f463575dabbce22a0254834921d8cdd44cc0f"
+
+
+def test_closed_forms_of_the_bench_cases_are_pinned():
+    rows = []
+    for case, count in CLOSED_FORM_CASES.items():
+        sets = list(map(critical_set, diagonal_families(*case)))
+        assert len(sets) == count, case
+        rows += [(cs.rank, cs.projection, cs.dimension, cs.square_length, cs.point) for cs in sets]
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == CLOSED_FORM_CASES_SHA256
+
+
+# the benchmark's workload cases and the closed_form cases of ci/bench_ab.py
+GRAM_CASES = [(3, 3, 2), (3, 3, 3), (3, 4, 2), (3, 4, 3), (3, 5, 3), (4, 3, 3), *CLOSED_FORM_CASES]
+
+
+def test_the_normal_equations_equal_the_echelon_solve(monkeypatch):
+    systems = []
+    solve = critical._normal_solution
+
+    def recording(gram, rhs):
+        systems.append((gram, rhs, solve(gram, rhs)))
+        return systems[-1][2]
+
+    monkeypatch.setattr(critical, "_normal_solution", recording)
+    for case in GRAM_CASES:
+        for family in diagonal_families(*case):
+            critical_set(family)
+    assert Counter(len(gram) for gram, _, _ in systems) == {1: 20, 2: 2320, 3: 1125, 4: 452}
+    for gram, rhs, got in systems:
+        assert got == echelon_normal_solution(gram, rhs), (gram, rhs)
+
+
 # empty sets, points and Fourier-Motzkin with up to four free coordinates
 ORACLE_CASES = [(3, 3, m) for m in (2, 3, 4)] + [(n, d, m) for n, d in [(3, 4), (3, 5), (4, 3)]
                                                  for m in (2, 3, 4, 5)] + [(5, 3, 5)]
@@ -380,16 +418,26 @@ def solution_bytes(solutions):
 
 
 def recording_patterns(monkeypatch):
-    """The sign patterns that ``_point_solutions`` enumerates, in order."""
+    """The sign patterns that ``_point_solutions`` enumerates, in order: the
+    values of its ``product`` over one ``(value, float, sign)`` choice per
+    unknown."""
     patterns = []
 
-    def recording(*pairs):
-        for values in product(*pairs):
-            patterns.append(values)
-            yield values
+    def recording(*choices):
+        for pattern in product(*choices):
+            patterns.append(tuple(value for value, _, _ in pattern))
+            yield pattern
 
     monkeypatch.setattr(critical, "product", recording)
     return patterns
+
+
+def only_pattern(values):
+    """A stand-in for ``product`` in ``_point_solutions`` that yields the
+    choices of the one pattern ``values``."""
+    def chosen(*choices):
+        return [tuple(next(c for c in choice if c[0] == v) for choice, v in zip(choices, values))]
+    return chosen
 
 
 @pytest.mark.parametrize("n, d, m", MERGE_COUNTS)
@@ -425,7 +473,7 @@ def test_a_sign_class_form_is_the_canonical_form(n, d, m, monkeypatch):
     checked = 0
     for family, cs, family_patterns in families:
         for values in family_patterns:
-            monkeypatch.setattr(critical, "product", lambda *pairs, values=values: [values])
+            monkeypatch.setattr(critical, "product", only_pattern(values))
             (alone,) = critical._point_solutions(family, cs)
             expected = critical.torus_canonical(critical._substitute_values(family, values))
             assert repr(alone.canonical_form.terms) == repr(expected.terms), (family, values)
@@ -435,25 +483,29 @@ def test_a_sign_class_form_is_the_canonical_form(n, d, m, monkeypatch):
 
 def test_the_point_path_builds_one_polynomial_per_solution(monkeypatch):
     # no pattern is canonicalised: the classes come from the GF(2) flips, and
-    # each kept one is substituted once, for its verification
+    # each kept one is built once, for its verification, term for term and
+    # type for type the polynomial that substitute_params gives its values
     rationals = rational_point_families(3, 4, 3)
     rational = next(f for f in rationals if f.nparams == 2)
     irrational = next(f for f, _ in point_families(3, 4, 3) if f not in rationals)
+    mixed = next(f for f, cs in point_families(3, 4, 3)
+                 if sorted(map(is_rational_square, pinned_squares(cs))) == [False, True])
     for name in ("_torus_magnitudes", "torus_canonical", "polys_close"):
         monkeypatch.setattr(critical, name, refuse(name))
     calls = []
-    substitute = critical._substitute_values
+    verify = critical.verify_critical
 
-    def recording(family, values):
-        calls.append(values)
-        return substitute(family, values)
+    def recording(f):
+        calls.append(list(map(repr, f.terms.items())))
+        return verify(f)
 
-    monkeypatch.setattr(critical, "_substitute_values", recording)
-    for family, exact in ((rational, True), (irrational, False)):
+    monkeypatch.setattr(critical, "verify_critical", recording)
+    for family, exact in ((rational, True), (irrational, False), (mixed, False)):
         calls.clear()
         solutions = solve_family(family)
         assert len(calls) == len(solutions) > 0, family
-        assert set(calls) == {s.values for s in solutions}, family
+        substituted = [critical._substitute_values(family, s.values) for s in solutions]
+        assert calls == [list(map(repr, f.terms.items())) for f in substituted], family
         assert all(isinstance(v, Fraction) for s in solutions for v in s.values) == exact
 
 

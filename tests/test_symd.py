@@ -1,12 +1,13 @@
 import random
 from fractions import Fraction
+from itertools import product
 from math import comb
 
 import pytest
 
 from conftest import add_poly, random_rational_poly, scale_poly
 from momentforge.fixtures import M2_BASIS, M3_BASIS, mono
-from momentforge.polyring import SparsePoly
+from momentforge.polyring import SparsePoly, canonical_key
 from momentforge.symd import enumerate_monomials, inner_product, weight
 
 
@@ -25,6 +26,18 @@ class TestEnumerateMonomials:
                 assert len(basis) == comb(n + d - 1, d)
                 assert len(set(basis)) == len(basis)
                 assert all(sum(a) == d for a in basis)
+
+    def test_equals_the_filtered_product(self):
+        # the compositions are generated directly; every exponent tuple of
+        # entries at most d, kept when it sums to d, is the definition
+        for n in range(1, 6):
+            for d in range(1, 7):
+                tuples = [a for a in product(range(d + 1), repeat=n) if sum(a) == d]
+                assert enumerate_monomials(n, d) == tuple(sorted(tuples, key=canonical_key))
+
+    def test_many_variables(self):
+        # the filtered product would visit 7^12 tuples here
+        assert len(enumerate_monomials(12, 6)) == 12376
 
     def test_cached(self):
         assert enumerate_monomials(3, 4) is enumerate_monomials(3, 4)
