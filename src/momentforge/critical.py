@@ -71,12 +71,16 @@ every magnitude is 1, and a pattern's canonical form is +-1 (``Fraction(1)``
 when every value is rational, else 1.0) with the signs of the GF(2) rule
 (``_sign_flips``).  ``polys_close`` on two such forms is equality of their
 flips, so the flips key the classes, and only the least pattern of each is
-substituted and verified.  Pencils with an identically zero resultant go to
-``solve_real``, and so do positive-dimensional sets and three unknowns.  A
-positive-dimensional set in two unknowns is always such a pencil: its
-equations have infinitely many real common zeros, so by Bezout they share a
-factor of positive degree.  Every resultant in an unknown that this factor
-involves then vanishes identically, and no equation is free of that unknown.
+substituted.  An exact family is verified once, on its first class: its
+exact residual reads each c_a only through c_a^2 and a sign that changes no
+|N_a| (``moment._u_quotients``), so every class has it.  Each float class is
+verified, as the floats of -sqrt(q_k) and sqrt(q_k) are not negatives of each
+other.  Pencils with an identically zero resultant go to ``solve_real``, and
+so do positive-dimensional sets and three unknowns.  A positive-dimensional
+set in two unknowns is always such a pencil: its equations have infinitely
+many real common zeros, so by Bezout they share a factor of positive degree.
+Every resultant in an unknown that this factor involves then vanishes
+identically, and no equation is free of that unknown.
 """
 
 from __future__ import annotations
@@ -850,22 +854,32 @@ def _point_solutions(family: ParamFamily, cs: CriticalSet) -> list[CriticalSolut
     """``solve_real``'s output at a one-point critical set in at most two
     unknowns, from b_k^2 = q_k (see the module docstring); projections are
     taken in b_k^2, as Res_y(F(x^2, y^2), G(x^2, y^2)) = Res(F, G)(x^2)^2.
-    Values, floats and signs are read once per unknown; each class's least
-    pattern is verified on the polynomial ``substitute_params`` gives it."""
+    Each q_k is a reduced integer pair, and a rational root's value, float
+    and sign are read from its integers once per unknown.  The least pattern
+    of each class is verified on the polynomial ``substitute_params`` gives
+    it, but in an exact family only the first, whose residual all share."""
     terms = family.display_terms()
-    # q_k = u_k pin! / (u_pin a_k!), as w(a) = a! / d!: one Fraction each
+    # q_k = u_k pin! / (u_pin a_k!), as w(a) = a! / d!: a reduced integer pair each
     (top, bottom), pin = cs.point[-1].as_integer_ratio(), _factorials(terms[-1])
-    squares = [Fraction(u.numerator * bottom * pin, u.denominator * top * _factorials(a))
+    squares = [(u.numerator * bottom * pin, u.denominator * top * _factorials(a))
                for u, a in zip(cs.point, terms[:-1])]
-    roots = [(_exact_root(q.numerator, 2), _exact_root(q.denominator, 2)) for q in squares]
-    pairs = [None if None in r else (-Fraction(*r), Fraction(*r)) for r in roots]
-    if None in pairs:
+    squares = [(p // g, q // g) for p, q in squares for g in [gcd(p, q)]]
+    choices = []  # per unknown, -sqrt(q_k) and sqrt(q_k) as (value, float, value <= 0)
+    for p, q in squares:
+        root, denominator = _exact_root(p, 2), _exact_root(q, 2)
+        if root is None or denominator is None:
+            choices.append(None)
+        else:  # root / denominator is float(v), one correctly rounded division
+            v, x = Fraction(root, denominator), root / denominator
+            choices.append(((-v, -x, True), (v, x, False)))
+    exact = None not in choices
+    if not exact:
         equations = gradient_system(family)
         if any(e % 2 for eq in equations for exp in eq.terms for e in exp):
             raise ArithmeticError(f"{family}: an equation is odd in a parameter")
         halved = [ParamPoly._trusted(eq.nsyms, {tuple(e // 2 for e in x): c
                                                 for x, c in eq.terms.items()}) for eq in equations]
-        if len(pairs) == 1:
+        if len(choices) == 1:
             (eq,) = halved
             projections = [uni.trim(eq.univariate())]
         else:
@@ -874,7 +888,8 @@ def _point_solutions(family: ParamFamily, cs: CriticalSet) -> list[CriticalSolut
             projections = [_eliminate_direction(ranked, 1), _eliminate_direction(ranked, 0)]
             if None in projections:
                 return solve_real(family, equations)  # a degenerate pencil: Newton
-        pairs = [pair or _signed_roots(p, q) for pair, p, q in zip(pairs, projections, squares)]
+        choices = [c or [(v, v.approx, v.approx <= 0) for v in _signed_roots(p, Fraction(*q))]
+                   for c, p, q in zip(choices, projections, squares)]
 
     # solve_real's merge with no polynomial per pattern: the support is
     # affinely independent, so a canonical form is +-1 by the flips alone
@@ -882,9 +897,7 @@ def _point_solutions(family: ParamFamily, cs: CriticalSet) -> list[CriticalSolut
     _, combos, parity = _torus_plan(support)
     if any(combo is not None for combo in combos):
         raise ArithmeticError(f"{family}: a one-point support is affinely dependent")
-    exact = all(isinstance(v, Fraction) for pair in pairs for v in pair)
     one = Fraction(1) if exact else 1.0
-    choices = [[(v, float(v), (v.numerator if exact else float(v)) <= 0) for v in p] for p in pairs]
     best: dict[tuple, tuple] = {}  # the least (score, values, floats) of each class, by its flips
     for pattern in product(*choices):
         values, floats, negative = zip(*pattern)
@@ -895,10 +908,11 @@ def _point_solutions(family: ParamFamily, cs: CriticalSet) -> list[CriticalSolut
     n, d = family.poly.n, family.poly.d
     solutions = []
     for key, (_, values, floats) in sorted(best.items(), key=lambda item: item[1][2]):
-        coeffs = (*(values if exact else floats), one)
-        residual = verify_critical(SparsePoly(n, d, dict(zip(terms, coeffs))))
-        if residual > (0.0 if exact else RESIDUAL_TOL):
-            raise ArithmeticError(f"{family}: a closed-form point is not critical")
+        if not (exact and solutions):  # an exact residual is the same for every class
+            coeffs = (*(values if exact else floats), one)
+            residual = verify_critical(SparsePoly(n, d, dict(zip(terms, coeffs))))
+            if residual > (0.0 if exact else RESIDUAL_TOL):
+                raise ArithmeticError(f"{family}: a closed-form point is not critical")
         form = {a: -one if flip else one for a, flip in zip(support, key)}
         solutions.append(CriticalSolution(family, values, residual, SparsePoly(n, d, form)))
     return solutions
@@ -907,8 +921,9 @@ def _point_solutions(family: ParamFamily, cs: CriticalSet) -> list[CriticalSolut
 def solve_family(family: ParamFamily) -> list[CriticalSolution]:
     """The family's critical points: ``[]`` for an empty closed-form set,
     the sign patterns of +-sqrt(q_k) for one point in at most two unknowns
-    (see the module docstring), and ``solve_real``'s Newton otherwise; a
-    ``ValueError`` for a support with a root difference."""
+    (see the module docstring; an exact one is verified once), and
+    ``solve_real``'s Newton otherwise; a ``ValueError`` for a support with a
+    root difference."""
     cs = critical_set(family)
     if cs.is_empty:
         return []

@@ -2,6 +2,7 @@
 benchmark's workloads, and one differing output fails the comparison."""
 
 import importlib.util
+import json
 import sys
 from collections import Counter
 from pathlib import Path
@@ -74,3 +75,10 @@ def test_kind_rows_hold_sums_and_per_family_medians(bench_ab):
 def test_one_differing_sha256_names_its_case(bench_ab, parent, change):
     report = bench_ab.aggregate({"parent": runs_of(*parent), "change": runs_of(*change)})
     assert not report["outputs_match"] and report["mismatched"] == ["closed_form c"]
+
+
+def test_the_committed_record_has_equal_outputs(bench_ab):
+    # a fresh record is checked where it is made; this checks the one committed
+    record = json.loads((ROOT / "BENCH_ab.json").read_text())
+    assert record["outputs_match"] is True and record["mismatched"] == []
+    assert set(bench_ab.SECTIONS) <= set(record)

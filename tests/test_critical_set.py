@@ -483,8 +483,9 @@ def test_a_sign_class_form_is_the_canonical_form(n, d, m, monkeypatch):
 
 def test_the_point_path_builds_one_polynomial_per_solution(monkeypatch):
     # no pattern is canonicalised: the classes come from the GF(2) flips, and
-    # each kept one is built once, for its verification, term for term and
-    # type for type the polynomial that substitute_params gives its values
+    # each kept one of a float family is built once, for its verification,
+    # term for term and type for type the polynomial that substitute_params
+    # gives its values; an exact family builds only its first class's
     rationals = rational_point_families(3, 4, 3)
     rational = next(f for f in rationals if f.nparams == 2)
     irrational = next(f for f, _ in point_families(3, 4, 3) if f not in rationals)
@@ -503,10 +504,39 @@ def test_the_point_path_builds_one_polynomial_per_solution(monkeypatch):
     for family, exact in ((rational, True), (irrational, False), (mixed, False)):
         calls.clear()
         solutions = solve_family(family)
-        assert len(calls) == len(solutions) > 0, family
-        substituted = [critical._substitute_values(family, s.values) for s in solutions]
+        verified = solutions[:1] if exact else solutions
+        assert len(calls) == len(verified) > 0 and len(solutions) > 1, family
+        substituted = [critical._substitute_values(family, s.values) for s in verified]
         assert calls == [list(map(repr, f.terms.items())) for f in substituted], family
         assert all(isinstance(v, Fraction) for s in solutions for v in s.values) == exact
+
+
+# how many exact one-point families each case has
+EXACT_COUNTS = {**{case: exact for case, (_, exact) in MERGE_COUNTS.items()}, (5, 3, 3): 2}
+
+
+@pytest.mark.parametrize("n, d, m", EXACT_COUNTS)
+def test_an_exact_family_shares_the_residual_of_every_class(n, d, m):
+    # an exact residual reads each c_a through c_a^2 and a sign that changes
+    # no |N_a|, so the one verification of an exact family holds for each class
+    families = rational_point_families(n, d, m)
+    assert len(families) == EXACT_COUNTS[n, d, m]
+    for family in families:
+        solutions = solve_family(family)
+        assert [verify_critical(s.polynomial()) for s in solutions] == [
+            s.residual for s in solutions] == [0.0] * len(solutions), family
+
+
+def test_an_exact_family_off_its_critical_point_is_refused():
+    # the first point coordinate times 4 keeps every q_k a rational square
+    # but moves the point off the critical set
+    family = next(f for f in rational_point_families(3, 4, 3) if f.nparams == 2)
+    cs = critical_set(family)
+    moved = cs._replace(point=(4 * cs.point[0], *cs.point[1:]))
+    assert all(map(is_rational_square, pinned_squares(moved)))
+    assert len(critical._point_solutions(family, cs)) > 1
+    with pytest.raises(ArithmeticError, match="a closed-form point is not critical"):
+        critical._point_solutions(family, moved)
 
 
 # _point_solutions takes its projections in the squares b_k^2, and refines
